@@ -23,8 +23,10 @@ import os
 import time
 
 from repro.config import TransportConfig, small_interdc_config
+from repro.experiments.grid import run_grid
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.runner import IncastScenario
-from repro.experiments.sweeps import SweepPoint, degree_sweep, sweep_digest
+from repro.experiments.sweeps import SweepPoint, degree_sweep_spec, sweep_digest
 from repro.units import megabytes
 
 DEGREES = (2, 3, 4, 5)  # 4 sweep points
@@ -43,8 +45,9 @@ def _scenario() -> IncastScenario:
 
 
 def _sweep(workers: int) -> list[SweepPoint]:
-    return degree_sweep(
-        _scenario(), DEGREES, SCHEMES, reps=REPS, workers=workers, cache=None
+    return run_grid(
+        degree_sweep_spec(_scenario(), DEGREES, SCHEMES, reps=REPS),
+        engine=ExperimentEngine(workers=workers),
     )
 
 

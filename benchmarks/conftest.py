@@ -2,7 +2,7 @@
 
 Benchmarks regenerate the paper's figures at *reduced* scale (the small
 two-DC fabric, tens of MB) so the whole suite runs in minutes; the
-``--full`` path of ``python -m repro.experiments.figures`` reproduces the
+``--full`` path of ``python -m repro figures`` reproduces the
 paper-scale numbers recorded in EXPERIMENTS.md.  Every benchmark stores
 its measured results in ``benchmark.extra_info`` so the JSON output
 carries the reproduced figure data alongside the timings.

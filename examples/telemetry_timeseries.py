@@ -25,7 +25,7 @@ MAX_ROWS = 18
 
 def render_series(series, scale: float, unit: str) -> str:
     """One row per (strided) sample: time, bar, scaled value."""
-    peak = series.max_value() or 1.0
+    peak = series.peak() or 1.0
     stride = max(1, len(series.times) // MAX_ROWS)
     lines = []
     for t, v in list(zip(series.times, series.values))[::stride]:

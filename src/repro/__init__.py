@@ -39,11 +39,8 @@ from repro.config import (
     paper_interdc_config,
     small_interdc_config,
 )
-from repro.experiments.parallel import (
-    ExperimentEngine,
-    ResultCache,
-    run_incast_batch,
-)
+from repro.experiments.grid import run_grid
+from repro.experiments.parallel import ExperimentEngine, ResultCache
 from repro.experiments.runner import (
     SCHEMES,
     IncastResult,
@@ -51,7 +48,6 @@ from repro.experiments.runner import (
     build_scenario,
     run_incast,
 )
-from repro.experiments.sweeps import degree_sweep, latency_sweep, size_sweep
 from repro.metrics.config import MetricsConfig
 from repro.net.network import Network
 from repro.schemes import (
@@ -107,13 +103,10 @@ __all__ = [
     "build_interdc",
     "build_scenario",
     "build_workload",
-    "degree_sweep",
-    "latency_sweep",
     "paper_interdc_config",
     "register_scheme",
     "register_workload",
+    "run_grid",
     "run_incast",
-    "run_incast_batch",
-    "size_sweep",
     "small_interdc_config",
 ]

@@ -32,13 +32,18 @@ Commands:
 
 ``python -m repro --version`` prints the library version.
 
-The simulation-execution flags are shared: :func:`common_parser` is the
-argparse *parent* parser every sweep-running subcommand (``quickstart``,
-``figures``, ``faults``) builds on, so ``--workers`` / ``--no-cache`` /
-``--cache-dir`` / ``--run-timeout`` / ``--backend`` / ``--sanitize`` /
-``--seed`` and the
-telemetry flags (``--telemetry`` / ``--telemetry-dir`` /
-``--sample-interval``) are spelled and documented identically everywhere.
+Each command has exactly one entry point — this dispatcher.  The flags
+are shared through two argparse *parent* parsers: :func:`run_parser`
+holds what any simulation run reads (``--seed`` / ``--metrics``) and is
+all ``workload`` takes; :func:`common_parser` adds the engine flags
+(``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--run-timeout`` /
+``--backend`` / ``--sanitize``) and the telemetry flags (``--telemetry``
+/ ``--telemetry-dir`` / ``--sample-interval``) for the commands that run
+an :class:`~repro.experiments.parallel.ExperimentEngine`.  The five sweep
+drivers (``quickstart``, ``figures``, ``faults``, ``bakeoff``,
+``recovery``) run under one harness, :func:`run_driver`: parse → validate
+→ :func:`build_engine` → the driver's body → telemetry export → the
+``[engine]`` footer.
 """
 
 from __future__ import annotations
@@ -46,19 +51,44 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.parallel import ExperimentEngine
+    from repro.telemetry import RunOptions
 
 #: Where ``--telemetry`` writes its JSON/CSV unless ``--telemetry-dir``
 #: points elsewhere.
 DEFAULT_TELEMETRY_DIR = Path("results/telemetry")
 
 
-def common_parser() -> argparse.ArgumentParser:
-    """The shared parent parser for every sweep-running subcommand.
-
-    Use as ``argparse.ArgumentParser(parents=[common_parser()], ...)``;
-    validate the result with :func:`check_common_args`.
-    """
+def run_parser() -> argparse.ArgumentParser:
+    """The parent parser for the flags every simulation run reads."""
     parser = argparse.ArgumentParser(add_help=False)
+    run = parser.add_argument_group("run")
+    run.add_argument(
+        "--seed", type=int, default=0, metavar="N",
+        help="base seed: repetition r of a sweep point runs with seed N+r "
+             "(default 0)",
+    )
+    run.add_argument(
+        "--metrics", choices=("exact", "sketch"), default=None,
+        help="metric sink mode: 'exact' keeps full per-packet series "
+             "(reference); 'sketch' folds them into bounded-memory "
+             "reservoir/quantile sketches (default: exact, except the "
+             "open-loop workload engine which defaults to sketch)",
+    )
+    return parser
+
+
+def common_parser() -> argparse.ArgumentParser:
+    """The shared parent parser for every engine-running subcommand.
+
+    :func:`run_parser` plus the engine and telemetry flags.  Use as
+    ``argparse.ArgumentParser(parents=[common_parser()], ...)``; validate
+    the result with :func:`check_common_args`.
+    """
+    parser = argparse.ArgumentParser(add_help=False, parents=[run_parser()])
     execution = parser.add_argument_group("execution")
     execution.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -87,18 +117,6 @@ def common_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run every simulation under the invariant sanitizer "
              "(packet/byte conservation, queue bounds; bypasses the cache)",
-    )
-    execution.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="base seed: repetition r of a sweep point runs with seed N+r "
-             "(default 0)",
-    )
-    execution.add_argument(
-        "--metrics", choices=("exact", "sketch"), default=None,
-        help="metric sink mode: 'exact' keeps full per-packet series "
-             "(reference); 'sketch' folds them into bounded-memory "
-             "reservoir/quantile sketches (default: exact, except the "
-             "open-loop workload engine which defaults to sketch)",
     )
     telemetry = parser.add_argument_group("telemetry")
     telemetry.add_argument(
@@ -133,7 +151,7 @@ def check_common_args(
         parser.error(
             f"--sample-interval must be positive, got {args.sample_interval}"
         )
-    if getattr(args, "backend", "pool") == "queue":
+    if args.backend == "queue":
         # The queue hands results between processes through the cache, so
         # cacheless and cache-bypassing modes cannot ride it.
         if args.no_cache:
@@ -148,13 +166,13 @@ def check_common_args(
                          "--backend queue; use the pool backend")
 
 
-def options_from_args(args: argparse.Namespace):
+def options_from_args(args: argparse.Namespace) -> "RunOptions":
     """Build the :class:`~repro.telemetry.RunOptions` the shared flags ask for."""
     from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
     from repro.telemetry import RunOptions
 
     metrics = (
-        DEFAULT_METRICS if getattr(args, "metrics", None) is None
+        DEFAULT_METRICS if args.metrics is None
         else MetricsConfig(mode=args.metrics)
     )
     return RunOptions(
@@ -165,29 +183,84 @@ def options_from_args(args: argparse.Namespace):
     )
 
 
-def telemetry_from_args(args: argparse.Namespace):
-    """A :class:`~repro.telemetry.SweepTelemetry` sink, or None without
-    ``--telemetry``."""
-    if not args.telemetry:
-        return None
+def build_engine(args: argparse.Namespace) -> "ExperimentEngine":
+    """The engine the shared flags ask for (the one CLI construction site).
+
+    ``--backend`` picks how cache misses execute: ``pool`` is the
+    in-process worker pool; ``queue`` routes every batch through the
+    distributed work-queue service
+    (:class:`~repro.experiments.service.QueueEngine` — journaled,
+    killable, resumable), which requires the cache.
+    """
+    from repro.experiments.parallel import (
+        DEFAULT_CACHE_DIR,
+        ExperimentEngine,
+        ResultCache,
+    )
     from repro.telemetry import SweepTelemetry
 
-    return SweepTelemetry()
+    shared: dict[str, Any] = dict(
+        workers=args.workers or None,  # 0 = one per CPU on either backend
+        cache=None if args.no_cache
+        else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR),
+        run_timeout_s=args.run_timeout,
+        options=options_from_args(args),
+        telemetry=SweepTelemetry() if args.telemetry else None,
+    )
+    if args.backend == "queue":
+        from repro.experiments.service import QueueEngine
+
+        return QueueEngine(**shared)
+    return ExperimentEngine(
+        on_fallback=lambda reason: print(f"[parallel] {reason}"), **shared
+    )
 
 
-def export_telemetry(args: argparse.Namespace, engine) -> None:
-    """Write the engine's sweep telemetry next to the other outputs."""
-    if engine.telemetry is None:
-        return
-    json_path, csv_path = engine.telemetry.write(args.telemetry_dir, engine.stats)
-    print(f"telemetry exported: {json_path} {csv_path}")
+def driver_parser(prog: str, description: str | None) -> argparse.ArgumentParser:
+    """A sweep driver's parser: the shared flags, ready for its own."""
+    return argparse.ArgumentParser(
+        prog=prog, description=description, parents=[common_parser()]
+    )
 
 
-def _quickstart(args: argparse.Namespace) -> None:
+def run_driver(
+    parser: argparse.ArgumentParser,
+    argv: Sequence[str] | None,
+    body: Callable[[argparse.Namespace, "ExperimentEngine"], None],
+) -> None:
+    """The one CLI harness every sweep driver runs under.
+
+    Parses and validates the flags, builds the engine, runs
+    ``body(args, engine)``, then exports the sweep telemetry (with
+    ``--telemetry``) and prints the engine's accounting footer.
+    """
+    args = parser.parse_args(argv)
+    check_common_args(parser, args)
+    engine = build_engine(args)
+    body(args, engine)
+    stats = engine.stats
+    if engine.telemetry is not None:
+        json_path, csv_path = engine.telemetry.write(args.telemetry_dir, stats)
+        print(f"telemetry exported: {json_path} {csv_path}")
+    if stats.tasks:
+        line = (
+            f"\n[engine] {stats.tasks} runs, {stats.cache_hits} cached, "
+            f"{stats.cache_misses} simulated, {stats.failures} quarantined, "
+            f"{stats.retries} retries, workers={stats.workers}, "
+            f"wall {stats.wall_seconds:.2f}s"
+        )
+        if stats.cache_misses:
+            line += (
+                f" (serial-equivalent {stats.sim_wall_seconds:.2f}s, "
+                f"speedup {stats.speedup:.2f}x)"
+            )
+        print(line)
+
+
+def _quickstart(args: argparse.Namespace, engine: "ExperimentEngine") -> None:
     from dataclasses import replace
 
     from repro.config import TransportConfig, small_interdc_config
-    from repro.experiments.figures import build_engine
     from repro.experiments.runner import SCHEMES, IncastScenario
     from repro.units import format_duration, megabytes
 
@@ -197,13 +270,6 @@ def _quickstart(args: argparse.Namespace) -> None:
         interdc=small_interdc_config(),
         transport=TransportConfig(payload_bytes=4096),
         seed=args.seed,
-    )
-    engine = build_engine(
-        args.workers, args.no_cache, args.cache_dir,
-        run_timeout_s=args.run_timeout,
-        options=options_from_args(args),
-        telemetry=telemetry_from_args(args),
-        backend=args.backend,
     )
     results = engine.run_incasts(
         [replace(scenario, scheme=scheme) for scheme in SCHEMES]
@@ -218,22 +284,20 @@ def _quickstart(args: argparse.Namespace) -> None:
         print(f"{'scheme':<14} {'ICT':>12}")
         for scheme, result in zip(SCHEMES, results):
             print(f"{scheme:<14} {format_duration(result.ict_ps):>12}")
-    if args.telemetry:
-        for result in results:
-            snap = result.telemetry
-            if snap is None:
-                continue
-            queue = snap.get("net.queue_bytes")
-            peak = queue.peak() if queue is not None else 0.0
-            profile = snap.profile
-            print(
-                f"[telemetry] {result.scenario.scheme}: "
-                f"{profile.events_executed} events "
-                f"({profile.events_per_second:,.0f}/s), "
-                f"peak net queue {peak:,.0f}B, "
-                f"rss {profile.peak_rss_kb} kB"
-            )
-        export_telemetry(args, engine)
+    for result in results:
+        snap = result.telemetry
+        if snap is None:
+            continue
+        queue = snap.get("net.queue_bytes")
+        peak = queue.peak() if queue is not None else 0.0
+        profile = snap.profile
+        print(
+            f"[telemetry] {result.scenario.scheme}: "
+            f"{profile.events_executed} events "
+            f"({profile.events_per_second:,.0f}/s), "
+            f"peak net queue {peak:,.0f}B, "
+            f"rss {profile.peak_rss_kb} kB"
+        )
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -282,14 +346,14 @@ def main(argv: list[str] | None = None) -> None:
 
         workload_main(args)
     elif command == "quickstart":
-        parser = argparse.ArgumentParser(
-            prog="python -m repro quickstart",
-            description="the headline four-scheme comparison",
-            parents=[common_parser()],
+        run_driver(
+            driver_parser(
+                "python -m repro quickstart",
+                "the headline four-scheme comparison",
+            ),
+            args,
+            _quickstart,
         )
-        opts = parser.parse_args(args)
-        check_common_args(parser, opts)
-        _quickstart(opts)
     else:
         print(f"unknown command {command!r}; "
               "try: figures, verdicts, quickstart, faults, bakeoff, "

@@ -206,6 +206,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -665,8 +665,7 @@ def _replay(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point for ``python -m repro races``."""
-    from repro.__main__ import check_common_args, common_parser
-    from repro.experiments.figures import build_engine
+    from repro.__main__ import build_engine, check_common_args, common_parser
 
     parser = argparse.ArgumentParser(
         prog="python -m repro races",
@@ -729,10 +728,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     from repro.schemes import SCHEME_REGISTRY
 
     schemes = list(args.schemes) if args.schemes else list(SCHEME_REGISTRY.names())
-    engine = build_engine(
-        args.workers, args.no_cache, args.cache_dir,
-        run_timeout_s=args.run_timeout,
-    )
+    engine = build_engine(args)
     scenarios = _grid(args, schemes)
     print(f"checking {len(schemes)} scheme(s) under {args.orders} perturbed "
           f"tie-break order(s), degree={args.degree}, "
@@ -783,6 +779,3 @@ def main(argv: Sequence[str] | None = None) -> None:
     if failed:
         raise SystemExit(1)
 
-
-if __name__ == "__main__":
-    main()

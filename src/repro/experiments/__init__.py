@@ -1,23 +1,25 @@
 """Experiment harness: single incast runs, sweeps, and figure regeneration.
 
 * :mod:`repro.experiments.runner` — run one incast under one scheme.
-* :mod:`repro.experiments.parallel` — the parallel execution engine:
-  process-pool fan-out with deterministic merge and an on-disk result
-  cache keyed by scenario hash.
+* :mod:`repro.experiments.parallel` — the execution engine:
+  :meth:`ExperimentEngine.stream` is the one path results leave by
+  (on-disk result cache keyed by scenario hash, guarded process-pool
+  fan-out of the misses, quarantine, stats).
 * :mod:`repro.experiments.grid` — declarative scenario grids: a
   :class:`GridSpec` is a frozen, JSON-serializable product of axes that
   materializes cells lazily, shards, and fingerprints; :class:`GridFold`
-  aggregates results streamingly in any completion order.
+  aggregates results streamingly in any completion order; and
+  :func:`run_grid` is the one expand → stream → fold loop.
 * :mod:`repro.experiments.sweeps` — the paper's three parameter sweeps
   (incast degree, incast size, long-haul latency) with repetitions, all
   declared as grids.
 * :mod:`repro.experiments.service` — the distributed sweep service: a
   SQLite-journaled work queue (coordinator + worker processes over a
-  socket protocol) that runs any grid killably and resumably;
-  :class:`QueueEngine` exposes it behind the engine interface
+  socket protocol) that runs any batch killably and resumably;
+  :class:`QueueEngine` is the engine whose misses dispatch through it
   (``--backend queue``; ``python -m repro service``).
 * :mod:`repro.experiments.figures` — regenerate every paper figure as a
-  text table (``python -m repro.experiments.figures``).
+  text table (``python -m repro figures``).
 * :mod:`repro.experiments.report` — table rendering and the shared
   CSV/JSON row exporters.
 """
@@ -39,14 +41,14 @@ from repro.experiments.grid import (
     GridSpec,
     RunSample,
     SweepFold,
+    run_grid,
     sweep_spec,
 )
 from repro.experiments.parallel import (
     ExecutionStats,
     ExperimentEngine,
     ResultCache,
-    run_incast_batch,
-    run_parallel,
+    RunFailure,
     scenario_key,
 )
 from repro.experiments.runner import (
@@ -57,18 +59,14 @@ from repro.experiments.runner import (
     run_incast,
 )
 from repro.experiments.report import export_rows, render_table
-from repro.experiments.service import Coordinator, QueueEngine, WorkQueue
+from repro.experiments.service import QueueEngine
 from repro.experiments.verdicts import Scorecard, Verdict, evaluate as evaluate_claims
 from repro.experiments.sweeps import (
     SchemeSummary,
     SweepPoint,
-    degree_sweep,
     degree_sweep_spec,
-    latency_sweep,
     latency_sweep_spec,
     run_scheme_summary,
-    run_sweep_spec,
-    size_sweep,
     size_sweep_spec,
     sweep_digest,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "CascadeResult",
     "CascadeScenario",
     "ConvergenceResult",
-    "Coordinator",
     "ExecutionStats",
     "ExperimentEngine",
     "GridFold",
@@ -87,6 +84,7 @@ __all__ = [
     "IncastScenario",
     "QueueEngine",
     "ResultCache",
+    "RunFailure",
     "RunSample",
     "SCHEMES",
     "SchemeSummary",
@@ -94,26 +92,20 @@ __all__ = [
     "SweepFold",
     "SweepPoint",
     "Verdict",
-    "WorkQueue",
     "build_scenario",
     "compare_cascade",
     "compare_convergence",
-    "degree_sweep",
     "degree_sweep_spec",
     "evaluate_claims",
     "export_rows",
-    "latency_sweep",
     "latency_sweep_spec",
     "measure_convergence",
     "render_table",
     "run_cascade",
+    "run_grid",
     "run_incast",
-    "run_incast_batch",
-    "run_parallel",
     "run_scheme_summary",
-    "run_sweep_spec",
     "scenario_key",
-    "size_sweep",
     "size_sweep_spec",
     "sweep_digest",
     "sweep_spec",

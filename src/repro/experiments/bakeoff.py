@@ -16,19 +16,18 @@ worker counts).
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from repro.config import TransportConfig, small_interdc_config
-from repro.experiments.faultsweep import blackhole_rate_sweep
-from repro.experiments.grid import GridSpec, axis, scale_buffers, sweep_spec
-from repro.experiments.parallel import ExperimentEngine, ResultCache
+from repro.experiments.faultsweep import blackhole_rate_sweep_spec
+from repro.experiments.grid import GridSpec, axis, run_grid, sweep_spec
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.report import average_reductions, export_rows, render_table
 from repro.experiments.runner import IncastScenario
-from repro.experiments.sweeps import SweepPoint, run_sweep_spec, sweep_digest
+from repro.experiments.sweeps import SweepPoint, sweep_digest
 from repro.schemes import SCHEME_REGISTRY
 from repro.units import kilobytes, microseconds, milliseconds, seconds
 
@@ -101,26 +100,6 @@ def bakeoff_grid_spec(
     return sweep_spec(base, point, names, reps, seed0)
 
 
-def bakeoff_grid(
-    base: IncastScenario | None = None,
-    degrees: Sequence[int] = BAKEOFF_DEGREES,
-    delays_ps: Sequence[int] = BAKEOFF_DELAYS_PS,
-    buffer_scales: Sequence[float] = BAKEOFF_BUFFER_SCALES,
-    schemes: Sequence[str] | None = None,
-    reps: int = 3,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """Every scheme at every grid point; defaults to the whole registry."""
-    spec = bakeoff_grid_spec(
-        base, degrees, delays_ps, buffer_scales, schemes, reps, seed0
-    )
-    return run_sweep_spec(spec, engine=engine, workers=workers, cache=cache)
-
-
 def fault_sensitivity(
     schemes: Sequence[str],
     reps: int = 2,
@@ -132,14 +111,16 @@ def fault_sensitivity(
 ) -> tuple[list[SweepPoint], dict[str, float | None]]:
     """Blackhole sweep at one drop rate, reduced to an ICT blow-up ratio.
 
-    Reuses :func:`~repro.experiments.faultsweep.blackhole_rate_sweep`
+    Reuses :func:`~repro.experiments.faultsweep.blackhole_rate_sweep_spec`
     with a healthy control, returning both the raw points (they feed the
     digest) and ``scheme -> ict(faulty) / ict(healthy)``; ``None`` when
     either side produced no successful repetitions.
     """
-    points = blackhole_rate_sweep(
-        base=base, rates=(0.0, rate), schemes=schemes, reps=reps,
-        engine=engine, seed0=seed0,
+    points = run_grid(
+        blackhole_rate_sweep_spec(
+            base, rates=(0.0, rate), schemes=schemes, reps=reps, seed0=seed0
+        ),
+        engine=engine,
     )
     healthy, faulty = points[0], points[1]
     ratios: dict[str, float | None] = {}
@@ -290,8 +271,10 @@ def _run_bakeoff(
         grid_kwargs = dict(reps=reps)
         fault_reps = max(2, reps - 1)
 
-    points = bakeoff_grid(base, schemes=schemes, engine=engine, seed0=seed0,
-                          **grid_kwargs)
+    points = run_grid(
+        bakeoff_grid_spec(base, schemes=schemes, seed0=seed0, **grid_kwargs),
+        engine=engine,
+    )
     fault_points, ratios = fault_sensitivity(
         schemes, reps=fault_reps, base=base, engine=engine, seed0=seed0,
     )
@@ -315,20 +298,12 @@ def _run_bakeoff(
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    """CLI entry point for the bake-off."""
-    from repro.__main__ import (
-        check_common_args,
-        common_parser,
-        export_telemetry,
-        options_from_args,
-        telemetry_from_args,
-    )
-    from repro.experiments.figures import build_engine
+    """CLI entry point for the bake-off (``python -m repro bakeoff``)."""
+    from repro.__main__ import driver_parser, run_driver
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bakeoff",
-        description="rank every registered scheme on a degree x RTT x buffer grid",
-        parents=[common_parser()],
+    parser = driver_parser(
+        "python -m repro bakeoff",
+        "rank every registered scheme on a degree x RTT x buffer grid",
     )
     parser.add_argument(
         "--reps", type=int, default=3, help="repetitions per grid cell")
@@ -340,36 +315,16 @@ def main(argv: Sequence[str] | None = None) -> None:
         "--smoke", action="store_true",
         help="CI-sized grid; digest must match across --workers values",
     )
-    args = parser.parse_args(argv)
-    check_common_args(parser, args)
-    if args.reps < 1:
-        parser.error(f"--reps must be at least 1, got {args.reps}")
 
-    engine = build_engine(
-        args.workers, args.no_cache, args.cache_dir,
-        run_timeout_s=args.run_timeout,
-        options=options_from_args(args),
-        telemetry=telemetry_from_args(args),
-        backend=args.backend,
-    )
-
-    _run_bakeoff(
-        engine,
-        smoke=args.smoke,
-        reps=args.reps,
-        seed0=args.seed,
-        export_dir=args.export,
-    )
-
-    export_telemetry(args, engine)
-    stats = engine.stats
-    if stats.tasks:
-        print(
-            f"\n[engine] {stats.tasks} runs, {stats.cache_hits} cached, "
-            f"{stats.cache_misses} simulated, {stats.failures} quarantined, "
-            f"workers={stats.workers}, wall {stats.wall_seconds:.2f}s"
+    def body(args, engine: ExperimentEngine) -> None:
+        if args.reps < 1:
+            parser.error(f"--reps must be at least 1, got {args.reps}")
+        _run_bakeoff(
+            engine,
+            smoke=args.smoke,
+            reps=args.reps,
+            seed0=args.seed,
+            export_dir=args.export,
         )
 
-
-if __name__ == "__main__":
-    main()
+    run_driver(parser, argv, body)

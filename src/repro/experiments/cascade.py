@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config import TransportConfig
 from repro.errors import ExperimentError
+from repro.experiments.parallel import ExperimentEngine
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.cascade import RelayChain, build_relay_chain
 from repro.proxy.placement import pick_proxy_host, pick_senders
@@ -138,7 +139,7 @@ def compare_cascade(
     base: CascadeScenario,
     schemes: tuple[str, ...] = CASCADE_SCHEMES,
     *,
-    workers: int | None = 1,
+    engine: ExperimentEngine | None = None,
 ) -> dict[str, CascadeResult]:
     """Run ``base`` under each relay placement, fanning out over the engine.
 
@@ -148,9 +149,7 @@ def compare_cascade(
     unknown = set(schemes) - set(CASCADE_SCHEMES)
     if unknown:
         raise ExperimentError(f"unknown cascade schemes {sorted(unknown)}")
-    from repro.experiments.parallel import ExperimentEngine
-
-    engine = ExperimentEngine(workers=workers)
+    engine = engine if engine is not None else ExperimentEngine()
     results = engine.map(
         run_cascade, [replace(base, scheme=scheme) for scheme in schemes]
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.runner import IncastScenario
 from repro.metrics.timeseries import Sampler, TimeSeries
 from repro.proxy.placement import pick_proxy_host, pick_senders
@@ -188,20 +189,18 @@ def compare_convergence(
     sample_interval_ps: int = microseconds(100),
     target_fraction: float = 0.8,
     *,
-    workers: int | None = 1,
+    engine: ExperimentEngine | None = None,
 ) -> dict[str, ConvergenceResult]:
     """Convergence metrics for each scheme on the same scenario.
 
-    With ``workers > 1`` the per-scheme runs fan out over the parallel
-    engine; results are merged in scheme order, so the returned mapping is
+    The per-scheme runs fan out over ``engine`` (default: serial);
+    results are merged in scheme order, so the returned mapping is
     identical for any worker count.
     """
     unknown = set(schemes) - set(SCHEME_REGISTRY.names())
     if unknown:
         raise ExperimentError(f"unknown schemes {sorted(unknown)}")
-    from repro.experiments.parallel import ExperimentEngine
-
-    engine = ExperimentEngine(workers=workers)
+    engine = engine if engine is not None else ExperimentEngine()
     results = engine.map(
         _convergence_task,
         [

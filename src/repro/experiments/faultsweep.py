@@ -1,13 +1,14 @@
 """Fault sweeps: ICT (and failure counts) vs fault severity per scheme.
 
 The paper's evaluation assumes a healthy network; this module asks what
-each scheme pays when the network misbehaves.  Two stock sweeps:
+each scheme pays when the network misbehaves.  Two stock sweeps, each
+declared as a grid and run by :func:`~repro.experiments.grid.run_grid`:
 
-* :func:`blackhole_rate_sweep` — a silent-drop window covers the run
+* :func:`blackhole_rate_sweep_spec` — a silent-drop window covers the run
   while the drop fraction sweeps the x-axis.  Schemes with µs-scale loss
   feedback (the proxy family) should recover cheaply; the baseline pays a
   long-haul RTO per loss burst.
-* :func:`proxy_crash_sweep` — the primary proxy crashes mid-incast at a
+* :func:`proxy_crash_sweep_spec` — the primary proxy crashes mid-incast at a
   swept time.  The naive proxy loses split-connection state and its flows
   fail; the streamlined proxy without a backup strands its flows until
   their senders give up; ``proxy-failover`` detects the crash and
@@ -25,7 +26,6 @@ and blackhole windows span the whole run.
 
 from __future__ import annotations
 
-import argparse
 import signal
 from dataclasses import replace
 from pathlib import Path
@@ -33,10 +33,16 @@ from typing import Sequence
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
-from repro.experiments.grid import GridSpec, axis, scenario_to_doc, sweep_spec
-from repro.experiments.parallel import ExperimentEngine, ResultCache, RunFailure
+from repro.experiments.grid import (
+    GridSpec,
+    axis,
+    run_grid,
+    scenario_to_doc,
+    sweep_spec,
+)
+from repro.experiments.parallel import ExperimentEngine, RunFailure
 from repro.experiments.runner import IncastResult, IncastScenario
-from repro.experiments.sweeps import SweepPoint, run_sweep_spec, sweep_digest
+from repro.experiments.sweeps import SweepPoint, sweep_digest
 from repro.faults.plan import CrashRun, FaultPlan, StallRun, blackhole_plan, proxy_crash_plan
 from repro.units import kilobytes, microseconds, milliseconds, seconds
 
@@ -85,7 +91,10 @@ def blackhole_rate_sweep_spec(
     target: str = "backbone",
     seed0: int = 0,
 ) -> GridSpec:
-    """The blackhole sweep as a grid: the fault axis carries plan documents."""
+    """ICT vs silent-drop fraction on ``target``, as a grid.
+
+    The fault axis carries canonical plan documents.
+    """
     base = base or fault_base_scenario()
     plans = [
         FaultPlan()
@@ -103,27 +112,6 @@ def blackhole_rate_sweep_spec(
     return sweep_spec(base, point, schemes, reps, seed0)
 
 
-def blackhole_rate_sweep(
-    base: IncastScenario | None = None,
-    rates: Sequence[float] = DEFAULT_BLACKHOLE_RATES,
-    schemes: Sequence[str] = FAULT_SCHEMES,
-    reps: int = 3,
-    *,
-    window_ps: int = milliseconds(50),
-    target: str = "backbone",
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """ICT vs silent-drop fraction on ``target`` for every scheme."""
-    spec = blackhole_rate_sweep_spec(
-        base, rates, schemes, reps, window_ps=window_ps, target=target,
-        seed0=seed0,
-    )
-    return run_sweep_spec(spec, engine=engine, workers=workers, cache=cache)
-
-
 def proxy_crash_sweep_spec(
     base: IncastScenario | None = None,
     crash_times_ps: Sequence[int] = DEFAULT_CRASH_TIMES_PS,
@@ -131,7 +119,11 @@ def proxy_crash_sweep_spec(
     reps: int = 3,
     seed0: int = 0,
 ) -> GridSpec:
-    """The proxy-crash sweep as a grid."""
+    """ICT vs crash time of the primary proxy, as a grid.
+
+    The crash targets the ``primary`` role, so the baseline (no proxy)
+    records the event as skipped and serves as the unaffected control.
+    """
     base = base or fault_base_scenario()
     point = axis(
         "point", "faults",
@@ -142,47 +134,23 @@ def proxy_crash_sweep_spec(
     return sweep_spec(base, point, schemes, reps, seed0)
 
 
-def proxy_crash_sweep(
-    base: IncastScenario | None = None,
-    crash_times_ps: Sequence[int] = DEFAULT_CRASH_TIMES_PS,
-    schemes: Sequence[str] = FAULT_SCHEMES,
-    reps: int = 3,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """ICT vs crash time of the primary proxy for every scheme.
-
-    The crash targets the ``primary`` role, so the baseline (no proxy)
-    records the event as skipped and serves as the unaffected control.
-    """
-    spec = proxy_crash_sweep_spec(base, crash_times_ps, schemes, reps, seed0)
-    return run_sweep_spec(spec, engine=engine, workers=workers, cache=cache)
-
-
-def fault_plan_sweep(
+def fault_plan_spec(
     plan: FaultPlan,
     base: IncastScenario | None = None,
     schemes: Sequence[str] = FAULT_SCHEMES,
     reps: int = 3,
     *,
     label: str = "plan",
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
     seed0: int = 0,
-) -> list[SweepPoint]:
-    """Run one user-supplied fault plan across every scheme (one point)."""
+) -> GridSpec:
+    """One user-supplied fault plan across every scheme (a one-point grid)."""
     if not isinstance(plan, FaultPlan):
         raise ExperimentError(f"expected a FaultPlan, got {type(plan).__name__}")
     base = base or fault_base_scenario()
     point = axis(
         "point", "faults", [scenario_to_doc(plan)], labels=[label], xs=[0.0]
     )
-    spec = sweep_spec(base, point, schemes, reps, seed0)
-    return run_sweep_spec(spec, engine=engine, workers=workers, cache=cache)
+    return sweep_spec(base, point, schemes, reps, seed0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +173,9 @@ def _print_points(name: str, points: list[SweepPoint], schemes: Sequence[str],
 
 def _smoke(engine: ExperimentEngine, run_timeout: float | None) -> None:
     """CI smoke: a tiny crash sweep (digest printed) + quarantine demo."""
-    points = proxy_crash_sweep(
-        crash_times_ps=(microseconds(10),), reps=2, engine=engine
+    points = run_grid(
+        proxy_crash_sweep_spec(crash_times_ps=(microseconds(10),), reps=2),
+        engine=engine,
     )
     _print_points("Fault smoke (proxy crash @10us)", points, FAULT_SCHEMES, None)
     print(f"sweep_digest: {sweep_digest(points)}")
@@ -246,20 +215,12 @@ def _smoke(engine: ExperimentEngine, run_timeout: float | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    """CLI entry point for the fault sweeps."""
-    from repro.__main__ import (
-        check_common_args,
-        common_parser,
-        export_telemetry,
-        options_from_args,
-        telemetry_from_args,
-    )
-    from repro.experiments.figures import build_engine
+    """CLI entry point for the fault sweeps (``python -m repro faults``)."""
+    from repro.__main__ import driver_parser, run_driver
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="fault-injection sweeps: ICT vs fault severity per scheme",
-        parents=[common_parser()],
+    parser = driver_parser(
+        "python -m repro faults",
+        "fault-injection sweeps: ICT vs fault severity per scheme",
     )
     parser.add_argument(
         "--fault-plan", type=Path, default=None, metavar="FILE",
@@ -275,50 +236,36 @@ def main(argv: Sequence[str] | None = None) -> None:
         "--smoke", action="store_true",
         help="tiny deterministic sweep + engine quarantine check (CI)",
     )
-    args = parser.parse_args(argv)
-    check_common_args(parser, args)
-    if args.reps < 1:
-        parser.error(f"--reps must be at least 1, got {args.reps}")
 
-    engine = build_engine(
-        args.workers, args.no_cache, args.cache_dir,
-        run_timeout_s=args.run_timeout,
-        options=options_from_args(args),
-        telemetry=telemetry_from_args(args),
-        backend=args.backend,
-    )
+    def body(args, engine: ExperimentEngine) -> None:
+        if args.reps < 1:
+            parser.error(f"--reps must be at least 1, got {args.reps}")
+        if args.smoke:
+            _smoke(engine, args.run_timeout)
+        elif args.fault_plan is not None:
+            try:
+                plan = FaultPlan.from_json(args.fault_plan.read_text())
+            except OSError as exc:
+                parser.error(f"cannot read {args.fault_plan}: {exc}")
+            points = run_grid(
+                fault_plan_spec(plan, reps=args.reps,
+                                label=args.fault_plan.stem, seed0=args.seed),
+                engine=engine,
+            )
+            _print_points(f"Fault plan {args.fault_plan.name}", points,
+                          FAULT_SCHEMES, args.export)
+            print(f"sweep_digest: {sweep_digest(points)}")
+        else:
+            bh = run_grid(
+                blackhole_rate_sweep_spec(reps=args.reps, seed0=args.seed),
+                engine=engine,
+            )
+            _print_points("Blackhole rate sweep", bh, FAULT_SCHEMES, args.export)
+            cr = run_grid(
+                proxy_crash_sweep_spec(reps=args.reps, seed0=args.seed),
+                engine=engine,
+            )
+            _print_points("Proxy crash sweep", cr, FAULT_SCHEMES, args.export)
+            print(f"sweep_digest: {sweep_digest(bh + cr)}")
 
-    if args.smoke:
-        _smoke(engine, args.run_timeout)
-    elif args.fault_plan is not None:
-        try:
-            plan = FaultPlan.from_json(args.fault_plan.read_text())
-        except OSError as exc:
-            parser.error(f"cannot read {args.fault_plan}: {exc}")
-        points = fault_plan_sweep(
-            plan, reps=args.reps, label=args.fault_plan.stem, engine=engine,
-            seed0=args.seed,
-        )
-        _print_points(f"Fault plan {args.fault_plan.name}", points,
-                      FAULT_SCHEMES, args.export)
-        print(f"sweep_digest: {sweep_digest(points)}")
-    else:
-        bh = blackhole_rate_sweep(reps=args.reps, engine=engine, seed0=args.seed)
-        _print_points("Blackhole rate sweep", bh, FAULT_SCHEMES, args.export)
-        cr = proxy_crash_sweep(reps=args.reps, engine=engine, seed0=args.seed)
-        _print_points("Proxy crash sweep", cr, FAULT_SCHEMES, args.export)
-        print(f"sweep_digest: {sweep_digest(bh + cr)}")
-
-    export_telemetry(args, engine)
-    stats = engine.stats
-    if stats.tasks:
-        print(
-            f"\n[engine] {stats.tasks} runs, {stats.cache_hits} cached, "
-            f"{stats.cache_misses} simulated, {stats.failures} quarantined, "
-            f"{stats.retries} retries, workers={stats.workers}, "
-            f"wall {stats.wall_seconds:.2f}s"
-        )
-
-
-if __name__ == "__main__":
-    main()
+    run_driver(parser, argv, body)

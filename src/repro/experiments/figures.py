@@ -1,7 +1,7 @@
 """Regenerate every figure of the paper as a text table.
 
-Run ``python -m repro.experiments.figures`` for a reduced (fast) pass or
-``python -m repro.experiments.figures --full`` for paper-scale parameters
+Run ``python -m repro figures`` for a reduced (fast) pass or
+``python -m repro figures --full`` for paper-scale parameters
 (8 KB payloads, 100 MB incasts, 5 repetitions — minutes of wall time).
 Individual figures: ``--only fig2l fig4`` etc.  ``--export DIR`` also
 writes each figure's data as CSV into ``DIR``.
@@ -9,21 +9,21 @@ writes each figure's data as CSV into ``DIR``.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.config import TransportConfig
-from repro.errors import ExperimentError
-from repro.experiments.parallel import (
-    DEFAULT_CACHE_DIR,
-    ExperimentEngine,
-    ResultCache,
-)
+from repro.experiments.grid import run_grid
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.report import average_reductions, render_table, sweep_table
 from repro.experiments.runner import IncastScenario
-from repro.experiments.sweeps import SweepPoint, degree_sweep, latency_sweep, size_sweep
+from repro.experiments.sweeps import (
+    SweepPoint,
+    degree_sweep_spec,
+    latency_sweep_spec,
+    size_sweep_spec,
+)
 from repro.hoststack import (
     ebpf_forward_path_pipeline,
     ebpf_reverse_path_pipeline,
@@ -32,9 +32,6 @@ from repro.hoststack import (
     wire_to_wire_pipeline,
 )
 from repro.units import megabytes, microseconds, milliseconds
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import RunOptions, SweepTelemetry
 
 SCHEMES = ("baseline", "naive", "streamlined")
 
@@ -59,8 +56,8 @@ def figure2_left(
     """Fig. 2 (Left): ICT vs incast degree at fixed 100 MB total."""
     scenario = _base_scenario(full)
     degrees = (2, 4, 8, 16, 32, 60) if full else (2, 4, 8)
-    return degree_sweep(scenario, degrees, SCHEMES, reps=_reps(full, reps),
-                        engine=engine, seed0=seed0)
+    spec = degree_sweep_spec(scenario, degrees, SCHEMES, _reps(full, reps), seed0)
+    return run_grid(spec, engine=engine)
 
 
 def figure2_right(
@@ -77,8 +74,8 @@ def figure2_right(
         if full
         else (megabytes(10), megabytes(20), megabytes(50))
     )
-    return size_sweep(scenario, sizes, SCHEMES, reps=_reps(full, reps),
-                      engine=engine, seed0=seed0)
+    spec = size_sweep_spec(scenario, sizes, SCHEMES, _reps(full, reps), seed0)
+    return run_grid(spec, engine=engine)
 
 
 def figure3(
@@ -96,8 +93,8 @@ def figure3(
         if full
         else (microseconds(10), microseconds(100), milliseconds(1))
     )
-    return latency_sweep(scenario, delays, SCHEMES, reps=_reps(full, reps),
-                         engine=engine, seed0=seed0)
+    spec = latency_sweep_spec(scenario, delays, SCHEMES, _reps(full, reps), seed0)
+    return run_grid(spec, engine=engine)
 
 
 def figure4(packets: int = 100_000, seed: int = 0) -> str:
@@ -118,6 +115,14 @@ def figure5(packets: int = 100_000, seed: int = 0) -> str:
         + "\n\n"
         + _cdf_table("Figure 5b — wire-to-wire upper bound (us)", upper)
     )
+
+
+#: The sweep figures the CLI regenerates: ``--only`` key -> (title, driver).
+SWEEP_FIGURES = {
+    "fig2l": ("Figure 2 (Left)", figure2_left),
+    "fig2r": ("Figure 2 (Right)", figure2_right),
+    "fig3": ("Figure 3", figure3),
+}
 
 
 def _base_scenario(full: bool) -> IncastScenario:
@@ -144,8 +149,10 @@ def _cdf_table(title: str, measurements) -> str:
     return f"{title}\n" + render_table(headers, rows)
 
 
-def _print_sweep(name: str, points: list[SweepPoint], export_dir: Path | None) -> None:
-    print(f"\n=== {name} (paper: {PAPER_ANCHORS[_anchor_key(name)]}) ===")
+def _print_sweep(
+    key: str, name: str, points: list[SweepPoint], export_dir: Path | None
+) -> None:
+    print(f"\n=== {name} (paper: {PAPER_ANCHORS[key]}) ===")
     print(sweep_table(points, SCHEMES))
     for scheme in SCHEMES[1:]:
         avg = average_reductions(points, scheme)
@@ -153,77 +160,16 @@ def _print_sweep(name: str, points: list[SweepPoint], export_dir: Path | None) -
     if export_dir is not None:
         from repro.metrics.export import write_sweep_csv
 
-        stem = _anchor_key(name).replace("fig", "figure_")
+        stem = key.replace("fig", "figure_")
         path = write_sweep_csv(points, export_dir / f"{stem}.csv")
         print(f"exported {path}")
 
 
-def _anchor_key(name: str) -> str:
-    return {
-        "Figure 2 (Left)": "fig2l",
-        "Figure 2 (Right)": "fig2r",
-        "Figure 3": "fig3",
-    }[name]
-
-
-def build_engine(
-    workers: int | None,
-    no_cache: bool,
-    cache_dir: Path | None = None,
-    run_timeout_s: float | None = None,
-    sanitize: bool = False,
-    *,
-    options: "RunOptions | None" = None,
-    telemetry: "SweepTelemetry | None" = None,
-    backend: str = "pool",
-) -> ExperimentEngine:
-    """The engine the figure drivers share, honoring the CLI cache flags.
-
-    ``backend`` picks how batches execute: ``"pool"`` is the in-process
-    worker pool; ``"queue"`` routes every batch through the distributed
-    work-queue service (:class:`~repro.experiments.service.QueueEngine`
-    — journaled, killable, resumable), which requires the cache.
-    """
-    cache = None if no_cache else ResultCache(cache_dir or DEFAULT_CACHE_DIR)
-    if sanitize:
-        from repro.telemetry import RunOptions
-
-        options = replace(options or RunOptions(), sanitize=True)
-    if backend == "queue":
-        from repro.experiments.service import QueueEngine
-
-        return QueueEngine(
-            workers=workers,
-            cache=cache,
-            run_timeout_s=run_timeout_s,
-            options=options,
-            telemetry=telemetry,
-        )
-    if backend != "pool":
-        raise ExperimentError(f"unknown engine backend {backend!r}")
-    return ExperimentEngine(
-        workers=workers,
-        cache=cache,
-        on_fallback=lambda reason: print(f"[parallel] {reason}"),
-        run_timeout_s=run_timeout_s,
-        options=options,
-        telemetry=telemetry,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> None:
-    """CLI entry point."""
-    from repro.__main__ import (
-        check_common_args,
-        common_parser,
-        export_telemetry,
-        options_from_args,
-        telemetry_from_args,
-    )
+    """CLI entry point (``python -m repro figures``)."""
+    from repro.__main__ import driver_parser, run_driver
 
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[common_parser()]
-    )
+    parser = driver_parser("python -m repro figures", __doc__)
     parser.add_argument("--full", action="store_true", help="paper-scale parameters")
     parser.add_argument("--reps", type=int, default=None, help="repetitions per point")
     parser.add_argument(
@@ -237,48 +183,18 @@ def main(argv: Sequence[str] | None = None) -> None:
         "--export", type=Path, default=None, metavar="DIR",
         help="also write each figure's data as CSV into DIR",
     )
-    args = parser.parse_args(argv)
-    check_common_args(parser, args)
-    wanted = set(args.only) if args.only else {"fig2l", "fig2r", "fig3", "fig4", "fig5"}
-    engine = build_engine(args.workers, args.no_cache, args.cache_dir,
-                          run_timeout_s=args.run_timeout,
-                          options=options_from_args(args),
-                          telemetry=telemetry_from_args(args),
-                          backend=args.backend)
 
-    if "fig2l" in wanted:
-        _print_sweep("Figure 2 (Left)",
-                     figure2_left(args.full, args.reps, engine=engine,
-                                  seed0=args.seed), args.export)
-    if "fig2r" in wanted:
-        _print_sweep("Figure 2 (Right)",
-                     figure2_right(args.full, args.reps, engine=engine,
-                                   seed0=args.seed), args.export)
-    if "fig3" in wanted:
-        _print_sweep("Figure 3",
-                     figure3(args.full, args.reps, engine=engine,
-                             seed0=args.seed), args.export)
-    if "fig4" in wanted:
-        print(f"\n(paper: {PAPER_ANCHORS['fig4']})")
-        print(figure4(seed=args.seed))
-    if "fig5" in wanted:
-        print(f"\n(paper: {PAPER_ANCHORS['fig5a']}; {PAPER_ANCHORS['fig5b']})")
-        print(figure5(seed=args.seed))
-    export_telemetry(args, engine)
-    stats = engine.stats
-    if stats.tasks:
-        line = (
-            f"\n[engine] {stats.tasks} runs, {stats.cache_hits} cached, "
-            f"{stats.cache_misses} simulated, workers={stats.workers}, "
-            f"wall {stats.wall_seconds:.2f}s"
-        )
-        if stats.cache_misses:
-            line += (
-                f" (serial-equivalent {stats.sim_wall_seconds:.2f}s, "
-                f"speedup {stats.speedup:.2f}x)"
-            )
-        print(line)
+    def body(args, engine: ExperimentEngine) -> None:
+        wanted = set(args.only or ("fig2l", "fig2r", "fig3", "fig4", "fig5"))
+        for key, (name, sweep) in SWEEP_FIGURES.items():
+            if key in wanted:
+                points = sweep(args.full, args.reps, engine=engine, seed0=args.seed)
+                _print_sweep(key, name, points, args.export)
+        if "fig4" in wanted:
+            print(f"\n(paper: {PAPER_ANCHORS['fig4']})")
+            print(figure4(seed=args.seed))
+        if "fig5" in wanted:
+            print(f"\n(paper: {PAPER_ANCHORS['fig5a']}; {PAPER_ANCHORS['fig5b']})")
+            print(figure5(seed=args.seed))
 
-
-if __name__ == "__main__":
-    main()
+    run_driver(parser, argv, body)

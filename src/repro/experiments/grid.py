@@ -31,8 +31,10 @@ all-results-in-memory fold: results are pushed in **any** order, grouped
 by (point, scheme), reduced to per-run :class:`RunSample` scalars the
 moment they arrive, and emitted as the familiar
 :class:`~repro.experiments.sweeps.SweepPoint` list at the end — the fold
-never holds a full-grid result list, which is what lets the distributed
-coordinator aggregate a campaign in bounded memory.
+never holds a full-grid result list.  :func:`run_grid` is the one
+expand → stream → fold loop: it feeds a fold from
+:meth:`ExperimentEngine.stream <repro.experiments.parallel.
+ExperimentEngine.stream>` as cells finish, on either backend.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import RunFailure, _canonical
+from repro.experiments.parallel import ExperimentEngine, RunFailure, _canonical
 from repro.experiments.runner import IncastResult, IncastScenario
 
 #: Bump when the spec document shape changes (axes layout, applier
@@ -584,6 +586,10 @@ class GridFold:
                         samples: list[RunSample]) -> Any:
         raise NotImplementedError
 
+    def finish(self) -> Any:
+        """Assemble the fold's product once every cell has been added."""
+        raise NotImplementedError
+
     def _group(self, point_i: int, scheme_i: int) -> Any:
         group = (point_i, scheme_i)
         if group not in self._groups:
@@ -622,3 +628,27 @@ class SweepFold(GridFold):
                         )
             sweep.append(SweepPoint(x=point.x, label=point.label, schemes=summaries))
         return sweep
+
+
+def run_grid(
+    spec: GridSpec,
+    fold: GridFold | None = None,
+    *,
+    engine: ExperimentEngine | None = None,
+) -> Any:
+    """Run a declared grid: expand → ``engine.stream`` → fold → finish.
+
+    The one grid runner every sweep driver and ``service coordinate``
+    share.  Cells reach ``fold.add`` in **completion** order on every
+    backend, so the fold's bounded-memory property holds for the pool as
+    well as the queue; the folds are order-independent, so the product is
+    identical whether cells ran in-process, on N pool workers, or through
+    the distributed queue.  ``fold`` defaults to a :class:`SweepFold`
+    (the classic ``list[SweepPoint]``); ``engine`` to a serial, uncached
+    :class:`~repro.experiments.parallel.ExperimentEngine`.
+    """
+    fold = fold if fold is not None else SweepFold(spec)
+    engine = engine if engine is not None else ExperimentEngine()
+    for index, entry in engine.stream(cell.scenario for cell in spec.expand()):
+        fold.add(index, entry)
+    return fold.finish()

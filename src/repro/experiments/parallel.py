@@ -5,36 +5,41 @@ Every figure in the paper is a parameter sweep that runs each scheme
 so they fan out over a process pool the same way RepFlow replicates flows:
 do the work N ways, merge deterministically.  This module provides
 
-* :func:`run_parallel` — fan any picklable ``fn`` over items on a
-  ``multiprocessing`` pool (``fork`` preferred, ``spawn``-safe) with
-  results returned **in input order** regardless of completion order, and
-  a graceful fallback to in-process execution when ``workers <= 1``, the
-  items are unpicklable, or the platform cannot provide a pool;
+* :func:`guarded_fanout` — fan any picklable ``fn`` over items on a
+  ``multiprocessing`` pool (``fork`` preferred, ``spawn``-safe), yielding
+  ``(index, outcome)`` as each item finishes, with a graceful fallback to
+  in-process execution when ``workers <= 1``, the items are unpicklable,
+  or the platform cannot provide a pool;
 * :func:`scenario_key` — a stable content hash of any config dataclass
   (scheme, degree, bytes, nested configs, seed), suitable as a cache key;
 * :class:`ResultCache` — an on-disk pickle store keyed by scenario hash,
   so re-running a figure only simulates changed points;
 * :class:`ExperimentEngine` — the object the sweeps, figure drivers, and
-  CLI sit on: cached, parallel ``run_incasts`` plus a generic ``map``,
-  with :class:`ExecutionStats` accounting (cache hits, simulated wall
-  time vs engine wall time) so the speedup is measurable.
+  CLI sit on.  :meth:`ExperimentEngine.stream` is the one completion
+  path: cache lookup, dispatch of the misses, cache store,
+  :class:`RunFailure` construction, :class:`ExecutionStats` accounting
+  (cache hits, simulated wall time vs engine wall time) and telemetry all
+  happen there, and ``run_incasts`` / ``run_incasts_detailed`` are its
+  positional collects.
 
 Crash-proofing: a long sweep must survive one bad point.  Every run is
-guarded — :func:`run_parallel_guarded` enforces a per-run wall-clock
+guarded — :func:`guarded_fanout` enforces a per-run wall-clock
 deadline *inside* the worker (``SIGALRM``; a ``ProcessPoolExecutor``
 cannot cancel a running task from outside), retries transient exceptions
 with exponential backoff, and when a worker process dies outright
 (segfault, ``os._exit``) re-runs the surviving items in fresh single-run
 isolation pools so one poison scenario cannot take down its batchmates.
-A run that still fails is **quarantined**: the engine returns a
-structured :class:`RunFailure` in its slot and every other point's result
-survives, instead of one exception discarding an hour of simulation.
+A run that still fails is **quarantined**: the engine yields a
+structured :class:`RunFailure` for its index and every other point's
+result survives, instead of one exception discarding an hour of
+simulation.
 
 Determinism contract: each simulation is a pure function of its scenario
-(seed included), so for a fixed scenario list the engine returns the same
+(seed included), so for a fixed scenario list the engine produces the same
 results — bitwise, minus host-dependent wall-clock fields — for any worker
 count, completion order, or cache state.  Quarantine preserves this:
-failures are positional, so the merge never shifts.
+every entry carries its index, so a positional collect never shifts and
+the order-independent folds never notice the order.
 """
 
 from __future__ import annotations
@@ -49,21 +54,21 @@ import threading
 import time
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import ExperimentError
 from repro.metrics.config import DEFAULT_METRICS
-from repro.experiments.runner import (
-    _SANITIZE_REMOVED,
-    IncastResult,
-    IncastScenario,
-    run_incast,
-)
+from repro.experiments.runner import IncastResult, IncastScenario, run_incast
 from repro.telemetry.options import RunOptions
 from repro.telemetry.sweep import SweepTelemetry
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: One guarded run as the fan-out reports it: ``(status, payload, attempts,
+#: elapsed_seconds)``.  ``status`` is ``"ok"`` (payload = the result) or a
+#: :class:`RunFailure` kind (payload = the message).
+Outcome = tuple[str, Any, int, float]
 
 #: Bump when the result schema changes so stale cache entries never load.
 #: v2: IncastResult gained fault/failure fields; IncastScenario gained
@@ -245,45 +250,6 @@ def _all_picklable(values: Iterable[Any]) -> bool:
     return True
 
 
-def run_parallel(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int | None = 1,
-    on_fallback: Callable[[str], None] | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every item, fanning out over a process pool.
-
-    Results come back **in input order** no matter which worker finished
-    first, so callers merge deterministically.  Falls back to in-process
-    serial execution — same results, same order — when ``workers <= 1``,
-    there is at most one item, the work is unpicklable, or the platform
-    refuses to start a pool (sandboxes without /dev/shm, missing fork).
-    """
-    items = list(items)
-    workers = resolve_workers(workers)
-    effective = min(workers, len(items))
-    if effective <= 1:
-        return [fn(item) for item in items]
-    if not _all_picklable([fn]) or not _all_picklable(items):
-        if on_fallback is not None:
-            on_fallback("work items are not picklable; running serially")
-        return [fn(item) for item in items]
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(
-            max_workers=effective, mp_context=_pool_context()
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
-    except (OSError, ImportError, PermissionError) as exc:
-        if on_fallback is not None:
-            on_fallback(f"process pool unavailable ({exc}); running serially")
-        return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # Guarded execution: deadlines, retries, quarantine
 # ---------------------------------------------------------------------------
@@ -403,18 +369,24 @@ class _GuardedTask:
         )
 
 
-def _run_isolated(task: _GuardedTask, item: Any) -> tuple[str, Any, int, float]:
+def _pool(max_workers: int):
+    """A worker pool on :func:`_pool_context` (the one executor factory)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers, mp_context=_pool_context())
+
+
+def _run_isolated(task: _GuardedTask, item: Any) -> Outcome:
     """Re-run one item from a broken batch in a fresh single-run pool.
 
     Never runs the item in-process: it is a suspect in a worker's death,
     and a hard crash (``os._exit``, segfault) in the caller would discard
     the whole sweep — exactly what quarantine exists to prevent.
     """
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        with ProcessPoolExecutor(max_workers=1, mp_context=_pool_context()) as pool:
+        with _pool(1) as pool:
             return pool.submit(task, item).result()
     except BrokenProcessPool:
         return (
@@ -427,7 +399,35 @@ def _run_isolated(task: _GuardedTask, item: Any) -> tuple[str, Any, int, float]:
         return ("worker-crash", f"isolation pool unavailable: {exc}", 1, 0.0)
 
 
-def run_parallel_guarded(
+def _pool_fanout(
+    task: _GuardedTask, items: Sequence[Any], workers: int
+) -> Iterator[tuple[int, Outcome]]:
+    """One pool pass, then isolation re-runs for what a dead worker took down."""
+    from concurrent.futures import as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    crashed = set(range(len(items)))
+    with _pool(workers) as pool:
+        futures = {}
+        try:
+            for i, item in enumerate(items):
+                futures[pool.submit(task, item)] = i
+        except BrokenProcessPool:
+            pass  # unsubmitted items go straight to isolation below
+        for future in as_completed(futures):
+            try:
+                outcome = future.result()
+            except BrokenProcessPool:
+                continue
+            except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
+                outcome = ("exception", f"{type(exc).__name__}: {exc}", 1, 0.0)
+            crashed.discard(futures[future])
+            yield futures[future], outcome
+    for i in sorted(crashed):
+        yield i, _run_isolated(task, items[i])
+
+
+def guarded_fanout(
     fn: Callable[[T], R],
     items: Sequence[T],
     *,
@@ -436,91 +436,42 @@ def run_parallel_guarded(
     max_attempts: int = 2,
     backoff_s: float = 0.05,
     on_fallback: Callable[[str], None] | None = None,
-    on_progress: Callable[[int, int], None] | None = None,
-) -> list[tuple[str, Any, int, float]]:
-    """Guarded fan-out: one ``(status, payload, attempts, elapsed)`` per item.
+) -> Iterator[tuple[int, Outcome]]:
+    """Guarded fan-out: yield ``(index, outcome)`` as each item finishes.
 
-    Like :func:`run_parallel` (input-order results, serial fallback), but
-    no single item can sink the batch: exceptions and deadline overruns
-    come back as failure tuples, and if a worker process dies the items it
-    took down with it are re-run in fresh isolation pools — so a segfault
-    in item 3 still yields results for items 0–2 and 4–N.
+    Every index is yielded exactly once, in **completion** order; callers
+    that need input order collect by index.  No single item can sink the
+    batch: exceptions and deadline overruns come back as failure
+    outcomes, and if a worker process dies the items it took down with it
+    are re-run in fresh isolation pools — so a segfault in item 3 still
+    yields results for items 0–2 and 4–N.
 
-    ``on_progress(done, total)`` is invoked as runs finish (from a pool
-    callback thread when running parallel) — a heartbeat hook, not part of
-    the deterministic result path.
-
-    In the serial fallback (no usable pool) exceptions and timeouts are
-    still guarded, but a hard crash cannot be contained — there is no
-    process boundary to die behind.
+    Runs in-process (same guard, same outcomes) when ``workers <= 1``,
+    there is at most one item, the work is unpicklable, or the platform
+    refuses to start a pool (sandboxes without /dev/shm, missing fork).
+    There exceptions and timeouts are still guarded, but a hard crash
+    cannot be contained — there is no process boundary to die behind.
     """
     items = list(items)
-    workers = resolve_workers(workers)
     task = _GuardedTask(fn, timeout_s, max_attempts, backoff_s)
-    total = len(items)
-
-    def _serial() -> list[tuple[str, Any, int, float]]:
-        results = []
-        for i, item in enumerate(items):
-            results.append(task(item))
-            if on_progress is not None:
-                on_progress(i + 1, total)
-        return results
-
-    effective = min(workers, total)
-    if effective <= 1:
-        return _serial()
-    if not _all_picklable([fn]) or not _all_picklable(items):
-        if on_fallback is not None:
-            on_fallback("work items are not picklable; running serially")
-        return _serial()
-
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    done_count = [0]
-    done_lock = threading.Lock()
-
-    def _tick_progress(_future: Any) -> None:
-        if on_progress is None:
-            return
-        with done_lock:
-            done_count[0] += 1
-            done = done_count[0]
-        on_progress(done, total)
-
-    results: list[tuple[str, Any, int, float] | None] = [None] * len(items)
-    crashed: list[int] = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=effective, mp_context=_pool_context()
-        ) as pool:
-            futures = []
+    pending = set(range(len(items)))
+    fallback: str | None = None
+    effective = min(resolve_workers(workers), len(items))
+    if effective > 1:
+        if not _all_picklable([fn]) or not _all_picklable(items):
+            fallback = "work items are not picklable; running serially"
+        else:
             try:
-                for item in items:
-                    future = pool.submit(task, item)
-                    future.add_done_callback(_tick_progress)
-                    futures.append(future)
-            except BrokenProcessPool:
-                pass  # unsubmitted items go straight to isolation below
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool:
-                    crashed.append(i)
-                except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
-                    results[i] = (
-                        "exception", f"{type(exc).__name__}: {exc}", 1, 0.0
-                    )
-            crashed.extend(range(len(futures), len(items)))
-    except (OSError, ImportError, PermissionError) as exc:
-        if on_fallback is not None:
-            on_fallback(f"process pool unavailable ({exc}); running serially")
-        return _serial()
-
-    for i in crashed:
-        results[i] = _run_isolated(task, items[i])
-    return [r for r in results if r is not None]
+                for i, outcome in _pool_fanout(task, items, effective):
+                    pending.discard(i)
+                    yield i, outcome
+                return
+            except (OSError, ImportError, PermissionError) as exc:
+                fallback = f"process pool unavailable ({exc}); running serially"
+    if fallback is not None and on_fallback is not None:
+        on_fallback(fallback)
+    for i in sorted(pending):
+        yield i, task(items[i])
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +486,11 @@ class ExecutionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     workers: int = 1
-    #: runs quarantined as RunFailure (never cached; see run_incasts_detailed).
+    #: runs quarantined as RunFailure (never cached; see ExperimentEngine.stream).
     failures: int = 0
     #: extra attempts spent retrying transient exceptions.
     retries: int = 0
-    #: wall-clock the engine spent orchestrating (pool + cache + merge).
+    #: wall-clock the engine spent orchestrating (dispatch + cache + merge).
     wall_seconds: float = 0.0
     #: summed single-run wall-clock of the simulations actually executed —
     #: the serial-equivalent cost, so speedup = sim_wall_seconds / wall_seconds.
@@ -554,7 +505,16 @@ class ExecutionStats:
 
 
 class ExperimentEngine:
-    """Cached, parallel executor for independent seeded experiment runs."""
+    """Cached, parallel executor for independent seeded experiment runs.
+
+    :meth:`stream` is the only way results leave an engine: it owns the
+    cache lookup/store, :class:`RunFailure` construction,
+    :class:`ExecutionStats` and the telemetry records.  A backend
+    supplies only :meth:`_dispatch` — how the cache misses execute; this
+    class fans them over an in-process worker pool, and
+    :class:`~repro.experiments.service.QueueEngine` runs them through the
+    journaled work queue.
+    """
 
     def __init__(
         self,
@@ -565,7 +525,6 @@ class ExperimentEngine:
         run_timeout_s: float | None = None,
         max_attempts: int = 2,
         retry_backoff_s: float = 0.05,
-        sanitize: Any = _SANITIZE_REMOVED,
         options: RunOptions | None = None,
         telemetry: SweepTelemetry | None = None,
     ) -> None:
@@ -588,11 +547,6 @@ class ExperimentEngine:
         #: and an instrumented result is not interchangeable with a plain
         #: one.
         self.options = options if options is not None else RunOptions()
-        if sanitize is not _SANITIZE_REMOVED:
-            raise TypeError(
-                "ExperimentEngine(..., sanitize=...) was removed; pass "
-                "options=RunOptions(sanitize=...) instead"
-            )
         #: sweep-level telemetry sink (heartbeats + per-run records);
         #: None means no sweep accounting beyond ``stats``.
         self.telemetry = telemetry
@@ -602,24 +556,107 @@ class ExperimentEngine:
         self.retry_backoff_s = retry_backoff_s
         self.stats = ExecutionStats(workers=self.workers)
 
-    @property
-    def sanitize(self) -> bool:
-        """True when every run executes under the invariant sanitizer."""
-        return self.options.sanitize
-
     # -- generic fan-out -----------------------------------------------------
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Uncached deterministic fan-out of ``fn`` over ``items``."""
+        """Uncached fan-out of ``fn`` over ``items``, results in input order.
+
+        Items run under the same guard as incast runs; the first failure
+        raises :class:`ExperimentError`.
+        """
         start = time.perf_counter()
-        results = run_parallel(
-            fn, items, workers=self.workers, on_fallback=self.on_fallback
-        )
-        self.stats.tasks += len(results)
+        items = list(items)
+        results: list[Any] = [None] * len(items)
+        for i, (status, payload, _attempts, _elapsed) in self._fan_out(fn, items):
+            if status != "ok":
+                raise ExperimentError(f"item {i} failed ({status}): {payload}")
+            results[i] = payload
+        self.stats.tasks += len(items)
         self.stats.wall_seconds += time.perf_counter() - start
         return results
 
+    def _fan_out(
+        self, fn: Callable[[T], R], items: Sequence[T]
+    ) -> Iterator[tuple[int, Outcome]]:
+        return guarded_fanout(
+            fn,
+            items,
+            workers=self.workers,
+            timeout_s=self.run_timeout_s,
+            max_attempts=self.max_attempts,
+            backoff_s=self.retry_backoff_s,
+            on_fallback=self.on_fallback,
+        )
+
     # -- incast runs ---------------------------------------------------------
+
+    def stream(
+        self, scenarios: Iterable[IncastScenario]
+    ) -> Iterator[tuple[int, IncastResult | RunFailure]]:
+        """Run every scenario, yielding ``(index, entry)`` as cells finish.
+
+        Every index is yielded exactly once: cache hits first (in input
+        order), then the misses in completion order.  ``entry`` is the
+        :class:`~repro.experiments.runner.IncastResult`, or a
+        :class:`RunFailure` when the run was quarantined; failures are
+        never written to the cache, so a re-run retries them from scratch.
+        """
+        start = time.perf_counter()
+        scenarios = list(scenarios)
+        keys = [self._cache_key(scenario) for scenario in scenarios]
+        total = len(scenarios)
+        done = 0
+        misses: list[int] = []
+        try:
+            for i, key in enumerate(keys):
+                cached = self._lookup(key)
+                if cached is None:
+                    misses.append(i)
+                    continue
+                cached.from_cache = True
+                self.stats.cache_hits += 1
+                done += 1
+                self._record(scenarios[i], "cached", 0, 0.0, done, total)
+                yield i, cached
+            if not misses:
+                return
+            for i, (status, payload, attempts, elapsed) in self._dispatch(
+                scenarios, keys, misses
+            ):
+                self.stats.cache_misses += 1
+                self.stats.retries += attempts - 1
+                done += 1
+                self._record(scenarios[i], status, attempts, elapsed, done, total)
+                if status == "ok":
+                    self.stats.sim_wall_seconds += payload.wall_seconds
+                    self._store(keys[i], payload)
+                    yield i, payload
+                else:
+                    self.stats.failures += 1
+                    yield i, RunFailure(
+                        scenario=scenarios[i],
+                        kind=status,
+                        message=str(payload),
+                        attempts=attempts,
+                        elapsed_seconds=elapsed,
+                    )
+        finally:
+            self.stats.tasks += done
+            self.stats.wall_seconds += time.perf_counter() - start
+
+    def run_incasts_detailed(
+        self, scenarios: Sequence[IncastScenario]
+    ) -> list[IncastResult | RunFailure]:
+        """The positional collect of :meth:`stream`.
+
+        Slot ``i`` always describes ``scenarios[i]``, whether it
+        succeeded, was served from cache, or was quarantined.
+        """
+        scenarios = list(scenarios)
+        results: list[Any] = [None] * len(scenarios)
+        for index, entry in self.stream(scenarios):
+            results[index] = entry
+        return results
 
     def run_incasts(self, scenarios: Sequence[IncastScenario]) -> list[IncastResult]:
         """Run every scenario (cache-aware), results in input order.
@@ -637,91 +674,57 @@ class ExperimentEngine:
                 )
         return results  # type: ignore[return-value]  # all IncastResult here
 
-    def run_incasts_detailed(
-        self, scenarios: Sequence[IncastScenario]
-    ) -> list[IncastResult | RunFailure]:
-        """Run every scenario; failed runs come back as :class:`RunFailure`.
+    # -- backend hook --------------------------------------------------------
 
-        Results are **positional**: slot ``i`` always describes
-        ``scenarios[i]``, whether it succeeded, was served from cache, or
-        was quarantined.  Failures are never written to the cache, so a
-        re-run retries them from scratch.
+    def _dispatch(
+        self,
+        scenarios: Sequence[IncastScenario],
+        keys: Sequence[str | None],
+        misses: Sequence[int],
+    ) -> Iterator[tuple[int, Outcome]]:
+        """Execute ``scenarios[i]`` for every ``i`` in ``misses``.
+
+        Yields ``(i, outcome)`` exactly once per miss, in completion
+        order.  ``keys`` covers the whole batch (hits included) for
+        backends that journal it.
         """
-        start = time.perf_counter()
-        scenarios = list(scenarios)
-        results: list[IncastResult | RunFailure | None] = [None] * len(scenarios)
-        misses: list[tuple[int, IncastScenario]] = []
+        for j, outcome in self._fan_out(
+            _RunTask(self.options), [scenarios[i] for i in misses]
+        ):
+            yield misses[j], outcome
 
-        for i, scenario in enumerate(scenarios):
-            cached = self._lookup(scenario)
-            if cached is not None:
-                cached.from_cache = True
-                results[i] = cached
-                self.stats.cache_hits += 1
-                if self.telemetry is not None:
-                    self.telemetry.record(scenario, "cached", 0, 0.0)
-            else:
-                misses.append((i, scenario))
+    # -- cache and telemetry (the one site each) -----------------------------
 
-        if misses:
-            fresh = run_parallel_guarded(
-                _RunTask(self.options),
-                [scenario for _, scenario in misses],
-                workers=self.workers,
-                timeout_s=self.run_timeout_s,
-                max_attempts=self.max_attempts,
-                backoff_s=self.retry_backoff_s,
-                on_fallback=self.on_fallback,
-                on_progress=(
-                    self.telemetry.on_progress if self.telemetry is not None else None
-                ),
-            )
-            for (i, scenario), (status, payload, attempts, elapsed) in zip(
-                misses, fresh
-            ):
-                self.stats.cache_misses += 1
-                self.stats.retries += attempts - 1
-                if self.telemetry is not None:
-                    self.telemetry.record(scenario, status, attempts, elapsed)
-                if status == "ok":
-                    results[i] = payload
-                    self.stats.sim_wall_seconds += payload.wall_seconds
-                    self._store(scenario, payload)
-                else:
-                    results[i] = RunFailure(
-                        scenario=scenario,
-                        kind=status,
-                        message=str(payload),
-                        attempts=attempts,
-                        elapsed_seconds=elapsed,
-                    )
-                    self.stats.failures += 1
-
-        self.stats.tasks += len(scenarios)
-        self.stats.wall_seconds += time.perf_counter() - start
-        return [r for r in results if r is not None]
-
-    def _lookup(self, scenario: IncastScenario) -> IncastResult | None:
+    def _cache_key(self, scenario: IncastScenario) -> str | None:
+        """The scenario's cache key; None when this run must not be cached."""
         if self.cache is None or self.options.bypasses_cache:
             return None
         try:
-            key = scenario_key(scenario, self.options)
+            return scenario_key(scenario, self.options)
         except Uncacheable:
+            return None
+
+    def _lookup(self, key: str | None) -> IncastResult | None:
+        if key is None or self.cache is None:
             return None
         value = self.cache.get(key)
         return value if isinstance(value, IncastResult) else None
 
-    def _store(self, scenario: IncastScenario, result: IncastResult) -> None:
-        if self.cache is None or self.options.bypasses_cache:
-            return
-        try:
-            key = scenario_key(scenario, self.options)
-        except Uncacheable:
+    def _store(self, key: str | None, result: IncastResult) -> None:
+        if key is None or self.cache is None:
             return
         try:
             self.cache.put(key, result)
         except OSError:  # read-only filesystem: run uncached, don't fail
             pass
+
+    def _record(
+        self, scenario: IncastScenario, status: str, attempts: int,
+        elapsed: float, done: int, total: int,
+    ) -> None:
+        if self.telemetry is not None:
+            self.telemetry.record(scenario, status, attempts, elapsed)
+            self.telemetry.on_progress(done, total)
 
 
 class _RunTask:
@@ -732,18 +735,3 @@ class _RunTask:
 
     def __call__(self, scenario: IncastScenario) -> IncastResult:
         return run_incast(scenario, options=self.options)
-
-
-def _run_incast_sanitized(scenario: IncastScenario) -> IncastResult:
-    """Module-level (hence picklable) sanitized run for the worker pool."""
-    return run_incast(scenario, options=RunOptions(sanitize=True))
-
-
-def run_incast_batch(
-    scenarios: Sequence[IncastScenario],
-    *,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-) -> list[IncastResult]:
-    """One-shot convenience wrapper around :class:`ExperimentEngine`."""
-    return ExperimentEngine(workers=workers, cache=cache).run_incasts(scenarios)

@@ -13,9 +13,8 @@ scenario), so three recovery mechanisms are on the clock at once:
   ICT inflation vs the same scheme's no-fault control row).
 
 The grid is a cases × schemes × reps :class:`~repro.experiments.grid.GridSpec`
-(:func:`recovery_spec`), run through the
-:class:`~repro.experiments.parallel.ExperimentEngine` in one batch and
-folded by the streaming :class:`RecoveryFold`:
+(:func:`recovery_spec`), run by :func:`~repro.experiments.grid.run_grid`
+into the streaming :class:`RecoveryFold`:
 
 * a **control** case (no faults) — the inflation denominator, and the CI
   guard that an idle control plane never reroutes;
@@ -36,7 +35,6 @@ Like every sweep, the fold is input-order deterministic: the printed
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,6 +49,7 @@ from repro.experiments.grid import (
     GridSpec,
     RunSample,
     axis,
+    run_grid,
     scenario_to_doc,
     sweep_spec,
 )
@@ -263,16 +262,8 @@ def recovery_sweep(
     cases = list(cases) if cases is not None else build_cases()
     schemes = tuple(schemes) if schemes is not None else SCHEME_REGISTRY.names()
     base = replace(base, control=control if control is not None else ControlConfig())
-    engine = engine if engine is not None else ExperimentEngine(workers=1)
-
     spec = recovery_spec(base, cases, schemes, reps, seed0)
-    fold = RecoveryFold(spec)
-    results = engine.run_incasts_detailed(
-        [cell.scenario for cell in spec.expand()]
-    )
-    for index, entry in enumerate(results):
-        fold.add(index, entry)
-    return fold.finish()
+    return run_grid(spec, RecoveryFold(spec), engine=engine)
 
 
 def recovery_digest(rows: Sequence[RecoveryRow]) -> str:
@@ -401,23 +392,15 @@ def _smoke(engine: ExperimentEngine, control: ControlConfig) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    """CLI entry point for the recovery sweep."""
+    """CLI entry point for the recovery sweep (``python -m repro recovery``)."""
     from repro import competitors
-    from repro.__main__ import (
-        check_common_args,
-        common_parser,
-        export_telemetry,
-        options_from_args,
-        telemetry_from_args,
-    )
+    from repro.__main__ import driver_parser, run_driver
     from repro.control.weights import WEIGHT_MODELS
-    from repro.experiments.figures import build_engine
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro recovery",
-        description="recovery-time sweep: detection, reroute convergence, "
-                    "and post-failure ICT inflation per scheme",
-        parents=[common_parser()],
+    parser = driver_parser(
+        "python -m repro recovery",
+        "recovery-time sweep: detection, reroute convergence, "
+        "and post-failure ICT inflation per scheme",
     )
     parser.add_argument(
         "--reps", type=int, default=3, help="repetitions per grid cell")
@@ -438,30 +421,21 @@ def main(argv: Sequence[str] | None = None) -> None:
         "--smoke", action="store_true",
         help="tiny deterministic grid + acceptance invariants (CI)",
     )
-    args = parser.parse_args(argv)
-    check_common_args(parser, args)
-    if args.reps < 1:
-        parser.error(f"--reps must be at least 1, got {args.reps}")
-    if args.control_delay < 0:
-        parser.error(f"--control-delay must be >= 0, got {args.control_delay}")
 
-    # The sweep covers every registered scheme, plug-ins included.
-    competitors.install()
-    control = ControlConfig(
-        weight_model=args.weight,
-        control_delay_ps=max(0, int(round(args.control_delay * 1_000_000))),
-    )
-    engine = build_engine(
-        args.workers, args.no_cache, args.cache_dir,
-        run_timeout_s=args.run_timeout,
-        options=options_from_args(args),
-        telemetry=telemetry_from_args(args),
-        backend=args.backend,
-    )
-
-    if args.smoke:
-        _smoke(engine, control)
-    else:
+    def body(args, engine: ExperimentEngine) -> None:
+        if args.reps < 1:
+            parser.error(f"--reps must be at least 1, got {args.reps}")
+        if args.control_delay < 0:
+            parser.error(f"--control-delay must be >= 0, got {args.control_delay}")
+        # The sweep covers every registered scheme, plug-ins included.
+        competitors.install()
+        control = ControlConfig(
+            weight_model=args.weight,
+            control_delay_ps=max(0, int(round(args.control_delay * 1_000_000))),
+        )
+        if args.smoke:
+            _smoke(engine, control)
+            return
         rows = recovery_sweep(reps=args.reps, engine=engine, seed0=args.seed,
                               control=control)
         print("\n=== Recovery sweep ===")
@@ -471,16 +445,4 @@ def main(argv: Sequence[str] | None = None) -> None:
             for path in export_recovery(rows, args.export):
                 print(f"exported {path}")
 
-    export_telemetry(args, engine)
-    stats = engine.stats
-    if stats.tasks:
-        print(
-            f"\n[engine] {stats.tasks} runs, {stats.cache_hits} cached, "
-            f"{stats.cache_misses} simulated, {stats.failures} quarantined, "
-            f"{stats.retries} retries, workers={stats.workers}, "
-            f"wall {stats.wall_seconds:.2f}s"
-        )
-
-
-if __name__ == "__main__":
-    main()
+    run_driver(parser, argv, body)

@@ -31,9 +31,9 @@ from typing import Callable
 from repro.analysis.sanitizer import Sanitizer
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.control import ControlConfig, Controller
+from repro.control.pool import FailoverConfig
 from repro.detection.lossdetector import DetectorConfig
 from repro.errors import ExperimentError
-from repro.faults.failover import FailoverConfig
 from repro.faults.injector import FaultContext, arm_faults
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
@@ -53,10 +53,6 @@ SCHEMES = SCHEME_REGISTRY.names()
 
 #: Schemes whose forwarding uses switch trimming (the streamlined family).
 _TRIMMING_SCHEMES = SCHEME_REGISTRY.trimming_names()
-
-#: Sentinel distinguishing "not passed" from any real value for the removed
-#: ``sanitize=`` keyword, so the removal error names the replacement.
-_SANITIZE_REMOVED = object()
 
 
 @dataclass(frozen=True)
@@ -204,10 +200,7 @@ def _start_background(sim, topo, scenario: IncastScenario, busy_hosts: set[int])
 
 
 def run_incast(
-    scenario: IncastScenario,
-    options: RunOptions | None = None,
-    *,
-    sanitize: object = _SANITIZE_REMOVED,
+    scenario: IncastScenario, options: RunOptions | None = None
 ) -> IncastResult:
     """Execute ``scenario`` and return its measurements.
 
@@ -223,15 +216,7 @@ def run_incast(
       records sampled time-series and a run profile into
       ``IncastResult.telemetry`` without perturbing simulation results.
     * ``options.tracer`` streams structured trace records.
-
-    The pre-RunOptions ``sanitize=`` keyword was removed after its
-    deprecation cycle; passing it raises :class:`TypeError`.
     """
-    if sanitize is not _SANITIZE_REMOVED:
-        raise TypeError(
-            "run_incast(..., sanitize=...) was removed; pass "
-            "options=RunOptions(sanitize=...) instead"
-        )
     if options is None:
         options = RunOptions()
     spec = SCHEME_REGISTRY.get(scenario.scheme)

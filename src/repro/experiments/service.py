@@ -11,32 +11,33 @@ library:
   expire so a SIGKILLed worker's cells requeue, and a cell that burns
   :data:`MAX_CELL_ATTEMPTS` leases is quarantined as a ``worker-crash``
   failure instead of looping forever.
-* :class:`Coordinator` — owns the journal and a JSON-lines-over-TCP
-  endpoint (one request per connection).  Workers ``hello`` for the run
-  parameters, ``lease`` cells (spec documents travel over the wire, so a
-  worker on another host rebuilds the exact scenarios), and ``ack``
-  completions.  Results never cross the socket: a worker writes into the
-  shared on-disk :class:`~repro.experiments.parallel.ResultCache` *before*
-  acking, and the coordinator reads the entry back — so an ack is proof
-  the result is durable, and a crash between the two costs one re-run,
-  never a wrong answer.
-* streaming aggregation — every terminal cell is handed to ``on_result``
-  exactly once (any order), which feeds the bounded-memory
-  :class:`~repro.experiments.grid.GridFold`; the coordinator never holds
-  a full-grid result list.  A :class:`~repro.telemetry.sweep.
-  SweepTelemetry` sink gets per-cell records and live progress.
+* :class:`Coordinator` — one batch's dispatcher: it owns the journal and
+  a JSON-lines-over-TCP endpoint (one request per connection).  Workers
+  ``hello`` for the run parameters, ``lease`` cells (spec documents
+  travel over the wire, so a worker on another host rebuilds the exact
+  scenarios), and ``ack`` completions.  Results never cross the socket:
+  a worker writes into the shared on-disk
+  :class:`~repro.experiments.parallel.ResultCache` *before* acking, and
+  the coordinator reads the entry back — so an ack is proof the result
+  is durable, and a crash between the two costs one re-run, never a
+  wrong answer.  :meth:`Coordinator.dispatch` yields each cell's outcome
+  exactly once, as it reaches a terminal state.
+* :class:`QueueEngine` — an ordinary
+  :class:`~repro.experiments.parallel.ExperimentEngine` whose
+  ``_dispatch`` is a :class:`Coordinator`.  Everything else — cache
+  lookup, :class:`~repro.experiments.parallel.RunFailure` construction,
+  stats, telemetry, the streaming hand-off to the bounded-memory
+  :class:`~repro.experiments.grid.GridFold` — is the base engine's
+  ``stream``, so every driver gains ``--backend queue`` for free.
 * resumability — kill the coordinator or any worker at any point and
-  restart with the same spec: the journal plus the result cache replay
-  completed cells as ``resumed``, only the missing ones execute, and the
-  final digest is bit-identical to an uninterrupted serial run (the fold
-  is order-independent and the simulations are pure functions of their
-  scenarios).
+  restart with the same batch: the result cache serves the completed
+  cells, the journal requeues the rest, only the missing ones execute,
+  and the final digest is bit-identical to an uninterrupted serial run
+  (the fold is order-independent and the simulations are pure functions
+  of their scenarios).
 
-:class:`QueueEngine` wraps all of that behind the ordinary
-:class:`~repro.experiments.parallel.ExperimentEngine` interface so every
-existing driver gains a ``--backend queue`` mode, and :func:`main` is the
-``python -m repro service`` CLI (``spec`` / ``coordinate`` / ``work`` /
-``status``).
+:func:`main` is the ``python -m repro service`` CLI (``spec`` /
+``coordinate`` / ``work`` / ``status``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import argparse
 import hashlib
 import json
 import os
+import queue
 import signal
 import socket
 import socketserver
@@ -53,21 +55,25 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.grid import GridSpec, scenario_from_doc, scenario_to_doc
+from repro.experiments.grid import (
+    GridSpec,
+    run_grid,
+    scenario_from_doc,
+    scenario_to_doc,
+)
 from repro.experiments.parallel import (
     ExperimentEngine,
+    Outcome,
     ResultCache,
-    RunFailure,
     _GuardedTask,
     _RunTask,
     scenario_key,
 )
-from repro.experiments.runner import IncastResult
+from repro.experiments.runner import IncastResult, IncastScenario
 from repro.metrics.config import DEFAULT_METRICS
 from repro.telemetry.options import RunOptions
 
@@ -86,33 +92,6 @@ WORKER_IDLE_SLEEP_S = 0.2
 
 #: Socket timeout for one request/response exchange.
 REQUEST_TIMEOUT_S = 30.0
-
-
-@dataclass(frozen=True)
-class QueueCell:
-    """One schedulable grid cell: flat index, cache key, scenario document.
-
-    The coordinator computes the key once (workers never hash scenarios,
-    so a version-skewed worker cannot poison the cache under a wrong key)
-    and ships the canonical document, which any host rebuilds with
-    :func:`~repro.experiments.grid.scenario_from_doc`.
-    """
-
-    index: int
-    key: str
-    doc: Any
-
-
-def cells_from_spec(spec: GridSpec) -> list[QueueCell]:
-    """Materialize a spec into queue cells (index order, keys computed)."""
-    return [
-        QueueCell(
-            index=cell.index,
-            key=scenario_key(cell.scenario),
-            doc=scenario_to_doc(cell.scenario),
-        )
-        for cell in spec.expand()
-    ]
 
 
 def batch_fingerprint(keys: Sequence[str]) -> str:
@@ -391,150 +370,78 @@ class _QueueRequestHandler(socketserver.StreamRequestHandler):
 # The coordinator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ServiceSummary:
-    """What one coordinate pass did with its grid."""
-
-    total: int
-    #: cells a worker simulated during *this* pass.
-    executed: int
-    #: cells satisfied from the cache/journal (earlier pass or serial run).
-    resumed: int
-    #: cells that ended as RunFailure (delivered positionally, never cached).
-    failed: int
-
-
-class _ScenarioRef:
-    """Scheme/seed view of a scenario document (what telemetry records)."""
-
-    __slots__ = ("scheme", "seed")
-
-    def __init__(self, doc: Any) -> None:
-        self.scheme = doc.get("scheme", "?") if isinstance(doc, dict) else "?"
-        self.seed = doc.get("seed", -1) if isinstance(doc, dict) else -1
-
-
 class Coordinator:
-    """Owns one batch: journal, TCP endpoint, worker pool, streaming fold.
+    """One batch's dispatcher: journal, TCP endpoint, worker supervision.
 
-    ``on_result(index, entry)`` fires exactly once per cell — from the
-    preload (cache hits / resumed cells), an ack handler thread, or the
-    failure collector — under one lock, so a non-thread-safe fold is
-    safe.  ``workers=0`` spawns nothing and waits for external workers
+    ``keys`` are the cache keys of the whole batch, in order (they name
+    the journal, so a restart finds the same file); ``docs`` maps each
+    index the engine could not serve from the cache to its scenario
+    document.  The engine computes the keys (workers never hash scenarios,
+    so a version-skewed worker cannot poison the cache under a wrong key)
+    and a worker on any host rebuilds the scenario from the document with
+    :func:`~repro.experiments.grid.scenario_from_doc`.  :meth:`dispatch`
+    runs the ``docs`` cells through the journaled queue and yields each
+    one's outcome exactly once.  The guard parameters, cache, endpoint
+    address and lease TTL come from the owning :class:`QueueEngine`,
+    whose ``workers=0`` spawns nothing and waits for external workers
     (``python -m repro service work --host … --port …`` on any host that
     shares the cache directory).
     """
 
     def __init__(
         self,
-        cells: Sequence[QueueCell],
-        cache: ResultCache,
-        *,
-        journal_path: str | Path | None = None,
-        workers: int = 2,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        run_timeout_s: float | None = None,
-        max_attempts: int = 2,
-        backoff_s: float = 0.05,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        max_cell_attempts: int = MAX_CELL_ATTEMPTS,
-        on_result: Callable[[int, Any], None] | None = None,
-        telemetry: Any | None = None,
-        kill_after: int | None = None,
-        worker_args: Sequence[str] = (),
+        engine: "QueueEngine",
+        keys: Sequence[str],
+        docs: dict[int, Any],
     ) -> None:
-        cells = list(cells)
-        if not cells:
+        if not docs:
             raise ExperimentError("the coordinator needs at least one cell")
-        if [c.index for c in cells] != list(range(len(cells))):
-            raise ExperimentError("cells must be contiguously indexed from 0")
-        if workers < 0:
-            raise ExperimentError(f"workers must be >= 0, got {workers}")
-        if lease_ttl_s <= 0:
-            raise ExperimentError(f"lease_ttl_s must be positive, got {lease_ttl_s}")
-        self.cells = cells
-        self.cache = cache
-        self.fingerprint = batch_fingerprint([c.key for c in cells])
-        self.journal_path = Path(
-            journal_path
-            if journal_path is not None
-            else journal_path_for(cache, [c.key for c in cells])
-        )
-        self.workers = workers
-        self.host = host
-        self.port = port
-        self.run_timeout_s = run_timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.lease_ttl_s = lease_ttl_s
-        self.max_cell_attempts = max_cell_attempts
-        self.on_result = on_result
-        self.telemetry = telemetry
-        self.kill_after = kill_after
-        self.worker_args = tuple(worker_args)
+        assert engine.cache is not None
+        self.engine = engine
+        self.cache = engine.cache
+        self.keys = list(keys)
+        self.docs = docs
+        self.workers = engine.spawn
+        self.host = engine.host
+        self.port = engine.port
 
         self.journal: WorkQueue | None = None
         self._shutdown = threading.Event()
-        self._deliver_lock = threading.Lock()
-        self._delivered: set[int] = set()
+        #: acked cells on their way to :meth:`dispatch` (handler threads put).
+        self._acked: "queue.Queue[tuple[int, Outcome]]" = queue.Queue()
         self._executed = 0
-        self._resumed = 0
-        self._failed = 0
         self._procs: list[tuple[str, subprocess.Popen]] = []
         self._released: set[str] = set()
-        self._spawned = 0
         self._worker_seq = 0
 
     # -- lifecycle ----------------------------------------------------------
 
-    def run(self) -> ServiceSummary:
-        """Drive the batch to completion (resuming any earlier progress)."""
-        self.journal = WorkQueue(self.journal_path)
+    def dispatch(self) -> Iterator[tuple[int, Outcome]]:
+        """Drive the pending cells to completion, yielding as they finish."""
+        self.journal = WorkQueue(journal_path_for(self.cache, self.keys))
         try:
-            self.journal.initialize(
-                self.fingerprint, [c.key for c in self.cells]
-            )
-            self._preload()
-            if not self.journal.all_terminal():
-                self._serve()
-            self._collect_failures()
-            missing = set(range(len(self.cells))) - self._delivered
-            if missing:  # pragma: no cover - defensive: fold must be total
-                for index in sorted(missing):
-                    self._deliver_failure(
-                        index, "worker-crash",
-                        "cell never reached a terminal state", 1, 0.0,
-                    )
+            self.journal.initialize(batch_fingerprint(self.keys), self.keys)
+            self._sync_journal()
+            yield from self._serve()
         finally:
             self.journal.close()
-        return ServiceSummary(
-            total=len(self.cells),
-            executed=self._executed,
-            resumed=self._resumed,
-            failed=self._failed,
-        )
 
-    def _preload(self) -> None:
-        """Replay finished work before any worker starts.
+    def _sync_journal(self) -> None:
+        """Square the journal with what the cache could (not) serve.
 
-        A cache hit satisfies a cell outright (an earlier pass — queue or
-        serial — already ran it); a journal-done cell whose cache entry
-        vanished is reset to pending so it runs again rather than leaving
-        a hole in the fold.
+        A cell the engine served from the cache is done whoever ran it
+        (an earlier queue pass or a serial run); a journal-done cell
+        whose cache entry vanished is reset to pending so it runs again
+        rather than leaving a hole in the fold.
         """
         assert self.journal is not None
-        for cell in self.cells:
-            value = self.cache.get(cell.key)
-            if isinstance(value, IncastResult):
-                self.journal.complete(cell.index, source="cache")
-                value.from_cache = True
-                if self._deliver(cell.index, value, "cached", 0, 0.0):
-                    self._resumed += 1
-            elif self.journal.cell_status(cell.index) == "done":
-                self.journal.reset_to_pending(cell.index)
+        for index in range(len(self.keys)):
+            if index not in self.docs:
+                self.journal.complete(index, source="cache")
+            elif self.journal.cell_status(index) == "done":
+                self.journal.reset_to_pending(index)
 
-    def _serve(self) -> None:
+    def _serve(self) -> Iterator[tuple[int, Outcome]]:
         server = _QueueServer((self.host, self.port), _QueueRequestHandler)
         server.coordinator = self
         self.port = int(server.server_address[1])
@@ -545,7 +452,7 @@ class Coordinator:
         try:
             for _ in range(self.workers):
                 self._spawn_worker()
-            self._monitor()
+            yield from self._monitor()
         finally:
             self._shutdown.set()
             self._drain_workers()
@@ -553,18 +460,33 @@ class Coordinator:
             server.server_close()
             thread.join(timeout=5.0)
 
-    def _monitor(self) -> None:
-        """Watch the journal and the worker pool until every cell is terminal.
+    def _monitor(self) -> Iterator[tuple[int, Outcome]]:
+        """Yield terminal cells while watching the journal and the workers.
 
-        A dead worker's leases requeue immediately (no need to wait out
-        the TTL) and the pool refills within the respawn budget; when the
-        budget is spent and nobody is left, the remaining cells fail
-        terminally rather than hanging the coordinator forever.
+        Acked cells arrive from the handler threads; failed ones (a
+        worker's failure ack, the lease attempt cap, a spent respawn
+        budget) are read off the journal.  A dead worker's leases requeue
+        immediately (no need to wait out the TTL) and the pool refills
+        within the respawn budget; when the budget is spent and nobody is
+        left, the remaining cells fail terminally rather than hanging the
+        coordinator forever.
         """
         assert self.journal is not None
-        budget = max(self.workers * 2, self.workers)
-        while not self.journal.all_terminal():
-            self._collect_failures()
+        remaining = set(self.docs)
+        budget = self.workers * 2
+        next_check = 0.0
+        while remaining:
+            try:
+                index, outcome = self._acked.get(timeout=0.05)
+            except queue.Empty:
+                pass
+            else:
+                if index in remaining:  # a late ack may race a quarantine
+                    remaining.discard(index)
+                    yield index, outcome
+            if time.monotonic() < next_check:
+                continue
+            next_check = time.monotonic() + 0.05
             live = 0
             for worker_id, proc in self._procs:
                 if proc.poll() is None:
@@ -573,15 +495,21 @@ class Coordinator:
                     self._released.add(worker_id)
                     self.journal.release(worker_id)
             if self.workers > 0:
-                while live < self.workers and self._spawned < budget:
+                while live < self.workers and len(self._procs) < budget:
                     self._spawn_worker()
                     live += 1
                 if live == 0:
-                    self._fail_remaining(
-                        "no workers left (respawn budget exhausted)"
-                    )
-                    break
-            time.sleep(0.05)
+                    for index in sorted(remaining):
+                        self.journal.fail(
+                            index, "worker-crash",
+                            "no workers left (respawn budget exhausted)",
+                        )
+            for index, kind, message, attempts, elapsed in (
+                self.journal.failed_cells()
+            ):
+                if index in remaining:
+                    remaining.discard(index)
+                    yield index, (kind, message, attempts, elapsed)
 
     def _spawn_worker(self) -> None:
         self._worker_seq += 1
@@ -590,10 +518,8 @@ class Coordinator:
             sys.executable, "-m", "repro", "service", "work",
             "--host", self.host, "--port", str(self.port),
             "--worker-id", worker_id,
-            *self.worker_args,
         ]
         self._procs.append((worker_id, subprocess.Popen(command)))
-        self._spawned += 1
 
     def _drain_workers(self) -> None:
         for _worker_id, proc in self._procs:
@@ -609,13 +535,6 @@ class Coordinator:
                     proc.kill()
                     proc.wait()
 
-    def _fail_remaining(self, reason: str) -> None:
-        assert self.journal is not None
-        for cell in self.cells:
-            if cell.index not in self._delivered:
-                self.journal.fail(cell.index, "worker-crash", reason)
-        self._collect_failures()
-
     # -- protocol -----------------------------------------------------------
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -627,9 +546,9 @@ class Coordinator:
                     "ok": True,
                     "cache_dir": str(self.cache.root),
                     "run": {
-                        "timeout_s": self.run_timeout_s,
-                        "max_attempts": self.max_attempts,
-                        "backoff_s": self.backoff_s,
+                        "timeout_s": self.engine.run_timeout_s,
+                        "max_attempts": self.engine.max_attempts,
+                        "backoff_s": self.engine.retry_backoff_s,
                     },
                 }
             if op == "lease":
@@ -649,13 +568,9 @@ class Coordinator:
             return {"ok": True, "cells": [], "shutdown": True}
         worker = str(request.get("worker", "?"))
         limit = max(1, int(request.get("limit", 1)))
-        leased = self.journal.lease(
-            worker, limit, self.lease_ttl_s,
-            max_cell_attempts=self.max_cell_attempts,
-        )
-        self._collect_failures()  # the lease may have quarantined cells
+        leased = self.journal.lease(worker, limit, self.engine.lease_ttl_s)
         cells = [
-            {"idx": index, "key": key, "scenario": self.cells[index].doc}
+            {"idx": index, "key": key, "scenario": self.docs[index]}
             for index, key in leased
         ]
         if not cells and self.journal.all_terminal():
@@ -669,79 +584,30 @@ class Coordinator:
     def _handle_ack(self, request: dict[str, Any]) -> dict[str, Any]:
         assert self.journal is not None
         index = int(request["idx"])
-        if not 0 <= index < len(self.cells):
+        if not 0 <= index < len(self.keys):
             return {"ok": False, "error": f"no such cell {index}"}
         status = str(request.get("status", ""))
         attempts = int(request.get("attempts", 1))
         elapsed = float(request.get("elapsed", 0.0))
-        cell = self.cells[index]
-        if status == "ok":
-            value = self.cache.get(cell.key)
-            if not isinstance(value, IncastResult):
-                # acked without a durable result (cache raced away?):
-                # treat as never-happened and let it requeue.
-                self.journal.reset_to_pending(index)
-                return {"ok": True}
-            if self.journal.complete(
-                index, source="executed", elapsed=elapsed
-            ):
-                if self._deliver(index, value, "ok", attempts, elapsed):
-                    self._executed += 1
-                if (
-                    self.kill_after is not None
-                    and self._executed >= self.kill_after
-                ):
-                    # crash-recovery hook: die *after* the journal commit,
-                    # exactly like a power loss mid-campaign.
-                    os.kill(os.getpid(), signal.SIGKILL)
-        else:
-            message = str(request.get("message", ""))
-            if self.journal.fail(index, status, message, elapsed):
-                self._deliver_failure(index, status, message, attempts, elapsed)
+        if status != "ok":
+            self.journal.fail(
+                index, status, str(request.get("message", "")), elapsed
+            )
+            return {"ok": True}
+        value = self.engine._lookup(self.keys[index])
+        if value is None:
+            # acked without a durable result (cache raced away?):
+            # treat as never-happened and let it requeue.
+            self.journal.reset_to_pending(index)
+        elif self.journal.complete(index, source="executed", elapsed=elapsed):
+            self._acked.put((index, ("ok", value, attempts, elapsed)))
+            self._executed += 1
+            kill_after = self.engine.kill_after
+            if kill_after is not None and self._executed >= kill_after:
+                # crash-recovery hook: die *after* the journal commit,
+                # exactly like a power loss mid-campaign.
+                os.kill(os.getpid(), signal.SIGKILL)
         return {"ok": True}
-
-    # -- delivery -----------------------------------------------------------
-
-    def _deliver(
-        self, index: int, entry: Any, status: str,
-        attempts: int, elapsed: float,
-    ) -> bool:
-        """Hand one terminal cell to the fold; True on first delivery."""
-        with self._deliver_lock:
-            if index in self._delivered:
-                return False
-            self._delivered.add(index)
-            if self.telemetry is not None:
-                self.telemetry.record(
-                    _ScenarioRef(self.cells[index].doc), status, attempts,
-                    elapsed,
-                )
-                self.telemetry.on_progress(
-                    len(self._delivered), len(self.cells)
-                )
-            if self.on_result is not None:
-                self.on_result(index, entry)
-            return True
-
-    def _deliver_failure(
-        self, index: int, kind: str, message: str,
-        attempts: int, elapsed: float,
-    ) -> None:
-        failure = RunFailure(
-            scenario=scenario_from_doc(self.cells[index].doc),
-            kind=kind or "worker-crash",
-            message=message,
-            attempts=attempts,
-            elapsed_seconds=elapsed,
-        )
-        if self._deliver(index, failure, failure.kind, attempts, elapsed):
-            self._failed += 1
-
-    def _collect_failures(self) -> None:
-        assert self.journal is not None
-        for index, kind, message, attempts, elapsed in self.journal.failed_cells():
-            if index not in self._delivered:
-                self._deliver_failure(index, kind, message, attempts, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +693,14 @@ def run_worker(
 # ---------------------------------------------------------------------------
 
 class QueueEngine(ExperimentEngine):
-    """An :class:`ExperimentEngine` that executes batches through the queue.
+    """An :class:`ExperimentEngine` that dispatches through the work queue.
 
-    Same contract as the pool engine — positional results, quarantined
-    failures, cache-aware — but each batch becomes a journaled campaign
-    run by spawned worker processes, so any driver's sweep is killable
-    and resumable.  Requires a cache (workers hand results back through
-    it) and cache-compatible run options.
+    Same ``stream`` as the pool engine — cache-aware, quarantined
+    failures, stats, telemetry — but the cache misses of each batch become
+    a journaled campaign run by worker processes, so any driver's sweep is
+    killable and resumable.  Requires a cache (workers hand results back
+    through it) and cache-compatible run options.  ``workers=0`` spawns no
+    local workers and waits for external ones to join ``host:port``.
     """
 
     def __init__(
@@ -842,6 +709,7 @@ class QueueEngine(ExperimentEngine):
         cache: ResultCache | None = None,
         *,
         host: str = "127.0.0.1",
+        port: int = 0,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         kill_after: int | None = None,
         **kwargs: Any,
@@ -864,45 +732,31 @@ class QueueEngine(ExperimentEngine):
                 "non-default MetricsConfig would key results it cannot "
                 "produce — use the pool backend"
             )
+        if lease_ttl_s <= 0:
+            raise ExperimentError(f"lease_ttl_s must be positive, got {lease_ttl_s}")
+        #: local worker processes each batch spawns (0 = external only).
+        self.spawn = 0 if workers == 0 else self.workers
         self.host = host
+        self.port = port
         self.lease_ttl_s = lease_ttl_s
         self.kill_after = kill_after
 
-    def run_incasts_detailed(self, scenarios):
-        start = time.perf_counter()
-        scenarios = list(scenarios)
-        if not scenarios:
-            return []
-        assert self.cache is not None
-        cells = [
-            QueueCell(i, scenario_key(s), scenario_to_doc(s))
-            for i, s in enumerate(scenarios)
-        ]
-        results: list[Any] = [None] * len(scenarios)
+    def _dispatch(
+        self,
+        scenarios: Sequence[IncastScenario],
+        keys: Sequence[str | None],
+        misses: Sequence[int],
+    ) -> Iterator[tuple[int, Outcome]]:
+        if None in keys:
+            raise ExperimentError(
+                f"the queue backend cannot run scenario {keys.index(None)}: "
+                f"it has no stable cache key to hand its result back under"
+            )
+        docs = {index: scenario_to_doc(scenarios[index]) for index in misses}
+        return Coordinator(self, keys, docs).dispatch()
 
-        def on_result(index: int, entry: Any) -> None:
-            results[index] = entry
-
-        coordinator = Coordinator(
-            cells,
-            self.cache,
-            workers=self.workers,
-            host=self.host,
-            run_timeout_s=self.run_timeout_s,
-            max_attempts=self.max_attempts,
-            backoff_s=self.retry_backoff_s,
-            lease_ttl_s=self.lease_ttl_s,
-            on_result=on_result,
-            telemetry=self.telemetry,
-            kill_after=self.kill_after,
-        )
-        summary = coordinator.run()
-        self.stats.tasks += summary.total
-        self.stats.cache_hits += summary.resumed
-        self.stats.cache_misses += summary.executed + summary.failed
-        self.stats.failures += summary.failed
-        self.stats.wall_seconds += time.perf_counter() - start
-        return results
+    def _store(self, key: str | None, result: IncastResult) -> None:
+        """Nothing to do: the worker wrote the entry before it acked."""
 
 
 # ---------------------------------------------------------------------------
@@ -957,49 +811,33 @@ def _load_spec(path: Path) -> GridSpec:
 
 def _coordinate(args: argparse.Namespace) -> None:
     from repro import competitors
-    from repro.experiments.sweeps import run_sweep_spec, sweep_digest
-    from repro.experiments.grid import SweepFold
+    from repro.experiments.sweeps import sweep_digest
     from repro.telemetry.sweep import SweepTelemetry
 
     competitors.install()
     spec = _load_spec(args.spec)
-    cache = ResultCache(args.cache_dir)
-
-    if args.serial:
-        engine = ExperimentEngine(
-            workers=1, cache=cache, run_timeout_s=args.run_timeout
-        )
-        points = run_sweep_spec(spec, engine=engine)
-        stats = engine.stats
-        print(f"sweep_digest: {sweep_digest(points)}")
-        print(
-            f"service: total={stats.tasks} executed={stats.cache_misses} "
-            f"resumed={stats.cache_hits} failed={stats.failures}"
-        )
-        return
-
-    fold = SweepFold(spec)
-    telemetry = SweepTelemetry() if args.progress else None
-    coordinator = Coordinator(
-        cells_from_spec(spec),
-        cache,
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
+    shared: dict[str, Any] = dict(
+        cache=ResultCache(args.cache_dir),
         run_timeout_s=args.run_timeout,
-        lease_ttl_s=args.lease_ttl,
-        on_result=fold.add,
-        telemetry=telemetry,
-        kill_after=args.kill_after,
+        telemetry=SweepTelemetry() if args.progress else None,
     )
-    summary = coordinator.run()
-    points = fold.finish()
+    engine = (
+        ExperimentEngine(workers=1, **shared)
+        if args.serial
+        else QueueEngine(
+            workers=args.workers, host=args.host, port=args.port,
+            lease_ttl_s=args.lease_ttl, kill_after=args.kill_after, **shared,
+        )
+    )
+    points = run_grid(spec, engine=engine)
+    stats = engine.stats
     print(f"sweep_digest: {sweep_digest(points)}")
     print(
-        f"service: total={summary.total} executed={summary.executed} "
-        f"resumed={summary.resumed} failed={summary.failed}"
+        f"service: total={stats.tasks} "
+        f"executed={stats.cache_misses - stats.failures} "
+        f"resumed={stats.cache_hits} failed={stats.failures}"
     )
-    if summary.failed:
+    if stats.failures:
         raise SystemExit(1)
 
 
@@ -1008,10 +846,9 @@ def _status(args: argparse.Namespace) -> None:
 
     competitors.install()
     spec = _load_spec(args.spec)
-    cache = ResultCache(args.cache_dir)
-    cells = cells_from_spec(spec)
-    path = journal_path_for(cache, [c.key for c in cells])
-    print(f"grid: {len(cells)} cells, fingerprint {spec.fingerprint()[:16]}…")
+    keys = [scenario_key(cell.scenario) for cell in spec.expand()]
+    path = journal_path_for(ResultCache(args.cache_dir), keys)
+    print(f"grid: {len(keys)} cells, fingerprint {spec.fingerprint()[:16]}…")
     print(f"journal: {path}")
     if not path.exists():
         print("status: no journal yet (nothing scheduled)")
@@ -1024,7 +861,7 @@ def _status(args: argparse.Namespace) -> None:
     for status in ("pending", "leased", "done", "failed"):
         print(f"  {status}: {counts.get(status, 0)}")
     done = counts.get("done", 0)
-    print(f"status: {done}/{len(cells)} done")
+    print(f"status: {done}/{len(keys)} done")
 
 
 def main(argv: Sequence[str] | None = None) -> None:
@@ -1066,8 +903,8 @@ def main(argv: Sequence[str] | None = None) -> None:
     )
     coord_p.add_argument(
         "--serial", action="store_true",
-        help="reference mode: run the grid in-process (no queue) and print "
-             "the same digest/summary lines",
+        help="reference mode: run the grid on the in-process serial engine "
+             "(no queue) and print the same digest/summary lines",
     )
     coord_p.add_argument(
         "--kill-after", type=int, default=None, metavar="N",
@@ -1118,7 +955,3 @@ def main(argv: Sequence[str] | None = None) -> None:
             _status(args)
     except ExperimentError as exc:
         parser.exit(2, f"error: {exc}\n")
-
-
-if __name__ == "__main__":
-    main()

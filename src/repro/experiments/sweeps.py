@@ -6,16 +6,11 @@ what Figures 2 and 3 plot — plus the reduction relative to the baseline.
 
 Every sweep is declared as a :class:`~repro.experiments.grid.GridSpec` —
 a (point × scheme × rep) product of axes over a base scenario — and run
-by :func:`run_sweep_spec`: expand the spec in index order, hand the whole
-batch to the parallel execution engine (:mod:`repro.experiments.parallel`),
-and fold the positional results through the order-independent streaming
-:class:`~repro.experiments.grid.SweepFold`.  The engine's deterministic
-input-order merge plus the fold's order-independence mean a sweep's
-summaries are bit-identical for any worker count, cache state, or
-execution backend (in-process pool or the distributed work queue).
-
-The keyword entry points (:func:`degree_sweep`, :func:`size_sweep`,
-:func:`latency_sweep`) are thin shims over their ``*_spec`` builders.
+by :func:`~repro.experiments.grid.run_grid`, which streams the cells
+through an :class:`~repro.experiments.parallel.ExperimentEngine` into the
+order-independent :class:`~repro.experiments.grid.SweepFold`.  A sweep's
+summaries are therefore bit-identical for any worker count, cache state,
+or execution backend (in-process pool or the distributed work queue).
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.grid import GridSpec, RunSample, SweepFold, axis, sweep_spec
-from repro.experiments.parallel import ExperimentEngine, ResultCache, RunFailure
+from repro.experiments.grid import GridSpec, RunSample, axis, sweep_spec
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.runner import IncastResult, IncastScenario
 from repro.metrics.summary import SummaryStat, empty_summary, summarize
 
@@ -70,16 +65,6 @@ class SweepPoint:
         return self.schemes[scheme].reduction_vs_baseline
 
 
-def _resolve_engine(
-    engine: ExperimentEngine | None,
-    workers: int | None,
-    cache: ResultCache | None,
-) -> ExperimentEngine:
-    if engine is not None:
-        return engine
-    return ExperimentEngine(workers=workers, cache=cache)
-
-
 def summarize_samples(
     scheme: str, samples: Sequence[RunSample]
 ) -> SchemeSummary:
@@ -119,57 +104,24 @@ def summarize_samples(
     )
 
 
-def _summarize_scheme(
-    scheme: str, entries: Sequence[IncastResult | RunFailure]
-) -> SchemeSummary:
-    """:func:`summarize_samples` over full results (in-process callers)."""
-    return summarize_samples(
-        scheme, [RunSample.from_result(entry) for entry in entries]
-    )
-
-
 def run_scheme_summary(
     scenario: IncastScenario,
     reps: int,
     seed0: int = 0,
     *,
     engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
 ) -> tuple[SchemeSummary, list[IncastResult]]:
     """Run ``scenario`` ``reps`` times (seeds ``seed0..``) and summarize."""
     if reps < 1:
         raise ExperimentError("reps must be at least 1")
-    engine = _resolve_engine(engine, workers, cache)
+    engine = engine if engine is not None else ExperimentEngine()
     results = engine.run_incasts(
         [replace(scenario, seed=seed0 + r) for r in range(reps)]
     )
-    return _summarize_scheme(scenario.scheme, results), results
-
-
-def run_sweep_spec(
-    spec: GridSpec,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-) -> list[SweepPoint]:
-    """Run a declared (point × scheme × rep) grid and fold it.
-
-    The whole grid goes to the engine as one batch (maximum parallelism);
-    the engine's positional, quarantine-preserving results feed the
-    order-independent :class:`~repro.experiments.grid.SweepFold`, so the
-    summaries are identical whether cells ran in-process, on N pool
-    workers, or through the distributed queue backend.
-    """
-    engine = _resolve_engine(engine, workers, cache)
-    fold = SweepFold(spec)
-    results = engine.run_incasts_detailed(
-        [cell.scenario for cell in spec.expand()]
+    summary = summarize_samples(
+        scenario.scheme, [RunSample.from_result(result) for result in results]
     )
-    for index, entry in enumerate(results):
-        fold.add(index, entry)
-    return fold.finish()
+    return summary, results
 
 
 def sweep_digest(points: Sequence[SweepPoint]) -> str:
@@ -243,57 +195,3 @@ def latency_sweep_spec(
         xs=[float(d) for d in backbone_delays_ps],
     )
     return sweep_spec(base, point, schemes, reps, seed0)
-
-
-def degree_sweep(
-    base: IncastScenario,
-    degrees: Sequence[int],
-    schemes: Sequence[str] = ("baseline", "naive", "streamlined"),
-    reps: int = 5,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """Figure 2 (Left): fixed total size, varying incast degree."""
-    return run_sweep_spec(
-        degree_sweep_spec(base, degrees, schemes, reps, seed0),
-        engine=engine, workers=workers, cache=cache,
-    )
-
-
-def size_sweep(
-    base: IncastScenario,
-    sizes_bytes: Sequence[int],
-    schemes: Sequence[str] = ("baseline", "naive", "streamlined"),
-    reps: int = 5,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """Figure 2 (Right): fixed degree, varying total incast size."""
-    return run_sweep_spec(
-        size_sweep_spec(base, sizes_bytes, schemes, reps, seed0),
-        engine=engine, workers=workers, cache=cache,
-    )
-
-
-def latency_sweep(
-    base: IncastScenario,
-    backbone_delays_ps: Sequence[int],
-    schemes: Sequence[str] = ("baseline", "naive", "streamlined"),
-    reps: int = 5,
-    *,
-    engine: ExperimentEngine | None = None,
-    workers: int | None = 1,
-    cache: ResultCache | None = None,
-    seed0: int = 0,
-) -> list[SweepPoint]:
-    """Figure 3: fixed degree and size, varying long-haul link latency."""
-    return run_sweep_spec(
-        latency_sweep_spec(base, backbone_delays_ps, schemes, reps, seed0),
-        engine=engine, workers=workers, cache=cache,
-    )

@@ -4,8 +4,8 @@ Encodes each of the paper's checkable claims as a predicate over fresh
 simulation/model runs and prints a PASS/FAIL table with the evidence —
 the executable version of EXPERIMENTS.md.  Run it with::
 
-    python -m repro.experiments.verdicts          # reduced scale (~1 min)
-    python -m repro.experiments.verdicts --full   # paper-scale parameters
+    python -m repro verdicts          # reduced scale (~1 min)
+    python -m repro verdicts --full   # paper-scale parameters
 
 Claims are *shape* claims (who wins, where crossovers fall, which medians
 match), mirroring how the reproduction is scoped in DESIGN.md.
@@ -202,6 +202,3 @@ def main(argv: Sequence[str] | None = None) -> None:
     card = evaluate(full=args.full)
     print(card.render())
 
-
-if __name__ == "__main__":
-    main()

@@ -247,14 +247,14 @@ def _smoke(
 def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point for the open-loop workload engine."""
     from repro import competitors
-    from repro.__main__ import check_common_args, common_parser
+    from repro.__main__ import run_parser
 
     parser = argparse.ArgumentParser(
         prog="python -m repro workload",
         description="open-loop production traffic: seeded tenant arrivals, "
                     "heavy-tailed incasts, diurnal load, streaming metrics, "
                     "checkpoint/restore",
-        parents=[common_parser()],
+        parents=[run_parser()],
     )
     parser.add_argument(
         "--schemes", type=str, default=",".join(DEFAULT_SCHEMES),
@@ -318,7 +318,6 @@ def main(argv: Sequence[str] | None = None) -> None:
              "past S simulated seconds, after checkpointing (CI drill)",
     )
     args = parser.parse_args(argv)
-    check_common_args(parser, args)
     if args.horizon is not None and args.horizon <= 0:
         parser.error(f"--horizon must be positive, got {args.horizon}")
     if args.segment <= 0:
@@ -387,6 +386,3 @@ def main(argv: Sequence[str] | None = None) -> None:
         for path in export_workload(rows, args.export):
             print(f"exported: {path}")
 
-
-if __name__ == "__main__":
-    main()

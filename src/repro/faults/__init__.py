@@ -6,13 +6,13 @@ Public surface:
   :class:`FaultEvent` vocabulary and its JSON (de)serialization;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which compiles a
   plan onto the event scheduler against a built topology;
-* :mod:`repro.faults.failover` — the primary/backup proxy failover pair
-  behind the ``proxy-failover`` scheme (a two-member
-  :class:`repro.control.pool.ProxyPoolManager`: detection, migration,
-  degrade-to-direct, fail-back).
+* :class:`FailoverConfig` — re-exported from :mod:`repro.control.pool`,
+  whose :class:`~repro.control.pool.ProxyPoolManager` the
+  ``proxy-failover`` scheme wires as a primary + hot-standby pair
+  (detection, migration, degrade-to-direct, fail-back).
 """
 
-from repro.faults.failover import FailoverConfig, FailoverManager
+from repro.control.pool import FailoverConfig
 from repro.faults.injector import FaultContext, FaultInjector, arm_faults
 from repro.faults.plan import (
     EVENT_TYPES,
@@ -38,7 +38,6 @@ __all__ = [
     "BufferDegrade",
     "CrashRun",
     "FailoverConfig",
-    "FailoverManager",
     "FaultContext",
     "FaultEvent",
     "FaultInjector",

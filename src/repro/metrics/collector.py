@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro._compat import _deprecated
-from repro.metrics.sink import rank_hottest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -33,14 +31,6 @@ class NetworkCounters:
     tx_packets: int = 0
     tx_bytes: int = 0
     per_port_max: dict[str, int] = field(default_factory=dict)
-
-    def hottest_ports(self, count: int = 5) -> list[tuple[str, int]]:
-        """Deprecated alias for :func:`repro.metrics.sink.rank_hottest`."""
-        _deprecated(
-            "NetworkCounters.hottest_ports is deprecated; use "
-            "repro.metrics.sink.rank_hottest(counters.per_port_max, count)"
-        )
-        return rank_hottest(self.per_port_max, count)
 
 
 def collect_network_counters(net: "Network", top_ports: int = 16) -> NetworkCounters:

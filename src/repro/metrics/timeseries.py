@@ -10,9 +10,7 @@ time-to-convergence.
 Storage goes through the sink protocol (:mod:`repro.metrics.sink`): the
 sampler writes ``observe(time, value)`` against whatever sink its
 :class:`~repro.metrics.config.MetricsConfig` selects — exact full-list
-series by default, bounded decimating buffers in sketch mode.  The
-pre-sink accessors (``TimeSeries.append``, ``TimeSeries.max_value``,
-``Sampler.series``) survive as deprecated shims over the exact path.
+series by default, bounded decimating buffers in sketch mode.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro._compat import _deprecated
 from repro.errors import ConfigError
 from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
 from repro.metrics.sink import SeriesSink, make_series_sink
@@ -43,11 +40,6 @@ class TimeSeries:
         self.times.append(time)
         self.values.append(value)
 
-    def append(self, time: int, value: float) -> None:
-        """Deprecated alias for :meth:`observe`."""
-        _deprecated("TimeSeries.append is deprecated; use TimeSeries.observe")
-        self.observe(time, value)
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -65,11 +57,6 @@ class TimeSeries:
     def peak(self) -> float:
         """Largest sample (0 for an empty series)."""
         return max(self.values, default=0.0)
-
-    def max_value(self) -> float:
-        """Deprecated alias for :meth:`peak`."""
-        _deprecated("TimeSeries.max_value is deprecated; use TimeSeries.peak")
-        return self.peak()
 
 
 class Sampler:
@@ -123,12 +110,6 @@ class Sampler:
     def snapshot(self) -> dict[str, TimeSeries]:
         """Materialize every probe's retained points."""
         return {name: sink.to_timeseries() for name, sink in self.sinks.items()}
-
-    @property
-    def series(self) -> dict[str, TimeSeries]:
-        """Deprecated accessor for the materialized series; use :meth:`snapshot`."""
-        _deprecated("Sampler.series is deprecated; use Sampler.snapshot()")
-        return self.snapshot()
 
     def start(self) -> None:
         """Begin sampling (idempotent)."""

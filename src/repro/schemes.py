@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import ExperimentError
-from repro.faults.failover import FailoverManager
+from repro.control.pool import ProxyPoolManager
 from repro.proxy.naive import NaiveProxy
 from repro.proxy.placement import pick_proxy_host
 from repro.proxy.streamlined import StreamlinedProxy
@@ -92,7 +92,7 @@ class SchemeWiring:
     #: proxies whose ``stats.nacks_sent`` the result aggregates
     nack_proxies: list[Any] = field(default_factory=list)
     #: failover manager, when the scheme runs a hot standby
-    manager: FailoverManager | None = None
+    manager: ProxyPoolManager | None = None
 
 
 @dataclass(frozen=True)
@@ -381,8 +381,8 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
         conns.append(conn)
         conn.start()
     if backup is not None:
-        wiring.manager = FailoverManager(
-            ctx.sim, proxy, backup, conns, cfg=scenario.failover, net=ctx.net
+        wiring.manager = ProxyPoolManager(
+            ctx.sim, (proxy, backup), conns, cfg=scenario.failover, net=ctx.net
         ).start()
     return wiring
 

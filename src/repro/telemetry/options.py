@@ -4,15 +4,13 @@
 then tracers, then telemetry); :class:`RunOptions` collapses them into one
 frozen, picklable value that travels unchanged from the CLI through
 :class:`~repro.experiments.parallel.ExperimentEngine` and the worker pool
-into the runner.  ``run_incast(scenario, sanitize=True)`` still works via
-a ``DeprecationWarning`` shim in the runner.
+into the runner.
 
 Cache interaction: any option that changes what a result *carries*
 (sanitizer tallies, telemetry snapshots) or observes the run from outside
 (a tracer, custom instrumentation) makes the run non-interchangeable with
 a plain cached one, so :attr:`RunOptions.bypasses_cache` is True and the
-engine skips the result cache in both directions — the same contract
-``sanitize=True`` already had.
+engine skips the result cache in both directions.
 """
 
 from __future__ import annotations

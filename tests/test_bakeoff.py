@@ -11,28 +11,29 @@ from repro.experiments.bakeoff import (
     BakeoffRow,
     bakeoff_base_scenario,
     bakeoff_figure,
-    bakeoff_grid,
+    bakeoff_grid_spec,
     bakeoff_table,
     export_bakeoff,
     main,
     rank_bakeoff,
-    scale_buffers,
 )
+from repro.experiments.grid import run_grid, scale_buffers
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.sweeps import sweep_digest
 from repro.units import kilobytes
 
 
-def _tiny_points(**kwargs):
+def _tiny_points(workers=1):
     base = replace(bakeoff_base_scenario(), total_bytes=kilobytes(100))
-    return bakeoff_grid(
+    spec = bakeoff_grid_spec(
         base,
         degrees=(2,),
         delays_ps=(base.interdc.backbone_delay_ps,),
         buffer_scales=(1.0,),
         schemes=("baseline", "naive"),
         reps=1,
-        **kwargs,
     )
+    return run_grid(spec, engine=ExperimentEngine(workers=workers))
 
 
 class TestScaleBuffers:

@@ -9,13 +9,15 @@ import pytest
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments.grid import run_grid
 from repro.experiments.parallel import (
     ExperimentEngine,
     ResultCache,
     RunFailure,
-    run_parallel_guarded,
+    guarded_fanout,
 )
 from repro.experiments.runner import IncastResult, IncastScenario
+from repro.experiments.service import QueueEngine
 from repro.experiments.sweeps import sweep_digest
 from repro.faults import CrashRun, FaultPlan, StallRun, proxy_crash_plan
 from repro.units import kilobytes, microseconds, seconds
@@ -68,24 +70,29 @@ def _pool_usable() -> bool:
     is still collecting modules can deadlock the collector.
     """
     try:
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.experiments.parallel import _pool
 
-        from repro.experiments.parallel import _pool_context
-
-        with ProcessPoolExecutor(max_workers=1, mp_context=_pool_context()) as pool:
+        with _pool(1) as pool:
             return pool.submit(_square, 2).result() == 4
     except Exception:  # noqa: BLE001 - any failure means "no pool here"
         return False
 
 
+def _collect_fanout(fn, items, **kwargs):
+    """Positional collect of :func:`guarded_fanout` (every index once)."""
+    pairs = list(guarded_fanout(fn, items, **kwargs))
+    assert sorted(index for index, _ in pairs) == list(range(len(items)))
+    return [outcome for _, outcome in sorted(pairs, key=lambda pair: pair[0])]
+
+
 class TestRunParallelGuarded:
     def test_all_ok_matches_plain_map(self):
-        out = run_parallel_guarded(_square, [3, 1, 2], workers=1)
+        out = _collect_fanout(_square, [3, 1, 2], workers=1)
         assert [s for s, *_ in out] == ["ok"] * 3
         assert [payload for _, payload, *_ in out] == [9, 1, 4]
 
     def test_exception_is_retried_then_quarantined(self):
-        out = run_parallel_guarded(
+        out = _collect_fanout(
             _raise_always, [7], workers=1, max_attempts=3, backoff_s=0.001
         )
         status, message, attempts, elapsed = out[0]
@@ -95,7 +102,7 @@ class TestRunParallelGuarded:
         assert elapsed >= 0.0
 
     def test_one_bad_item_does_not_sink_the_batch(self):
-        out = run_parallel_guarded(
+        out = _collect_fanout(
             _raise_on_two, [1, 2, 3], workers=1, max_attempts=1
         )
         assert [s for s, *_ in out] == ["ok", "exception", "ok"]
@@ -103,7 +110,7 @@ class TestRunParallelGuarded:
 
     @pytest.mark.skipif(not HAS_SIGALRM, reason="needs SIGALRM deadlines")
     def test_timeout_quarantined_without_retry(self):
-        out = run_parallel_guarded(
+        out = _collect_fanout(
             _stall, [1], workers=1, timeout_s=0.2, max_attempts=3
         )
         status, message, attempts, _ = out[0]
@@ -114,7 +121,7 @@ class TestRunParallelGuarded:
     def test_worker_crash_spares_the_other_items(self):
         if not _pool_usable():
             pytest.skip("no process pool available")
-        out = run_parallel_guarded(_die_on_three, [0, 1, 2, 3, 4, 5], workers=2)
+        out = _collect_fanout(_die_on_three, [0, 1, 2, 3, 4, 5], workers=2)
         assert len(out) == 6
         statuses = [s for s, *_ in out]
         assert statuses.count("ok") >= 4  # everyone but the crasher (+ cohort)
@@ -192,33 +199,78 @@ class TestEngineQuarantine:
         assert engine.stats.cache_hits == 1
 
 
+class TestStream:
+    """``engine.stream``: the one completion path, on both backends."""
+
+    def _engine(self, backend, tmp_path):
+        if backend == "queue":
+            return QueueEngine(
+                workers=2, cache=ResultCache(tmp_path / backend),
+                max_attempts=1,
+            )
+        return ExperimentEngine(workers=2, max_attempts=1)
+
+    @pytest.mark.parametrize("backend", ["pool", "queue"])
+    def test_every_index_once_with_failures_in_their_slot(
+        self, backend, tmp_path
+    ):
+        crash = FaultPlan((CrashRun(at_ps=0, message="test: deliberate failure"),))
+        batch = [_tiny(seed=1), _tiny(seed=2, faults=crash), _tiny(seed=3),
+                 _tiny(seed=4)]
+        engine = self._engine(backend, tmp_path)
+        pairs = list(engine.stream(batch))
+        assert sorted(index for index, _ in pairs) == [0, 1, 2, 3]
+        streamed = dict(pairs)
+        failure = streamed[1]
+        assert isinstance(failure, RunFailure)
+        assert failure.kind == "exception"
+        assert failure.scenario == batch[1]
+        assert "deliberate failure" in failure.message
+        assert all(isinstance(streamed[i], IncastResult) for i in (0, 2, 3))
+        assert engine.stats.tasks == 4
+        assert engine.stats.failures == 1
+        assert engine.stats.cache_misses == 4
+
+        # run_incasts_detailed is nothing but the positional collect.
+        detailed = self._engine(backend, tmp_path).run_incasts_detailed(batch)
+        assert [type(entry) for entry in detailed] == [
+            type(streamed[i]) for i in range(4)
+        ]
+        for i in (0, 2, 3):
+            assert detailed[i].scenario == batch[i]
+            assert detailed[i].ict_ps == streamed[i].ict_ps
+            assert detailed[i].counters == streamed[i].counters
+
+    def test_empty_batch_streams_nothing(self):
+        engine = ExperimentEngine()
+        assert list(engine.stream([])) == []
+        assert engine.run_incasts_detailed([]) == []
+
+
 class TestFaultSweepDigest:
     def test_digest_identical_across_worker_counts(self):
-        from repro.experiments.faultsweep import proxy_crash_sweep
+        from repro.experiments.faultsweep import proxy_crash_sweep_spec
 
-        kwargs = dict(
+        spec = proxy_crash_sweep_spec(
             crash_times_ps=(microseconds(10),),
             schemes=("baseline", "streamlined", "proxy-failover"),
             reps=1,
         )
-        serial = proxy_crash_sweep(
-            engine=ExperimentEngine(workers=1), **kwargs
-        )
-        pooled = proxy_crash_sweep(
-            engine=ExperimentEngine(workers=2), **kwargs
-        )
+        serial = run_grid(spec, engine=ExperimentEngine(workers=1))
+        pooled = run_grid(spec, engine=ExperimentEngine(workers=2))
         assert sweep_digest(serial) == sweep_digest(pooled)
 
     def test_failures_change_the_digest(self):
-        from repro.experiments.faultsweep import fault_plan_sweep
+        from repro.experiments.faultsweep import fault_plan_spec
 
-        healthy = fault_plan_sweep(
-            FaultPlan(), schemes=("baseline",), reps=1,
-            engine=ExperimentEngine(workers=1),
+        healthy = run_grid(
+            fault_plan_spec(FaultPlan(), schemes=("baseline",), reps=1)
         )
-        crashing = fault_plan_sweep(
-            FaultPlan((CrashRun(at_ps=0, message="boom"),)),
-            schemes=("baseline",), reps=1,
+        crashing = run_grid(
+            fault_plan_spec(
+                FaultPlan((CrashRun(at_ps=0, message="boom"),)),
+                schemes=("baseline",), reps=1,
+            ),
             engine=ExperimentEngine(workers=1, max_attempts=1),
         )
         assert crashing[0].schemes["baseline"].failures == 1

@@ -8,7 +8,12 @@ from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
 from repro.experiments.report import average_reductions, render_table, sweep_table
 from repro.experiments.runner import IncastScenario, run_incast
-from repro.experiments.sweeps import degree_sweep, run_scheme_summary, size_sweep
+from repro.experiments.grid import run_grid
+from repro.experiments.sweeps import (
+    degree_sweep_spec,
+    run_scheme_summary,
+    size_sweep_spec,
+)
 from repro.units import kilobytes, megabytes, milliseconds
 
 
@@ -99,8 +104,10 @@ class TestSweeps:
             run_scheme_summary(small_scenario, reps=0)
 
     def test_degree_sweep_structure(self, small_scenario):
-        points = degree_sweep(small_scenario, degrees=(2, 3),
-                              schemes=("baseline", "streamlined"), reps=1)
+        points = run_grid(degree_sweep_spec(
+            small_scenario, degrees=(2, 3),
+            schemes=("baseline", "streamlined"), reps=1,
+        ))
         assert [p.x for p in points] == [2.0, 3.0]
         for point in points:
             assert set(point.schemes) == {"baseline", "streamlined"}
@@ -108,13 +115,17 @@ class TestSweeps:
             assert point.schemes["streamlined"].reduction_vs_baseline is not None
 
     def test_size_sweep_varies_bytes(self, small_scenario):
-        points = size_sweep(small_scenario, sizes_bytes=(kilobytes(500), megabytes(10)),
-                            schemes=("baseline",), reps=1)
+        points = run_grid(size_sweep_spec(
+            small_scenario, sizes_bytes=(kilobytes(500), megabytes(10)),
+            schemes=("baseline",), reps=1,
+        ))
         assert points[0].schemes["baseline"].ict.mean < points[1].schemes["baseline"].ict.mean
 
     def test_reduction_helper(self, small_scenario):
-        points = degree_sweep(small_scenario, degrees=(3,),
-                              schemes=("baseline", "streamlined"), reps=1)
+        points = run_grid(degree_sweep_spec(
+            small_scenario, degrees=(3,),
+            schemes=("baseline", "streamlined"), reps=1,
+        ))
         avg = average_reductions(points, "streamlined")
         assert avg == pytest.approx(points[0].reduction("streamlined"))
 
@@ -128,8 +139,10 @@ class TestReports:
         assert "---" in lines[1]
 
     def test_sweep_table_contains_schemes(self, small_scenario):
-        points = degree_sweep(small_scenario, degrees=(3,),
-                              schemes=("baseline", "streamlined"), reps=1)
+        points = run_grid(degree_sweep_spec(
+            small_scenario, degrees=(3,),
+            schemes=("baseline", "streamlined"), reps=1,
+        ))
         table = sweep_table(points, ("baseline", "streamlined"))
         assert "degree=3" in table
         assert "streamlined vs base" in table

@@ -8,7 +8,8 @@ import pytest
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
 from repro.experiments.runner import IncastScenario
-from repro.experiments.sweeps import degree_sweep
+from repro.experiments.grid import run_grid
+from repro.experiments.sweeps import degree_sweep_spec
 from repro.hoststack import ebpf_forward_path_pipeline, measure_pipeline
 from repro.metrics.export import (
     write_cdf_csv,
@@ -28,7 +29,9 @@ def sweep_points():
         interdc=small_interdc_config(),
         transport=TransportConfig(payload_bytes=4096),
     )
-    return degree_sweep(scenario, degrees=(2,), schemes=("baseline", "naive"), reps=1)
+    return run_grid(
+        degree_sweep_spec(scenario, degrees=(2,), schemes=("baseline", "naive"), reps=1)
+    )
 
 
 class TestSweepExport:

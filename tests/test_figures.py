@@ -33,8 +33,10 @@ class TestScenarioPlumbing:
         assert figures._reps(full=True, reps=1) == 1
 
     def test_anchor_keys_cover_sweeps(self):
-        for name in ("Figure 2 (Left)", "Figure 2 (Right)", "Figure 3"):
-            assert figures._anchor_key(name) in figures.PAPER_ANCHORS
+        assert [title for title, _ in figures.SWEEP_FIGURES.values()] == [
+            "Figure 2 (Left)", "Figure 2 (Right)", "Figure 3"
+        ]
+        assert set(figures.SWEEP_FIGURES) <= set(figures.PAPER_ANCHORS)
 
     def test_paper_anchor_strings_quote_numbers(self):
         assert "75.67" in figures.PAPER_ANCHORS["fig2l"]

@@ -14,6 +14,7 @@ from repro.experiments.grid import (
     SweepFold,
     axis,
     config_from_doc,
+    run_grid,
     scenario_from_doc,
     scenario_to_doc,
 )
@@ -180,3 +181,29 @@ class TestSweepFold:
         )
         sample = RunSample.from_result(failure)
         assert not sample.ok and not sample.completed
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_is_fed_while_the_batch_is_still_running(self, workers):
+        # Regression: the pool path used to materialise every result
+        # before the first fold.add, so the fold's bounded-memory property
+        # only held on the queue backend.
+        spec = _spec(degrees=(2,), schemes=("baseline", "naive"), reps=2)
+        engine = ExperimentEngine(workers=workers)
+        finished_at_add = []
+
+        class Recording(SweepFold):
+            def add(self, index, entry):
+                finished_at_add.append(engine.stats.cache_misses)
+                super().add(index, entry)
+
+        points = run_grid(spec, Recording(spec), engine=engine)
+        assert finished_at_add == list(range(1, len(spec) + 1))
+        assert sweep_digest(points) == sweep_digest(run_grid(spec))
+
+    def test_defaults_to_a_sweep_fold_on_a_serial_engine(self):
+        spec = _spec(degrees=(2,), schemes=("baseline",), reps=1)
+        [point] = run_grid(spec)
+        assert point.label == "degree=2"
+        assert point.schemes["baseline"].all_completed

@@ -6,17 +6,20 @@ import pytest
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments.grid import run_grid
 from repro.experiments.parallel import (
     ExperimentEngine,
     ResultCache,
     Uncacheable,
     resolve_workers,
-    run_incast_batch,
-    run_parallel,
     scenario_key,
 )
 from repro.experiments.runner import IncastScenario, run_incast
-from repro.experiments.sweeps import degree_sweep, run_scheme_summary, sweep_digest
+from repro.experiments.sweeps import (
+    degree_sweep_spec,
+    run_scheme_summary,
+    sweep_digest,
+)
 from repro.units import megabytes, microseconds
 
 
@@ -98,22 +101,36 @@ class TestScenarioKey:
             SCHEME_REGISTRY.unregister("keytest")
 
 
+def _raise_on_two(x: int) -> int:
+    if x == 2:
+        raise ValueError("item two is cursed")
+    return x
+
+
 class TestRunParallel:
+    """``ExperimentEngine.map``: the uncached fan-out over arbitrary work."""
+
     def test_serial_path(self):
-        assert run_parallel(_square, [3, 1, 2], workers=1) == [9, 1, 4]
+        assert ExperimentEngine(workers=1).map(_square, [3, 1, 2]) == [9, 1, 4]
 
     def test_pool_preserves_input_order(self):
-        assert run_parallel(_square, list(range(8)), workers=2) == [
+        assert ExperimentEngine(workers=2).map(_square, list(range(8))) == [
             x * x for x in range(8)
         ]
 
     def test_unpicklable_work_falls_back_to_serial(self):
         fallbacks = []
-        results = run_parallel(
-            lambda x: x + 1, [1, 2], workers=2, on_fallback=fallbacks.append
-        )
-        assert results == [2, 3]
+        engine = ExperimentEngine(workers=2, on_fallback=fallbacks.append)
+        assert engine.map(lambda x: x + 1, [1, 2]) == [2, 3]
         assert fallbacks  # the caller was told why
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_raises(self, workers):
+        engine = ExperimentEngine(
+            workers=workers, max_attempts=1, retry_backoff_s=0.0
+        )
+        with pytest.raises(ExperimentError, match="item two is cursed"):
+            engine.map(_raise_on_two, [1, 2, 3])
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -126,8 +143,8 @@ class TestRunParallel:
 class TestDeterministicMerge:
     def test_workers_do_not_change_results(self, tiny_scenario):
         scenarios = [replace(tiny_scenario, seed=s) for s in range(3)]
-        serial = run_incast_batch(scenarios, workers=1)
-        pooled = run_incast_batch(scenarios, workers=4)
+        serial = ExperimentEngine(workers=1).run_incasts(scenarios)
+        pooled = ExperimentEngine(workers=4).run_incasts(scenarios)
         assert [r.ict_ps for r in serial] == [r.ict_ps for r in pooled]
         assert [r.counters for r in serial] == [r.counters for r in pooled]
         assert [r.flow_completion_ps for r in serial] == [
@@ -135,11 +152,12 @@ class TestDeterministicMerge:
         ]
 
     def test_sweep_summaries_identical_across_worker_counts(self, tiny_scenario):
-        kwargs = dict(
-            degrees=(2, 3), schemes=("baseline", "streamlined"), reps=2
+        spec = degree_sweep_spec(
+            tiny_scenario, degrees=(2, 3), schemes=("baseline", "streamlined"),
+            reps=2,
         )
-        serial = degree_sweep(tiny_scenario, workers=1, **kwargs)
-        pooled = degree_sweep(tiny_scenario, workers=4, **kwargs)
+        serial = run_grid(spec, engine=ExperimentEngine(workers=1))
+        pooled = run_grid(spec, engine=ExperimentEngine(workers=4))
         assert sweep_digest(serial) == sweep_digest(pooled)
 
     def test_scheme_summary_matches_direct_runs(self, tiny_scenario):
@@ -171,11 +189,15 @@ class TestResultCache:
     def test_cached_and_uncached_sweeps_summarize_identically(
         self, tiny_scenario, tmp_path
     ):
-        kwargs = dict(degrees=(2,), schemes=("baseline",), reps=2)
+        spec = degree_sweep_spec(
+            tiny_scenario, degrees=(2,), schemes=("baseline",), reps=2
+        )
         cache = ResultCache(tmp_path)
-        cold = degree_sweep(tiny_scenario, cache=cache, **kwargs)
-        warm = degree_sweep(tiny_scenario, cache=cache, **kwargs)
-        uncached = degree_sweep(tiny_scenario, **kwargs)
+        cold = run_grid(spec, engine=ExperimentEngine(cache=cache))
+        warm_engine = ExperimentEngine(cache=cache)
+        warm = run_grid(spec, engine=warm_engine)
+        uncached = run_grid(spec)
+        assert warm_engine.stats.cache_hits == len(spec)
         assert sweep_digest(cold) == sweep_digest(warm) == sweep_digest(uncached)
 
     def test_changed_scenario_invalidates(self, tiny_scenario, tmp_path):

@@ -1,5 +1,6 @@
 """Repository hygiene meta-tests: docstrings, exports, example structure."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -63,6 +64,33 @@ class TestExports:
             if exported != sorted(exported):
                 unsorted.append(package_name)
         assert not unsorted, f"unsorted __all__: {unsorted}"
+
+
+class TestFrozenBenchmarkSurface:
+    """``benchmarks/ledger`` is frozen (BENCHMARK.json) and outside tier-1:
+    a deletion under ``src/`` must trip here, not in the benchmark run."""
+
+    def test_every_repro_name_the_ledger_imports_resolves(self):
+        broken = []
+        sources = sorted((REPO_ROOT / "benchmarks" / "ledger").glob("*.py"))
+        assert sources, "benchmarks/ledger has no sources to scan"
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom) or node.level:
+                    continue
+                if (node.module or "").split(".")[0] != "repro":
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if hasattr(module, alias.name):
+                        continue
+                    try:  # ``from repro import competitors``: a submodule
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        broken.append(
+                            f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                        )
+        assert not broken, f"the frozen benchmark imports missing names: {broken}"
 
 
 class TestExamples:

@@ -1,11 +1,9 @@
-"""SchemeRegistry dispatch, third-party registration, and deprecation shims."""
+"""SchemeRegistry dispatch and third-party registration."""
 
-import warnings
 from dataclasses import replace
 
 import pytest
 
-from repro._compat import _deprecated, _reset_deprecation_registry
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
@@ -138,31 +136,10 @@ class TestThirdPartyScheme:
 
 
 class TestDeprecationHelper:
-    def setup_method(self):
-        _reset_deprecation_registry()
-
-    def teardown_method(self):
-        _reset_deprecation_registry()
-
-    def test_warns_exactly_once_per_call_site(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                _deprecated("one site", stacklevel=2)
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-
-    def test_distinct_sites_each_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _deprecated("site message", stacklevel=2)
-            _deprecated("site message", stacklevel=2)
-        assert len(caught) == 2
-
     def test_removed_run_incast_kwarg_raises_every_time(self):
         scenario = _scenario()
         for _ in range(3):
-            with pytest.raises(TypeError, match="RunOptions"):
+            with pytest.raises(TypeError, match="sanitize"):
                 run_incast(scenario, sanitize=False)
 
 

@@ -2,32 +2,28 @@
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
-from repro.experiments.parallel import ResultCache
+from repro.experiments.grid import run_grid
+from repro.experiments.parallel import ExperimentEngine, ResultCache
 from repro.experiments.runner import IncastScenario
 from repro.experiments.service import (
     Coordinator,
     QueueEngine,
     WorkQueue,
     batch_fingerprint,
-    cells_from_spec,
     named_grid,
 )
-from repro.experiments.sweeps import (
-    degree_sweep_spec,
-    run_sweep_spec,
-    sweep_digest,
-)
+from repro.experiments.sweeps import degree_sweep_spec, sweep_digest
 from repro.telemetry import RunOptions
 from repro.units import kilobytes
 
@@ -48,6 +44,11 @@ def _tiny_spec():
     return degree_sweep_spec(
         _base(), (2,), ("baseline", "naive"), reps=2, seed0=0
     )
+
+
+def _serial_digest(spec, cache_dir):
+    engine = ExperimentEngine(workers=1, cache=ResultCache(cache_dir))
+    return sweep_digest(run_grid(spec, engine=engine))
 
 
 class TestWorkQueue:
@@ -147,19 +148,29 @@ class TestQueueEngine:
                 workers=1, cache=cache, options=RunOptions(sanitize=True)
             )
 
+    def test_rejects_bad_worker_and_lease_parameters(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ExperimentError, match="workers"):
+            QueueEngine(workers=-1, cache=cache)
+        with pytest.raises(ExperimentError, match="lease_ttl"):
+            QueueEngine(workers=1, cache=cache, lease_ttl_s=0.0)
+
+    def test_rejects_uncacheable_scenarios(self, tmp_path):
+        from dataclasses import replace
+
+        engine = QueueEngine(workers=1, cache=ResultCache(tmp_path / "cache"))
+        scenario = replace(_base(), proxy_delay_sampler=lambda: 0)
+        with pytest.raises(ExperimentError, match="no stable cache key"):
+            list(engine.stream([scenario]))
+
 
 class TestCoordinatorValidation:
     def test_rejects_empty_and_misindexed_batches(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        # A batch is its ordered key list plus the documents still to run,
+        # so a misindexed batch is unrepresentable; an empty one is refused.
+        engine = QueueEngine(workers=1, cache=ResultCache(tmp_path / "cache"))
         with pytest.raises(ExperimentError, match="at least one cell"):
-            Coordinator([], cache)
-        cells = cells_from_spec(_tiny_spec())
-        with pytest.raises(ExperimentError, match="contiguously"):
-            Coordinator(cells[1:], cache)
-        with pytest.raises(ExperimentError, match="workers"):
-            Coordinator(cells, cache, workers=-1)
-        with pytest.raises(ExperimentError, match="lease_ttl"):
-            Coordinator(cells, cache, lease_ttl_s=0.0)
+            Coordinator(engine, ["k0"], {})
 
     def test_named_grids(self):
         assert len(named_grid("bakeoff-smoke")) == 6
@@ -192,20 +203,19 @@ def _parse_summary(stdout):
 class TestServiceEndToEnd:
     def test_queue_engine_matches_serial_digest(self, tmp_path):
         spec = _tiny_spec()
-        serial = run_sweep_spec(
-            spec, workers=1, cache=ResultCache(tmp_path / "serial")
-        )
+        serial = _serial_digest(spec, tmp_path / "serial")
         engine = QueueEngine(workers=2, cache=ResultCache(tmp_path / "queue"))
-        queued = run_sweep_spec(spec, engine=engine)
-        assert sweep_digest(queued) == sweep_digest(serial)
+        queued = run_grid(spec, engine=engine)
+        assert sweep_digest(queued) == serial
         assert engine.stats.failures == 0
         assert engine.stats.cache_misses == len(spec)
+        assert engine.stats.sim_wall_seconds > 0
         # A second pass over the same cache resumes everything.
         resumed_engine = QueueEngine(
             workers=2, cache=ResultCache(tmp_path / "queue")
         )
-        resumed = run_sweep_spec(spec, engine=resumed_engine)
-        assert sweep_digest(resumed) == sweep_digest(serial)
+        resumed = run_grid(spec, engine=resumed_engine)
+        assert sweep_digest(resumed) == serial
         assert resumed_engine.stats.cache_hits == len(spec)
         assert resumed_engine.stats.cache_misses == 0
 
@@ -213,9 +223,7 @@ class TestServiceEndToEnd:
         self, tmp_path
     ):
         spec = _tiny_spec()
-        serial = sweep_digest(run_sweep_spec(
-            spec, workers=1, cache=ResultCache(tmp_path / "serial")
-        ))
+        serial = _serial_digest(spec, tmp_path / "serial")
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json() + "\n")
         common = ["--spec", str(spec_path), "--cache-dir",
@@ -245,25 +253,32 @@ class TestServiceEndToEnd:
 
     def test_worker_sigkill_mid_batch_still_completes(self, tmp_path):
         spec = _tiny_spec()
-        serial = sweep_digest(run_sweep_spec(
-            spec, workers=1, cache=ResultCache(tmp_path / "serial")
-        ))
-        cache = ResultCache(tmp_path / "queue")
-        results = {}
-        coordinator = Coordinator(
-            cells_from_spec(spec), cache, workers=0, lease_ttl_s=1.0,
-            on_result=lambda index, entry: results.__setitem__(index, entry),
+        serial = _serial_digest(spec, tmp_path / "serial")
+        with socket.socket() as probe:  # an OS-picked free port
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # workers=0: nothing is spawned; the cells wait for our workers.
+        engine = QueueEngine(
+            workers=0, cache=ResultCache(tmp_path / "queue"),
+            port=port, lease_ttl_s=1.0,
         )
-        summary = {}
+        points = {}
         thread = threading.Thread(
-            target=lambda: summary.setdefault("value", coordinator.run())
+            target=lambda: points.setdefault(
+                "value", run_grid(spec, engine=engine)
+            )
         )
         thread.start()
         try:
             deadline = time.monotonic() + 30.0
-            while coordinator.port == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert coordinator.port != 0, "coordinator never bound its port"
+            while time.monotonic() < deadline:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 0.5).close()
+                    break
+                except OSError:
+                    time.sleep(0.02)
+            else:
+                pytest.fail("coordinator never bound its port")
 
             def spawn():
                 env = dict(os.environ)
@@ -271,7 +286,7 @@ class TestServiceEndToEnd:
                 env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
                 return subprocess.Popen(
                     [sys.executable, "-m", "repro", "service", "work",
-                     "--host", "127.0.0.1", "--port", str(coordinator.port)],
+                     "--host", "127.0.0.1", "--port", str(port)],
                     env=env, cwd=tmp_path,
                 )
 
@@ -286,11 +301,6 @@ class TestServiceEndToEnd:
         finally:
             thread.join(timeout=10.0)
 
-        assert summary["value"].failed == 0
-        assert summary["value"].executed + summary["value"].resumed == len(spec)
-        from repro.experiments.grid import SweepFold
-
-        fold = SweepFold(spec)
-        for index in range(len(spec)):
-            fold.add(index, results[index])
-        assert sweep_digest(fold.finish()) == serial
+        assert engine.stats.failures == 0
+        assert engine.stats.cache_misses == len(spec)
+        assert sweep_digest(points["value"]) == serial
