@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from repro.control.config import ControlConfig
 from repro.control.weights import WeightFn, resolve_weight_model
 from repro.faults.plan import ProxyCrash, ProxyRestart
-from repro.net.routing import NextHopTable
+from repro.net.routing import NextHopTable, tables_by_attachment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -50,11 +50,13 @@ def build_weighted_tables(
 ) -> NextHopTable:
     """Equal-cost next hops toward every destination under integer weights.
 
-    Shaped exactly like :func:`repro.net.routing.build_next_hop_tables`;
-    a link is skipped while its forwarding-direction port is down.
-    Equal-cost sets preserve adjacency (wiring) order, so under the
-    ``"hop"`` model with all links up the output is identical to the BFS
-    builder's — the controller's initial install is behavior-preserving.
+    Shaped exactly like :func:`repro.net.routing.build_next_hop_tables`
+    (one walk per attachment point, same filler); a link is skipped while
+    its forwarding-direction port is down, so a single-homed destination
+    whose access link is down gets no rows at all.  Equal-cost sets
+    preserve adjacency (wiring) order, so under the ``"hop"`` model with
+    all links up the output is identical to the BFS builder's — the
+    controller's initial install is behavior-preserving.
     """
     adjacency = net.adjacency
     nodes = net.nodes
@@ -65,37 +67,41 @@ def build_weighted_tables(
         port = nodes[a].ports.get(b)
         return port is not None and port.up
 
-    tables: NextHopTable = {node: {} for node in adjacency}
-    for dst in destination_ids:
-        # Dijkstra from the destination over reversed edges: dist[n] is the
-        # cost of reaching dst from n, relaxed with the forwarding-direction
-        # weight of each edge, so direction-dependent weights (live queue
-        # depth) price the path packets actually take.
-        dist = {dst: 0}
-        heap = [(0, dst)]
+    def walk(forwarding: dict[int, list[int]], root: int) -> dict[int, tuple[int, ...]]:
+        # Dijkstra from the root over reversed edges: dist[n] is the cost of
+        # reaching root from n, relaxed with the forwarding-direction weight
+        # of each edge, so direction-dependent weights (live queue depth)
+        # price the path packets actually take.
+        dist = {root: 0}
+        heap = [(0, root)]
         while heap:
             d, node = heapq.heappop(heap)
-            if d > dist.get(node, d):
+            if d > dist[node]:
                 continue
-            for neighbor in adjacency[node]:
+            for neighbor in forwarding[node]:
                 if not link_up(neighbor, node):
                     continue
                 candidate = d + weight(net, neighbor, node)
                 if candidate < dist.get(neighbor, candidate + 1):
                     dist[neighbor] = candidate
                     heapq.heappush(heap, (candidate, neighbor))
-        for node, neighbors in adjacency.items():
-            if node == dst or node not in dist:
-                continue
-            here = dist[node]
-            hops = tuple(
-                n for n in neighbors
+        return {
+            node: tuple(
+                n for n in forwarding[node]
                 if n in dist and link_up(node, n)
                 and dist[n] + weight(net, node, n) == here
             )
-            if hops:
-                tables[node][dst] = hops
-    return tables
+            for node, here in dist.items()
+            if node != root
+        }
+
+    def access_up(dst: int) -> bool:
+        neighbors = adjacency[dst]
+        return len(neighbors) != 1 or link_up(neighbors[0], dst)
+
+    return tables_by_attachment(
+        adjacency, [dst for dst in destination_ids if access_up(dst)], walk
+    )
 
 
 class Controller:

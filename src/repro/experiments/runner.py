@@ -39,7 +39,7 @@ from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.placement import pick_senders
 from repro.schemes import SCHEME_REGISTRY, SchemeContext
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, collector_paused
 from repro.telemetry.options import RunOptions
 from repro.telemetry.recorder import TelemetrySnapshot
 from repro.topology.interdc import build_interdc
@@ -217,8 +217,14 @@ def run_incast(
       ``IncastResult.telemetry`` without perturbing simulation results.
     * ``options.tracer`` streams structured trace records.
     """
-    if options is None:
-        options = RunOptions()
+    # One cell is one collector window: the build allocates as heavily and
+    # as acyclically as the run loop, and the finished cell's fabric (one
+    # blob of cycles) is still young when the next window opens.
+    with collector_paused():
+        return _run_cell(scenario, options if options is not None else RunOptions())
+
+
+def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     spec = SCHEME_REGISTRY.get(scenario.scheme)
     wall_start = time.perf_counter()
     inst = options.build_instrumentation()

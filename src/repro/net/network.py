@@ -5,6 +5,13 @@ else consumes.  It wires bidirectional links (two output ports with
 independent queue disciplines), finalizes routing tables, allocates flow
 ids, and answers path queries (minimum propagation delay, bottleneck rate)
 that transports use to size initial windows and timers.
+
+Delay queries walk the graph once per *source attachment point*, not per
+pair: a node with a single neighbour (every host) reaches the rest of the
+graph only through it, so ``min_delay_ps`` is the source's access delay +
+a cached single-source Dijkstra from its attachment point over the nodes
+that can forward + the destination's access delay.  ``connect()`` clears
+the cache; after ``finalize()`` the graph is frozen and it only fills.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ class Network:
         self.switches: list[Switch] = []
         self.adjacency: dict[int, list[int]] = {}
         self._edge_attrs: dict[tuple[int, int], tuple[float, int]] = {}
+        #: root -> {forwarding node: min delay from root}; see min_delay_ps.
+        self._delays_from: dict[int, dict[int, int]] = {}
         self._next_node_id = 0
         self._next_flow_id = 0
         self._finalized = False
@@ -79,6 +88,7 @@ class Network:
         self.adjacency[b.id].append(a.id)
         self._edge_attrs[(a.id, b.id)] = (rate_bps, delay_ps)
         self._edge_attrs[(b.id, a.id)] = (rate_bps, delay_ps)
+        self._delays_from.clear()
 
     def finalize(self, routing: str = "spray") -> None:
         """Build routing tables and install the chosen strategy on switches."""
@@ -92,15 +102,7 @@ class Network:
         for switch in self.switches:
             switch.routing = strategy
             switch.spray_rng = self.sim.rng.stream(f"spray:{switch.name}")
-            # Single-candidate destinations bypass the strategy entirely on
-            # the forwarding fast path; with one equal-cost hop, spray and
-            # ECMP both return it without consulting RNG or hash, so the
-            # bypass is behavior-preserving.
-            switch.direct_ports = {
-                dst: switch.ports[hops[0]]
-                for dst, hops in tables[switch.id].items()
-                if len(hops) == 1
-            }
+        self._set_direct_ports(tables)
         self._finalized = True
 
     def install_tables(self, tables) -> None:
@@ -121,11 +123,19 @@ class Network:
             if all(s is not strategy for s in strategies):
                 strategies.append(strategy)
                 strategy.update_tables(tables)
+        self._set_direct_ports(tables)
+
+    def _set_direct_ports(self, tables) -> None:
+        # Single-candidate destinations bypass the strategy entirely on the
+        # forwarding fast path; with one equal-cost hop, spray and ECMP both
+        # return it without consulting RNG or hash, so the bypass is
+        # behavior-preserving.
         for switch in self.switches:
+            ports = switch.ports
             switch.direct_ports = {
-                dst: switch.ports[hops[0]]
+                dst: ports[hops[0]]
                 for dst, hops in tables.get(switch.id, {}).items()
-                if len(hops) == 1 and hops[0] in switch.ports
+                if len(hops) == 1 and hops[0] in ports
             }
 
     # -- identifiers ----------------------------------------------------------
@@ -139,23 +149,47 @@ class Network:
     # -- path queries ----------------------------------------------------------
 
     def min_delay_ps(self, src_id: int, dst_id: int) -> int:
-        """Minimum one-way propagation delay between two nodes (Dijkstra)."""
+        """Minimum one-way propagation delay between two nodes."""
         if src_id == dst_id:
             return 0
-        best = {src_id: 0}
-        heap = [(0, src_id)]
+        adjacency = self.adjacency
+        root, access = src_id, 0
+        if len(adjacency[src_id]) == 1:
+            root = adjacency[src_id][0]
+            access = self._edge_attrs[(src_id, root)][1]
+        reach = self._delays_from.get(root)
+        if reach is None:
+            reach = self._delays_from[root] = self._dijkstra_from(root)
+        if dst_id in reach:
+            return access + reach[dst_id]
+        neighbors = adjacency.get(dst_id, ())
+        if len(neighbors) == 1 and neighbors[0] in reach:
+            point = neighbors[0]
+            return access + reach[point] + self._edge_attrs[(point, dst_id)][1]
+        raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
+
+    def _dijkstra_from(self, root: int) -> dict[int, int]:
+        """Minimum delay from ``root`` to every forwarding node it reaches.
+
+        Only nodes with at least two neighbours are expanded into: a dead
+        end lies on no path between two other nodes.
+        """
+        adjacency = self.adjacency
+        edge_attrs = self._edge_attrs
+        best = {root: 0}
+        heap = [(0, root)]
         while heap:
             delay, node = heapq.heappop(heap)
-            if node == dst_id:
-                return delay
-            if delay > best.get(node, delay):
+            if delay > best[node]:
                 continue
-            for neighbor in self.adjacency[node]:
-                candidate = delay + self._edge_attrs[(node, neighbor)][1]
+            for neighbor in adjacency[node]:
+                if len(adjacency[neighbor]) < 2:
+                    continue
+                candidate = delay + edge_attrs[(node, neighbor)][1]
                 if candidate < best.get(neighbor, candidate + 1):
                     best[neighbor] = candidate
                     heapq.heappush(heap, (candidate, neighbor))
-        raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
+        return best
 
     def path_rtt_ps(self, src_id: int, dst_id: int, via: Iterable[int] = ()) -> int:
         """Round-trip propagation delay along ``src -> via... -> dst -> via... -> src``."""

@@ -1,12 +1,19 @@
 """Routing strategies and next-hop table construction.
 
-Tables are built after the topology is wired: for every destination host
-we BFS outward and record, at each node, the set of neighbors lying on a
-shortest (hop-count) path.  A control plane (:mod:`repro.control`) may
-later recompute tables under a different weight model and reinstall them
-through :meth:`RoutingStrategy.update_tables` /
-:meth:`repro.net.network.Network.install_tables`.  Strategies choose among
-the tabled neighbors:
+Tables are built after the topology is wired, one graph walk per
+**attachment point** rather than per destination: a destination with a
+single neighbour (every host — :meth:`Host.attach_port` makes hosts
+single-homed) is reached through that neighbour and through nothing else,
+so all destinations behind one attachment point share one equal-cost hop
+tuple at every other node.  A destination with several neighbours (or
+none) is its own attachment point.  :func:`tables_by_attachment` is the
+shared filler; :func:`build_next_hop_tables` walks by hop count (BFS) and
+a control plane (:mod:`repro.control`) may later walk under a different
+weight model and reinstall the result through
+:meth:`RoutingStrategy.update_tables` /
+:meth:`repro.net.network.Network.install_tables`.  Nodes with a single
+neighbour get no rows: they have one way out and never consult a table.
+Strategies choose among the tabled neighbors:
 
 * :class:`SprayRouting` — uniform random choice **per packet** (the paper's
   packet spraying);
@@ -17,45 +24,91 @@ the tabled neighbors:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from itertools import groupby
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import RoutingError
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import Network
     from repro.net.node import Switch
 
 NextHopTable = dict[int, dict[int, tuple[int, ...]]]
+
+#: ``walk(forwarding, root) -> {node: equal-cost hops toward root}`` for
+#: every node other than ``root`` that reaches it.  ``forwarding`` is the
+#: adjacency restricted to nodes with at least two neighbours, in wiring
+#: order; a dead end lies on no path between two other nodes.
+AttachmentWalk = Callable[[dict[int, list[int]], int], dict[int, tuple[int, ...]]]
+
+
+def tables_by_attachment(
+    adjacency: dict[int, list[int]],
+    destination_ids: list[int],
+    walk: AttachmentWalk,
+) -> NextHopTable:
+    """Fill ``tables[node][destination] -> hops`` with one walk per attachment point.
+
+    Rows keep ``destination_ids`` order.  Destinations behind one
+    attachment point share one hop tuple per node (the same object), and
+    the attachment point itself delivers over the access link.
+    """
+    forwarding = {
+        node: [n for n in neighbors if len(adjacency[n]) > 1]
+        for node, neighbors in adjacency.items()
+        if len(neighbors) > 1
+    }
+
+    def attachment(dst: int) -> int:
+        neighbors = adjacency[dst]
+        return neighbors[0] if len(neighbors) == 1 else dst
+
+    tables: NextHopTable = {node: {} for node in adjacency}
+    walks: dict[int, dict[int, tuple[int, ...]]] = {}
+    for point, group in groupby(destination_ids, key=attachment):
+        if point not in forwarding:
+            continue  # isolated, or behind a dead end: no node forwards to it
+        run = list(group)
+        hops_at = walks.get(point)
+        if hops_at is None:
+            hops_at = walks[point] = walk(forwarding, point)
+        for node, hops in hops_at.items():
+            tables[node].update(dict.fromkeys(run, hops))
+        tables[point].update((dst, (dst,)) for dst in run if dst != point)
+    return tables
+
+
+def _shortest_hop_walk(
+    forwarding: dict[int, list[int]], root: int
+) -> dict[int, tuple[int, ...]]:
+    distance = {root: 0}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        d = distance[node]
+        for neighbor in forwarding[node]:
+            if neighbor not in distance:
+                distance[neighbor] = d + 1
+                frontier.append(neighbor)
+    return {
+        node: tuple(n for n in forwarding[node] if distance[n] == here - 1)
+        for node, here in distance.items()
+        if node != root
+    }
 
 
 def build_next_hop_tables(
     adjacency: dict[int, list[int]],
     destination_ids: list[int],
 ) -> NextHopTable:
-    """Compute equal-cost next hops toward every destination host.
+    """Compute equal-cost (hop-count) next hops toward every destination.
 
     Returns ``tables[node_id][destination_id] -> tuple(neighbor ids)``,
-    containing an entry for every node that can reach the destination.
+    containing an entry for every node with at least two neighbours that
+    can reach the destination.
     """
-    tables: NextHopTable = {node: {} for node in adjacency}
-    for dst in destination_ids:
-        distance = {dst: 0}
-        frontier = deque([dst])
-        while frontier:
-            node = frontier.popleft()
-            d = distance[node]
-            for neighbor in adjacency[node]:
-                if neighbor not in distance:
-                    distance[neighbor] = d + 1
-                    frontier.append(neighbor)
-        for node, neighbors in adjacency.items():
-            if node == dst or node not in distance:
-                continue
-            here = distance[node]
-            hops = tuple(n for n in neighbors if distance.get(n, here) == here - 1)
-            if hops:
-                tables[node][dst] = hops
-    return tables
+    return tables_by_attachment(adjacency, destination_ids, _shortest_hop_walk)
 
 
 class RoutingStrategy:
@@ -187,7 +240,7 @@ class DisjointSprayRouting(SprayRouting):
         return options[r]
 
 
-def install_disjoint_spray(net: object, lanes: int = 2) -> DisjointSprayRouting:
+def install_disjoint_spray(net: "Network", lanes: int = 2) -> DisjointSprayRouting:
     """Swap every switch's strategy for one shared :class:`DisjointSprayRouting`.
 
     The network must already be finalized (tables built, spray RNGs
@@ -195,15 +248,12 @@ def install_disjoint_spray(net: object, lanes: int = 2) -> DisjointSprayRouting:
     precomputed direct ports, so only genuinely multi-path hops consult the
     new strategy — no core forwarding code changes hands.
     """
-    switches = getattr(net, "switches", ())
-    installed = None
-    for switch in switches:
-        if switch.routing is not None:
-            installed = switch.routing
-            break
+    installed = next(
+        (s.routing for s in net.switches if s.routing is not None), None
+    )
     if installed is None:
         raise RoutingError("install_disjoint_spray needs a finalized network")
-    disjoint = DisjointSprayRouting(installed._tables, lanes=lanes)
-    for switch in switches:
+    disjoint = DisjointSprayRouting(installed.tables, lanes=lanes)
+    for switch in net.switches:
         switch.routing = disjoint
     return disjoint

@@ -61,7 +61,8 @@ TieBreakHook = Callable[[int, "list[Entry]"], "list[Entry] | None"]
 #: event (~0.66 us for a full payload at 100 Gb/s) lands a bucket or two
 #: ahead of the drain cursor — the O(1) append path — while a typical run
 #: still keeps each bucket small enough that its one-time sort is cheap.
-#: Chosen empirically on the Fig. 2-left workload (see BENCH_hotpath.json).
+#: Chosen empirically on the Fig. 2-left workload (the perf ledger's
+#: ``incast-d8``: ``python3 -m benchmarks.ledger --workload incast-d8``).
 BUCKET_SHIFT = 19
 
 

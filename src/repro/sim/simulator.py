@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import SanitizerError, SchedulingError, SimulationError
 from repro.net.pool import PacketPool
@@ -22,6 +23,31 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION, Instrumentatio
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import Sanitizer
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a stretch that builds no garbage cycles.
+
+    The run loop and the fabric build allocate heavily (entry tuples,
+    packets, table rows) but nothing in them dies cyclic, so generational
+    passes inside are pure overhead.  What *does* die cyclic is a whole
+    finished run (its fabric is one blob of cycles); everything allocated
+    under the pause is still in the young generation, so the first young
+    collection after the window — or the ``gc.collect(0)`` that opens the
+    next one — frees it cheaply, instead of whichever full collection the
+    allocation pattern happens to trigger.  Nested use is a no-op; the
+    prior state is restored on the way out, also when the body raises.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.collect(0)
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class Simulator:
@@ -98,73 +124,66 @@ class Simulator:
         inst = self.instrumentation if self.instrumentation.enabled else None
         sanitizing = self.sanitizer is not None
         executed = 0
-        # The run loop allocates heavily (entry tuples, packets) but builds
-        # no reference cycles, so generational GC passes are pure overhead;
-        # pause collection for the duration and restore on the way out.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while not self._stop_requested:
-                cap = None
-                if max_events is not None:
-                    cap = max_events - executed
-                    if cap <= 0:
-                        break
-                # One scheduler call per tick: every live entry at the next
-                # timestamp arrives as a single batch (batched dispatch).
-                tick = pop_tick(until, cap)
-                if tick is None:
-                    break  # drained, or horizon reached: clock fix-up below
-                t, entries = tick
-                if sanitizing and t < self.now:
-                    # Catches events slipped into the past through the raw
-                    # scheduler (Simulator.schedule_at validates up front).
-                    raise SanitizerError(
-                        f"clock would move backwards: event at {t} "
-                        f"popped at now={self.now}"
-                    )
-                self.now = t
-                if len(entries) == 1:
-                    # Singleton tick (the common case): dispatch without the
-                    # enumerate/mid-batch-stop machinery — with nothing left
-                    # in the batch, the loop-top check covers stop().
-                    obj = entries[0][2]
-                    if obj.__class__ is Event:
-                        obj.cancelled = True  # consumed; pending -> False
-                        obj = obj.callback
-                    if inst is None:
-                        obj()
-                    else:
-                        started = time.perf_counter()  # repro: allow[wall-clock] profiler
-                        obj()
-                        ended = time.perf_counter()  # repro: allow[wall-clock] profiler
-                        inst.on_event(obj, ended - started)
-                    executed += 1
-                    continue
-                for i, entry in enumerate(entries):
-                    obj = entry[2]
-                    if obj.__class__ is Event:
-                        obj.cancelled = True  # consumed; pending -> False
-                        obj = obj.callback
-                    if inst is None:
-                        obj()
-                    else:
-                        started = time.perf_counter()  # repro: allow[wall-clock] profiler
-                        obj()
-                        ended = time.perf_counter()  # repro: allow[wall-clock] profiler
-                        inst.on_event(obj, ended - started)
-                    executed += 1
-                    if self._stop_requested:
-                        # stop() fired mid-batch: unrun same-tick entries go
-                        # back to the queue so a later run() resumes exactly.
-                        rest = entries[i + 1:]
-                        if rest:
-                            scheduler.unpop(rest)
-                        break
+            with collector_paused():
+                while not self._stop_requested:
+                    cap = None
+                    if max_events is not None:
+                        cap = max_events - executed
+                        if cap <= 0:
+                            break
+                    # One scheduler call per tick: every live entry at the next
+                    # timestamp arrives as a single batch (batched dispatch).
+                    tick = pop_tick(until, cap)
+                    if tick is None:
+                        break  # drained, or horizon reached: clock fix-up below
+                    t, entries = tick
+                    if sanitizing and t < self.now:
+                        # Catches events slipped into the past through the raw
+                        # scheduler (Simulator.schedule_at validates up front).
+                        raise SanitizerError(
+                            f"clock would move backwards: event at {t} "
+                            f"popped at now={self.now}"
+                        )
+                    self.now = t
+                    if len(entries) == 1:
+                        # Singleton tick (the common case): dispatch without the
+                        # enumerate/mid-batch-stop machinery — with nothing left
+                        # in the batch, the loop-top check covers stop().
+                        obj = entries[0][2]
+                        if obj.__class__ is Event:
+                            obj.cancelled = True  # consumed; pending -> False
+                            obj = obj.callback
+                        if inst is None:
+                            obj()
+                        else:
+                            started = time.perf_counter()  # repro: allow[wall-clock] profiler
+                            obj()
+                            ended = time.perf_counter()  # repro: allow[wall-clock] profiler
+                            inst.on_event(obj, ended - started)
+                        executed += 1
+                        continue
+                    for i, entry in enumerate(entries):
+                        obj = entry[2]
+                        if obj.__class__ is Event:
+                            obj.cancelled = True  # consumed; pending -> False
+                            obj = obj.callback
+                        if inst is None:
+                            obj()
+                        else:
+                            started = time.perf_counter()  # repro: allow[wall-clock] profiler
+                            obj()
+                            ended = time.perf_counter()  # repro: allow[wall-clock] profiler
+                            inst.on_event(obj, ended - started)
+                        executed += 1
+                        if self._stop_requested:
+                            # stop() fired mid-batch: unrun same-tick entries go
+                            # back to the queue so a later run() resumes exactly.
+                            rest = entries[i + 1:]
+                            if rest:
+                                scheduler.unpop(rest)
+                            break
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self._running = False
             self.events_executed += executed
         if until is not None and self.now < until:

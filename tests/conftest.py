@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,12 +12,15 @@ from repro.config import (
     InterDcConfig,
     QueueSpec,
     TransportConfig,
+    paper_interdc_config,
     small_interdc_config,
 )
 from repro.net.network import Network
 from repro.net.node import Host
 from repro.net.queues import HostQueue
 from repro.sim.simulator import Simulator
+from repro.topology.interdc import build_interdc
+from repro.topology.multidc import MultiDcConfig, build_multidc
 from repro.units import gbps, kilobytes, megabytes, microseconds
 
 
@@ -42,6 +46,29 @@ def transport_cfg() -> TransportConfig:
 def tiny_interdc() -> InterDcConfig:
     """The shrunken two-DC topology used across integration tests."""
     return small_interdc_config()
+
+
+#: The fabrics route computation is checked on: the test fabric, the paper's,
+#: the ledger's 272-server ``incast-d256`` fabric (32 leaves, 544 hosts) and
+#: a three-datacenter line with unequal segment delays.
+ROUTING_FABRICS = ("small", "paper", "d272", "multidc")
+
+
+def build_fabric_net(name: str) -> Network:
+    """A finalized network of one of :data:`ROUTING_FABRICS`."""
+    sim = Simulator(seed=1)
+    if name == "multidc":
+        return build_multidc(sim, MultiDcConfig(fabric=small_interdc_config().fabric)).net
+    paper = paper_interdc_config()
+    cfg = {
+        "small": small_interdc_config(),
+        "paper": paper,
+        "d272": replace(
+            paper,
+            fabric=replace(paper.fabric, spines=8, leaves=16, servers_per_leaf=17),
+        ),
+    }[name]
+    return build_interdc(sim, cfg).net
 
 
 def build_pair(sim: Simulator, rate_bps: float = gbps(10), delay_ps: int = microseconds(1),

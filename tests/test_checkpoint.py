@@ -177,6 +177,8 @@ class TestKillRestoreDigests:
             del engine
             restored = load_checkpoint(path)
             assert isinstance(restored, OpenLoopEngine)
+            # The delay cache travels with the network it describes.
+            assert restored.net._delays_from
             resumed = restored.run()
 
             assert resumed.digest == uninterrupted.digest, scheme

@@ -3,7 +3,7 @@ and the Controller's fault-driven reconvergence."""
 
 import pytest
 
-from repro.config import QueueSpec, small_interdc_config
+from repro.config import QueueSpec
 from repro.control import (
     ControlConfig,
     Controller,
@@ -18,8 +18,8 @@ from repro.errors import ConfigError, TopologyError
 from repro.net.network import Network
 from repro.net.routing import build_next_hop_tables
 from repro.sim.simulator import Simulator
-from repro.topology.interdc import build_interdc
 from repro.units import gbps, megabytes, microseconds
+from tests.conftest import ROUTING_FABRICS, build_fabric_net
 
 
 def _queue(sim, name):
@@ -108,13 +108,13 @@ class TestWeightedTables:
         # The Dijkstra builder under unit weights must reproduce the BFS
         # equal-cost tables bit-for-bit (same adjacency-order hop sets),
         # so installing hop-model tables is behavior-preserving.
-        sim = Simulator(seed=1)
-        topo = build_interdc(sim, small_interdc_config())
-        net = topo.net
-        hosts = [h.id for h in net.hosts]
-        assert build_weighted_tables(net, hop_weight) == build_next_hop_tables(
-            net.adjacency, hosts
-        )
+        for fabric in ROUTING_FABRICS:
+            net = build_fabric_net(fabric)
+            by_hop = build_weighted_tables(net, hop_weight)
+            by_bfs = build_next_hop_tables(net.adjacency, [h.id for h in net.hosts])
+            assert by_hop == by_bfs, fabric
+            for node, row in by_bfs.items():
+                assert list(by_hop[node]) == list(row), (fabric, node)
 
     def test_delay_model_prefers_fast_detour(self):
         sim = Simulator(seed=1)
@@ -206,6 +206,24 @@ class TestController:
         # RoutingError and killing the whole run.
         assert controller.reroutes >= 1
         assert b in x.routing.tables[x.id]
+
+    def test_downed_access_link_keeps_every_stale_route(self):
+        sim = Simulator(seed=1)
+        net, nodes = _diamond(sim)
+        y, b = nodes["y"], nodes["b"].id
+        controller = Controller(sim, net).start()
+        before = {node: row[b] for node, row in y.routing.tables.items() if b in row}
+        assert set(before) == {nodes[name].id for name in "xyz"}
+        net.set_link_state(y.id, b, False)
+        sim.run(until=microseconds(200))
+        # B's only link is down, so the fresh tables have no row for it
+        # anywhere; the merge keeps every last-known entry and the fast
+        # path still points at the (downed) access port, where traffic drops.
+        assert controller.reroutes == 1
+        assert b not in build_weighted_tables(net, hop_weight)[y.id]
+        after = {node: row[b] for node, row in y.routing.tables.items() if b in row}
+        assert after == before
+        assert y.direct_ports[b] is y.ports[b]
 
     def test_link_recovery_restores_original_route(self):
         sim = Simulator(seed=1)
