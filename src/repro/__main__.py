@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> None:
         run_driver(
             driver_parser(
                 "python -m repro quickstart",
-                "the headline four-scheme comparison",
+                "the headline comparison of the five built-in schemes",
             ),
             args,
             _quickstart,

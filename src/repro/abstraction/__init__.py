@@ -8,8 +8,14 @@ every *inter-datacenter* incast into a proxy-assisted one, transparently
 to the application (:mod:`repro.abstraction.deployment`).
 """
 
-from repro.abstraction.annotations import AppGraph, Component, IncastDecl
-from repro.abstraction.deployment import DeploymentPlan, DeploymentPlanner, PlannedIncast
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.abstraction.annotations": ["AppGraph", "Component", "IncastDecl"],
+    "repro.abstraction.deployment": [
+        "DeploymentPlan", "DeploymentPlanner", "PlannedIncast",
+    ],
+})
 
 __all__ = [
     "AppGraph",

@@ -27,9 +27,20 @@ Two further passes ride on the same machinery:
   divergence to the first order-dependent tick.
 """
 
-from repro.analysis.lint import DEFAULT_TARGETS, lint_file, lint_paths
-from repro.analysis.rules import RULES, LintRule, Violation, rule_names
-from repro.analysis.sanitizer import Sanitizer, SanitizerReport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.lint import DEFAULT_TARGETS, lint_file, lint_paths
+    from repro.analysis.rules import RULES, LintRule, Violation, rule_names
+    from repro.analysis.sanitizer import Sanitizer, SanitizerReport
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.lint": ["DEFAULT_TARGETS", "lint_file", "lint_paths"],
+    "repro.analysis.rules": ["LintRule", "RULES", "Violation", "rule_names"],
+    "repro.analysis.sanitizer": ["Sanitizer", "SanitizerReport"],
+})
 
 __all__ = [
     "DEFAULT_TARGETS",

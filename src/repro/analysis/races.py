@@ -27,7 +27,6 @@ tests/test_races.py and every existing digest test).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
@@ -36,6 +35,8 @@ from repro.errors import ExperimentError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
+    import argparse
+
     # type-only: the permutation rng is handed in as a named substream of
     # the simulator's seeded registry, never constructed here.
     from random import Random  # repro: allow[raw-random] annotation only
@@ -665,6 +666,8 @@ def _replay(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point for ``python -m repro races``."""
+    import argparse
+
     from repro.__main__ import build_engine, check_common_args, common_parser
 
     parser = argparse.ArgumentParser(

@@ -14,10 +14,10 @@ core:
   in-network sketch detector (:mod:`repro.patterns.distributed`).
 
 Importing this package registers **nothing** (harnesses enumerate
-``SCHEME_REGISTRY.names()`` at import time and tests pin the built-in
-five); call :func:`install` to add the competitors and
-:func:`uninstall` to remove them again.  The ``python -m repro bakeoff``
-CLI installs them for every run.
+``SCHEME_REGISTRY.names()`` when they run and tests pin the built-in
+five, :data:`repro.schemes.SCHEMES`); call :func:`install` to add the
+competitors and :func:`uninstall` to remove them again.  The
+``python -m repro bakeoff`` CLI installs them for every run.
 """
 
 from __future__ import annotations

@@ -20,16 +20,31 @@ misbehaves:
   (``IncastScenario(control=ControlConfig(...))``).
 """
 
-from repro.control.config import ControlConfig
-from repro.control.controller import Controller, build_weighted_tables
-from repro.control.pool import FailoverConfig, ProxyPoolManager
-from repro.control.weights import (
-    WEIGHT_MODELS,
-    delay_weight,
-    hop_weight,
-    queue_weight,
-    resolve_weight_model,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.control.config import ControlConfig
+    from repro.control.controller import Controller, build_weighted_tables
+    from repro.control.pool import FailoverConfig, ProxyPoolManager
+    from repro.control.weights import (
+        WEIGHT_MODELS,
+        delay_weight,
+        hop_weight,
+        queue_weight,
+        resolve_weight_model,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.control.config": ["ControlConfig"],
+    "repro.control.controller": ["Controller", "build_weighted_tables"],
+    "repro.control.pool": ["FailoverConfig", "ProxyPoolManager"],
+    "repro.control.weights": [
+        "WEIGHT_MODELS", "delay_weight", "hop_weight", "queue_weight",
+        "resolve_weight_model",
+    ],
+})
 
 __all__ = [
     "WEIGHT_MODELS",

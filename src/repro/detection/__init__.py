@@ -10,9 +10,17 @@ or false negatives (evict-silently).  :mod:`repro.detection.evaluation`
 measures FP/FN rates and detection latency against ground truth.
 """
 
-from repro.detection.lossdetector import DetectorConfig, FlowTracker, GapLossDetector
-from repro.detection.reorder import ReorderingEstimator
-from repro.detection.evaluation import DetectorEvaluation, StreamEvent, evaluate_detector, synthesize_stream
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.detection.evaluation": [
+        "DetectorEvaluation", "StreamEvent", "evaluate_detector", "synthesize_stream",
+    ],
+    "repro.detection.lossdetector": [
+        "DetectorConfig", "FlowTracker", "GapLossDetector",
+    ],
+    "repro.detection.reorder": ["ReorderingEstimator"],
+})
 
 __all__ = [
     "DetectorConfig",

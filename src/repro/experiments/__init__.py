@@ -24,52 +24,35 @@
   CSV/JSON row exporters.
 """
 
-from repro.experiments.cascade import (
-    CASCADE_SCHEMES,
-    CascadeResult,
-    CascadeScenario,
-    compare_cascade,
-    run_cascade,
-)
-from repro.experiments.convergence import (
-    ConvergenceResult,
-    compare_convergence,
-    measure_convergence,
-)
-from repro.experiments.grid import (
-    GridFold,
-    GridSpec,
-    RunSample,
-    SweepFold,
-    run_grid,
-    sweep_spec,
-)
-from repro.experiments.parallel import (
-    ExecutionStats,
-    ExperimentEngine,
-    ResultCache,
-    RunFailure,
-    scenario_key,
-)
-from repro.experiments.runner import (
-    SCHEMES,
-    IncastResult,
-    IncastScenario,
-    build_scenario,
-    run_incast,
-)
-from repro.experiments.report import export_rows, render_table
-from repro.experiments.service import QueueEngine
-from repro.experiments.verdicts import Scorecard, Verdict, evaluate as evaluate_claims
-from repro.experiments.sweeps import (
-    SchemeSummary,
-    SweepPoint,
-    degree_sweep_spec,
-    latency_sweep_spec,
-    run_scheme_summary,
-    size_sweep_spec,
-    sweep_digest,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.cascade": [
+        "CASCADE_SCHEMES", "CascadeResult", "CascadeScenario", "compare_cascade",
+        "run_cascade",
+    ],
+    "repro.experiments.convergence": [
+        "ConvergenceResult", "compare_convergence", "measure_convergence",
+    ],
+    "repro.experiments.grid": [
+        "GridFold", "GridSpec", "RunSample", "SweepFold", "run_grid", "sweep_spec",
+    ],
+    "repro.experiments.parallel": [
+        "ExecutionStats", "ExperimentEngine", "ResultCache", "RunFailure",
+        "scenario_key",
+    ],
+    "repro.experiments.report": ["export_rows", "render_table"],
+    "repro.experiments.runner": [
+        "IncastResult", "IncastScenario", "build_scenario", "run_incast",
+    ],
+    "repro.experiments.service": ["QueueEngine"],
+    "repro.experiments.sweeps": [
+        "SchemeSummary", "SweepPoint", "degree_sweep_spec", "latency_sweep_spec",
+        "run_scheme_summary", "size_sweep_spec", "sweep_digest",
+    ],
+    "repro.experiments.verdicts": ["Scorecard", "Verdict", "evaluate_claims"],
+    "repro.schemes": ["SCHEMES"],
+})
 
 __all__ = [
     "CASCADE_SCHEMES",

@@ -38,21 +38,13 @@ from repro.faults.injector import FaultContext, arm_faults
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.placement import pick_senders
-from repro.schemes import SCHEME_REGISTRY, SchemeContext
+from repro.schemes import SCHEME_REGISTRY, SCHEMES, SchemeContext  # SCHEMES: re-exported
 from repro.sim.simulator import Simulator, collector_paused
 from repro.telemetry.options import RunOptions
 from repro.telemetry.recorder import TelemetrySnapshot
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import megabytes, seconds
-
-#: Built-in scheme names, in the paper's presentation order.  Kept as a
-#: module constant for backwards compatibility; the registry is the source
-#: of truth and also covers schemes registered after import.
-SCHEMES = SCHEME_REGISTRY.names()
-
-#: Schemes whose forwarding uses switch trimming (the streamlined family).
-_TRIMMING_SCHEMES = SCHEME_REGISTRY.trimming_names()
 
 
 @dataclass(frozen=True)

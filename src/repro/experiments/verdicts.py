@@ -194,6 +194,10 @@ def evaluate(full: bool = False) -> Scorecard:
     return card
 
 
+#: The name :mod:`repro.experiments` re-exports :func:`evaluate` under.
+evaluate_claims = evaluate
+
+
 def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point."""
     parser = argparse.ArgumentParser(description=__doc__)

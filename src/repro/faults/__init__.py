@@ -12,26 +12,18 @@ Public surface:
   (detection, migration, degrade-to-direct, fail-back).
 """
 
-from repro.control.pool import FailoverConfig
-from repro.faults.injector import FaultContext, FaultInjector, arm_faults
-from repro.faults.plan import (
-    EVENT_TYPES,
-    BufferDegrade,
-    CrashRun,
-    FaultEvent,
-    FaultPlan,
-    LinkDown,
-    LinkUp,
-    PacketBlackhole,
-    PacketCorrupt,
-    ProxyCrash,
-    ProxyRestart,
-    StallRun,
-    blackhole_plan,
-    link_flap_plan,
-    merge_plans,
-    proxy_crash_plan,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.control.pool": ["FailoverConfig"],
+    "repro.faults.injector": ["FaultContext", "FaultInjector", "arm_faults"],
+    "repro.faults.plan": [
+        "BufferDegrade", "CrashRun", "EVENT_TYPES", "FaultEvent", "FaultPlan",
+        "LinkDown", "LinkUp", "PacketBlackhole", "PacketCorrupt", "ProxyCrash",
+        "ProxyRestart", "StallRun", "blackhole_plan", "link_flap_plan", "merge_plans",
+        "proxy_crash_plan",
+    ],
+})
 
 __all__ = [
     "EVENT_TYPES",

@@ -16,21 +16,26 @@ The same samplers plug into the simulator (``StreamlinedProxy``'s
 ablation, not just a claim.
 """
 
-from repro.hoststack.distributions import Constant, LatencyDistribution, Lognormal, Mixture
-from repro.hoststack.components import Stage
-from repro.hoststack.pipeline import LatencyPipeline
-from repro.hoststack.deployments import (
-    nic_offload_pipeline,
-    tc_proxy_pipeline,
-    xdp_proxy_pipeline,
-)
-from repro.hoststack.ebpf import (
-    ebpf_forward_path_pipeline,
-    ebpf_reverse_path_pipeline,
-    wire_to_wire_pipeline,
-)
-from repro.hoststack.measurement import LatencyMeasurement, measure_pipeline, sampler_for_sim
-from repro.hoststack.userspace import userspace_proxy_pipeline
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hoststack.components": ["Stage"],
+    "repro.hoststack.deployments": [
+        "nic_offload_pipeline", "tc_proxy_pipeline", "xdp_proxy_pipeline",
+    ],
+    "repro.hoststack.distributions": [
+        "Constant", "LatencyDistribution", "Lognormal", "Mixture",
+    ],
+    "repro.hoststack.ebpf": [
+        "ebpf_forward_path_pipeline", "ebpf_reverse_path_pipeline",
+        "wire_to_wire_pipeline",
+    ],
+    "repro.hoststack.measurement": [
+        "LatencyMeasurement", "measure_pipeline", "sampler_for_sim",
+    ],
+    "repro.hoststack.pipeline": ["LatencyPipeline"],
+    "repro.hoststack.userspace": ["userspace_proxy_pipeline"],
+})
 
 __all__ = [
     "Constant",

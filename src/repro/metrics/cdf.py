@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ReproError
 
 
@@ -18,6 +16,8 @@ class EmpiricalCdf:
     """CDF over a fixed sample set."""
 
     def __init__(self, samples: Iterable[float]) -> None:
+        import numpy as np
+
         values = np.asarray(sorted(samples), dtype=float)
         if values.size == 0:
             raise ReproError("cannot build a CDF from zero samples")
@@ -30,6 +30,8 @@ class EmpiricalCdf:
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` (0-100), linearly interpolated."""
+        import numpy as np
+
         if not 0 <= p <= 100:
             raise ReproError(f"percentile must be in [0, 100], got {p}")
         return float(np.percentile(self._values, p))
@@ -46,10 +48,12 @@ class EmpiricalCdf:
 
     def prob_le(self, x: float) -> float:
         """P(X <= x)."""
-        return float(np.searchsorted(self._values, x, side="right")) / self.n
+        return float(self._values.searchsorted(x, side="right")) / self.n
 
     def points(self, count: int = 100) -> list[tuple[float, float]]:
         """(value, cumulative probability) pairs for plotting/tables."""
+        import numpy as np
+
         if count < 2:
             raise ReproError("need at least 2 CDF points")
         probs = np.linspace(0.0, 100.0, count)

@@ -8,25 +8,22 @@ NIC.  The control plane — who sends what, when — lives in
 :mod:`repro.transport` and :mod:`repro.proxy`.
 """
 
-from repro.net.network import Network
-from repro.net.node import Host, Node, Switch
-from repro.net.packet import Packet, PacketType
-from repro.net.port import OutputPort
-from repro.net.queues import (
-    DropTailQueue,
-    EcnQueue,
-    EnqueueOutcome,
-    HostQueue,
-    QueueStats,
-    TrimmingQueue,
-)
-from repro.net.routing import (
-    DisjointSprayRouting,
-    EcmpRouting,
-    SprayRouting,
-    build_next_hop_tables,
-    install_disjoint_spray,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.network": ["Network"],
+    "repro.net.node": ["Host", "Node", "Switch"],
+    "repro.net.packet": ["Packet", "PacketType"],
+    "repro.net.port": ["OutputPort"],
+    "repro.net.queues": [
+        "DropTailQueue", "EcnQueue", "EnqueueOutcome", "HostQueue", "QueueStats",
+        "TrimmingQueue",
+    ],
+    "repro.net.routing": [
+        "DisjointSprayRouting", "EcmpRouting", "SprayRouting", "build_next_hop_tables",
+        "install_disjoint_spray",
+    ],
+})
 
 __all__ = [
     "DisjointSprayRouting",

@@ -9,17 +9,18 @@ runner that executes many concurrent incasts under a chosen strategy so
 the trade-offs are measurable.
 """
 
-from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
-from repro.orchestration.state import ProxyInfo, ProxyRegistry
-from repro.orchestration.policies import (
-    least_bytes,
-    least_loaded,
-    make_queue_depth,
-    make_round_robin,
-)
-from repro.orchestration.central import CentralOrchestrator
-from repro.orchestration.decentralized import DecentralizedSelector
-from repro.orchestration.run import MultiIncastResult, run_concurrent_incasts
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.orchestration.admission": ["AdmissionDecision", "ProxyAdmissionPolicy"],
+    "repro.orchestration.central": ["CentralOrchestrator"],
+    "repro.orchestration.decentralized": ["DecentralizedSelector"],
+    "repro.orchestration.policies": [
+        "least_bytes", "least_loaded", "make_queue_depth", "make_round_robin",
+    ],
+    "repro.orchestration.run": ["MultiIncastResult", "run_concurrent_incasts"],
+    "repro.orchestration.state": ["ProxyInfo", "ProxyRegistry"],
+})
 
 __all__ = [
     "AdmissionDecision",

@@ -15,18 +15,20 @@ Two mechanisms the research agenda calls for:
   :func:`make_detection_backend`.
 """
 
-from repro.patterns.controller import ControllerConfig, PatternAwareController
-from repro.patterns.detector import DetectionEvent, DetectorSettings, OnlineIncastDetector
-from repro.patterns.distributed import (
-    DETECTION_BACKENDS,
-    DistributedIncastDetector,
-    LocalIncastSketch,
-    SketchSettings,
-    feed_controller,
-    make_detection_backend,
-)
-from repro.patterns.predictor import PeriodEstimate, PeriodicIncastPredictor
-from repro.patterns.run import PatternAwareResult, run_pattern_aware
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.patterns.controller": ["ControllerConfig", "PatternAwareController"],
+    "repro.patterns.detector": [
+        "DetectionEvent", "DetectorSettings", "OnlineIncastDetector",
+    ],
+    "repro.patterns.distributed": [
+        "DETECTION_BACKENDS", "DistributedIncastDetector", "LocalIncastSketch",
+        "SketchSettings", "feed_controller", "make_detection_backend",
+    ],
+    "repro.patterns.predictor": ["PeriodEstimate", "PeriodicIncastPredictor"],
+    "repro.patterns.run": ["PatternAwareResult", "run_pattern_aware"],
+})
 
 __all__ = [
     "ControllerConfig",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.patterns.predictor import PeriodicIncastPredictor
 from repro.units import milliseconds
@@ -111,6 +109,8 @@ class PatternAwareController:
         length = last_bin + 1
         if length < 4 * self.predictor.min_period:
             return
+        import numpy as np
+
         series = np.zeros(length)
         for bin_index, volume in state.bins.items():
             series[bin_index] = volume

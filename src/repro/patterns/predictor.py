@@ -11,10 +11,12 @@ long-haul link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class PeriodicIncastPredictor:
 
     def estimate(self, series: "np.ndarray | list[float]") -> PeriodEstimate:
         """Estimate the dominant period of ``series`` (traffic per time bin)."""
+        import numpy as np
+
         x = np.asarray(series, dtype=float)
         if x.size < 4 * self.min_period:
             raise ConfigError(
@@ -76,7 +80,7 @@ class PeriodicIncastPredictor:
         if period <= 0:
             return len(series)
         tail = series[-3 * period :] if series.size >= 3 * period else series
-        offset = int(np.argmax(tail)) + (series.size - tail.size)
+        offset = int(tail.argmax()) + (series.size - tail.size)
         next_burst = offset
         while next_burst < series.size:
             next_burst += period

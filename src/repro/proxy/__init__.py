@@ -14,11 +14,15 @@
   helpers shared by the experiment runner and the orchestrator.
 """
 
-from repro.proxy.cascade import RelayChain, build_relay_chain
-from repro.proxy.naive import NaiveProxy, NaiveRelayedFlow
-from repro.proxy.placement import pick_proxy_host, pick_senders
-from repro.proxy.streamlined import ProxyStats, StreamlinedProxy
-from repro.proxy.trimless import TrimlessStreamlinedProxy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.proxy.cascade": ["RelayChain", "build_relay_chain"],
+    "repro.proxy.naive": ["NaiveProxy", "NaiveRelayedFlow"],
+    "repro.proxy.placement": ["pick_proxy_host", "pick_senders"],
+    "repro.proxy.streamlined": ["ProxyStats", "StreamlinedProxy"],
+    "repro.proxy.trimless": ["TrimlessStreamlinedProxy"],
+})
 
 __all__ = [
     "NaiveProxy",

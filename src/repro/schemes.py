@@ -461,3 +461,8 @@ SCHEME_REGISTRY.register(SchemeSpec(
     make_proxy=_make_streamlined_proxy,
     wire=_wire_proxy_failover,
 ))
+
+#: The built-in scheme names.  Taken here, not where a harness is first
+#: imported, so ``repro.competitors.install()`` can never be in it; the
+#: registry is the source of truth and covers schemes registered later.
+SCHEMES = SCHEME_REGISTRY.names()

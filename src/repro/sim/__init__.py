@@ -7,18 +7,38 @@ sink.  Everything else in the library (links, queues, transports, proxies)
 is expressed as callbacks scheduled on a :class:`~repro.sim.simulator.Simulator`.
 """
 
-from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.sim.events import Event
-from repro.sim.rng import RngRegistry, SimRandom, derive_stream
-from repro.sim.scheduler import EventScheduler
-from repro.sim.simulator import Simulator
-from repro.sim.timers import Timer
-from repro.sim.tracing import CsvTracer, NullTracer, RecordingTracer, TraceRecord, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.checkpoint import (
+        CHECKPOINT_SCHEMA_VERSION,
+        CheckpointError,
+        load_checkpoint,
+        save_checkpoint,
+    )
+    from repro.sim.events import Event
+    from repro.sim.rng import RngRegistry, SimRandom, derive_stream
+    from repro.sim.scheduler import EventScheduler
+    from repro.sim.simulator import Simulator
+    from repro.sim.timers import Timer
+    from repro.sim.tracing import CsvTracer, NullTracer, RecordingTracer, TraceRecord, Tracer
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.checkpoint": [
+        "CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "load_checkpoint",
+        "save_checkpoint",
+    ],
+    "repro.sim.events": ["Event"],
+    "repro.sim.rng": ["RngRegistry", "SimRandom", "derive_stream"],
+    "repro.sim.scheduler": ["EventScheduler"],
+    "repro.sim.simulator": ["Simulator"],
+    "repro.sim.timers": ["Timer"],
+    "repro.sim.tracing": [
+        "CsvTracer", "NullTracer", "RecordingTracer", "TraceRecord", "Tracer",
+    ],
+})
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",

@@ -19,27 +19,22 @@ Disabled runs pay one hoisted attribute check per run (see
 simulation results are bit-identical with telemetry on or off.
 """
 
-from repro.telemetry.instrumentation import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    NullInstrumentation,
-)
-from repro.telemetry.options import RunOptions
-from repro.telemetry.recorder import (
-    DEFAULT_MAX_SAMPLES,
-    DEFAULT_MAX_SERIES,
-    DEFAULT_SAMPLE_INTERVAL_PS,
-    RunProfile,
-    TelemetryRecorder,
-    TelemetrySnapshot,
-)
-from repro.telemetry.sweep import (
-    TELEMETRY_JSON_SCHEMA,
-    TELEMETRY_SCHEMA_VERSION,
-    RunRecord,
-    SweepTelemetry,
-    validate_sweep_telemetry,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.instrumentation": [
+        "Instrumentation", "NULL_INSTRUMENTATION", "NullInstrumentation",
+    ],
+    "repro.telemetry.options": ["RunOptions"],
+    "repro.telemetry.recorder": [
+        "DEFAULT_MAX_SAMPLES", "DEFAULT_MAX_SERIES", "DEFAULT_SAMPLE_INTERVAL_PS",
+        "RunProfile", "TelemetryRecorder", "TelemetrySnapshot",
+    ],
+    "repro.telemetry.sweep": [
+        "RunRecord", "SweepTelemetry", "TELEMETRY_JSON_SCHEMA",
+        "TELEMETRY_SCHEMA_VERSION", "validate_sweep_telemetry",
+    ],
+})
 
 __all__ = [
     "DEFAULT_MAX_SAMPLES",

@@ -5,9 +5,13 @@
 leaf–spine datacenters joined by backbone routers over long-haul links.
 """
 
-from repro.topology.interdc import InterDcNetwork, build_interdc
-from repro.topology.leafspine import Fabric, build_leafspine
-from repro.topology.multidc import MultiDcConfig, MultiDcNetwork, build_multidc
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.interdc": ["InterDcNetwork", "build_interdc"],
+    "repro.topology.leafspine": ["Fabric", "build_leafspine"],
+    "repro.topology.multidc": ["MultiDcConfig", "MultiDcNetwork", "build_multidc"],
+})
 
 __all__ = [
     "Fabric",

@@ -5,14 +5,18 @@ Public surface: :class:`Connection` (wires a sender/receiver pair across a
 congestion controllers, and the RTT estimator.
 """
 
-from repro.transport.aimd import RenoAimd
-from repro.transport.cc_base import CongestionControl, UnlimitedWindow
-from repro.transport.connection import Connection, make_congestion_control
-from repro.transport.dctcp import DctcpLike
-from repro.transport.rate_based import RateBased
-from repro.transport.receiver import AckingReceiver, ReceiverStats
-from repro.transport.rtt import RttEstimator
-from repro.transport.sender import SenderStats, WindowedSender
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transport.aimd": ["RenoAimd"],
+    "repro.transport.cc_base": ["CongestionControl", "UnlimitedWindow"],
+    "repro.transport.connection": ["Connection", "make_congestion_control"],
+    "repro.transport.dctcp": ["DctcpLike"],
+    "repro.transport.rate_based": ["RateBased"],
+    "repro.transport.receiver": ["AckingReceiver", "ReceiverStats"],
+    "repro.transport.rtt": ["RttEstimator"],
+    "repro.transport.sender": ["SenderStats", "WindowedSender"],
+})
 
 __all__ = [
     "AckingReceiver",

@@ -22,29 +22,53 @@ open-loop production traffic: seeded arrivals, heavy-tailed sizes
 metric folds over minutes of simulated time.
 """
 
-from repro.workloads.arrivals import ArrivalConfig, periodic_incasts, poisson_incasts
-from repro.workloads.engine import (
-    DiurnalCurve,
-    OpenLoopEngine,
-    WorkloadEngineConfig,
-    WorkloadFold,
-    WorkloadResult,
-    rss_plateau_ok,
-)
-from repro.workloads.georeplication import QuorumConfig, quorum_write_jobs
-from repro.workloads.incast import IncastJob, uniform_incast
-from repro.workloads.moe import MoEConfig, moe_combine_jobs, moe_dispatch_jobs
-from repro.workloads.registry import (
-    WORKLOAD_REGISTRY,
-    TenantRequest,
-    WorkloadRegistry,
-    WorkloadSpec,
-    build_workload,
-    register_workload,
-    tenant_jobs,
-)
-from repro.workloads.sizes import HeavyTailConfig
-from repro.workloads.storage import ReconstructionConfig, reconstruction_jobs
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.arrivals import ArrivalConfig, periodic_incasts, poisson_incasts
+    from repro.workloads.engine import (
+        DiurnalCurve,
+        OpenLoopEngine,
+        WorkloadEngineConfig,
+        WorkloadFold,
+        WorkloadResult,
+        rss_plateau_ok,
+    )
+    from repro.workloads.georeplication import QuorumConfig, quorum_write_jobs
+    from repro.workloads.incast import IncastJob, uniform_incast
+    from repro.workloads.moe import MoEConfig, moe_combine_jobs, moe_dispatch_jobs
+    from repro.workloads.registry import (
+        WORKLOAD_REGISTRY,
+        TenantRequest,
+        WorkloadRegistry,
+        WorkloadSpec,
+        build_workload,
+        register_workload,
+        tenant_jobs,
+    )
+    from repro.workloads.sizes import HeavyTailConfig
+    from repro.workloads.storage import ReconstructionConfig, reconstruction_jobs
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.arrivals": [
+        "ArrivalConfig", "periodic_incasts", "poisson_incasts",
+    ],
+    "repro.workloads.engine": [
+        "DiurnalCurve", "OpenLoopEngine", "WorkloadEngineConfig", "WorkloadFold",
+        "WorkloadResult", "rss_plateau_ok",
+    ],
+    "repro.workloads.georeplication": ["QuorumConfig", "quorum_write_jobs"],
+    "repro.workloads.incast": ["IncastJob", "uniform_incast"],
+    "repro.workloads.moe": ["MoEConfig", "moe_combine_jobs", "moe_dispatch_jobs"],
+    "repro.workloads.registry": [
+        "TenantRequest", "WORKLOAD_REGISTRY", "WorkloadRegistry", "WorkloadSpec",
+        "build_workload", "register_workload", "tenant_jobs",
+    ],
+    "repro.workloads.sizes": ["HeavyTailConfig"],
+    "repro.workloads.storage": ["ReconstructionConfig", "reconstruction_jobs"],
+})
 
 __all__ = [
     "ArrivalConfig",

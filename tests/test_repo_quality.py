@@ -48,13 +48,83 @@ class TestDocstrings:
         assert not undocumented, f"undocumented public items: {undocumented}"
 
 
+SRC_ROOT = REPO_ROOT / "src"
+#: Every package under ``src/repro``, found on disk (SUBPACKAGES is by hand).
+ALL_PACKAGES = sorted(
+    ".".join(init.parent.relative_to(SRC_ROOT).parts)
+    for init in (SRC_ROOT / "repro").rglob("__init__.py")
+)
+#: Defines ``install()`` itself, so it keeps module-scope imports of its wirers.
+EAGER_PACKAGES = {"repro.competitors"}
+
+
+def lazy_table(package):
+    """``name -> defining module``, read off the table in the package root."""
+    for node in ast.walk(ast.parse(Path(package.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "lazy_exports":
+            table = ast.literal_eval(node.args[1])
+            return {name: module for module, names in table.items() for name in names}
+    return {}
+
+
+def module_scope_imports(tree):
+    """The modules a module imports when it is imported (the body of an
+    ``if TYPE_CHECKING:`` never runs and is skipped)."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" not in ast.dump(node.test):
+            yield from module_scope_imports(node)
+
+
 class TestExports:
-    @pytest.mark.parametrize("package_name", ["repro", *SUBPACKAGES])
+    @pytest.mark.parametrize("package_name", ALL_PACKAGES)
     def test_subpackage_all_is_importable(self, package_name):
         package = importlib.import_module(package_name)
         assert hasattr(package, "__all__"), f"{package_name} lacks __all__"
+        table = lazy_table(package)
+        if package_name not in EAGER_PACKAGES:
+            assert set(table) == set(package.__all__) - {"__version__"}
         for name in package.__all__:
             assert hasattr(package, name), f"{package_name}.__all__ lists missing {name}"
+            if name in table:
+                defined = getattr(importlib.import_module(table[name]), name)
+                assert getattr(package, name) is defined, f"{package_name}.{name}"
+        assert set(package.__all__) <= set(dir(package))
+
+    @pytest.mark.parametrize(
+        "package_name", [p for p in ALL_PACKAGES if p not in EAGER_PACKAGES]
+    )
+    def test_lazy_export_is_resolved_once(self, package_name, monkeypatch):
+        package = importlib.import_module(package_name)
+        calls = []
+        resolve = package.__getattr__
+        monkeypatch.setattr(
+            package, "__getattr__", lambda name: calls.append(name) or resolve(name)
+        )
+        name = next(iter(lazy_table(package)))
+        vars(package).pop(name, None)  # as in a process that never asked for it
+        assert getattr(package, name) is getattr(package, name)
+        assert calls == [name]
+        with pytest.raises(AttributeError, match=f"'{package_name}'.*'no_such_name'"):
+            package.no_such_name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(repro.__all__)
+        assert all(namespace[name] is getattr(repro, name) for name in namespace)
+
+    def test_unlisted_submodule_resolves_as_an_attribute(self):
+        # `import repro; repro.experiments.QueueEngine` worked when the root
+        # imported the experiment stack eagerly, and still does.
+        vars(repro).pop("experiments", None)
+        assert repro.experiments is importlib.import_module("repro.experiments")
+        from repro.experiments.service import QueueEngine
+        assert repro.experiments.QueueEngine is QueueEngine
 
     def test_all_lists_are_sorted(self):
         unsorted = []
@@ -64,6 +134,41 @@ class TestExports:
             if exported != sorted(exported):
                 unsorted.append(package_name)
         assert not unsorted, f"unsorted __all__: {unsorted}"
+
+
+class TestImportLayout:
+    """One lazy-export mechanism, and optional dependencies at their use site."""
+
+    def sources(self, pattern="*.py"):
+        for path in sorted((SRC_ROOT / "repro").rglob(pattern)):
+            yield str(path.relative_to(SRC_ROOT)), ast.parse(path.read_text())
+
+    def test_package_roots_import_no_sibling_at_module_scope(self):
+        eager = [
+            f"{path}: {module}"
+            for path, tree in self.sources("__init__.py")
+            if path != "repro/competitors/__init__.py"
+            for module in module_scope_imports(tree)
+            if module.split(".")[0] == "repro" and module != "repro._lazy"
+        ]
+        assert not eager, f"package roots importing eagerly: {eager}"
+
+    def test_numpy_is_imported_at_module_scope_nowhere(self):
+        offenders = [
+            path for path, tree in self.sources()
+            if any(m.split(".")[0] == "numpy" for m in module_scope_imports(tree))
+        ]
+        assert not offenders, f"module-scope numpy imports: {offenders}"
+
+    def test_the_helper_is_the_only_lazy_export_implementation(self):
+        # A PEP 562 hook is a module-scope ``def``; the roots *assign* theirs
+        # from ``lazy_exports``, whose own two are nested in it.
+        hand_written = [
+            path for path, tree in self.sources() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("__getattr__", "__dir__")
+        ]
+        assert not hand_written, f"hand-written module hooks: {hand_written}"
 
 
 class TestFrozenBenchmarkSurface:
