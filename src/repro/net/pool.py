@@ -29,19 +29,24 @@ packet) has exited by then.  A sanitizing pool additionally stamps each
 packet with acquire/release *provenance* (the first caller frame outside
 the pool, as ``file:line``), so a double release names both offending
 sites instead of just the packet.
+
+Checkpoints: the free list is a cache, not state.  A pickled pool carries
+its counters and an *empty* free list (:meth:`PacketPool.__getstate__`), so
+a checkpoint holds the packets in flight and none of the dead ones.  The
+restored pool refills as traffic releases; every restored in-flight packet
+still points at it, and ``allocated + reused - released`` (the live count)
+is the same on both sides of a restore.  Only ``free`` — which restarts at
+0 — and how the next acquisitions split between ``allocated`` and
+``reused`` differ, and no digest reads those.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING
 
 from repro.errors import SanitizerError
 from repro.net import packet as _packet_module
 from repro.net.packet import HEADER_BYTES, Packet, PacketType
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: ``sys.getrefcount(packet)`` for a packet freshly popped off the free
 #: list with no leaked references: the local variable plus the getrefcount
@@ -78,6 +83,17 @@ class PacketPool:
         self.allocated = 0
         self.reused = 0
         self.released = 0
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        """Pickle the counters and the sanitize flag with an empty free list.
+
+        Nothing reads a dead packet's fields (every constructor rewrites
+        them all), so carrying the carcasses across a checkpoint buys only
+        the allocations the restored run would otherwise repeat.
+        """
+        state: dict[str, object] = {name: getattr(self, name) for name in self.__slots__}
+        state["_free"] = []
+        return None, state
 
     # -- internals ----------------------------------------------------------
 
@@ -134,7 +150,12 @@ class PacketPool:
         return len(self._free)
 
     def stats(self) -> dict[str, int]:
-        """Snapshot for reports and benchmarks."""
+        """Snapshot for reports and benchmarks.
+
+        ``allocated + reused - released`` is the number of packets in
+        flight and survives a checkpoint restore; ``free`` restarts at 0
+        there, because a checkpoint carries the counters, not the carcasses.
+        """
         return {
             "allocated": self.allocated,
             "reused": self.reused,

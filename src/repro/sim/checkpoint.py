@@ -4,11 +4,13 @@ A long-horizon run (minutes of simulated time, hours of wall-clock) must
 survive preemption the way the sweep service's grids already do: SIGKILL
 at any point, restart, and finish with a digest bit-identical to the
 uninterrupted run.  The unit of durability here is the whole simulation
-object graph — scheduler entries, packet pool, per-flow transport state,
-hosts, proxies, RNG substreams, and whatever fold state the caller nests
-alongside them — captured *between* ``run()`` segments, when the
-simulator is quiescent and pause/resume is already exactly equivalent to
-one long run.
+object graph — scheduler entries, the packets in flight, per-flow
+transport state, hosts, proxies, the RNG substreams seeded so far, and
+whatever fold state the caller nests alongside them — captured *between*
+``run()`` segments, when the simulator is quiescent and pause/resume is
+already exactly equivalent to one long run.  What a class holds only as a
+cache it leaves out of its own pickled state (the packet pool's free list);
+this module does not know which classes those are.
 
 Why not plain :mod:`pickle`?  The graph holds a handful of closures and
 lambdas (completion callbacks, orchestration policies, probe bodies) that
@@ -22,7 +24,9 @@ of the graph restore as one object, not copies.
 Restore runs the same interpreter and library version that saved; the
 file header records :data:`CHECKPOINT_SCHEMA_VERSION`, the Python
 version, and a payload digest, and :func:`load_checkpoint` refuses
-mismatches rather than resuming silently wrong.
+mismatches rather than resuming silently wrong.  Every failure on either
+side — unwritable path, truncated or foreign header, corrupt payload —
+is a :class:`CheckpointError`.
 
 Known limitation: a closure cell that is *rebound* (``nonlocal x; x = …``)
 after a checkpoint restores with its saved contents but loses cell
@@ -33,6 +37,7 @@ simulation graph mutates shared containers instead of rebinding cells
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import io
@@ -55,6 +60,10 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
 CHECKPOINT_SCHEMA_VERSION = 1
 
 _MAGIC = b"RPCKPT\x00"
+#: magic, schema version, length of the python tag; the tag and the payload's
+#: sha256 follow, then the payload.
+_HEADER_FIXED = struct.Struct(f"<{len(_MAGIC)}sIH")
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 class CheckpointError(SimulationError):
@@ -165,7 +174,6 @@ def save_checkpoint(path: str | Path, payload: Any) -> Path:
     checkpointable and surface here as :class:`CheckpointError`.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         body = dumps(payload)
     except CheckpointError:
@@ -174,20 +182,22 @@ def save_checkpoint(path: str | Path, payload: Any) -> Path:
         raise CheckpointError(f"checkpoint payload is not serializable: {exc!r}") from exc
     tag = _python_tag().encode()
     digest = hashlib.sha256(body).digest()
-    header = (
-        _MAGIC
-        + struct.pack("<I", CHECKPOINT_SCHEMA_VERSION)
-        + struct.pack("<H", len(tag))
-        + tag
-        + digest
-    )
+    header = _HEADER_FIXED.pack(_MAGIC, CHECKPOINT_SCHEMA_VERSION, len(tag)) + tag + digest
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("wb") as fh:
+            fh.write(header)
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        # No litter beside the last good file, which is untouched: it is only
+        # ever replaced by a fully synced successor.
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     return path
 
 
@@ -200,25 +210,28 @@ def load_checkpoint(path: str | Path) -> Any:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not blob.startswith(_MAGIC):
         raise CheckpointError(f"{path} is not a repro checkpoint")
-    offset = len(_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    truncated = f"checkpoint {path} is truncated (incomplete header)"
+    if len(blob) < _HEADER_FIXED.size:
+        raise CheckpointError(truncated)
+    _magic, version, tag_len = _HEADER_FIXED.unpack_from(blob)
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint schema {version} != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
-    (tag_len,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    tag = blob[offset:offset + tag_len].decode()
-    offset += tag_len
+    offset = _HEADER_FIXED.size + tag_len
+    if len(blob) < offset + _DIGEST_BYTES:
+        raise CheckpointError(truncated)
+    try:
+        tag = blob[_HEADER_FIXED.size:offset].decode()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {path} has an undecodable python tag") from exc
     if tag != _python_tag():
         raise CheckpointError(
             f"checkpoint written by {tag}, running {_python_tag()}: "
             "marshal'd code objects are not portable across interpreter versions"
         )
-    digest = blob[offset:offset + 32]
-    offset += 32
-    body = blob[offset:]
+    digest = blob[offset:offset + _DIGEST_BYTES]
+    body = blob[offset + _DIGEST_BYTES:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"checkpoint {path} is corrupt (digest mismatch)")
     try:

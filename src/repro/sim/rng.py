@@ -63,6 +63,10 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
+    def __len__(self) -> int:
+        """How many named streams have been seeded so far."""
+        return len(self._streams)
+
     def fork(self, salt: int) -> "RngRegistry":
         """A registry whose streams are independent of this one (e.g. per rep)."""
         return RngRegistry((self._seed * 1_000_003 + salt) & 0xFFFFFFFFFFFFFFFF)

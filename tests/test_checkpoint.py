@@ -1,11 +1,14 @@
 """Checkpoint/restore: file format, closure pickling, kill/resume digests."""
 
+import gc
+import os
 import struct
 
 import pytest
 
 from repro.competitors import install, uninstall
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
+from repro.net.packet import Packet
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -87,6 +90,56 @@ class TestCheckpointFormat:
         assert load_checkpoint(path) == "second"
         assert not (tmp_path / "a.ckpt.tmp").exists()
 
+    def test_every_header_truncation_is_a_checkpoint_error(self, tmp_path):
+        blob = save_checkpoint(tmp_path / "whole.ckpt", {"k": "v"}).read_bytes()
+        tag_start = len(_MAGIC) + 4 + 2
+        (tag_len,) = struct.unpack_from("<H", blob, tag_start - 2)
+        header_len = tag_start + tag_len + 32
+        path = tmp_path / "cut.ckpt"
+        for cut in range(header_len + 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError) as caught:
+                load_checkpoint(path)
+            if len(_MAGIC) <= cut < header_len:
+                # Inside the tag or the digest too: not "written by cpy".
+                assert "truncated" in str(caught.value), cut
+
+    def test_undecodable_python_tag_is_a_checkpoint_error(self, tmp_path):
+        tag = b"\xff\xfe\xfd"
+        path = tmp_path / "tag.ckpt"
+        path.write_bytes(
+            _MAGIC
+            + struct.pack("<I", CHECKPOINT_SCHEMA_VERSION)
+            + struct.pack("<H", len(tag))
+            + tag
+            + b"\x00" * 32
+        )
+        with pytest.raises(CheckpointError, match="undecodable"):
+            load_checkpoint(path)
+
+    def test_unwritable_path_is_a_checkpoint_error(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file where a directory is needed")
+        with pytest.raises(CheckpointError, match="cannot write") as caught:
+            save_checkpoint(blocker / "x.ckpt", [1])
+        assert isinstance(caught.value.__cause__, OSError)
+        assert blocker.read_text().startswith("a regular file")
+
+    def test_failed_write_leaves_no_litter_and_the_last_good_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = save_checkpoint(tmp_path / "a.ckpt", "first")
+
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(CheckpointError, match="cannot write") as caught:
+            save_checkpoint(path, "second")
+        assert isinstance(caught.value.__cause__, OSError)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+        assert load_checkpoint(path) == "first"
+
 
 def _module_level_probe(x):
     return x + 1
@@ -162,6 +215,76 @@ def _advance_to(engine, until_ps):
         engine.sim.run(until=boundary)
         engine.segments_done += 1
         engine.rss_track.append((engine.sim.now, 0))
+
+
+def _live(pool):
+    """Packets in flight: acquired and not yet released."""
+    return pool.allocated + pool.reused - pool.released
+
+
+def _packets_of(pool):
+    """Every Packet alive that belongs to ``pool``, in flight or dead."""
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Packet) and obj._pool is pool
+    ]
+
+
+class TestMidBurstRestore:
+    """A checkpoint at an arbitrary instant carries the packets in flight,
+    none of the dead ones, and resumes bit-identical (ROADMAP 4(d))."""
+
+    def test_every_scheme_resumes_from_a_mid_burst_checkpoint(
+        self, competitors, tmp_path
+    ):
+        for scheme in SCHEME_REGISTRY.names():
+            uninterrupted = OpenLoopEngine(_tiny_config(scheme)).run()
+            # sanitize=True stamps acquire/release provenance on every
+            # packet from t = 0; the strings must travel and the restored
+            # pool must neither trip on release nor on reuse.
+            for sanitize in (False, True):
+                engine = OpenLoopEngine(_tiny_config(scheme))
+                pool = engine.sim.packet_pool
+                pool.sanitize = sanitize
+                while not (_live(pool) and len(pool)):
+                    engine.sim.run(max_events=997)
+                live = _live(pool)
+                path = save_checkpoint(tmp_path / f"{scheme}.ckpt", engine)
+
+                restored = load_checkpoint(path)
+                restored_pool = restored.sim.packet_pool
+                assert len(restored_pool) == 0, scheme
+                assert restored_pool.stats()["free"] == 0
+                assert _live(restored_pool) == live, scheme
+                travelled = _packets_of(restored_pool)
+                assert len(travelled) == live, scheme  # no dead packet travels
+                if sanitize:
+                    assert restored_pool.sanitize
+                    assert all(p._acquired_at for p in travelled), scheme
+                del travelled  # a sanitizing pool refuses referenced packets
+
+                assert restored.run().digest == uninterrupted.digest, scheme
+                assert len(restored_pool) > 0  # refilled as traffic released
+                if not sanitize:
+                    # Saving is not an event: the original, driven on, agrees.
+                    assert engine.run().digest == uninterrupted.digest, scheme
+
+    def test_checkpoint_before_the_first_event_resumes_identically(self, tmp_path):
+        # Straight after construction nothing has drawn and the pool has
+        # never allocated: every first draw of the run is a restored
+        # stream's first draw.
+        config = _tiny_config("streamlined")
+        uninterrupted = OpenLoopEngine(config)
+        reference = uninterrupted.run()
+
+        path = save_checkpoint(tmp_path / "fresh.ckpt", OpenLoopEngine(config))
+        restored = load_checkpoint(path)
+        assert restored.sim.events_executed == 0
+        assert restored.sim.packet_pool.stats() == {
+            "allocated": 0, "reused": 0, "released": 0, "free": 0,
+        }
+        assert restored.run().digest == reference.digest
+        assert len(restored.sim.rng) == len(uninterrupted.sim.rng)
 
 
 class TestKillRestoreDigests:

@@ -1,4 +1,6 @@
-"""PacketPool recycling, safety rails, and simulator integration."""
+"""PacketPool recycling, safety rails, pickling, and simulator integration."""
+
+import pickle
 
 import pytest
 
@@ -133,6 +135,40 @@ class TestProvenance:
         again = pool.data(2, 0, 10, 20, 1000)
         assert again._released_at is None
         assert again._acquired_at is not None
+
+
+class TestPickling:
+    """A checkpoint carries the pool's counters, not its carcasses."""
+
+    def test_pickled_pool_keeps_counters_and_drops_the_free_list(self):
+        pool = PacketPool(sanitize=True)
+        in_flight = pool.data(1, 0, 10, 20, 1000)
+        pool.data(1, 1, 10, 20, 1000).release()
+        before = pool.stats()
+        assert before["free"] == 1
+
+        restored_pool, restored_packet = pickle.loads(
+            pickle.dumps((pool, in_flight))
+        )
+        assert pool.stats() == before  # saving does not drain the original
+        assert restored_pool.stats() == {**before, "free": 0}
+        assert restored_pool.sanitize
+        assert restored_packet._pool is restored_pool
+        assert restored_packet._acquired_at == in_flight._acquired_at
+
+    def test_restored_pool_refills_from_restored_packets(self):
+        pool = PacketPool()
+        in_flight = pool.data(1, 0, 10, 20, 1000)
+        restored_pool, packet = pickle.loads(pickle.dumps((pool, in_flight)))
+        packet.release()
+        assert len(restored_pool) == 1
+        with pytest.raises(SanitizerError, match="released twice"):
+            packet.release()
+        assert restored_pool.ack(
+            2, 20, 10, ack_seq=1, echo_seq=0, ecn_echo=False, ts_echo=1
+        ) is packet
+        assert restored_pool.stats() == {"allocated": 1, "reused": 1,
+                                         "released": 1, "free": 0}
 
 
 class TestFaultPlanDiagnostics:

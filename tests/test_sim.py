@@ -350,6 +350,14 @@ class TestRngRegistry:
         reg = RngRegistry(0)
         assert reg.stream("a") is reg.stream("a")
 
+    def test_len_counts_the_streams_seeded_so_far(self):
+        reg = RngRegistry(0)
+        assert len(reg) == 0
+        reg.stream("a")
+        reg.stream("a")
+        reg.stream("b")
+        assert len(reg) == 2
+
     def test_fork_differs(self):
         reg = RngRegistry(5)
         forked = reg.fork(1)
