@@ -11,9 +11,8 @@ import pytest
 
 from dataclasses import replace
 
-from repro.config import FabricConfig, QueueSpec, TransportConfig
+from repro.config import FabricConfig, MultiDcConfig, QueueSpec, TransportConfig
 from repro.experiments.cascade import CascadeScenario, run_cascade
-from repro.topology.multidc import MultiDcConfig
 from repro.units import kilobytes, megabytes, milliseconds
 
 from benchmarks.conftest import run_once

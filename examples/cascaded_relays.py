@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.config import FabricConfig, QueueSpec, TransportConfig
+from repro.config import FabricConfig, MultiDcConfig, QueueSpec, TransportConfig
 from repro.experiments.cascade import CascadeScenario, run_cascade
-from repro.topology.multidc import MultiDcConfig
 from repro.units import format_duration, kilobytes, megabytes, milliseconds
 
 

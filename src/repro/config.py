@@ -202,23 +202,26 @@ class FabricConfig:
         return self.leaves * self.servers_per_leaf
 
 
+def _backbone_queue() -> QueueSpec:
+    """The paper's deep backbone-router buffers."""
+    return QueueSpec(
+        kind="ecn",
+        capacity_bytes=megabytes(49.8),
+        ecn_low_bytes=megabytes(9.96),
+        ecn_high_bytes=megabytes(39.84),
+    )
+
+
 @dataclass(frozen=True)
 class InterDcConfig:
-    """Two fabrics joined by backbone routers (paper §4.1)."""
+    """Two fabrics joined by backbone routers (paper §4.1): a one-segment line."""
 
     fabric: FabricConfig = field(default_factory=FabricConfig)
     backbone_routers: int = 64
     backbone_per_spine: int = 8
     backbone_rate_bps: float = gbps(100)
     backbone_delay_ps: int = milliseconds(1)
-    backbone_queue: QueueSpec = field(
-        default_factory=lambda: QueueSpec(
-            kind="ecn",
-            capacity_bytes=megabytes(49.8),
-            ecn_low_bytes=megabytes(9.96),
-            ecn_high_bytes=megabytes(39.84),
-        )
-    )
+    backbone_queue: QueueSpec = field(default_factory=_backbone_queue)
     trimming: bool = False
 
     def __post_init__(self) -> None:
@@ -239,6 +242,11 @@ class InterDcConfig:
                 f"{self.backbone_routers})"
             )
 
+    @property
+    def segment_delays_ps(self) -> tuple[int, ...]:
+        """The one segment's long-haul latency, shaped like :class:`MultiDcConfig`'s."""
+        return (self.backbone_delay_ps,)
+
     def with_trimming(self, enabled: bool) -> "InterDcConfig":
         """The same config with packet trimming toggled on every switch."""
         return replace(self, trimming=enabled)
@@ -250,6 +258,28 @@ class InterDcConfig:
     def with_shared_buffers(self, alpha: float) -> "InterDcConfig":
         """The same config with DT shared buffers on every fabric switch."""
         return replace(self, fabric=replace(self.fabric, shared_buffer_alpha=alpha))
+
+
+@dataclass(frozen=True)
+class MultiDcConfig:
+    """A line of datacenters (metro DC → regional hub → remote region) joined
+    by per-segment backbones: the cascaded-proxy extension's substrate."""
+
+    fabric: FabricConfig = field(default_factory=FabricConfig)
+    #: long-haul latency of each segment; len+1 datacenters are built.
+    segment_delays_ps: tuple[int, ...] = (milliseconds(1), milliseconds(10))
+    backbone_per_spine: int = 2
+    backbone_rate_bps: float = gbps(100)
+    backbone_queue: QueueSpec = field(default_factory=_backbone_queue)
+    trimming: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.segment_delays_ps:
+            raise ConfigError("need at least one inter-DC segment")
+        if any(d < 0 for d in self.segment_delays_ps):
+            raise ConfigError("segment delays must be non-negative")
+        if self.backbone_per_spine < 1:
+            raise ConfigError("backbone_per_spine must be at least 1")
 
 
 def paper_interdc_config() -> InterDcConfig:

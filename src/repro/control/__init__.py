@@ -26,7 +26,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.config import ControlConfig
-    from repro.control.controller import Controller, build_weighted_tables
+    from repro.control.controller import Controller
     from repro.control.pool import FailoverConfig, ProxyPoolManager
     from repro.control.weights import (
         WEIGHT_MODELS,
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.control.config": ["ControlConfig"],
-    "repro.control.controller": ["Controller", "build_weighted_tables"],
+    "repro.control.controller": ["Controller"],
     "repro.control.pool": ["FailoverConfig", "ProxyPoolManager"],
     "repro.control.weights": [
         "WEIGHT_MODELS", "delay_weight", "hop_weight", "queue_weight",
@@ -52,7 +52,6 @@ __all__ = [
     "Controller",
     "FailoverConfig",
     "ProxyPoolManager",
-    "build_weighted_tables",
     "delay_weight",
     "hop_weight",
     "queue_weight",

@@ -28,80 +28,19 @@ simulation for what is a survivable data-plane condition.
 
 from __future__ import annotations
 
-import heapq  # repro: allow[raw-heapq] plain-data Dijkstra frontier, not events
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.control.config import ControlConfig
-from repro.control.weights import WeightFn, resolve_weight_model
+from repro.control.weights import resolve_weight_model
 from repro.faults.plan import ProxyCrash, ProxyRestart
-from repro.net.routing import NextHopTable, tables_by_attachment
+from repro.net.routing import NextHopTable, build_next_hop_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultEvent
     from repro.net.network import Network
     from repro.sim.simulator import Simulator
-
-
-def build_weighted_tables(
-    net: "Network",
-    weight: WeightFn,
-    destination_ids: list[int] | None = None,
-) -> NextHopTable:
-    """Equal-cost next hops toward every destination under integer weights.
-
-    Shaped exactly like :func:`repro.net.routing.build_next_hop_tables`
-    (one walk per attachment point, same filler); a link is skipped while
-    its forwarding-direction port is down, so a single-homed destination
-    whose access link is down gets no rows at all.  Equal-cost sets
-    preserve adjacency (wiring) order, so under the ``"hop"`` model with
-    all links up the output is identical to the BFS builder's — the
-    controller's initial install is behavior-preserving.
-    """
-    adjacency = net.adjacency
-    nodes = net.nodes
-    if destination_ids is None:
-        destination_ids = [h.id for h in net.hosts]
-
-    def link_up(a: int, b: int) -> bool:
-        port = nodes[a].ports.get(b)
-        return port is not None and port.up
-
-    def walk(forwarding: dict[int, list[int]], root: int) -> dict[int, tuple[int, ...]]:
-        # Dijkstra from the root over reversed edges: dist[n] is the cost of
-        # reaching root from n, relaxed with the forwarding-direction weight
-        # of each edge, so direction-dependent weights (live queue depth)
-        # price the path packets actually take.
-        dist = {root: 0}
-        heap = [(0, root)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for neighbor in forwarding[node]:
-                if not link_up(neighbor, node):
-                    continue
-                candidate = d + weight(net, neighbor, node)
-                if candidate < dist.get(neighbor, candidate + 1):
-                    dist[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        return {
-            node: tuple(
-                n for n in forwarding[node]
-                if n in dist and link_up(node, n)
-                and dist[n] + weight(net, node, n) == here
-            )
-            for node, here in dist.items()
-            if node != root
-        }
-
-    def access_up(dst: int) -> bool:
-        neighbors = adjacency[dst]
-        return len(neighbors) != 1 or link_up(neighbors[0], dst)
-
-    return tables_by_attachment(
-        adjacency, [dst for dst in destination_ids if access_up(dst)], walk
-    )
 
 
 class Controller:
@@ -190,7 +129,15 @@ class Controller:
     # -- table computation ---------------------------------------------------------
 
     def _install(self) -> None:
-        fresh = build_weighted_tables(self.net, self._weight)
+        # Links whose forwarding-direction port is down are left out, so a
+        # single-homed destination behind a downed access link gets no rows.
+        net = self.net
+        fresh = build_next_hop_tables(
+            net.adjacency,
+            [h.id for h in net.hosts],
+            cost=partial(self._weight, net),
+            down=net.down_links(),
+        )
         if self._tables is not None:
             for node, old_entries in self._tables.items():
                 entries = fresh.setdefault(node, {})

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.config import TransportConfig
+from repro.config import MultiDcConfig, TransportConfig
 from repro.errors import ExperimentError
 from repro.experiments.parallel import ExperimentEngine
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.cascade import RelayChain, build_relay_chain
 from repro.proxy.placement import pick_proxy_host, pick_senders
 from repro.sim.simulator import Simulator
-from repro.topology.multidc import MultiDcConfig, build_multidc
+from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import megabytes, seconds
 
@@ -55,10 +55,12 @@ class CascadeScenario:
             )
         if self.degree < 1:
             raise ExperimentError("degree must be at least 1")
-        if self.blip is not None and not (
-            0 <= self.blip[0] < len(self.chain.segment_delays_ps)
-        ):
-            raise ExperimentError("blip segment index out of range")
+        if self.blip is not None:
+            segment, at_ps, duration_ps = self.blip
+            if not 0 <= segment < len(self.chain.segment_delays_ps):
+                raise ExperimentError("blip segment index out of range")
+            if at_ps < 0 or duration_ps <= 0:
+                raise ExperimentError("blip needs at_ps >= 0 and duration_ps > 0")
 
 
 @dataclass
@@ -75,9 +77,9 @@ class CascadeResult:
 def run_cascade(scenario: CascadeScenario) -> CascadeResult:
     """Execute one multi-DC incast."""
     sim = Simulator(seed=scenario.seed)
-    topo = build_multidc(sim, scenario.chain)
+    topo = build_interdc(sim, scenario.chain)
     net = topo.net
-    last = scenario.chain.datacenters - 1
+    last = len(topo.fabrics) - 1
     receiver = topo.hosts(last)[0]
     senders = pick_senders(topo.fabrics[0], scenario.degree)
 
@@ -120,7 +122,7 @@ def run_cascade(scenario: CascadeScenario) -> CascadeResult:
 
     if scenario.blip is not None:
         segment, at_ps, duration_ps = scenario.blip
-        router = topo.backbones[segment][0]
+        router = topo.segment_backbone(segment)[0]
         spine_id = net.adjacency[router.id][0]
         net.fail_link(router.id, spine_id, at_ps, duration_ps)
 

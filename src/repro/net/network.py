@@ -9,20 +9,25 @@ that transports use to size initial windows and timers.
 Delay queries walk the graph once per *source attachment point*, not per
 pair: a node with a single neighbour (every host) reaches the rest of the
 graph only through it, so ``min_delay_ps`` is the source's access delay +
-a cached single-source Dijkstra from its attachment point over the nodes
-that can forward + the destination's access delay.  ``connect()`` clears
-the cache; after ``finalize()`` the graph is frozen and it only fills.
+a cached delay-weighted :func:`~repro.net.routing.shortest_distances` from
+its attachment point + the destination's access delay.  ``connect()``
+clears the cache; after ``finalize()`` the graph is frozen and it only fills.
 """
 
 from __future__ import annotations
 
-import heapq  # repro: allow[raw-heapq] Dijkstra frontier, not events
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.node import Host, Node, Switch
 from repro.net.port import OutputPort
-from repro.net.routing import EcmpRouting, SprayRouting, build_next_hop_tables
+from repro.net.routing import (
+    EcmpRouting,
+    SprayRouting,
+    build_next_hop_tables,
+    forwarding_view,
+    shortest_distances,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
@@ -159,7 +164,11 @@ class Network:
             access = self._edge_attrs[(src_id, root)][1]
         reach = self._delays_from.get(root)
         if reach is None:
-            reach = self._delays_from[root] = self._dijkstra_from(root)
+            forwarding = forwarding_view(adjacency)
+            reach = self._delays_from[root] = (
+                shortest_distances(forwarding, root, cost=self.edge_delay_ps)
+                if root in forwarding else {root: 0}
+            )
         if dst_id in reach:
             return access + reach[dst_id]
         neighbors = adjacency.get(dst_id, ())
@@ -167,29 +176,6 @@ class Network:
             point = neighbors[0]
             return access + reach[point] + self._edge_attrs[(point, dst_id)][1]
         raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
-
-    def _dijkstra_from(self, root: int) -> dict[int, int]:
-        """Minimum delay from ``root`` to every forwarding node it reaches.
-
-        Only nodes with at least two neighbours are expanded into: a dead
-        end lies on no path between two other nodes.
-        """
-        adjacency = self.adjacency
-        edge_attrs = self._edge_attrs
-        best = {root: 0}
-        heap = [(0, root)]
-        while heap:
-            delay, node = heapq.heappop(heap)
-            if delay > best[node]:
-                continue
-            for neighbor in adjacency[node]:
-                if len(adjacency[neighbor]) < 2:
-                    continue
-                candidate = delay + edge_attrs[(node, neighbor)][1]
-                if candidate < best.get(neighbor, candidate + 1):
-                    best[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        return best
 
     def path_rtt_ps(self, src_id: int, dst_id: int, via: Iterable[int] = ()) -> int:
         """Round-trip propagation delay along ``src -> via... -> dst -> via... -> src``."""
@@ -257,6 +243,15 @@ class Network:
         if changed:
             for callback in self._link_watchers:
                 callback(a_id, b_id, up)
+
+    def down_links(self) -> frozenset[tuple[int, int]]:
+        """Directed links ``(a_id, b_id)`` whose ``a -> b`` port is down."""
+        return frozenset(
+            (node_id, neighbor)
+            for node_id, node in self.nodes.items()
+            for neighbor, port in node.ports.items()
+            if not port.up
+        )
 
     def fail_link(self, a_id: int, b_id: int, at_ps: int, duration_ps: int) -> None:
         """Schedule a transient failure of the a<->b link."""

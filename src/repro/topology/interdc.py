@@ -1,17 +1,26 @@
-"""Two-datacenter topology with a long-haul backbone (paper §4.1).
+"""Datacenters in a line joined by long-haul backbones (paper §4.1).
 
-Backbone router ``b`` connects spine ``b // backbone_per_spine`` of DC 0
-and spine ``b % spines`` of DC 1, so every (spine, spine) pair across the
-two datacenters is bridged and packet spraying can use all 64 long-haul
-paths.  Backbone-router ports carry the deep-buffer queue spec; spine-side
-ports toward the backbone keep the fabric switch spec.
+The paper's evaluation topology is the one-segment case: two leaf–spine
+datacenters joined by backbone routers (:class:`~repro.config.InterDcConfig`).
+A :class:`~repro.config.MultiDcConfig` with ``k`` segment latencies builds
+``k + 1`` datacenters in a line, segment ``s`` bridging DC ``s`` and DC
+``s + 1`` — the substrate of the cascaded-proxy extension.
+
+In every segment, backbone router ``b`` connects spine
+``b // backbone_per_spine`` on the left and spine ``b % spines`` on the
+right; with ``backbone_per_spine == spines`` (the paper's 8) every
+(spine, spine) pair is bridged and packet spraying can use all 64
+long-haul paths.  Routers are named ``bb{i}`` by their index in build
+order across all segments.  Backbone-router ports carry the deep-buffer
+queue spec; spine-side ports toward the backbone keep the fabric switch
+spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import InterDcConfig
+from repro.config import InterDcConfig, MultiDcConfig
 from repro.net.network import Network
 from repro.net.node import Host, Switch
 from repro.sim.simulator import Simulator
@@ -20,28 +29,35 @@ from repro.topology.leafspine import Fabric, build_leafspine
 
 @dataclass
 class InterDcNetwork:
-    """Handles to the built two-datacenter evaluation topology."""
+    """Handles to a built line of datacenters."""
 
     net: Network
-    cfg: InterDcConfig
+    cfg: InterDcConfig | MultiDcConfig
     fabrics: list[Fabric] = field(default_factory=list)
+    #: every backbone router in build order, segment after segment
     backbone: list[Switch] = field(default_factory=list)
 
     def hosts(self, dc: int) -> list[Host]:
         """All servers in datacenter ``dc``."""
         return self.fabrics[dc].hosts
 
+    def segment_backbone(self, segment: int) -> list[Switch]:
+        """The backbone routers between DC ``segment`` and DC ``segment + 1``."""
+        per_segment = self.cfg.fabric.spines * self.cfg.backbone_per_spine
+        return self.backbone[segment * per_segment:(segment + 1) * per_segment]
+
 
 def build_interdc(
     sim: Simulator,
-    cfg: InterDcConfig,
+    cfg: InterDcConfig | MultiDcConfig,
     routing: str = "spray",
 ) -> InterDcNetwork:
-    """Build the §4.1 topology on ``sim`` and finalize routing."""
+    """Build the line of datacenters ``cfg`` describes on ``sim`` and finalize routing."""
     net = Network(sim)
+    delays = cfg.segment_delays_ps
     fabrics = [
         build_leafspine(net, cfg.fabric, dc=dc, name_prefix=f"dc{dc}", trimming=cfg.trimming)
-        for dc in (0, 1)
+        for dc in range(len(delays) + 1)
     ]
     backbone_spec = cfg.backbone_queue.with_trimming(cfg.trimming)
     spine_spec = cfg.fabric.switch_queue.with_trimming(cfg.trimming)
@@ -49,19 +65,19 @@ def build_interdc(
 
     backbone: list[Switch] = []
     spines = cfg.fabric.spines
-    for b in range(cfg.backbone_routers):
-        router = net.add_switch(f"bb{b}", dc=-1)
-        backbone.append(router)
-        spine0 = fabrics[0].spines[b // cfg.backbone_per_spine]
-        spine1 = fabrics[1].spines[b % spines]
-        for spine in (spine0, spine1):
-            net.connect(
-                spine,
-                router,
-                cfg.backbone_rate_bps,
-                cfg.backbone_delay_ps,
-                queue_ab=spine_spec.build(rng_for(f"{spine.name}->{router.name}")),
-                queue_ba=backbone_spec.build(rng_for(f"{router.name}->{spine.name}")),
-            )
+    for segment, delay in enumerate(delays):
+        left, right = fabrics[segment].spines, fabrics[segment + 1].spines
+        for b in range(spines * cfg.backbone_per_spine):
+            router = net.add_switch(f"bb{len(backbone)}", dc=-1)
+            backbone.append(router)
+            for spine in (left[b // cfg.backbone_per_spine], right[b % spines]):
+                net.connect(
+                    spine,
+                    router,
+                    cfg.backbone_rate_bps,
+                    delay,
+                    queue_ab=spine_spec.build(rng_for(f"{spine.name}->{router.name}")),
+                    queue_ba=backbone_spec.build(rng_for(f"{router.name}->{spine.name}")),
+                )
     net.finalize(routing=routing)
     return InterDcNetwork(net=net, cfg=cfg, fabrics=fabrics, backbone=backbone)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.config import (
     FabricConfig,
     InterDcConfig,
+    MultiDcConfig,
     QueueSpec,
     TransportConfig,
     paper_interdc_config,
@@ -18,9 +20,9 @@ from repro.config import (
 from repro.net.network import Network
 from repro.net.node import Host
 from repro.net.queues import HostQueue
+from repro.net.routing import build_next_hop_tables
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
-from repro.topology.multidc import MultiDcConfig, build_multidc
 from repro.units import gbps, kilobytes, megabytes, microseconds
 
 
@@ -50,25 +52,37 @@ def tiny_interdc() -> InterDcConfig:
 
 #: The fabrics route computation is checked on: the test fabric, the paper's,
 #: the ledger's 272-server ``incast-d256`` fabric (32 leaves, 544 hosts) and
-#: a three-datacenter line with unequal segment delays.
+#: a three-datacenter line with unequal segment delays (``multidc``).
 ROUTING_FABRICS = ("small", "paper", "d272", "multidc")
+
+
+def d272_interdc_config() -> InterDcConfig:
+    """The paper backbone over two 272-server fabrics (``incast-d256``'s)."""
+    paper = paper_interdc_config()
+    return replace(
+        paper, fabric=replace(paper.fabric, spines=8, leaves=16, servers_per_leaf=17)
+    )
 
 
 def build_fabric_net(name: str) -> Network:
     """A finalized network of one of :data:`ROUTING_FABRICS`."""
-    sim = Simulator(seed=1)
-    if name == "multidc":
-        return build_multidc(sim, MultiDcConfig(fabric=small_interdc_config().fabric)).net
-    paper = paper_interdc_config()
     cfg = {
-        "small": small_interdc_config(),
-        "paper": paper,
-        "d272": replace(
-            paper,
-            fabric=replace(paper.fabric, spines=8, leaves=16, servers_per_leaf=17),
-        ),
-    }[name]
-    return build_interdc(sim, cfg).net
+        "small": small_interdc_config,
+        "paper": paper_interdc_config,
+        "d272": d272_interdc_config,
+        "multidc": lambda: MultiDcConfig(fabric=small_interdc_config().fabric),
+    }[name]()
+    return build_interdc(Simulator(seed=1), cfg).net
+
+
+def controller_tables(net: Network, weight, destination_ids=None):
+    """The tables a :class:`~repro.control.Controller` install computes."""
+    if destination_ids is None:
+        destination_ids = [h.id for h in net.hosts]
+    return build_next_hop_tables(
+        net.adjacency, destination_ids,
+        cost=partial(weight, net), down=net.down_links(),
+    )
 
 
 def build_pair(sim: Simulator, rate_bps: float = gbps(10), delay_ps: int = microseconds(1),

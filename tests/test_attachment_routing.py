@@ -1,5 +1,6 @@
 """Route and delay computation per attachment point, checked against the
-per-destination walks it replaced.
+per-destination walks it replaced, and counted at the one shortest-path
+routine every table build and delay query goes through.
 
 The references here are the seed's algorithms, kept test-only: one BFS per
 destination, one Dijkstra per destination under link weights, one Dijkstra
@@ -15,14 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import QueueSpec
-from repro.control import build_weighted_tables, delay_weight, hop_weight
+import repro.net.network
+import repro.net.routing
+from repro.config import QueueSpec, TransportConfig
+from repro.control import Controller, delay_weight, hop_weight
 from repro.errors import RoutingError
+from repro.experiments.runner import IncastScenario, run_incast
 from repro.net.network import Network
 from repro.net.routing import build_next_hop_tables, tables_by_attachment
 from repro.sim.simulator import Simulator
-from repro.units import gbps, microseconds
-from tests.conftest import ROUTING_FABRICS, build_fabric_net
+from repro.units import gbps, megabytes, microseconds
+from tests.conftest import (
+    ROUTING_FABRICS,
+    build_fabric_net,
+    controller_tables,
+    d272_interdc_config,
+)
 
 
 # -- references ---------------------------------------------------------------
@@ -183,9 +192,15 @@ class TestGeneratedGraphs:
         for weight in (hop_weight, delay_weight):
             assert_same_forwarding_rows(
                 net.adjacency,
-                build_weighted_tables(net, weight, destinations),
+                controller_tables(net, weight, destinations),
                 per_destination_dijkstra(net, weight, destinations),
             )
+        # The BFS branch honours downed links too.
+        assert_same_forwarding_rows(
+            net.adjacency,
+            build_next_hop_tables(net.adjacency, destinations, down=net.down_links()),
+            per_destination_dijkstra(net, hop_weight, destinations),
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
@@ -231,7 +246,7 @@ class TestStructureOn272Servers:
     def tables(self, request, net):
         if request.param == "bfs":
             return build_next_hop_tables(net.adjacency, [h.id for h in net.hosts])
-        return build_weighted_tables(net, hop_weight)
+        return controller_tables(net, hop_weight)
 
     def test_hosts_behind_one_leaf_share_one_tuple(self, net, tables):
         first, second = net.hosts[0].id, net.hosts[1].id
@@ -274,17 +289,50 @@ class TestStructureOn272Servers:
         tables_by_attachment(net.adjacency, hosts[::2] + hosts[1::2], walk)
         assert len(roots) == len(set(roots)) == self.LEAVES
 
-    def test_one_dijkstra_per_source_attachment_point(self, net, monkeypatch):
-        roots = []
-        walk = net._dijkstra_from
-        monkeypatch.setattr(
-            net, "_dijkstra_from", lambda root: roots.append(root) or walk(root)
-        )
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """``(unit_cost, root)`` of every call to the shared routine."""
+        calls = []
+        walk = repro.net.routing.shortest_distances
+
+        def counted(forwarding, root, cost=None, down=frozenset()):
+            calls.append((cost is None, root))
+            return walk(forwarding, root, cost, down)
+
+        monkeypatch.setattr(repro.net.routing, "shortest_distances", counted)
+        monkeypatch.setattr(repro.net.network, "shortest_distances", counted)
+        return calls
+
+    def test_build_walks_by_hop_count_once_per_leaf(self, walks):
+        build_fabric_net("d272")
+        assert len(walks) == len(set(walks)) == self.LEAVES
+        assert all(unit_cost for unit_cost, _root in walks)
+
+    def test_controller_install_walks_weighted_once_per_leaf(self, walks):
+        net = build_fabric_net("d272")
+        walks.clear()
+        Controller(net.sim, net).start()
+        assert len(walks) == len(set(walks)) == self.LEAVES
+        assert not any(unit_cost for unit_cost, _root in walks)
+
+    def test_one_dijkstra_per_source_attachment_point(self, net, walks):
         receiver = net.hosts[-1].id
         for host in net.hosts:
             net.min_delay_ps(host.id, receiver)
             net.min_delay_ps(receiver, host.id)
-        assert len(roots) == len(set(roots)) == self.LEAVES
+        assert len(walks) == len(set(walks)) == self.LEAVES
+        assert not any(unit_cost for unit_cost, _root in walks)
+
+    @pytest.mark.parametrize("scheme", ["baseline", "streamlined"])
+    def test_degree_256_cell_walks_once_per_sending_leaf(self, walks, scheme):
+        run_incast(IncastScenario(
+            scheme=scheme, degree=256, total_bytes=megabytes(8),
+            interdc=d272_interdc_config(),
+            transport=TransportConfig(payload_bytes=8192), seed=3,
+        ))
+        delay_walks = [root for unit_cost, root in walks if not unit_cost]
+        assert len(walks) - len(delay_walks) == self.LEAVES  # the build
+        assert len(delay_walks) == len(set(delay_walks)) <= self.LEAVES // 2
 
 
 class TestMinDelay:

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.config import FabricConfig, QueueSpec, TransportConfig
+from repro.config import (
+    FabricConfig,
+    MultiDcConfig,
+    QueueSpec,
+    TransportConfig,
+    small_interdc_config,
+)
 from repro.errors import ConfigError, ExperimentError, ProxyError
 from repro.experiments.cascade import CascadeScenario, run_cascade
 from repro.proxy.cascade import build_relay_chain
 from repro.sim.simulator import Simulator
-from repro.topology.multidc import MultiDcConfig, build_multidc
+from repro.topology.interdc import build_interdc
 from repro.units import kilobytes, megabytes, milliseconds
 from dataclasses import replace
 
@@ -39,13 +45,47 @@ def scenario():
 
 class TestMultiDcTopology:
     def test_chain_dimensions(self, sim):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         assert len(topo.fabrics) == 3
-        assert len(topo.backbones) == 2
-        assert all(len(seg) == 4 for seg in topo.backbones)
+        # One flat backbone in build order, named by its global index;
+        # each segment's routers are a contiguous run of it.
+        assert [r.name for r in topo.backbone] == [f"bb{i}" for i in range(8)]
+        assert topo.segment_backbone(0) == topo.backbone[:4]
+        assert topo.segment_backbone(1) == topo.backbone[4:]
+        for segment, delay in enumerate(small_chain().segment_delays_ps):
+            left, right = topo.fabrics[segment], topo.fabrics[segment + 1]
+            for router in topo.segment_backbone(segment):
+                spines = [topo.net.nodes[n] for n in topo.net.adjacency[router.id]]
+                assert spines[0] in left.spines and spines[1] in right.spines
+                assert all(topo.net.edge_delay_ps(router.id, s.id) == delay
+                           for s in spines)
+
+    def test_one_segment_line_is_the_two_dc_topology(self):
+        def fingerprint(cfg):
+            sim = Simulator(seed=5)
+            net = build_interdc(sim, cfg).net
+            nodes = [(n.id, n.name, type(n).__name__, n.dc) for n in net.nodes.values()]
+            ports = [
+                (n.id, port.name, net.edge_rate_bps(n.id, peer),
+                 net.edge_delay_ps(n.id, peer), type(port.queue).__name__)
+                for n in net.nodes.values() for peer, port in n.ports.items()
+            ]
+            return nodes, ports, len(sim.rng)
+
+        for trimming in (False, True):
+            two_dc = small_interdc_config().with_trimming(trimming)
+            line = MultiDcConfig(
+                fabric=two_dc.fabric,
+                segment_delays_ps=two_dc.segment_delays_ps,
+                backbone_per_spine=two_dc.backbone_per_spine,
+                backbone_rate_bps=two_dc.backbone_rate_bps,
+                backbone_queue=two_dc.backbone_queue,
+                trimming=trimming,
+            )
+            assert fingerprint(line) == fingerprint(two_dc)
 
     def test_end_to_end_delay_sums_segments(self, sim):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         src = topo.hosts(0)[0]
         dst = topo.hosts(2)[0]
         one_way = topo.net.min_delay_ps(src.id, dst.id)
@@ -54,7 +94,7 @@ class TestMultiDcTopology:
         assert one_way < 2 * (milliseconds(1) + milliseconds(10)) + milliseconds(1)
 
     def test_all_dc_pairs_routable(self, sim):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         for a in range(3):
             for b in range(3):
                 if a != b:
@@ -71,7 +111,7 @@ class TestMultiDcTopology:
 
 class TestRelayChain:
     def test_chain_delivers_everything(self, sim, transport_cfg):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         src = topo.hosts(0)[0]
         relay0 = topo.hosts(0)[-1]
         relay1 = topo.hosts(1)[0]
@@ -88,7 +128,7 @@ class TestRelayChain:
         assert chain.legs[-1].receiver.stats.bytes_received == 100_000
 
     def test_intermediate_backlogs_drain(self, sim, transport_cfg):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         chain = build_relay_chain(
             topo.net, topo.hosts(0)[0], topo.hosts(2)[0], 50_000, transport_cfg,
             [topo.hosts(0)[-1], topo.hosts(1)[0]],
@@ -100,7 +140,7 @@ class TestRelayChain:
         assert chain.backlog_packets(1) == 0
 
     def test_per_leg_windows_match_segment_bdp(self, sim, transport_cfg):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         chain = build_relay_chain(
             topo.net, topo.hosts(0)[0], topo.hosts(2)[0], 50_000, transport_cfg,
             [topo.hosts(0)[-1], topo.hosts(1)[0]],
@@ -109,7 +149,7 @@ class TestRelayChain:
         assert chain.legs[0].cc.cwnd < chain.legs[1].cc.cwnd < chain.legs[2].cc.cwnd
 
     def test_chain_validation(self, sim, transport_cfg):
-        topo = build_multidc(sim, small_chain())
+        topo = build_interdc(sim, small_chain())
         with pytest.raises(ProxyError):
             build_relay_chain(topo.net, topo.hosts(0)[0], topo.hosts(2)[0],
                               1000, transport_cfg, [])
@@ -154,6 +194,12 @@ class TestCascadeExperiment:
     def test_blip_validation(self, scenario):
         with pytest.raises(ExperimentError):
             replace(scenario, blip=(7, 0, 1))
+        # Both used to pass construction and fail mid-run, after the chain
+        # was built and every connection started.
+        with pytest.raises(ExperimentError):
+            replace(scenario, blip=(0, milliseconds(1), 0))
+        with pytest.raises(ExperimentError):
+            replace(scenario, blip=(0, -5, milliseconds(1)))
 
     def test_scheme_validation(self, scenario):
         with pytest.raises(ExperimentError):

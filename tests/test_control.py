@@ -8,7 +8,6 @@ from repro.control import (
     ControlConfig,
     Controller,
     WEIGHT_MODELS,
-    build_weighted_tables,
     delay_weight,
     hop_weight,
     queue_weight,
@@ -19,7 +18,7 @@ from repro.net.network import Network
 from repro.net.routing import build_next_hop_tables
 from repro.sim.simulator import Simulator
 from repro.units import gbps, megabytes, microseconds
-from tests.conftest import ROUTING_FABRICS, build_fabric_net
+from tests.conftest import ROUTING_FABRICS, build_fabric_net, controller_tables
 
 
 def _queue(sim, name):
@@ -105,12 +104,12 @@ class TestWeightModels:
 
 class TestWeightedTables:
     def test_hop_model_matches_bfs_builder_exactly(self):
-        # The Dijkstra builder under unit weights must reproduce the BFS
-        # equal-cost tables bit-for-bit (same adjacency-order hop sets),
-        # so installing hop-model tables is behavior-preserving.
+        # Dijkstra under unit weights must reproduce the BFS equal-cost
+        # tables bit-for-bit (same adjacency-order hop sets), so installing
+        # hop-model tables is behavior-preserving.
         for fabric in ROUTING_FABRICS:
             net = build_fabric_net(fabric)
-            by_hop = build_weighted_tables(net, hop_weight)
+            by_hop = controller_tables(net, hop_weight)
             by_bfs = build_next_hop_tables(net.adjacency, [h.id for h in net.hosts])
             assert by_hop == by_bfs, fabric
             for node, row in by_bfs.items():
@@ -120,23 +119,24 @@ class TestWeightedTables:
         sim = Simulator(seed=1)
         net, nodes = _diamond(sim)
         b = nodes["b"].id
-        by_hop = build_weighted_tables(net, hop_weight)
-        by_delay = build_weighted_tables(net, delay_weight)
+        by_hop = controller_tables(net, hop_weight)
+        by_delay = controller_tables(net, delay_weight)
         assert by_hop[nodes["x"].id][b] == (nodes["y"].id,)
         assert by_delay[nodes["x"].id][b] == (nodes["z"].id,)
 
     def test_downed_link_is_not_used(self):
         sim = Simulator(seed=1)
         net, nodes = _diamond(sim)
-        net.set_link_state(nodes["x"].id, nodes["y"].id, False)
-        tables = build_weighted_tables(net, hop_weight)
+        x, y = nodes["x"].id, nodes["y"].id
+        net.set_link_state(x, y, False)
+        assert net.down_links() == {(x, y), (y, x)}
+        tables = controller_tables(net, hop_weight)
         assert tables[nodes["x"].id][nodes["b"].id] == (nodes["z"].id,)
 
     def test_restricted_destinations(self):
         sim = Simulator(seed=1)
         net, nodes = _diamond(sim)
-        tables = build_weighted_tables(net, hop_weight,
-                                       destination_ids=[nodes["a"].id])
+        tables = controller_tables(net, hop_weight, [nodes["a"].id])
         assert nodes["a"].id in tables[nodes["x"].id]
         assert nodes["b"].id not in tables[nodes["x"].id]
 
@@ -220,7 +220,7 @@ class TestController:
         # anywhere; the merge keeps every last-known entry and the fast
         # path still points at the (downed) access port, where traffic drops.
         assert controller.reroutes == 1
-        assert b not in build_weighted_tables(net, hop_weight)[y.id]
+        assert b not in controller_tables(net, hop_weight)[y.id]
         after = {node: row[b] for node, row in y.routing.tables.items() if b in row}
         assert after == before
         assert y.direct_ports[b] is y.ports[b]

@@ -8,9 +8,9 @@ it* and forwards everything else; ACKs retrace the full reverse route.
 
 import pytest
 
-from repro.config import FabricConfig, QueueSpec, TransportConfig
+from repro.config import FabricConfig, MultiDcConfig, QueueSpec, TransportConfig
 from repro.proxy.streamlined import StreamlinedProxy
-from repro.topology.multidc import MultiDcConfig, build_multidc
+from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import kilobytes, megabytes, milliseconds
 
@@ -31,7 +31,7 @@ def chain_topo(sim, trimming=True):
                                  ecn_high_bytes=megabytes(10)),
         trimming=trimming,
     )
-    return build_multidc(sim, cfg)
+    return build_interdc(sim, cfg)
 
 
 class TestTwoProxyChain:

@@ -2,6 +2,8 @@
 
 import random
 
+# EmpiricalCdf imports numpy lazily; import it here so no example's deadline pays for it.
+import numpy  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
