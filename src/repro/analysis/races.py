@@ -20,7 +20,7 @@ handler qualnames in canonical and permuted order, the first swapped pair,
 and a minimized one-line repro command.
 
 Neutrality guarantee: with no tie-break seed the scheduler hook is never
-installed and the singleton fast path is untouched, so default runs are
+installed and the lone-tick fast path is untouched, so default runs are
 bit-identical to runs before this module existed (asserted by
 tests/test_races.py and every existing digest test).
 """
@@ -263,10 +263,10 @@ class TieBreakScheduler:
         keys: list[tuple[str, str, str]] = []
         slots: dict[str, int] = {}
         for entry in entries:
-            key = _domain_of(entry[2])
+            key = _domain_of(entry[-1])
             if key is None:
                 groups.append([entry])
-                keys.append(_canonical_key(entry[2]))
+                keys.append(_canonical_key(entry[-1]))
                 continue
             at = slots.get(key)
             if at is None:
@@ -281,7 +281,7 @@ class TieBreakScheduler:
         # digest change can only come from the shuffles themselves.
         for group in groups:
             if len(group) > 1:
-                group.sort(key=lambda e: _canonical_key(e[2]))
+                group.sort(key=lambda e: _canonical_key(e[-1]))
         base = sorted(range(len(groups)), key=keys.__getitem__)
         order = base
         if len(groups) >= 2 and (
@@ -299,8 +299,8 @@ class TieBreakScheduler:
                 self.captured = TickRecord(
                     index=index,
                     time_ps=time,
-                    original=tuple(handler_qualname(e[2]) for e in canonical),
-                    permuted=tuple(handler_qualname(e[2]) for e in permuted),
+                    original=tuple(handler_qualname(e[-1]) for e in canonical),
+                    permuted=tuple(handler_qualname(e[-1]) for e in permuted),
                 )
         return [entry for i in order for entry in groups[i]]
 

@@ -57,7 +57,10 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
 #: way that old files must not be restored into new code.
 #:
 #:   1 — initial format: magic + version + python tag + sha256 + payload.
-CHECKPOINT_SCHEMA_VERSION = 1
+#:   2 — seq-free scheduler: calendar entries are ``(time, payload)``, the
+#:       scheduler keeps no sequence or pending counter, and an Event holds
+#:       no link back to its scheduler.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _MAGIC = b"RPCKPT\x00"
 #: magic, schema version, length of the python tag; the tag and the payload's

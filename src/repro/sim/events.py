@@ -1,9 +1,11 @@
 """Scheduled events.
 
-An :class:`Event` is a handle to a callback sitting in the scheduler's heap.
-Cancellation is lazy: the heap entry stays in place and is skipped when it
-reaches the top, which makes ``cancel()`` O(1) — essential for transports
-that re-arm retransmission timers on every ACK.
+An :class:`Event` is a handle to a callback sitting in the scheduler's
+queue.  Cancellation is lazy: the queue entry stays in place and is skipped
+when the drain cursor reaches it, which makes ``cancel()`` O(1) — essential
+for transports that re-arm retransmission timers on every ACK.  The handle
+keeps no link back to its scheduler: nothing is counted per event, so
+cancelling is a single flag store.
 """
 
 from __future__ import annotations
@@ -14,26 +16,16 @@ from typing import Any, Callable
 class Event:
     """A cancellable callback scheduled at an absolute simulation time."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "_scheduler")
+    __slots__ = ("time", "callback", "cancelled")
 
-    def __init__(self, time: int, seq: int, callback: Callable[[], Any]) -> None:
+    def __init__(self, time: int, callback: Callable[[], Any]) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
-        # Owning scheduler, set on push and cleared on pop/cancel, so the
-        # scheduler's live pending-event counter stays exact without a scan.
-        self._scheduler: Any = None
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call more than once."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        scheduler = self._scheduler
-        if scheduler is not None:
-            self._scheduler = None
-            scheduler._pending -= 1
 
     @property
     def pending(self) -> bool:
@@ -46,4 +38,4 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time}, seq={self.seq}, {state})"
+        return f"Event(t={self.time}, {state})"

@@ -2,59 +2,74 @@
 
 Events firing at the same tick run in scheduling order (FIFO), which keeps
 runs deterministic for a fixed seed.  The ordering contract is exactly the
-binary heap's — entries are keyed ``(time, seq)`` with ``seq`` strictly
-increasing per schedule call — but the container is a calendar queue tuned
-for the clustered near-future timestamps incast generates:
+binary heap's ``(time, seq)`` order, but the calendar queue's entries are
+bare ``(time, payload)`` pairs: same-tick FIFO comes from an entry's
+*position*, never from a sequence number.  The container is tuned for the
+clustered near-future timestamps incast generates:
 
 * Time is divided into buckets of ``2**BUCKET_SHIFT`` picoseconds.  Each
   pending bucket is an *unsorted* append-only list held in a dict keyed by
   its global bucket index, so inserting into a future bucket is O(1).
+  Appends happen in schedule order, so a bucket's same-tick entries are
+  already in FIFO order.
 * A small heap of bucket indices (plain ints — cheaper to sift than key
   tuples) is the sorted overflow structure that finds the next non-empty
   bucket without scanning empty wheel slots, no matter how far in the
   future it lies.  This replaces the classic fixed-width far wheel: any
   bucket beyond the one being drained is "far", and migration is simply
   popping the next index.
-* When a bucket becomes current it is sorted once (Timsort on nearly-
-  ordered input) and drained by walking an index — popping is list
+* When a bucket becomes current it is sorted once by time with a *stable*
+  sort (Timsort on nearly-ordered input), which keeps same-tick entries in
+  schedule order, and drained by walking an index — popping is list
   indexing, not heap sifting.  Inserts that land in the *current* bucket
   (zero/short delays, or raw past-time inserts) are placed with
-  ``bisect.insort`` at/after the drain cursor, preserving ``(time, seq)``
-  order; everything before the cursor has already fired and compares
-  smaller, so the cursor position is a correct lower bound.
+  ``insort(..., key=time)`` at/after the drain cursor, which puts a new
+  entry after every entry of the same time; everything before the cursor
+  has already fired and compares no larger, so the cursor position is a
+  correct lower bound.  Entries handed out but never run are spliced back
+  in at the cursor (:meth:`EventScheduler.unpop`).
 
-The hot path — :meth:`schedule_call` and :meth:`pop_tick` — avoids
-allocation beyond the entry tuple itself: callbacks that are never
-cancelled skip the :class:`~repro.sim.events.Event` handle entirely.
-Cancellation stays lazy: cancelled entries are discarded when the drain
-cursor reaches them.
+Nothing is counted per event: ``len()`` walks the queued entries when
+asked (O(pending); only telemetry probes and tests ask).  Callbacks that
+are never cancelled skip the :class:`~repro.sim.events.Event` handle
+entirely.  Cancellation stays lazy: cancelled entries are discarded when
+the drain cursor reaches them.  :meth:`repro.sim.simulator.Simulator.run`
+reads the entry at the cursor itself and runs a lone tick without calling
+in here; :meth:`EventScheduler.pop_tick` serves multi-entry ticks.
 
 :class:`HeapEventScheduler` preserves the original binary-heap
-implementation; the tie-break contract test runs against both so any
-future container swap must keep same-tick FIFO order bit-compatible.
+implementation, keyed ``(time, seq)``; it is the reference the tie-break
+contract tests run the calendar queue against, so any future container
+swap must keep same-tick FIFO order bit-compatible.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
 from repro.errors import SchedulingError
 from repro.sim.events import Event
 
-#: A queue entry: ``(time, seq, payload)`` where the payload is either a
+#: A calendar-queue entry: ``(time, payload)`` where the payload is either a
 #: cancellable Event handle or a bare callback (fast path, never cancelled).
-#: Payloads are typed ``Any``: entries sort on ``(time, seq)`` alone (seq is
-#: unique, so the payload is never compared).
-Entry = tuple[int, int, Any]
+#: Entries are ordered by time alone (:data:`_TIME`); same-tick order is list
+#: position, so the payload is never compared.  The heap reference's entries
+#: are ``(time, seq, event)``; code that reads the payload of either kind
+#: uses ``entry[-1]``.
+Entry = tuple[int, Any]
+
+#: Sort/bisect key of an entry: its time.
+_TIME = itemgetter(0)
 
 #: The pluggable same-tick permutation hook (the dynamic race detector,
 #: see :mod:`repro.analysis.races`).  Called as ``hook(time, entries)``
-#: with the live same-tick batch in ``(time, seq)`` order; returns a
-#: permutation of those entries, or None to keep the FIFO order.  The
-#: hook only ever reorders *within* one tick — time ordering and the
-#: cancellation bookkeeping are untouched.
+#: with the live same-tick batch in FIFO order; returns a permutation of
+#: those entries, or None to keep the FIFO order.  The hook only ever
+#: reorders *within* one tick — time ordering and cancellation are
+#: untouched.
 TieBreakHook = Callable[[int, "list[Entry]"], "list[Entry] | None"]
 
 #: Bucket width is 2**19 ps ~= 0.5 us: a busy port's next serialization
@@ -66,29 +81,33 @@ TieBreakHook = Callable[[int, "list[Entry]"], "list[Entry] | None"]
 BUCKET_SHIFT = 19
 
 
+def _live(entries: Iterable[tuple[Any, ...]]) -> int:
+    """How many of ``entries`` are not cancelled (payload is ``entry[-1]``)."""
+    return sum(
+        1 for entry in entries
+        if not (entry[-1].__class__ is Event and entry[-1].cancelled)
+    )
+
+
 class EventScheduler:
     """A time-ordered queue of cancellable events (calendar-queue backed)."""
 
-    __slots__ = ("_seq", "_pending", "_buckets", "_bucket_heap", "_cur",
-                 "_cur_g", "_idx", "_shift", "_batch", "tie_break")
+    __slots__ = ("_buckets", "_bucket_heap", "_cur", "_cur_g", "_idx",
+                 "_shift", "_batch", "tie_break")
 
     def __init__(self, bucket_shift: int = BUCKET_SHIFT) -> None:
-        self._seq = 0
         #: Optional same-tick permutation hook (see :data:`TieBreakHook`).
         #: None (the default) preserves the FIFO contract bit-for-bit: the
-        #: hook is consulted only on multi-entry ticks, off the singleton
+        #: hook is consulted only on multi-entry ticks, off the lone-tick
         #: fast path, so disabled runs execute the identical event order.
         self.tie_break: TieBreakHook | None = None
-        # Live count of non-cancelled events in the queue.  Incremented on
-        # push, decremented by Event.cancel() and by the pop paths when a
-        # live event leaves the queue, so __len__ is O(1).
-        self._pending = 0
         self._shift = bucket_shift
         #: future buckets: global bucket index -> unsorted entry list
         self._buckets: dict[int, list[Entry]] = {}
         #: sorted overflow: min-heap of the bucket indices present above
         self._bucket_heap: list[int] = []
-        #: the bucket being drained (sorted), and the drain cursor into it
+        #: the bucket being drained (sorted), and the drain cursor into it;
+        #: the run loop reads both directly (see Simulator.run)
         self._cur: list[Entry] = []
         self._cur_g = -1
         self._idx = 0
@@ -99,27 +118,24 @@ class EventScheduler:
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute tick ``time``; returns the handle."""
-        seq = self._seq + 1
-        self._seq = seq
-        event = Event(time, seq, callback)
-        event._scheduler = self
-        self._pending += 1
+        event = Event(time, callback)
         # Insertion is inlined here and in schedule_call (the two hottest
         # calls in a run): a future bucket takes a plain append, the current
         # bucket a bisect at/after the drain cursor.  Everything before the
-        # cursor has already fired and compares smaller, so the cursor is a
-        # correct lower bound — a past-time entry (raw scheduler misuse; the
-        # sanitizer flags it at pop) sits exactly at the cursor, firing next.
+        # cursor has already fired and compares no larger, so the cursor is
+        # a correct lower bound — a past-time entry (raw scheduler misuse;
+        # the sanitizer flags it at pop) sits exactly at the cursor, firing
+        # next.
         g = time >> self._shift
         if g > self._cur_g:
             bucket = self._buckets.get(g)
             if bucket is None:
-                self._buckets[g] = [(time, seq, event)]
+                self._buckets[g] = [(time, event)]
                 heapq.heappush(self._bucket_heap, g)
             else:
-                bucket.append((time, seq, event))
+                bucket.append((time, event))
         else:
-            insort(self._cur, (time, seq, event), self._idx)
+            insort(self._cur, (time, event), self._idx, key=_TIME)
         return event
 
     def schedule_call(self, time: int, callback: Callable[[], Any]) -> None:
@@ -129,19 +145,16 @@ class EventScheduler:
         propagation): no :class:`Event` is allocated and the entry can
         never be cancelled, so the pop paths skip the liveness check.
         """
-        seq = self._seq + 1
-        self._seq = seq
-        self._pending += 1
         g = time >> self._shift
         if g > self._cur_g:
             bucket = self._buckets.get(g)
             if bucket is None:
-                self._buckets[g] = [(time, seq, callback)]
+                self._buckets[g] = [(time, callback)]
                 heapq.heappush(self._bucket_heap, g)
             else:
-                bucket.append((time, seq, callback))
+                bucket.append((time, callback))
         else:
-            insort(self._cur, (time, seq, callback), self._idx)
+            insort(self._cur, (time, callback), self._idx, key=_TIME)
 
     # -- draining -----------------------------------------------------------
 
@@ -157,7 +170,7 @@ class EventScheduler:
             n = len(cur)
             while idx < n:
                 entry = cur[idx]
-                obj = entry[2]
+                obj = entry[1]
                 if obj.__class__ is Event and obj.cancelled:
                     idx += 1
                     continue
@@ -169,7 +182,7 @@ class EventScheduler:
                 return None
             g = heapq.heappop(heap)
             cur = self._buckets.pop(g)
-            cur.sort()
+            cur.sort(key=_TIME)
             self._cur = cur
             self._cur_g = g
             idx = 0
@@ -190,11 +203,7 @@ class EventScheduler:
         if entry is None:
             return None
         self._idx += 1
-        self._pending -= 1
-        obj = entry[2]
-        if obj.__class__ is Event:
-            obj._scheduler = None
-        return obj
+        return entry[1]
 
     def pop_tick(
         self, limit: int | None = None, cap: int | None = None
@@ -203,76 +212,42 @@ class EventScheduler:
 
         One call per tick replaces a peek+pop pair per event: a burst of
         same-timestamp events costs a single dispatch into the run loop.
-        Returns ``(tick, entries)`` in ``(time, seq)`` order, or None when
-        the queue is empty or the earliest tick lies beyond ``limit``.
-        ``cap`` bounds the batch size (``max_events`` support); surplus
-        same-tick entries stay queued.  Same-tick entries always share a
-        bucket, so the batch never crosses a bucket boundary.
+        Returns ``(tick, entries)`` in FIFO order, or None when the queue
+        is empty or the earliest tick lies beyond ``limit``.  ``cap``
+        bounds the batch size (``max_events`` support); surplus same-tick
+        entries stay queued.  Same-tick entries always share a bucket, so
+        the batch never crosses a bucket boundary.
 
         The returned list is *borrowed*: it is reused by the next
         ``pop_tick`` call, so consume (or copy) it before popping again.
         """
-        # Inline advance-to-next-live-entry (the hottest pop-side loop).
-        cur = self._cur
-        idx = self._idx
-        buckets = self._buckets
-        heap = self._bucket_heap
-        n = len(cur)
-        while True:
-            while idx < n:
-                entry = cur[idx]
-                obj = entry[2]
-                if obj.__class__ is Event and obj.cancelled:
-                    idx += 1
-                    continue
-                break
-            else:
-                entry = None
-            if entry is not None:
-                break
-            if not heap:
-                self._idx = idx
-                return None
-            g = heapq.heappop(heap)
-            cur = buckets.pop(g)
-            cur.sort()
-            self._cur = cur
-            self._cur_g = g
-            idx = 0
-            n = len(cur)
+        entry = self._advance()
+        if entry is None:
+            return None
         t = entry[0]
         if limit is not None and t > limit:
-            self._idx = idx
             return None
+        cur = self._cur
+        idx = self._idx
+        n = len(cur)
         batch = self._batch
         batch.clear()
-        # Singleton fast path: most ticks hold exactly one live entry, and
-        # same-tick entries never cross a bucket boundary, so a follow-on
-        # entry with a different timestamp (or an exhausted bucket) proves
-        # the batch is complete without running the generic scan loop.
+        # A tick holding one live entry (a follow-on entry at another time,
+        # or the bucket's end) skips the scan and the tie-break hook.
         nidx = idx + 1
         if nidx >= n or cur[nidx][0] != t:
-            obj = entry[2]
-            if obj.__class__ is Event:
-                obj._scheduler = None
             batch.append(entry)
             self._idx = nidx
-            self._pending -= 1
             return t, batch
-        pending = self._pending
         while True:
             idx += 1
-            pending -= 1
-            obj = entry[2]
-            if obj.__class__ is Event:
-                obj._scheduler = None
             batch.append(entry)
             if cap is not None and len(batch) >= cap:
                 break
             scan: Entry | None = None
             while idx < n:
                 candidate = cur[idx]
-                nxt = candidate[2]
+                nxt = candidate[1]
                 if nxt.__class__ is Event and nxt.cancelled:
                     idx += 1
                     continue
@@ -282,7 +257,6 @@ class EventScheduler:
                 break
             entry = scan
         self._idx = idx
-        self._pending = pending
         hook = self.tie_break
         if hook is not None:
             permuted = hook(t, batch)
@@ -294,24 +268,28 @@ class EventScheduler:
         """Reinsert entries handed out by :meth:`pop_tick` but never run.
 
         Used by the run loop when ``stop()`` fires mid-batch: the remaining
-        same-tick entries return to the queue with their original sequence
-        numbers, so a later ``run()`` resumes in the exact original order.
+        same-tick entries are spliced back in at the drain cursor, ahead of
+        everything still queued (which was scheduled after them), so a
+        later ``run()`` resumes in the exact original order.
         """
-        for entry in entries:
-            insort(self._cur, entry, self._idx)
-            self._pending += 1
-            obj = entry[2]
-            if obj.__class__ is Event:
-                obj._scheduler = self
+        idx = self._idx
+        self._cur[idx:idx] = entries
 
     # -- sizing / validation ------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of pending (non-cancelled) events.  O(1)."""
-        return self._pending
+        """Number of pending (non-cancelled) events, counted on ask.
+
+        O(pending): nothing is counted per event.  Only telemetry probes
+        and tests ask.
+        """
+        queued = _live(self._cur[self._idx:])
+        for bucket in self._buckets.values():
+            queued += _live(bucket)
+        return queued
 
     def __bool__(self) -> bool:
-        return self._pending > 0
+        return self._advance() is not None
 
     def validate_time(self, now: int, time: int) -> None:
         """Raise if ``time`` lies in the past relative to ``now``."""
@@ -325,17 +303,19 @@ class HeapEventScheduler:
     """The original cancellable binary-heap scheduler.
 
     Kept as the reference implementation of the tie-break determinism
-    contract: same-timestamp events fire in scheduling order.  The contract
-    test (tests/test_sim.py) runs against both this and the calendar queue;
-    the cache digests of every recorded sweep depend on the two agreeing.
+    contract: entries are keyed ``(time, seq)`` with ``seq`` strictly
+    increasing per schedule call, so same-timestamp events fire in
+    scheduling order.  The contract tests (tests/test_sim.py,
+    tests/test_scheduler_differential.py) run against both this and the
+    calendar queue; the cache digests of every recorded sweep depend on the
+    two agreeing.
     """
 
-    __slots__ = ("_heap", "_seq", "_pending", "_ready", "tie_break")
+    __slots__ = ("_heap", "_seq", "_ready", "tie_break")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._pending = 0
         #: Same-tick permutation hook (see :data:`TieBreakHook`).  With a
         #: hook installed, pop_next drains a whole tick into ``_ready``,
         #: permutes it once, then serves events from the buffer; with the
@@ -346,9 +326,7 @@ class HeapEventScheduler:
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute tick ``time``; returns the handle."""
         self._seq += 1
-        event = Event(time, self._seq, callback)
-        event._scheduler = self
-        self._pending += 1
+        event = Event(time, callback)
         heapq.heappush(self._heap, (time, self._seq, event))
         return event
 
@@ -373,16 +351,12 @@ class HeapEventScheduler:
             while ready:
                 event = ready.pop(0)
                 if not event.cancelled:
-                    event._scheduler = None
-                    self._pending -= 1
                     return event
             hook = self.tie_break
             if hook is None:
                 while heap:
                     event = heapq.heappop(heap)[2]
                     if not event.cancelled:
-                        event._scheduler = None
-                        self._pending -= 1
                         return event
                 return None
             # Drain every live entry at the earliest tick, permute once,
@@ -393,7 +367,7 @@ class HeapEventScheduler:
             if not heap:
                 return None
             t = heap[0][0]
-            batch: list[Entry] = []
+            batch: list[Any] = []
             while heap and heap[0][0] == t:
                 entry = heapq.heappop(heap)
                 if not entry[2].cancelled:
@@ -405,11 +379,11 @@ class HeapEventScheduler:
             ready.extend(e[2] for e in batch)
 
     def __len__(self) -> int:
-        """Number of pending (non-cancelled) events.  O(1)."""
-        return self._pending
+        """Number of pending (non-cancelled) events, counted on ask."""
+        return _live(self._heap) + sum(not e.cancelled for e in self._ready)
 
     def __bool__(self) -> bool:
-        return self._pending > 0
+        return self.next_time() is not None
 
     def validate_time(self, now: int, time: int) -> None:
         """Raise if ``time`` lies in the past relative to ``now``."""

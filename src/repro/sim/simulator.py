@@ -132,28 +132,35 @@ class Simulator:
                         cap = max_events - executed
                         if cap <= 0:
                             break
-                    # One scheduler call per tick: every live entry at the next
-                    # timestamp arrives as a single batch (batched dispatch).
-                    tick = pop_tick(until, cap)
-                    if tick is None:
-                        break  # drained, or horizon reached: clock fix-up below
-                    t, entries = tick
-                    if sanitizing and t < self.now:
-                        # Catches events slipped into the past through the raw
-                        # scheduler (Simulator.schedule_at validates up front).
-                        raise SanitizerError(
-                            f"clock would move backwards: event at {t} "
-                            f"popped at now={self.now}"
-                        )
-                    self.now = t
-                    if len(entries) == 1:
-                        # Singleton tick (the common case): dispatch without the
-                        # enumerate/mid-batch-stop machinery — with nothing left
-                        # in the batch, the loop-top check covers stop().
-                        obj = entries[0][2]
+                    # Lone tick (the common case): the entry at the drain
+                    # cursor is the only one at its time, so advance the
+                    # cursor and run it here — one dispatch per event, no
+                    # scheduler call.  Same-tick entries share a bucket, so
+                    # a follow-on entry at another time (or the bucket's
+                    # end) proves the tick is lone.
+                    cur = scheduler._cur
+                    idx = scheduler._idx
+                    n = len(cur)
+                    if idx >= n:
+                        if scheduler.next_time() is None:
+                            break  # drained: clock fix-up below
+                        continue  # loaded the next bucket
+                    entry = cur[idx]
+                    t = entry[0]
+                    nidx = idx + 1
+                    if (nidx == n or cur[nidx][0] != t) and (
+                        until is None or t <= until
+                    ):
+                        scheduler._idx = nidx
+                        obj = entry[1]
                         if obj.__class__ is Event:
+                            if obj.cancelled:
+                                continue
                             obj.cancelled = True  # consumed; pending -> False
                             obj = obj.callback
+                        if sanitizing and t < self.now:
+                            self._backwards(t)
+                        self.now = t
                         if inst is None:
                             obj()
                         else:
@@ -163,9 +170,22 @@ class Simulator:
                             inst.on_event(obj, ended - started)
                         executed += 1
                         continue
+                    # Multi-entry tick, horizon, or a cancelled entry at the
+                    # cursor: one scheduler call returns every live entry at
+                    # the next timestamp as a batch (batched dispatch), in
+                    # FIFO order or the tie-break hook's permutation.
+                    tick = pop_tick(until, cap)
+                    if tick is None:
+                        break  # drained, or horizon reached: clock fix-up below
+                    t, entries = tick
+                    if sanitizing and t < self.now:
+                        self._backwards(t)
+                    self.now = t
                     for i, entry in enumerate(entries):
-                        obj = entry[2]
+                        obj = entry[1]
                         if obj.__class__ is Event:
+                            if obj.cancelled:
+                                continue  # cancelled by an earlier same-tick event
                             obj.cancelled = True  # consumed; pending -> False
                             obj = obj.callback
                         if inst is None:
@@ -195,6 +215,13 @@ class Simulator:
                 self.now = until
         return self.now
 
+    def _backwards(self, t: int) -> None:
+        """Sanitizer: an event slipped into the past through the raw
+        scheduler (Simulator.schedule_at validates up front)."""
+        raise SanitizerError(
+            f"clock would move backwards: event at {t} popped at now={self.now}"
+        )
+
     def stop(self) -> None:
         """Request the run loop to return after the current event."""
         self._stop_requested = True
@@ -207,5 +234,5 @@ class Simulator:
             self.tracer.record(self.now, source, kind, **details)
 
     def pending_events(self) -> int:
-        """Number of events still queued (O(1))."""
+        """Number of live events still queued (counted on ask, O(pending))."""
         return len(self.scheduler)

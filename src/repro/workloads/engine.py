@@ -35,6 +35,7 @@ Mechanics:
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -511,6 +512,13 @@ class OpenLoopEngine:
         first boundary at or past that instant *after* checkpointing —
         the CI preemption drill.
         """
+        # A finished engine dies as one blob of cycles.  Unlike a closed-loop
+        # cell, which runs in one collector window and so dies young, an
+        # engine ages into the oldest generation across its segments'
+        # windows, and waits for a full collection.  Take that collection
+        # here, before this run grows, so peak RSS does not depend on where
+        # the interpreter's next full pass happens to fall.
+        gc.collect()
         horizon = self.config.horizon_ps
         segment = self.config.segment_ps
         while self.sim.now < horizon:

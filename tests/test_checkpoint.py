@@ -62,6 +62,22 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema"):
             load_checkpoint(path)
 
+    def test_refuses_schema_1_files_whole(self, tmp_path):
+        # Schema 2 pickles the seq-free scheduler; a schema-1 file holds the
+        # (time, seq, payload) layout and must be refused, never half-restored.
+        from repro.sim.simulator import Simulator
+
+        assert CHECKPOINT_SCHEMA_VERSION == 2
+        sim = Simulator(seed=0)
+        sim.schedule(5, sim.stop)
+        path = save_checkpoint(tmp_path / "sim.ckpt", sim)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(_MAGIC), 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == "checkpoint schema 1 != supported 2"
+
     def test_rejects_foreign_python_tag(self, tmp_path):
         tag = b"cpython-0.0"
         blob = (

@@ -129,12 +129,12 @@ class TestUnpopMidBatch:
             tick, batch = sched.pop_tick()
             assert tick == 5 and len(batch) == 4  # a, b, c, f
             for entry in batch[:2]:  # run a and b, then "stop"
-                entry[2].callback()
+                entry[-1].callback()
             sched.unpop(batch[2:])
             sched.schedule_at(5, mk("h"))  # lands between unpopped c/f and d
             while (popped := sched.pop_tick()) is not None:
                 for entry in list(popped[1]):
-                    entry[2].callback()
+                    entry[-1].callback()
             return order
 
         def drive_heap():
@@ -162,10 +162,10 @@ class TestUnpopMidBatch:
         c = sched.schedule_at(3, lambda: fired.append("c"))
         tick, batch = sched.pop_tick()
         assert len(batch) == 3
-        batch[0][2].callback()
+        batch[0][-1].callback()
         sched.unpop(batch[1:])
         assert len(sched) == 2
-        b.cancel()  # only works if unpop re-linked the Event to the queue
+        b.cancel()  # a handle stays cancellable after a pop_tick/unpop round trip
         assert len(sched) == 1
         assert sched.pop_next() is c
         assert len(sched) == 0
@@ -188,6 +188,34 @@ class TestUnpopMidBatch:
         assert fired == ["a", "b"]
         sim.run()
         assert fired == ["a", "b", "c", "d"]
+
+
+class TestSameTickCancellation:
+    """An event cancelled by an earlier callback of its own tick never fires.
+
+    The heap reference skips it (the pop sees the flag); the run loop's
+    batched dispatch must too, whether or not a tie-break hook permutes
+    the tick, and the skipped entry is not an executed event.
+    """
+
+    @pytest.mark.parametrize("hook", [None, lambda t, entries: None],
+                             ids=["fifo", "tie-break-hook"])
+    def test_cancelled_earlier_in_its_tick_is_skipped(self, hook):
+        sim = Simulator(seed=0)
+        sim.scheduler.tie_break = hook
+        fired = []
+        handles = {}
+
+        def a():
+            fired.append("a")
+            handles["b"].cancel()
+
+        sim.schedule(5, a)
+        handles["b"] = sim.schedule(5, lambda: fired.append("b"))
+        sim.schedule(5, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a", "c"]
+        assert sim.events_executed == 2
 
 
 class TestSimulator:
