@@ -7,21 +7,34 @@ model moves it.  The scenario (degree 6, 8 MB, the small test fabric,
 seed 0) is small enough to run in about two seconds for all eight schemes
 and large enough to exercise marks, trims, NACKs, drops and RTO timers.
 
+The harnesses that wire flows themselves are pinned the same way: the
+concurrent-incast orchestrator (:func:`run_concurrent_incasts`, one
+scheme/strategy pair per row), the open-loop engine (its fold digest over a
+one-second horizon), and the convergence probe (the receiver goodput series
+and every field derived from it).
+
 A change that is meant to be behaviour-neutral (a faster scheduler, a
 refactor) must leave every value here as it is.  A deliberate model change
 updates the values in the same commit and says why.
 """
 
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import pytest
 
 from repro.analysis.races import result_digest
 from repro.competitors import install, uninstall
 from repro.config import TransportConfig, small_interdc_config
+from repro.experiments.convergence import measure_convergence
 from repro.experiments.runner import IncastScenario, run_incast
+from repro.metrics.config import MODE_SKETCH, MetricsConfig
+from repro.orchestration.run import run_concurrent_incasts
 from repro.schemes import SCHEME_REGISTRY
-from repro.units import megabytes
+from repro.units import kilobytes, megabytes, milliseconds, seconds
+from repro.workloads.engine import DiurnalCurve, OpenLoopEngine, WorkloadEngineConfig
+from repro.workloads.incast import uniform_incast
+from repro.workloads.sizes import HeavyTailConfig
 
 GOLDEN = {
     "baseline": "b7bff36631fa258ecbc889b5129b98051c01b74146b9fb036dfd0781f375dcb8",
@@ -62,3 +75,92 @@ def test_result_digest_is_unchanged(competitors, scheme):
     result = run_incast(replace(SCENARIO, scheme=scheme))
     assert result.completed
     assert result_digest(result) == GOLDEN[scheme]
+
+
+def _fingerprint(parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+CONCURRENT = {
+    ("baseline", "none"): "661216645ed09741c6e4545dbdaa821b878212874824c65a451835c5497554ab",
+    ("naive", "central"): "f0893a14ce7120bc9a883b961c966ffe9261992f10d79e19b65543f3bdbc583f",
+    ("streamlined", "shared"): "93a80644dc8d6d3dee7bd8b145b1657ace129a3394f81f40b20a2169c0564fa6",
+    ("trimless", "round-robin"): "d2c9cb1e016ddc0a85ba29d20bee1640c648c6598f046902a74f017bfc49cfb3",
+    ("naive", "decentralized"): "19fa72bcf2a3002842e84e3b21dc2e361e319288c32323f2caf7adbae5a42e93",
+}
+
+
+@pytest.mark.parametrize("scheme,strategy", sorted(CONCURRENT))
+def test_concurrent_incasts_are_unchanged(scheme, strategy):
+    # 8 MB per job overflows the small fabric's leaf buffers: baseline
+    # drops and times out, streamlined trims, trimless's detector fires.
+    jobs = [
+        uniform_incast(f"j{i}", degree=2, total_bytes=kilobytes(8_000),
+                       receiver_index=i, sender_offset=i * 2)
+        for i in range(2)
+    ]
+    result = run_concurrent_incasts(
+        jobs, scheme=scheme, strategy=strategy,
+        interdc=small_interdc_config(), transport=SCENARIO.transport,
+    )
+    assert result.completed
+    assert _fingerprint((
+        result.strategy,
+        result.scheme,
+        sorted(result.ict_ps.items()),
+        result.makespan_ps,
+        result.probes,
+        result.fallbacks,
+        sorted(result.proxy_assignments.items()),
+        sorted(result.per_proxy_peak_load.items()),
+        astuple(result.counters),
+    )) == CONCURRENT[(scheme, strategy)]
+
+
+OPEN_LOOP = {
+    "streamlined": "d2b276c4b347d47ba2fe0561d9c82d402f0b14e7e13c55ade5caea0a640d4e58",
+    "naive": "cf508f967190a77d584ff7cd681002b4195fd7a72f03be3e55dcab89db606aba",
+    "baseline": "b014474adace12260f386fbcd7451d8d8299be913d410f1eeb6d98fcc427f26b",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(OPEN_LOOP))
+def test_open_loop_digest_is_unchanged(scheme):
+    result = OpenLoopEngine(WorkloadEngineConfig(
+        scheme=scheme,
+        horizon_ps=seconds(1),
+        segment_ps=milliseconds(500),
+        peak_arrivals_per_s=40.0,
+        sizes=HeavyTailConfig(minimum_bytes=64_000, maximum_bytes=2_000_000,
+                              alpha=1.3),
+        diurnal=DiurnalCurve(period_ps=seconds(2), trough=0.5),
+        metrics=MetricsConfig(mode=MODE_SKETCH),
+        seed=3,
+    )).run()
+    assert result.jobs_completed == result.jobs_launched > 0
+    assert result.digest == OPEN_LOOP[scheme]
+
+
+CONVERGENCE = {
+    "baseline": "4c253c057d248872dfb3feb35f659708bed11458710f19a69081d63c1735dfa3",
+    "naive": "00fd093e60d1efa0570c79f96251ae27ddea3dc184ecdac918dc4dea5b819fe9",
+    "streamlined": "267555ab9c6478e7780464c788aea6edc88a165ac6b7e93f319ae20ea00b34e3",
+    "trimless": "5ef5104b06650226ba16497a8aec3b9041510b3485b27cbff0c2b8800ed304ab",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CONVERGENCE))
+def test_convergence_series_is_unchanged(scheme):
+    result = measure_convergence(replace(
+        SCENARIO, scheme=scheme, degree=4, total_bytes=megabytes(8)
+    ))
+    assert result.completed
+    assert _fingerprint((
+        result.goodput.times,
+        result.goodput.values,
+        result.bottleneck_bps,
+        result.ict_ps,
+        result.convergence_time_ps,
+        result.underutilized_ps,
+        result.mean_utilization,
+    )) == CONVERGENCE[scheme]
