@@ -38,22 +38,13 @@ def test_scheme_with_backbone_blip(benchmark, reduced_scenario, scheme):
                 sim.stop()
 
         if scheme == "baseline":
-            for host, size in zip(senders, sizes):
-                Connection(net, host, receiver, size, reduced_scenario.transport,
-                           on_receiver_complete=done).start()
-        elif scheme == "naive":
-            proxy = NaiveProxy(net, pick_proxy_host(topo.fabrics[0], senders),
-                               reduced_scenario.transport)
-            for host, size in zip(senders, sizes):
-                proxy.relay(host, receiver, size, on_receiver_complete=done).start()
+            open_flow = Connection
         else:
-            proxy_host = pick_proxy_host(topo.fabrics[0], senders)
-            proxy = StreamlinedProxy(sim, proxy_host)
-            for host, size in zip(senders, sizes):
-                conn = Connection(net, host, receiver, size, reduced_scenario.transport,
-                                  via=(proxy_host,), on_receiver_complete=done)
-                proxy.attach(conn)
-                conn.start()
+            proxy_class = NaiveProxy if scheme == "naive" else StreamlinedProxy
+            open_flow = proxy_class(sim, pick_proxy_host(topo.fabrics[0], senders)).open
+        for host, size in zip(senders, sizes):
+            open_flow(net, host, receiver, size, reduced_scenario.transport,
+                      on_receiver_complete=done).start()
 
         router = topo.backbone[0]
         spine_id = net.adjacency[router.id][0]

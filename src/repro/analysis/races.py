@@ -584,7 +584,6 @@ def register_order_sensitive_fixture() -> None:
             name=ORDER_SENSITIVE_SCHEME,
             display_name="order-sensitive fixture",
             trimming=False,
-            plane="direct",
             crash_semantics="unspecified",
             make_proxy=None,
             wire=_wire_order_sensitive,

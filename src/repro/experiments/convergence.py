@@ -15,19 +15,17 @@ with a goodput probe at the receiver and reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any
 
-from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.errors import ExperimentError
 from repro.experiments.parallel import ExperimentEngine
-from repro.experiments.runner import IncastScenario
+from repro.experiments.runner import IncastScenario, run_incast
 from repro.metrics.timeseries import Sampler, TimeSeries
-from repro.proxy.placement import pick_proxy_host, pick_senders
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim.simulator import Simulator
-from repro.topology.interdc import build_interdc
-from repro.transport.connection import Connection
-from repro.units import microseconds, seconds
+from repro.telemetry.instrumentation import Instrumentation
+from repro.telemetry.options import RunOptions
+from repro.units import microseconds
 
 
 @dataclass
@@ -52,6 +50,33 @@ class ConvergenceResult:
         ]
 
 
+class _ReceivedBytes(Instrumentation):
+    """Samples the bytes every receiver in the receiving datacenter holds.
+
+    The incast's receiver is the only host in DC 1 that terminates flows:
+    a split-connection proxy's inner legs end in DC 0, and
+    :func:`measure_convergence` refuses background flows.
+    """
+
+    def __init__(self, interval_ps: int) -> None:
+        self.interval_ps = interval_ps
+        self.receivers: list[Any] = []
+        self.bottleneck_bps = 0.0  # bytes per second into the receiver
+        self.cumulative: Any = None
+
+    def on_receiver(self, receiver: Any) -> None:
+        if receiver.host.dc == 1:
+            self.receivers.append(receiver)
+            self.bottleneck_bps = receiver.host.nic_rate_bps / 8
+
+    def begin_run(self, sim: Any) -> None:
+        sampler = Sampler(sim, self.interval_ps)
+        self.cumulative = sampler.probe(
+            "rx_bytes", lambda: sum(r.stats.bytes_received for r in self.receivers)
+        )
+        sampler.start()
+
+
 def measure_convergence(
     scenario: IncastScenario,
     sample_interval_ps: int = microseconds(100),
@@ -59,6 +84,12 @@ def measure_convergence(
     sustain_samples: int = 3,
 ) -> ConvergenceResult:
     """Run ``scenario`` with a receiver-goodput probe and derive convergence.
+
+    The run is :func:`~repro.experiments.runner.run_incast`'s, so every
+    scheme, routing mode and fault plan is wired exactly as there; the
+    probe only reads the bytes the receiver has taken in.  Under RepFlow
+    that counts both replicas of every flow.  Background flows would count
+    as goodput too, so a scenario with any is rejected.
 
     Convergence is declared at the earliest sample from which goodput
     *stays* at or above ``target_fraction`` of the bottleneck rate until
@@ -69,71 +100,20 @@ def measure_convergence(
     """
     if not 0 < target_fraction <= 1:
         raise ExperimentError("target_fraction must be in (0, 1]")
-    sim = Simulator(seed=scenario.seed)
-    spec = SCHEME_REGISTRY.get(scenario.scheme)
-    topo = build_interdc(sim, scenario.interdc.with_trimming(spec.trimming))
-    net = topo.net
-    receiver = topo.fabrics[1].hosts[0]
-    senders = pick_senders(topo.fabrics[0], scenario.degree)
-    sizes = scenario.flow_sizes()
-
-    remaining = [scenario.degree]
-    receivers = []
-
-    def on_done(_r) -> None:
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            sampler.stop()
-            sim.stop()
-
-    # Wiring follows the spec's plane; the goodput probe needs the endpoint
-    # receivers, so flows are built here rather than through spec.wire
-    # (which reports sender-side handles for the runner).
-    if spec.plane == "direct":
-        for host, size in zip(senders, sizes):
-            conn = Connection(net, host, receiver, size, scenario.transport,
-                              on_receiver_complete=on_done)
-            receivers.append(conn.receiver)
-            conn.start()
-    else:
-        proxy_host = pick_proxy_host(topo.fabrics[0], senders)
-        assert spec.make_proxy is not None  # enforced by SchemeSpec
-        proxy = spec.make_proxy(
-            sim, net, proxy_host,
-            transport=scenario.transport,
-            detector=scenario.detector,
-            processing_delay=scenario.proxy_delay_sampler,
+    if scenario.background_flows:
+        raise ExperimentError(
+            "measure_convergence counts every byte the receiving datacenter "
+            "takes in; background flows would pass for goodput"
         )
-        if spec.plane == "relay":
-            for host, size in zip(senders, sizes):
-                flow = proxy.relay(host, receiver, size,
-                                   on_receiver_complete=on_done)
-                receivers.append(flow.outer.receiver)
-                flow.start()
-        else:  # "via"
-            for host, size in zip(senders, sizes):
-                conn = Connection(net, host, receiver, size, scenario.transport,
-                                  via=(proxy_host,), on_receiver_complete=on_done)
-                proxy.attach(conn)
-                receivers.append(conn.receiver)
-                conn.start()
-
-    sampler = Sampler(sim, sample_interval_ps)
-    cumulative = sampler.probe(
-        "rx_bytes", lambda: sum(r.stats.bytes_received for r in receivers)
-    )
-    sampler.start()
-    sim.run(until=scenario.horizon_ps)
-
-    bottleneck = receiver.nic_rate_bps / 8  # bytes per second
-    goodput = cumulative.to_timeseries().rate_per_second()
+    probe = _ReceivedBytes(sample_interval_ps)
+    run = run_incast(scenario, RunOptions(instrumentation=probe))
     result = ConvergenceResult(
         scenario=scenario,
-        goodput=goodput,
-        bottleneck_bps=bottleneck,
+        goodput=probe.cumulative.to_timeseries().rate_per_second(),
+        bottleneck_bps=probe.bottleneck_bps,
         target_fraction=target_fraction,
-        ict_ps=sim.now if remaining[0] == 0 else scenario.horizon_ps,
-        completed=remaining[0] == 0,
+        ict_ps=run.ict_ps,
+        completed=run.completed,
     )
     _derive(result, sustain_samples)
     return result

@@ -369,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     predictor_schemes = ()
     if args.predictor:
         predictor_schemes = tuple(
-            s for s in schemes if SCHEME_REGISTRY.get(s).plane != "direct"
+            s for s in schemes if SCHEME_REGISTRY.get(s).make_proxy is not None
         )
     rows = workload_sweep(
         replace(base, pattern_predictor=False),

@@ -18,7 +18,7 @@ strategy.  Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.errors import OrchestrationError
@@ -29,15 +29,47 @@ from repro.orchestration.decentralized import DecentralizedSelector
 from repro.orchestration.policies import least_loaded, make_queue_depth, make_round_robin
 from repro.orchestration.state import ProxyRegistry
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim.rng import derive_stream
+from repro.sim.rng import SimRandom, derive_stream
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import seconds
 from repro.workloads.incast import IncastJob
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import Network
+    from repro.net.node import Host
+
 STRATEGIES = ("none", "shared", "central", "round-robin", "queue-depth",
               "decentralized")
+
+
+def make_selector(
+    strategy: str, hosts: list["Host"], net: "Network", rng: SimRandom
+) -> tuple[ProxyRegistry, CentralOrchestrator | DecentralizedSelector | None]:
+    """The proxy registry over ``hosts`` and the selector ``strategy`` runs.
+
+    ``"shared"`` registers only the first host; ``"none"`` has no selector.
+    ``rng`` drives the decentralized strategy's probing.
+    """
+    if strategy == "shared":
+        hosts = hosts[:1]
+    registry = ProxyRegistry()
+    for host in hosts:
+        registry.register(host.id)
+    selector: CentralOrchestrator | DecentralizedSelector | None
+    if strategy == "none":
+        selector = None
+    elif strategy == "decentralized":
+        selector = DecentralizedSelector(registry, rng)
+    elif strategy == "round-robin":
+        selector = CentralOrchestrator(registry, make_round_robin())
+    elif strategy == "queue-depth":
+        hosts_by_id = {h.id: h for h in hosts}
+        selector = CentralOrchestrator(registry, make_queue_depth(hosts_by_id, net))
+    else:  # central, shared
+        selector = CentralOrchestrator(registry, least_loaded)
+    return registry, selector
 
 
 @dataclass
@@ -88,7 +120,7 @@ def run_concurrent_incasts(
     if strategy not in STRATEGIES:
         raise OrchestrationError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     spec = SCHEME_REGISTRY.get(scheme)  # validates; lists registered names
-    if spec.plane == "direct":
+    if spec.make_proxy is None:
         strategy = "none"
     if not jobs:
         raise OrchestrationError("need at least one incast job")
@@ -117,31 +149,17 @@ def run_concurrent_incasts(
                 f"DC1 only has {len(dc1.hosts)} servers"
             )
 
-    registry = ProxyRegistry()
     candidates = [h for i, h in enumerate(dc0.hosts) if i not in sender_ids]
     if strategy != "none" and not candidates:
         raise OrchestrationError("no free servers left to act as proxies")
-    if strategy == "shared":
-        candidates = candidates[:1]
-    for host in candidates:
-        registry.register(host.id)
     hosts_by_id = {h.id: h for h in candidates}
+    registry, selector = make_selector(
+        strategy, candidates, net, derive_stream(seed, "orchestration:select")
+    )
 
-    rng = derive_stream(seed, "orchestration:select")
-    if strategy in ("none",):
-        selector = None
-    elif strategy == "decentralized":
-        selector = DecentralizedSelector(registry, rng)
-    elif strategy == "round-robin":
-        selector = CentralOrchestrator(registry, make_round_robin())
-    elif strategy == "queue-depth":
-        selector = CentralOrchestrator(registry, make_queue_depth(hosts_by_id, net))
-    else:  # central, shared
-        selector = CentralOrchestrator(registry, least_loaded)
+    proxies_on_host: dict[int, Any] = {}
 
-    proxies_on_host: dict[int, object] = {}
-
-    def proxy_app(host_id: int):
+    def proxy_app(host_id: int) -> Any:
         app = proxies_on_host.get(host_id)
         if app is None:
             assert spec.make_proxy is not None  # direct schemes never get here
@@ -205,33 +223,14 @@ def run_concurrent_incasts(
                 if remaining[0] == 0:
                     job_done(host_id)
 
+            open_flow = Connection if host_id is None else proxy_app(host_id).open
+            dst = dc1.hosts[job.receiver_index]
             for sender_index, nbytes in zip(job.sender_indices, job.flow_bytes):
-                src = dc0.hosts[sender_index]
-                dst = dc1.hosts[job.receiver_index]
-                if host_id is None:
-                    conn = Connection(
-                        net, src, dst, nbytes, transport,
-                        on_receiver_complete=flow_done,
-                        label=f"{job.name}:{sender_index}",
-                    )
-                    conn.start()
-                elif spec.plane == "relay":
-                    flow = proxy_app(host_id).relay(
-                        src, dst, nbytes,
-                        on_receiver_complete=flow_done,
-                        label=f"{job.name}:{sender_index}",
-                    )
-                    flow.start()
-                else:
-                    proxy_host = hosts_by_id[host_id]
-                    conn = Connection(
-                        net, src, dst, nbytes, transport,
-                        via=(proxy_host,),
-                        on_receiver_complete=flow_done,
-                        label=f"{job.name}:{sender_index}",
-                    )
-                    proxy_app(host_id).attach(conn)
-                    conn.start()
+                open_flow(
+                    net, dc0.hosts[sender_index], dst, nbytes, transport,
+                    on_receiver_complete=flow_done,
+                    label=f"{job.name}:{sender_index}",
+                ).start()
 
         sim.schedule(delay, start_flows)
 

@@ -12,6 +12,11 @@
   proxy by a bounded-memory detector (:mod:`repro.detection`).
 * :mod:`repro.proxy.placement`: deterministic sender/proxy placement
   helpers shared by the experiment runner and the orchestrator.
+
+Each proxy class wires its own flows: ``open(net, src, dst, total_bytes,
+cfg, ...)`` takes :class:`~repro.transport.connection.Connection`'s
+arguments and returns the flow to ``start()``; ``release(flow)`` tears it
+down.
 """
 
 from repro._lazy import lazy_exports

@@ -27,6 +27,8 @@ from repro.transport.receiver import AckingReceiver
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.net.node import Host
+    from repro.sim.simulator import Simulator
+    from repro.transport.sender import WindowedSender
 
 
 @dataclass
@@ -60,14 +62,12 @@ class NaiveRelayedFlow:
 class NaiveProxy:
     """Split-connection relay living on one host."""
 
-    def __init__(self, net: "Network", host: "Host", cfg: TransportConfig) -> None:
-        self.net = net
+    def __init__(self, sim: "Simulator", host: "Host") -> None:
         self.host = host
-        self.cfg = cfg
         self.flows: list[NaiveRelayedFlow] = []
         self.crashed = False
         self.crashes = 0
-        net.sim.instrumentation.on_proxy(self)
+        sim.instrumentation.on_proxy(self)
 
     # -- failure injection ------------------------------------------------------
 
@@ -102,36 +102,46 @@ class NaiveProxy:
         """
         self.crashed = False
 
-    def relay(
+    def open(
         self,
+        net: "Network",
         src: "Host",
         dst: "Host",
         total_bytes: int,
+        cfg: TransportConfig,
         *,
         on_receiver_complete: Callable[[AckingReceiver], None] | None = None,
+        on_sender_fail: Callable[[WindowedSender], None] | None = None,
         label: str = "",
     ) -> NaiveRelayedFlow:
-        """Wire one relayed flow ``src -> proxy -> dst``."""
+        """Wire one relayed flow ``src -> proxy -> dst``.
+
+        Takes :class:`~repro.transport.connection.Connection`'s arguments.
+        Either leg giving up kills the relayed flow (a dead inner leg
+        starves the outer one forever), so ``on_sender_fail`` rides both.
+        """
         if self.crashed:
             raise ProxyError(f"proxy on {self.host.name} is crashed; restart() first")
         outer = Connection(
-            self.net,
+            net,
             self.host,
             dst,
             total_bytes,
-            self.cfg,
+            cfg,
             cc_name="unlimited",
             available_packets=0,
+            on_sender_fail=on_sender_fail,
             on_receiver_complete=on_receiver_complete,
             label=f"{label or 'naive'}:long",
         )
         inner = Connection(
-            self.net,
+            net,
             src,
             self.host,
             total_bytes,
-            self.cfg,
+            cfg,
             on_deliver=lambda seq: outer.sender.release(1),
+            on_sender_fail=on_sender_fail,
             label=f"{label or 'naive'}:local",
         )
         flow = NaiveRelayedFlow(inner=inner, outer=outer)

@@ -21,11 +21,15 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ProxyError
 from repro.net.packet import Packet, PacketType
+from repro.transport.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.config import TransportConfig
+    from repro.net.network import Network
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
-    from repro.transport.connection import Connection
+    from repro.transport.receiver import AckingReceiver
+    from repro.transport.sender import WindowedSender
 
 
 class ProxyStats:
@@ -75,7 +79,36 @@ class StreamlinedProxy:
 
     # -- wiring ------------------------------------------------------------------
 
-    def attach(self, connection: "Connection") -> None:
+    def open(
+        self,
+        net: "Network",
+        src: "Host",
+        dst: "Host",
+        total_bytes: int,
+        cfg: "TransportConfig",
+        *,
+        on_receiver_complete: Callable[["AckingReceiver"], None] | None = None,
+        on_sender_fail: Callable[["WindowedSender"], None] | None = None,
+        label: str = "",
+    ) -> Connection:
+        """Wire one end-to-end flow ``src -> dst``, loose-source-routed
+        through this proxy (takes :class:`Connection`'s arguments)."""
+        connection = Connection(
+            net, src, dst, total_bytes, cfg,
+            via=(self.host,),
+            on_receiver_complete=on_receiver_complete,
+            on_sender_fail=on_sender_fail,
+            label=label,
+        )
+        self.attach(connection)
+        return connection
+
+    def release(self, connection: Connection) -> None:
+        """Tear down a finished flow and stop relaying it."""
+        connection.teardown()
+        self.detach_flow(connection.flow_id)
+
+    def attach(self, connection: Connection) -> None:
         """Relay one end-to-end connection through this proxy."""
         self.attach_flow(connection.flow_id)
 

@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING
 from repro.detection.lossdetector import DetectorConfig, FlowTracker, GapLossDetector
 from repro.errors import ProxyError
 from repro.net.packet import Packet, PacketType
-from repro.proxy.streamlined import ProxyStats
+from repro.proxy.streamlined import ProxyStats, StreamlinedProxy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
-    from repro.transport.connection import Connection
 
 
 class TrimlessStreamlinedProxy:
@@ -53,9 +52,11 @@ class TrimlessStreamlinedProxy:
 
     # -- wiring -------------------------------------------------------------------
 
-    def attach(self, connection: "Connection") -> None:
-        """Relay one end-to-end connection through this proxy."""
-        self.attach_flow(connection.flow_id)
+    # The same end-to-end flows as the Streamlined proxy; only the per-flow
+    # state behind attach_flow / detach_flow differs.
+    open = StreamlinedProxy.open
+    release = StreamlinedProxy.release
+    attach = StreamlinedProxy.attach
 
     def attach_flow(self, flow_id: int) -> None:
         """Relay packets of ``flow_id``."""

@@ -1,21 +1,24 @@
 """The scheme registry: every incast scheme as declarative data.
 
-Historically each harness (:func:`repro.experiments.runner.run_incast`,
-:func:`repro.experiments.convergence.measure_convergence`,
-:func:`repro.orchestration.run.run_concurrent_incasts`) carried its own
-``if scheme == ...`` ladder, and adding a scheme meant editing all three.
-A :class:`SchemeSpec` now captures everything a harness needs to know:
+A :class:`SchemeSpec` captures everything a harness needs to know:
 
 * ``trimming`` — whether the fabric is built with switch trimming enabled;
-* ``plane`` — how flows are wired: ``"direct"`` (no proxy), ``"relay"``
-  (split connections terminated at the proxy, Naive-style), or ``"via"``
-  (one end-to-end connection loose-source-routed through the proxy);
 * ``make_proxy`` — the per-host proxy application factory (``None`` for
-  direct schemes);
+  schemes without a proxy);
 * ``wire`` — the full incast wiring used by ``run_incast`` (flow creation,
   callbacks, hot-standby/failover plumbing);
 * ``display_name`` / ``crash_semantics`` — for figures, docs, and the
   fault tooling.
+
+How a flow crosses a proxy is the proxy's own business: every proxy class
+has ``open(net, src, dst, total_bytes, cfg, ...)``, taking
+:class:`~repro.transport.connection.Connection`'s arguments, and
+``release(flow)``.  The Naive proxy splits the flow into two relayed
+connections; the Streamlined family routes one end-to-end connection
+through itself.  So every harness that launches its own flows
+(:func:`~repro.orchestration.run.run_concurrent_incasts`, the open-loop
+:class:`~repro.workloads.engine.OpenLoopEngine`) opens either a direct
+``Connection`` or ``proxy.open(...)`` and never asks which proxy it has.
 
 Third parties extend the simulator by registering their own spec::
 
@@ -103,26 +106,12 @@ class SchemeSpec:
     display_name: str
     #: build the fabric with switch trimming enabled
     trimming: bool
-    #: "direct" | "relay" | "via" — how flows traverse the proxy (if any)
-    plane: str
     #: the crash-recovery contract, for docs and the fault tooling
     crash_semantics: str
     #: per-host proxy application factory; None for direct schemes
     make_proxy: ProxyFactory | None
     #: full incast wiring (flows, callbacks, failover) for run_incast
     wire: Callable[[SchemeContext], SchemeWiring]
-
-    def __post_init__(self) -> None:
-        if self.plane not in ("direct", "relay", "via"):
-            raise ExperimentError(
-                f"scheme {self.name!r}: plane must be direct/relay/via, "
-                f"got {self.plane!r}"
-            )
-        if self.plane != "direct" and self.make_proxy is None:
-            raise ExperimentError(
-                f"scheme {self.name!r}: a {self.plane!r}-plane scheme needs "
-                "a make_proxy factory"
-            )
 
     def fingerprint(self) -> str:
         """Content hash of the spec's behaviour, for result-cache keys.
@@ -152,7 +141,6 @@ class SchemeSpec:
             self.name,
             self.display_name,
             str(self.trimming),
-            self.plane,
             self.crash_semantics,
             describe(self.wire),
             describe(self.make_proxy),
@@ -219,7 +207,6 @@ def register_scheme(
     *,
     display_name: str | None = None,
     trimming: bool = False,
-    plane: str = "direct",
     crash_semantics: str = "unspecified",
     make_proxy: ProxyFactory | None = None,
     registry: SchemeRegistry | None = None,
@@ -236,7 +223,6 @@ def register_scheme(
                 name=name,
                 display_name=display_name if display_name is not None else name,
                 trimming=trimming,
-                plane=plane,
                 crash_semantics=crash_semantics,
                 make_proxy=make_proxy,
                 wire=wire,
@@ -261,7 +247,7 @@ def _make_naive_proxy(
     processing_delay: Callable[[], int] | None = None,
     label: str = "",
 ) -> NaiveProxy:
-    return NaiveProxy(net, host, transport)
+    return NaiveProxy(sim, host)
 
 
 def _make_streamlined_proxy(
@@ -321,15 +307,12 @@ def _wire_naive(ctx: SchemeContext) -> SchemeWiring:
     wiring.proxies["primary"] = proxy
     wiring.proxy_hosts["primary"] = proxy_host
     for i, (host, size) in enumerate(zip(ctx.senders, ctx.sizes)):
-        flow = proxy.relay(
-            host, ctx.receiver, size,
+        flow = proxy.open(
+            ctx.net, host, ctx.receiver, size, scenario.transport,
             on_receiver_complete=ctx.make_on_done(i),
+            on_sender_fail=ctx.make_on_fail(i),
             label=f"naive{i}",
         )
-        # Either leg giving up kills the relayed flow: a dead inner leg
-        # starves the outer one forever, so both report the same index.
-        flow.inner.sender.on_fail = ctx.make_on_fail(i)
-        flow.outer.sender.on_fail = ctx.make_on_fail(i)
         wiring.senders.append(flow.inner.sender)
         wiring.senders.append(flow.outer.sender)
         flow.start()
@@ -367,14 +350,12 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
         wiring.nack_proxies.append(backup)
     conns = []
     for i, (host, size) in enumerate(zip(ctx.senders, ctx.sizes)):
-        conn = Connection(
+        conn = proxy.open(
             ctx.net, host, ctx.receiver, size, scenario.transport,
-            via=(proxy_host,),
             on_receiver_complete=ctx.make_on_done(i),
             on_sender_fail=ctx.make_on_fail(i),
             label=f"{scenario.scheme}{i}",
         )
-        proxy.attach(conn)
         if backup is not None:
             backup.attach(conn)  # inert until reroute_via points here
         wiring.senders.append(conn.sender)
@@ -405,7 +386,6 @@ SCHEME_REGISTRY.register(SchemeSpec(
     name="baseline",
     display_name="Baseline",
     trimming=False,
-    plane="direct",
     crash_semantics="no proxy: nothing to crash",
     make_proxy=None,
     wire=_wire_baseline,
@@ -414,7 +394,6 @@ SCHEME_REGISTRY.register(SchemeSpec(
     name="naive",
     display_name="Proxy (Naive)",
     trimming=False,
-    plane="relay",
     crash_semantics=(
         "split-connection state is process memory: a crash kills every "
         "in-flight relay for good; restart serves new flows only"
@@ -426,7 +405,6 @@ SCHEME_REGISTRY.register(SchemeSpec(
     name="streamlined",
     display_name="Proxy (Streamlined)",
     trimming=True,
-    plane="via",
     crash_semantics=(
         "stateless forwarding: restart resumes every attached flow; "
         "packets in the processing pipeline at crash time are lost"
@@ -438,7 +416,6 @@ SCHEME_REGISTRY.register(SchemeSpec(
     name="trimless",
     display_name="Proxy (Streamlined, trim-free)",
     trimming=False,
-    plane="via",
     crash_semantics=(
         "forwarding resumes on restart but detector state is lost: gaps "
         "straddling the outage fall back to sender RTO recovery"
@@ -450,7 +427,6 @@ SCHEME_REGISTRY.register(SchemeSpec(
     name="proxy-failover",
     display_name="Proxy (Streamlined + hot standby)",
     trimming=True,
-    plane="via",
     crash_semantics=(
         "heartbeat failure detector migrates attached flows to a hot-"
         "standby proxy; stateless plane makes migration loss-free past "

@@ -3,9 +3,9 @@
 One :class:`Instrumentation` object rides on the simulator
 (``sim.instrumentation``) the same way the sanitizer does: components
 *register* themselves at build time (``on_port`` / ``on_sender`` /
-``on_proxy`` / ``on_fault_injector``), the experiment runner marks phase
-boundaries (``phase`` / ``begin_run`` / ``finish``), and the event loop
-reports per-event handler time through ``on_event``.
+``on_receiver`` / ``on_proxy`` / ``on_fault_injector``), the experiment
+runner marks phase boundaries (``phase`` / ``begin_run`` / ``finish``),
+and the event loop reports per-event handler time through ``on_event``.
 
 The contract that keeps the disabled path cheap: the run loop hoists
 ``sim.instrumentation.enabled`` into a local **once per run**, so a
@@ -45,6 +45,9 @@ class Instrumentation:
 
     def on_sender(self, sender: Any) -> None:
         """A :class:`~repro.transport.sender.WindowedSender` was built."""
+
+    def on_receiver(self, receiver: Any) -> None:
+        """An :class:`~repro.transport.receiver.AckingReceiver` was built."""
 
     def on_proxy(self, proxy: Any) -> None:
         """A proxy (naive / streamlined / trimless) was built."""

@@ -97,6 +97,7 @@ class AckingReceiver:
         self._closed = False
         self._pool = sim.packet_pool
         self._delack = Timer(sim, self._flush_ack)
+        sim.instrumentation.on_receiver(self)
 
     # -- receive path -----------------------------------------------------------
 

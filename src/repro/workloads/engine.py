@@ -50,11 +50,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.metrics.sink import DistributionDigest, DistributionSink, make_distribution_sink
-from repro.orchestration.central import CentralOrchestrator
-from repro.orchestration.decentralized import DecentralizedSelector
-from repro.orchestration.policies import least_loaded, make_queue_depth, make_round_robin
-from repro.orchestration.run import STRATEGIES
-from repro.orchestration.state import ProxyRegistry
+from repro.orchestration.run import STRATEGIES, make_selector
 from repro.patterns.controller import PatternAwareController
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim.checkpoint import save_checkpoint
@@ -301,7 +297,7 @@ class OpenLoopEngine:
                     f"must be from {WORKLOAD_REGISTRY.tenant_names()}"
                 )
         self._spec = spec
-        self.strategy = "none" if spec.plane == "direct" else config.strategy
+        self.strategy = "none" if spec.make_proxy is None else config.strategy
         interdc = config.interdc if config.interdc is not None else small_interdc_config()
         self.transport = (
             config.transport if config.transport is not None else TransportConfig()
@@ -319,29 +315,9 @@ class OpenLoopEngine:
         self._receiver_hosts = dc1.hosts
         proxy_hosts = dc0.hosts[-reserve:]
         self._proxy_hosts_by_id = {h.id: h for h in proxy_hosts}
-
-        self.registry = ProxyRegistry()
-        for host in proxy_hosts:
-            self.registry.register(host.id)
-        select_rng = self.sim.rng.stream("engine:select")
-        self.selector: CentralOrchestrator | DecentralizedSelector | None
-        if self.strategy == "none":
-            self.selector = None
-        elif self.strategy == "decentralized":
-            self.selector = DecentralizedSelector(self.registry, select_rng)
-        elif self.strategy == "round-robin":
-            self.selector = CentralOrchestrator(self.registry, make_round_robin())
-        elif self.strategy == "queue-depth":
-            self.selector = CentralOrchestrator(
-                self.registry, make_queue_depth(self._proxy_hosts_by_id, self.net)
-            )
-        elif self.strategy == "shared":
-            shared = ProxyRegistry()
-            shared.register(proxy_hosts[0].id)
-            self.registry = shared
-            self.selector = CentralOrchestrator(shared, least_loaded)
-        else:  # central
-            self.selector = CentralOrchestrator(self.registry, least_loaded)
+        _, self.selector = make_selector(
+            self.strategy, proxy_hosts, self.net, self.sim.rng.stream("engine:select")
+        )
 
         self.controller = (
             PatternAwareController() if config.pattern_predictor else None
@@ -445,35 +421,17 @@ class OpenLoopEngine:
 
     def _start_flows(self, tracker: _JobTracker) -> None:
         job, host_id = tracker.job, tracker.host_id
+        open_flow = Connection if host_id is None else self._proxy_app(host_id).open
+        dst = self._receiver_hosts[job.receiver_index]
         for sender_index, nbytes in zip(job.sender_indices, job.flow_bytes):
-            src = self._sender_hosts[sender_index]
-            dst = self._receiver_hosts[job.receiver_index]
-            if host_id is None:
-                conn = Connection(
-                    self.net, src, dst, nbytes, self.transport,
-                    on_receiver_complete=tracker.flow_done,
-                    label=f"{job.name}:{sender_index}",
-                )
-                tracker.wired.append(conn)
-                conn.start()
-            elif self._spec.plane == "relay":
-                flow = self._proxy_app(host_id).relay(
-                    src, dst, nbytes,
-                    on_receiver_complete=tracker.flow_done,
-                    label=f"{job.name}:{sender_index}",
-                )
-                tracker.wired.append(flow)
-                flow.start()
-            else:  # "via"
-                conn = Connection(
-                    self.net, src, dst, nbytes, self.transport,
-                    via=(self._proxy_hosts_by_id[host_id],),
-                    on_receiver_complete=tracker.flow_done,
-                    label=f"{job.name}:{sender_index}",
-                )
-                self._proxy_app(host_id).attach(conn)
-                tracker.wired.append(conn)
-                conn.start()
+            flow = open_flow(
+                self.net, self._sender_hosts[sender_index], dst, nbytes,
+                self.transport,
+                on_receiver_complete=tracker.flow_done,
+                label=f"{job.name}:{sender_index}",
+            )
+            tracker.wired.append(flow)
+            flow.start()
 
     def _job_done(self, tracker: _JobTracker) -> None:
         job = tracker.job
@@ -488,13 +446,11 @@ class OpenLoopEngine:
 
     def _teardown_job(self, tracker: _JobTracker) -> None:
         host_id = tracker.host_id
+        release = (
+            Connection.teardown if host_id is None else self._proxy_app(host_id).release
+        )
         for wired in tracker.wired:
-            if host_id is not None and self._spec.plane == "relay":
-                self._proxy_app(host_id).release(wired)
-            else:
-                wired.teardown()
-                if host_id is not None:  # "via": the proxy holds a handler too
-                    self._proxy_app(host_id).detach_flow(wired.flow_id)
+            release(wired)
         tracker.wired.clear()
 
     # -- run loop ------------------------------------------------------------

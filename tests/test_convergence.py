@@ -2,10 +2,13 @@
 
 import pytest
 
+from dataclasses import replace
+
+from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.convergence import compare_convergence, measure_convergence
-from repro.experiments.runner import IncastScenario
+from repro.experiments.runner import SCHEMES, IncastScenario, run_incast
 from repro.metrics.timeseries import Sampler, TimeSeries
 from repro.sim.simulator import Simulator
 from repro.units import megabytes, microseconds, milliseconds
@@ -124,3 +127,38 @@ class TestConvergence:
         scenario = IncastScenario(interdc=small_interdc_config())
         with pytest.raises(ExperimentError):
             compare_convergence(scenario, schemes=("baseline", "warp"))
+
+
+class TestSameRunAsRunIncast:
+    """The probe rides run_incast's own run, so it sees the same ICT under
+    every scheme and routing mode — a harness that wired flows itself ran
+    Pulser and RepFlow as plain connections and ignored ``routing``."""
+
+    SCENARIO = IncastScenario(
+        degree=4,
+        total_bytes=megabytes(8),
+        interdc=small_interdc_config(),
+        transport=TransportConfig(payload_bytes=4096),
+    )
+
+    @pytest.fixture
+    def competitors(self):
+        install()
+        try:
+            yield
+        finally:
+            uninstall()
+
+    @pytest.mark.parametrize("scheme,routing", [
+        *((scheme, "spray") for scheme in SCHEMES + COMPETITOR_SCHEMES),
+        ("baseline", "ecmp"),
+        ("streamlined", "ecmp"),
+    ])
+    def test_ict_matches_run_incast(self, competitors, scheme, routing):
+        scenario = replace(self.SCENARIO, scheme=scheme, routing=routing)
+        assert measure_convergence(scenario).ict_ps == run_incast(scenario).ict_ps
+
+    def test_background_flows_rejected(self):
+        scenario = replace(self.SCENARIO, background_flows=2)
+        with pytest.raises(ExperimentError, match="background"):
+            measure_convergence(scenario)

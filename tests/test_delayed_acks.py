@@ -111,8 +111,8 @@ class TestCloseReleasesBatchTail:
 
         net, hosts, rx = build_incast_star(sim, 2)
         src, proxy_host = hosts
-        proxy = NaiveProxy(net, proxy_host, delack_cfg)
-        flow = proxy.relay(src, rx, 256 * 1024)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, src, rx, 256 * 1024, delack_cfg)
         flow.start()
         crash_at = microseconds(40)
         plan = proxy_crash_plan(at_ps=crash_at)

@@ -14,7 +14,6 @@ from repro.proxy.streamlined import StreamlinedProxy
 from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.sim.simulator import Simulator
 from repro.topology.leafspine import build_leafspine
-from repro.transport.connection import Connection
 from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 from repro.config import FabricConfig
 
@@ -52,9 +51,7 @@ class TestStreamlinedProxy:
     def test_relays_end_to_end(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
         proxy = StreamlinedProxy(sim, proxy_host)
-        conn = Connection(net, sender, receiver, 20_000, transport_cfg,
-                          via=(proxy_host,))
-        proxy.attach(conn)
+        conn = proxy.open(net, sender, receiver, 20_000, transport_cfg)
         conn.start()
         sim.run(until=milliseconds(200))
         assert conn.completed
@@ -64,9 +61,7 @@ class TestStreamlinedProxy:
     def test_trimmed_header_becomes_nack(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim, trimming=True)
         proxy = StreamlinedProxy(sim, proxy_host)
-        conn = Connection(net, sender, receiver, 200_000, transport_cfg,
-                          via=(proxy_host,))
-        proxy.attach(conn)
+        conn = proxy.open(net, sender, receiver, 200_000, transport_cfg)
         # Fatten the initial window so the shallow proxy down-port overflows.
         conn.cc.cwnd = conn.total_packets
         conn.start()
@@ -81,9 +76,7 @@ class TestStreamlinedProxy:
     def test_nack_feedback_is_local_not_end_to_end(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim, trimming=True)
         proxy = StreamlinedProxy(sim, proxy_host)
-        conn = Connection(net, sender, receiver, 200_000, transport_cfg,
-                          via=(proxy_host,))
-        proxy.attach(conn)
+        conn = proxy.open(net, sender, receiver, 200_000, transport_cfg)
         conn.cc.cwnd = conn.total_packets
         nack_times = []
         original = conn.sender._on_nack
@@ -100,8 +93,7 @@ class TestStreamlinedProxy:
     def test_processing_delay_is_charged(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
         slow = StreamlinedProxy(sim, proxy_host, processing_delay=lambda: microseconds(400))
-        conn = Connection(net, sender, receiver, 4096, transport_cfg, via=(proxy_host,))
-        slow.attach(conn)
+        conn = slow.open(net, sender, receiver, 4096, transport_cfg)
         conn.start()
         sim.run(until=milliseconds(300))
         done_slow = conn.receiver.stats.completed_at
@@ -109,8 +101,7 @@ class TestStreamlinedProxy:
         sim2 = Simulator(seed=42)
         net2, sender2, proxy_host2, receiver2 = build_line(sim2)
         fast = StreamlinedProxy(sim2, proxy_host2)
-        conn2 = Connection(net2, sender2, receiver2, 4096, transport_cfg, via=(proxy_host2,))
-        fast.attach(conn2)
+        conn2 = fast.open(net2, sender2, receiver2, 4096, transport_cfg)
         conn2.start()
         sim2.run(until=milliseconds(300))
         done_fast = conn2.receiver.stats.completed_at
@@ -137,10 +128,10 @@ class TestStreamlinedProxy:
 class TestNaiveProxy:
     def test_relays_and_completes(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
+        proxy = NaiveProxy(sim, proxy_host)
         done = []
-        flow = proxy.relay(sender, receiver, 50_000,
-                           on_receiver_complete=lambda r: done.append(sim.now))
+        flow = proxy.open(net, sender, receiver, 50_000, transport_cfg,
+                          on_receiver_complete=lambda r: done.append(sim.now))
         flow.start()
         sim.run(until=milliseconds(200))
         assert flow.completed
@@ -149,8 +140,8 @@ class TestNaiveProxy:
 
     def test_relay_preserves_byte_stream_order(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flow = proxy.relay(sender, receiver, 30_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, sender, receiver, 30_000, transport_cfg)
         seqs = []
         inner_deliver = flow.inner.receiver.on_deliver
         flow.inner.receiver.on_deliver = lambda seq: (seqs.append(seq), inner_deliver(seq))
@@ -160,8 +151,8 @@ class TestNaiveProxy:
 
     def test_two_connections_with_distinct_flow_ids(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flow = proxy.relay(sender, receiver, 10_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, sender, receiver, 10_000, transport_cfg)
         assert flow.inner.flow_id != flow.outer.flow_id
         # inner terminates at the proxy host; outer originates there
         assert flow.inner.dst is proxy_host
@@ -169,22 +160,22 @@ class TestNaiveProxy:
 
     def test_long_leg_is_unwindowed(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flow = proxy.relay(sender, receiver, 10_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, sender, receiver, 10_000, transport_cfg)
         assert flow.outer.cc.can_send(10**9)
 
     def test_backlog_drains(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flow = proxy.relay(sender, receiver, 50_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, sender, receiver, 50_000, transport_cfg)
         flow.start()
         sim.run(until=milliseconds(200))
         assert flow.relay_backlog_packets == 0
 
     def test_inner_leg_finishes_before_outer(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flow = proxy.relay(sender, receiver, 50_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        flow = proxy.open(net, sender, receiver, 50_000, transport_cfg)
         flow.start()
         sim.run(until=milliseconds(200))
         # the local leg has a us RTT; the long leg's completion includes 1ms legs
@@ -200,9 +191,7 @@ class TestTrimlessProxy:
             sim, proxy_host,
             DetectorConfig(packet_threshold=4, reorder_window_ps=microseconds(10)),
         )
-        conn = Connection(net, sender, receiver, 200_000, transport_cfg,
-                          via=(proxy_host,))
-        proxy.attach(conn)
+        conn = proxy.open(net, sender, receiver, 200_000, transport_cfg)
         conn.cc.cwnd = conn.total_packets  # force first-burst overflow
         conn.start()
         sim.run(until=milliseconds(1000))
@@ -213,9 +202,7 @@ class TestTrimlessProxy:
     def test_no_false_nacks_without_loss(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim, bottleneck=megabytes(4))
         proxy = TrimlessStreamlinedProxy(sim, proxy_host)
-        conn = Connection(net, sender, receiver, 50_000, transport_cfg,
-                          via=(proxy_host,))
-        proxy.attach(conn)
+        conn = proxy.open(net, sender, receiver, 50_000, transport_cfg)
         conn.start()
         sim.run(until=milliseconds(200))
         assert conn.completed

@@ -7,7 +7,6 @@ from repro.net.network import Network
 from repro.net.packet import PacketType
 from repro.proxy.naive import NaiveProxy
 from repro.proxy.streamlined import StreamlinedProxy
-from repro.transport.connection import Connection
 from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 
 
@@ -64,9 +63,7 @@ class TestRemoteTrimming:
         proxy = StreamlinedProxy(sim, proxy_host)
         conns = []
         for tx in (tx1, tx2):
-            conn = Connection(net, tx, receiver, 200_000, transport_cfg,
-                              via=(proxy_host,))
-            proxy.attach(conn)
+            conn = proxy.open(net, tx, receiver, 200_000, transport_cfg)
             conn.cc.cwnd = conn.total_packets  # force a burst past the proxy
             conns.append(conn)
             conn.start()
@@ -86,9 +83,7 @@ class TestRemoteTrimming:
         proxy = StreamlinedProxy(sim, proxy_host)
         conns = []
         for tx in (tx1, tx2):
-            conn = Connection(net, tx, receiver, 200_000, transport_cfg,
-                              via=(proxy_host,))
-            proxy.attach(conn)
+            conn = proxy.open(net, tx, receiver, 200_000, transport_cfg)
             conn.cc.cwnd = conn.total_packets
             conns.append(conn)
             conn.start()
@@ -106,8 +101,8 @@ class TestNaiveInnerLegCongestion:
         net, (tx1, tx2), proxy_host, receiver = build_two_stage(
             sim, near_trim=True, near_cap=kilobytes(40)
         )
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        flows = [proxy.relay(tx, receiver, 200_000) for tx in (tx1, tx2)]
+        proxy = NaiveProxy(sim, proxy_host)
+        flows = [proxy.open(net, tx, receiver, 200_000, transport_cfg) for tx in (tx1, tx2)]
         for flow in flows:
             flow.inner.cc.cwnd = flow.inner.total_packets  # burst the local leg
             flow.start()
@@ -120,12 +115,12 @@ class TestNaiveInnerLegCongestion:
 
     def test_relay_reuse_across_sequential_flows(self, sim, transport_cfg):
         net, (tx1, tx2), proxy_host, receiver = build_two_stage(sim)
-        proxy = NaiveProxy(net, proxy_host, transport_cfg)
-        first = proxy.relay(tx1, receiver, 50_000)
+        proxy = NaiveProxy(sim, proxy_host)
+        first = proxy.open(net, tx1, receiver, 50_000, transport_cfg)
         first.start()
         sim.run(until=milliseconds(500))
         assert first.completed
-        second = proxy.relay(tx2, receiver, 50_000)
+        second = proxy.open(net, tx2, receiver, 50_000, transport_cfg)
         second.start()
         sim.run(until=milliseconds(1000))
         assert second.completed

@@ -15,7 +15,6 @@ from repro.experiments.runner import (
 from repro.schemes import (
     SCHEME_REGISTRY,
     SchemeContext,
-    SchemeSpec,
     SchemeWiring,
     register_scheme,
 )
@@ -59,19 +58,6 @@ class TestRegistry:
         with pytest.raises(ExperimentError, match="already registered"):
             SCHEME_REGISTRY.register(spec)
         SCHEME_REGISTRY.register(spec, replace=True)  # idempotent override
-
-    def test_spec_shape_is_validated(self):
-        def wire(ctx):
-            return SchemeWiring()
-
-        with pytest.raises(ExperimentError, match="plane"):
-            SchemeSpec(name="x", display_name="x", trimming=False,
-                       plane="sideways", crash_semantics="", make_proxy=None,
-                       wire=wire)
-        with pytest.raises(ExperimentError, match="make_proxy"):
-            SchemeSpec(name="x", display_name="x", trimming=False,
-                       plane="via", crash_semantics="", make_proxy=None,
-                       wire=wire)
 
     def test_builtin_specs_carry_crash_semantics(self):
         for spec in SCHEME_REGISTRY:
