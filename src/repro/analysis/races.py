@@ -20,9 +20,9 @@ handler qualnames in canonical and permuted order, the first swapped pair,
 and a minimized one-line repro command.
 
 Neutrality guarantee: with no tie-break seed the scheduler hook is never
-installed and the lone-tick fast path is untouched, so default runs are
-bit-identical to runs before this module existed (asserted by
-tests/test_races.py and every existing digest test).
+installed, and the run loop then never looks at tick boundaries, so
+default runs are bit-identical to runs before this module existed
+(asserted by tests/test_races.py and every existing digest test).
 """
 
 from __future__ import annotations

@@ -60,7 +60,11 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
 #:   2 — seq-free scheduler: calendar entries are ``(time, payload)``, the
 #:       scheduler keeps no sequence or pending counter, and an Event holds
 #:       no link back to its scheduler.
-CHECKPOINT_SCHEMA_VERSION = 2
+#:   3 — one dispatch loop: the scheduler keeps no per-tick batch list
+#:       and gains ``_hooked``, the end of the block of the current bucket
+#:       already handed to the tie-break hook; a receiver's held delayed-ACK
+#:       tail and mark are ``_ack_tail`` and ``_ack_marked``.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _MAGIC = b"RPCKPT\x00"
 #: magic, schema version, length of the python tag; the tag and the payload's

@@ -26,16 +26,18 @@ clustered near-future timestamps incast generates:
   ``insort(..., key=time)`` at/after the drain cursor, which puts a new
   entry after every entry of the same time; everything before the cursor
   has already fired and compares no larger, so the cursor position is a
-  correct lower bound.  Entries handed out but never run are spliced back
-  in at the cursor (:meth:`EventScheduler.unpop`).
+  correct lower bound.
 
 Nothing is counted per event: ``len()`` walks the queued entries when
 asked (O(pending); only telemetry probes and tests ask).  Callbacks that
 are never cancelled skip the :class:`~repro.sim.events.Event` handle
 entirely.  Cancellation stays lazy: cancelled entries are discarded when
 the drain cursor reaches them.  :meth:`repro.sim.simulator.Simulator.run`
-reads the entry at the cursor itself and runs a lone tick without calling
-in here; :meth:`EventScheduler.pop_tick` serves multi-entry ticks.
+reads and runs every entry at the cursor itself and calls in here only to
+load the next bucket.  An entry leaves the calendar only when it runs, so a
+stopped run leaves its unrun same-tick entries where they were.  A
+tie-break hook permutes a tick in place at the cursor
+(:meth:`EventScheduler.permute_tick`).
 
 :class:`HeapEventScheduler` preserves the original binary-heap
 implementation, keyed ``(time, seq)``; it is the reference the tie-break
@@ -66,10 +68,12 @@ _TIME = itemgetter(0)
 
 #: The pluggable same-tick permutation hook (the dynamic race detector,
 #: see :mod:`repro.analysis.races`).  Called as ``hook(time, entries)``
-#: with the live same-tick batch in FIFO order; returns a permutation of
-#: those entries, or None to keep the FIFO order.  The hook only ever
-#: reorders *within* one tick — time ordering and cancellation are
-#: untouched.
+#: with the live entries of one tick in FIFO order — two or more, handed
+#: over once, when the drain cursor first reaches the tick; returns a
+#: permutation of those entries, or None to keep the FIFO order.  The
+#: permutation is written back at the cursor (see
+#: :meth:`EventScheduler.permute_tick`).  The hook only ever reorders
+#: *within* one tick — time ordering and cancellation are untouched.
 TieBreakHook = Callable[[int, "list[Entry]"], "list[Entry] | None"]
 
 #: Bucket width is 2**19 ps ~= 0.5 us: a busy port's next serialization
@@ -93,13 +97,13 @@ class EventScheduler:
     """A time-ordered queue of cancellable events (calendar-queue backed)."""
 
     __slots__ = ("_buckets", "_bucket_heap", "_cur", "_cur_g", "_idx",
-                 "_shift", "_batch", "tie_break")
+                 "_shift", "_hooked", "tie_break")
 
     def __init__(self, bucket_shift: int = BUCKET_SHIFT) -> None:
         #: Optional same-tick permutation hook (see :data:`TieBreakHook`).
         #: None (the default) preserves the FIFO contract bit-for-bit: the
-        #: hook is consulted only on multi-entry ticks, off the lone-tick
-        #: fast path, so disabled runs execute the identical event order.
+        #: run loop reads it once per run and, when it is None, never looks
+        #: at tick boundaries at all.
         self.tie_break: TieBreakHook | None = None
         self._shift = bucket_shift
         #: future buckets: global bucket index -> unsorted entry list
@@ -111,8 +115,9 @@ class EventScheduler:
         self._cur: list[Entry] = []
         self._cur_g = -1
         self._idx = 0
-        #: reusable pop_tick output list — see the borrow note on pop_tick
-        self._batch: list[Entry] = []
+        #: end of the block of ``_cur`` already handed to the tie-break
+        #: hook (see permute_tick); 0 whenever a new bucket is loaded
+        self._hooked = 0
 
     # -- insertion ----------------------------------------------------------
 
@@ -143,7 +148,7 @@ class EventScheduler:
 
         The fast path for fire-and-forget work (port serialization, wire
         propagation): no :class:`Event` is allocated and the entry can
-        never be cancelled, so the pop paths skip the liveness check.
+        never be cancelled, so the drain skips the liveness check.
         """
         g = time >> self._shift
         if g > self._cur_g:
@@ -185,6 +190,7 @@ class EventScheduler:
             cur.sort(key=_TIME)
             self._cur = cur
             self._cur_g = g
+            self._hooked = 0
             idx = 0
 
     def next_time(self) -> int | None:
@@ -197,7 +203,9 @@ class EventScheduler:
 
         Returns the :class:`Event` handle for entries made with
         :meth:`schedule_at`, the bare callback for :meth:`schedule_call`
-        entries, or None when the queue is empty.
+        entries, or None when the queue is empty.  The tie-break hook is
+        not consulted here; :meth:`repro.sim.simulator.Simulator.run`
+        applies it.
         """
         entry = self._advance()
         if entry is None:
@@ -205,75 +213,40 @@ class EventScheduler:
         self._idx += 1
         return entry[1]
 
-    def pop_tick(
-        self, limit: int | None = None, cap: int | None = None
-    ) -> tuple[int, list[Entry]] | None:
-        """Remove and return every live entry at the earliest pending tick.
+    def permute_tick(self) -> None:
+        """Hand the tick at the drain cursor to the tie-break hook.
 
-        One call per tick replaces a peek+pop pair per event: a burst of
-        same-timestamp events costs a single dispatch into the run loop.
-        Returns ``(tick, entries)`` in FIFO order, or None when the queue
-        is empty or the earliest tick lies beyond ``limit``.  ``cap``
-        bounds the batch size (``max_events`` support); surplus same-tick
-        entries stay queued.  Same-tick entries always share a bucket, so
-        the batch never crosses a bucket boundary.
-
-        The returned list is *borrowed*: it is reused by the next
-        ``pop_tick`` call, so consume (or copy) it before popping again.
+        Called by the run loop, with a hook installed, the first time the
+        cursor reaches an entry at or past :attr:`_hooked`.  The live entries
+        of that tick (it never crosses a bucket) are collected in FIFO order,
+        passed to the hook once when there are two or more, and written
+        back at the cursor in the hook's order; lazily cancelled entries of
+        the tick are dropped on the way.  :attr:`_hooked` then marks the end
+        of the permuted block, so a run resumed after ``stop()`` finishes
+        the block without hooking it again.  Entries inserted at the same
+        time meanwhile land after the block (an insert goes after every
+        entry of its time) and form the next hooked tick, exactly as the
+        heap reference serves them after its ready buffer.
         """
-        entry = self._advance()
-        if entry is None:
-            return None
-        t = entry[0]
-        if limit is not None and t > limit:
-            return None
         cur = self._cur
         idx = self._idx
+        t = cur[idx][0]
         n = len(cur)
-        batch = self._batch
-        batch.clear()
-        # A tick holding one live entry (a follow-on entry at another time,
-        # or the bucket's end) skips the scan and the tie-break hook.
-        nidx = idx + 1
-        if nidx >= n or cur[nidx][0] != t:
-            batch.append(entry)
-            self._idx = nidx
-            return t, batch
-        while True:
-            idx += 1
-            batch.append(entry)
-            if cap is not None and len(batch) >= cap:
-                break
-            scan: Entry | None = None
-            while idx < n:
-                candidate = cur[idx]
-                nxt = candidate[1]
-                if nxt.__class__ is Event and nxt.cancelled:
-                    idx += 1
-                    continue
-                scan = candidate
-                break
-            if scan is None or scan[0] != t:
-                break
-            entry = scan
-        self._idx = idx
+        end = idx
+        live: list[Entry] = []
+        while end < n and cur[end][0] == t:
+            entry = cur[end]
+            obj = entry[1]
+            if not (obj.__class__ is Event and obj.cancelled):
+                live.append(entry)
+            end += 1
         hook = self.tie_break
-        if hook is not None:
-            permuted = hook(t, batch)
-            if permuted is not None and permuted is not batch:
-                batch[:] = permuted
-        return t, batch
-
-    def unpop(self, entries: list[Entry]) -> None:
-        """Reinsert entries handed out by :meth:`pop_tick` but never run.
-
-        Used by the run loop when ``stop()`` fires mid-batch: the remaining
-        same-tick entries are spliced back in at the drain cursor, ahead of
-        everything still queued (which was scheduled after them), so a
-        later ``run()`` resumes in the exact original order.
-        """
-        idx = self._idx
-        self._cur[idx:idx] = entries
+        if hook is not None and len(live) > 1:
+            permuted = hook(t, live)
+            if permuted is not None:
+                live = list(permuted)
+        cur[idx:end] = live
+        self._hooked = idx + len(live)
 
     # -- sizing / validation ------------------------------------------------
 

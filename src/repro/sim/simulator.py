@@ -9,6 +9,7 @@ a time horizon is reached, or a registered stop predicate fires.
 from __future__ import annotations
 
 import gc
+import sys
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -92,8 +93,10 @@ class Simulator:
         """Run ``callback`` after ``delay`` ps with no cancellation handle.
 
         The fire-and-forget fast path: no :class:`Event` is allocated, so
-        the caller cannot cancel.  Ports use this for serialization and
-        wire-propagation events, which never need cancelling.
+        the caller cannot cancel.  Ports skip this wrapper and bind
+        :meth:`~repro.sim.scheduler.EventScheduler.schedule_call` directly,
+        with absolute times, for their serialization and wire-propagation
+        events.
         """
         if delay < 0:
             raise SchedulingError(f"negative delay {delay}")
@@ -118,98 +121,55 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         scheduler = self.scheduler
-        pop_tick = scheduler.pop_tick
-        # Hoisted once per run: the disabled-instrumentation cost is this
-        # single attribute check, not one branch per event.
+        # Hoisted once per run: with instrumentation disabled and no hook,
+        # each costs the run loop only local `is not None` tests.
         inst = self.instrumentation if self.instrumentation.enabled else None
+        hook = scheduler.tie_break
         sanitizing = self.sanitizer is not None
+        budget = sys.maxsize if max_events is None else max_events
         executed = 0
         try:
             with collector_paused():
-                while not self._stop_requested:
-                    cap = None
-                    if max_events is not None:
-                        cap = max_events - executed
-                        if cap <= 0:
-                            break
-                    # Lone tick (the common case): the entry at the drain
-                    # cursor is the only one at its time, so advance the
-                    # cursor and run it here — one dispatch per event, no
-                    # scheduler call.  Same-tick entries share a bucket, so
-                    # a follow-on entry at another time (or the bucket's
-                    # end) proves the tick is lone.
+                # Every entry runs straight from the drain cursor: nothing
+                # leaves the calendar until it runs, so stop() and the
+                # max_events budget simply break, and a later run() resumes
+                # at the cursor.
+                while executed < budget and not self._stop_requested:
                     cur = scheduler._cur
                     idx = scheduler._idx
-                    n = len(cur)
-                    if idx >= n:
+                    if idx >= len(cur):
                         if scheduler.next_time() is None:
                             break  # drained: clock fix-up below
                         continue  # loaded the next bucket
-                    entry = cur[idx]
-                    t = entry[0]
-                    nidx = idx + 1
-                    if (nidx == n or cur[nidx][0] != t) and (
-                        until is None or t <= until
-                    ):
-                        scheduler._idx = nidx
-                        obj = entry[1]
-                        if obj.__class__ is Event:
-                            if obj.cancelled:
-                                continue
-                            obj.cancelled = True  # consumed; pending -> False
-                            obj = obj.callback
-                        if sanitizing and t < self.now:
-                            self._backwards(t)
-                        self.now = t
-                        if inst is None:
-                            obj()
-                        else:
-                            started = time.perf_counter()  # repro: allow[wall-clock] profiler
-                            obj()
-                            ended = time.perf_counter()  # repro: allow[wall-clock] profiler
-                            inst.on_event(obj, ended - started)
-                        executed += 1
-                        continue
-                    # Multi-entry tick, horizon, or a cancelled entry at the
-                    # cursor: one scheduler call returns every live entry at
-                    # the next timestamp as a batch (batched dispatch), in
-                    # FIFO order or the tie-break hook's permutation.
-                    tick = pop_tick(until, cap)
-                    if tick is None:
-                        break  # drained, or horizon reached: clock fix-up below
-                    t, entries = tick
+                    t, obj = cur[idx]
+                    if until is not None and t > until:
+                        break  # horizon: clock fix-up below
+                    if hook is not None and idx >= scheduler._hooked:
+                        scheduler.permute_tick()
+                        continue  # run the tick in the hook's order
+                    scheduler._idx = idx + 1
+                    if obj.__class__ is Event:
+                        if obj.cancelled:
+                            continue
+                        obj.cancelled = True  # consumed; pending -> False
+                        obj = obj.callback
                     if sanitizing and t < self.now:
                         self._backwards(t)
                     self.now = t
-                    for i, entry in enumerate(entries):
-                        obj = entry[1]
-                        if obj.__class__ is Event:
-                            if obj.cancelled:
-                                continue  # cancelled by an earlier same-tick event
-                            obj.cancelled = True  # consumed; pending -> False
-                            obj = obj.callback
-                        if inst is None:
-                            obj()
-                        else:
-                            started = time.perf_counter()  # repro: allow[wall-clock] profiler
-                            obj()
-                            ended = time.perf_counter()  # repro: allow[wall-clock] profiler
-                            inst.on_event(obj, ended - started)
-                        executed += 1
-                        if self._stop_requested:
-                            # stop() fired mid-batch: unrun same-tick entries go
-                            # back to the queue so a later run() resumes exactly.
-                            rest = entries[i + 1:]
-                            if rest:
-                                scheduler.unpop(rest)
-                            break
+                    if inst is not None:
+                        started = time.perf_counter()  # repro: allow[wall-clock] profiler
+                    obj()
+                    if inst is not None:
+                        ended = time.perf_counter()  # repro: allow[wall-clock] profiler
+                        inst.on_event(obj, ended - started)
+                    executed += 1
         finally:
             self._running = False
             self.events_executed += executed
         if until is not None and self.now < until:
             # Advance the clock to the horizon when the queue drained or the
-            # next event lies beyond it (matching pre-batching semantics);
-            # a stop()/max_events break with work still due keeps the clock.
+            # next event lies beyond it; a stop()/max_events break with work
+            # still due keeps the clock.
             next_time = scheduler.next_time()
             if next_time is None or next_time > until:
                 self.now = until

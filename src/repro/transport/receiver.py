@@ -92,8 +92,8 @@ class AckingReceiver:
         self.completed = False
         self._received: set[int] = set()
         self._pending_acks = 0
-        self._batch_marked = False
-        self._batch_last: Packet | None = None
+        self._ack_marked = False
+        self._ack_tail: Packet | None = None
         self._closed = False
         self._pool = sim.packet_pool
         self._delack = Timer(sim, self._flush_ack)
@@ -112,9 +112,9 @@ class AckingReceiver:
         """
         self._closed = True
         self._delack.stop()
-        last = self._batch_last
+        last = self._ack_tail
         if last is not None:
-            self._batch_last = None
+            self._ack_tail = None
             last.release()
 
     def on_packet(self, packet: Packet) -> None:
@@ -122,7 +122,7 @@ class AckingReceiver:
 
         The receiver terminates everything handed to it except the data
         packet feeding the current ACK batch, which is held (as
-        ``_batch_last``) until the batch flushes or a newer packet
+        ``_ack_tail``) until the batch flushes or a newer packet
         supersedes it.
         """
         if self._closed:
@@ -159,13 +159,13 @@ class AckingReceiver:
             in_order = False
 
         self._pending_acks += 1
-        self._batch_marked = self._batch_marked or packet.ecn_ce
-        prev = self._batch_last
+        self._ack_marked = self._ack_marked or packet.ecn_ce
+        prev = self._ack_tail
         if prev is not None:
             # A newer packet supersedes the held batch tail: the old one's
             # echo will never be sent, so it is dead now.
             prev.release()
-        self._batch_last = packet
+        self._ack_tail = packet
         finished = self.cum >= self.total_packets
         if (
             self._pending_acks >= self.cfg.ack_every
@@ -182,7 +182,7 @@ class AckingReceiver:
                 self.on_complete(self)
 
     def _flush_ack(self) -> None:
-        packet = self._batch_last
+        packet = self._ack_tail
         if packet is None:
             return
         self._delack.stop()
@@ -194,13 +194,13 @@ class AckingReceiver:
             stops=route[1:],
             ack_seq=self.cum,
             echo_seq=packet.seq,
-            ecn_echo=self._batch_marked,
+            ecn_echo=self._ack_marked,
             ts_echo=packet.ts,
             ts=self.sim.now,
         )
         self._pending_acks = 0
-        self._batch_marked = False
-        self._batch_last = None
+        self._ack_marked = False
+        self._ack_tail = None
         packet.release()  # echo fields copied into the ACK; the data is dead
         self.stats.acks_sent += 1
         self.host.send(ack)

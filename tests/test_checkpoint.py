@@ -63,11 +63,12 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_refuses_schema_1_files_whole(self, tmp_path):
-        # Schema 2 pickles the seq-free scheduler; a schema-1 file holds the
-        # (time, seq, payload) layout and must be refused, never half-restored.
+        # Schema 2 onwards pickles the seq-free scheduler; a schema-1 file
+        # holds the (time, seq, payload) layout and must be refused, never
+        # half-restored.
         from repro.sim.simulator import Simulator
 
-        assert CHECKPOINT_SCHEMA_VERSION == 2
+        assert CHECKPOINT_SCHEMA_VERSION >= 2
         sim = Simulator(seed=0)
         sim.schedule(5, sim.stop)
         path = save_checkpoint(tmp_path / "sim.ckpt", sim)
@@ -76,7 +77,46 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(path)
-        assert str(excinfo.value) == "checkpoint schema 1 != supported 2"
+        assert str(excinfo.value) == (
+            f"checkpoint schema 1 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
+    def test_refuses_schema_2_files_whole(self, tmp_path):
+        # Schema 3 drops the scheduler's ``_batch`` slot.  A schema-2 file
+        # pickles it, and unpickling that state into today's scheduler
+        # raises AttributeError; the header check must refuse the file
+        # first, as a CheckpointError naming the schema.
+        from repro.sim.scheduler import EventScheduler
+        from repro.sim.simulator import Simulator
+
+        assert CHECKPOINT_SCHEMA_VERSION == 3
+        slots = ("_buckets", "_bucket_heap", "_cur", "_cur_g", "_idx",
+                 "_shift", "tie_break")
+
+        class Schema2Scheduler:
+            """Pickles a live scheduler in the schema-2 slot layout."""
+
+            def __init__(self, live):
+                self.live = live
+
+            def __reduce__(self):
+                state = {slot: getattr(self.live, slot) for slot in slots}
+                state["_batch"] = []
+                return (object.__new__, (EventScheduler,), (None, state))
+
+        sim = Simulator(seed=0)
+        sim.schedule(5, sim.stop)
+        sim.scheduler = Schema2Scheduler(sim.scheduler)
+        with pytest.raises(AttributeError, match="_batch"):
+            loads(dumps(sim))  # what an unguarded restore would do
+        path = save_checkpoint(tmp_path / "sim.ckpt", sim)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(_MAGIC), 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == "checkpoint schema 2 != supported 3"
+        assert excinfo.value.__cause__ is None
 
     def test_rejects_foreign_python_tag(self, tmp_path):
         tag = b"cpython-0.0"

@@ -94,10 +94,10 @@ class TestCloseReleasesBatchTail:
         pool = sim.packet_pool
         packet = pool.data(901, 0, a.id, b.id, payload_bytes=1024)
         receiver.on_packet(packet)
-        assert receiver._batch_last is packet  # 1 < ack_every: tail is held
+        assert receiver._ack_tail is packet  # 1 < ack_every: tail is held
         released_before = pool.stats()["released"]
         receiver.close()
-        assert receiver._batch_last is None
+        assert receiver._ack_tail is None
         assert pool.stats()["released"] == released_before + 1
         receiver.close()  # idempotent: must not double-release
         assert pool.stats()["released"] == released_before + 1
@@ -119,13 +119,13 @@ class TestCloseReleasesBatchTail:
         FaultInjector(sim, plan, FaultContext(net, proxies={"primary": proxy})).arm()
         probe = {}
         def snapshot():
-            probe["held"] = flow.inner.receiver._batch_last is not None
+            probe["held"] = flow.inner.receiver._ack_tail is not None
         sim.schedule(crash_at - 1, snapshot)
         sim.run(until=milliseconds(50))
         # the crash must have landed mid-batch or this regression tests nothing
         assert probe["held"], "crash landed between batches; move crash_at"
         assert proxy.crashed
-        assert flow.inner.receiver._batch_last is None
+        assert flow.inner.receiver._ack_tail is None
 
 
 class TestEndToEndWithDelayedAcks:

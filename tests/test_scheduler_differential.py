@@ -6,12 +6,13 @@ level and from inside callbacks, with same-tick clusters, times on and
 beside bucket edges (k·2**19 ± 1), and ``run(until=)`` / ``run(max_events=)``
 segments that may stop in the middle of a tick and resume.  The same
 script runs on a :class:`~repro.sim.simulator.Simulator` (calendar queue,
-lone ticks dispatched in the run loop, batched multi-entry ticks) and on a
+every entry dispatched from the drain cursor in the run loop) and on a
 plain one-event-at-a-time driver over
 :meth:`~repro.sim.scheduler.HeapEventScheduler.pop_next`, the ``(time,
 seq)`` reference.  Both must fire the same callbacks in the same order and
 agree on ``now``, ``events_executed`` and ``pending_events()`` every time a
-``run`` returns.
+``run`` returns.  Every script runs twice: in FIFO order, and with a
+tie-break hook that reverses each tick installed on both backends.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ STEPS = st.lists(
 
 #: Events one script may create; keeps self-scheduling bodies finite.
 MAX_EVENTS_CREATED = 150
+
+
+def reverse_tick(time, entries):
+    """A deterministic tie-break hook: run each tick back to front."""
+    return entries[::-1]
 
 
 class HeapSim:
@@ -167,6 +173,16 @@ class Script:
         return observed
 
 
+def assert_matches(bodies, steps, hook) -> None:
+    sim = Simulator(seed=0)
+    sim.scheduler.tie_break = hook
+    heap = HeapSim()
+    heap.scheduler.tie_break = hook
+    calendar = Script(sim, bodies).play(steps)
+    reference = Script(heap, bodies).play(steps)
+    assert calendar == reference
+
+
 @settings(max_examples=300, deadline=None)
 @given(BODIES, STEPS)
 # Always tried: four same-tick events, the second stops the run and cancels
@@ -180,6 +196,23 @@ class Script:
     ],
 )
 def test_run_matches_the_heap_reference(bodies, steps):
-    calendar = Script(Simulator(seed=0), bodies).play(steps)
-    reference = Script(HeapSim(), bodies).play(steps)
-    assert calendar == reference
+    assert_matches(bodies, steps, hook=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BODIES, STEPS)
+# run(max_events=1) on a four-entry tick fires the hook's first entry
+# (the whole tick is permuted before anything runs).
+@example(
+    bodies=[[]],
+    steps=[("ops", [("in", 5)] * 4), ("run", None, 1)],
+)
+# The first entry to run (entry 3) stops the run; the resume finishes the
+# tick in the order already permuted (2, 1, 0), without hooking it again.
+@example(
+    bodies=[[], [], [], [("stop",)]],
+    steps=[("ops", [("in", 5)] * 4), ("run", None, None)],
+)
+def test_run_matches_the_heap_reference_under_a_hook(bodies, steps):
+    assert_matches(bodies, steps, hook=reverse_tick)
+

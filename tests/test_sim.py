@@ -108,72 +108,87 @@ class TestEventScheduler:
         assert sched.pop_next() is other
 
 
-class TestUnpopMidBatch:
-    """`EventScheduler.unpop` reinserts the unrun tail of a same-tick batch.
+def _reverse(t, entries):
+    return entries[::-1]
 
-    The run loop uses it when ``stop()`` fires mid-batch; the contract is
-    that a later drain resumes in the exact ``(time, seq)`` order the heap
-    reference produces without any batching at all — including entries
-    scheduled *between* the stop and the resume.
+
+class TestStopMidTick:
+    """``stop()`` in the middle of a tick leaves the unrun entries queued.
+
+    Nothing leaves the calendar until it runs, so a later ``run()`` resumes
+    at the drain cursor in the exact order the heap reference produces,
+    including entries scheduled *between* the stop and the resume, and with
+    or without a tie-break hook permuting the tick.
     """
 
-    def test_unpop_resume_matches_heap_order(self):
-        script = [(5, "a"), (5, "b"), (5, "c"), (7, "d"), (5, "e"), (5, "f"), (9, "g")]
+    SCRIPT = [(5, "a"), (5, "b"), (5, "c"), (7, "d"), (5, "e"), (5, "f"), (9, "g")]
 
-        def drive_wheel():
-            sched = EventScheduler()
+    @pytest.mark.parametrize("hook", [None, _reverse], ids=["fifo", "reverse"])
+    def test_resume_after_stop_matches_heap_order(self, hook):
+        def drive_sim():
+            sim = Simulator(seed=0)
+            sim.scheduler.tie_break = hook
             order = []
-            mk = lambda tag: (lambda: order.append(tag))
-            handles = [sched.schedule_at(t, mk(tag)) for t, tag in script]
-            handles[4].cancel()  # "e": lazily cancelled inside the batch
-            tick, batch = sched.pop_tick()
-            assert tick == 5 and len(batch) == 4  # a, b, c, f
-            for entry in batch[:2]:  # run a and b, then "stop"
-                entry[-1].callback()
-            sched.unpop(batch[2:])
-            sched.schedule_at(5, mk("h"))  # lands between unpopped c/f and d
-            while (popped := sched.pop_tick()) is not None:
-                for entry in list(popped[1]):
-                    entry[-1].callback()
+
+            def mk(tag):
+                def fire():
+                    order.append(tag)
+                    if len(order) == 2:
+                        sim.stop()
+                return fire
+
+            handles = [sim.schedule_at(t, mk(tag)) for t, tag in self.SCRIPT]
+            handles[4].cancel()  # "e": lazily cancelled inside the tick
+            sim.run()
+            assert len(order) == 2 and sim.now == 5
+            sim.schedule_at(5, mk("h"))  # lands after the unrun rest of t=5
+            sim.run()
             return order
 
         def drive_heap():
             sched = HeapEventScheduler()
+            sched.tie_break = hook
             order = []
             mk = lambda tag: (lambda: order.append(tag))
-            handles = [sched.schedule_at(t, mk(tag)) for t, tag in script]
+            handles = [sched.schedule_at(t, mk(tag)) for t, tag in self.SCRIPT]
             handles[4].cancel()
-            for _ in range(2):  # the heap has no batches: just pop a and b
+            for _ in range(2):  # the heap has no run loop: just pop two
                 sched.pop_next().callback()
             sched.schedule_at(5, mk("h"))
             while (event := sched.pop_next()) is not None:
                 event.callback()
             return order
 
-        wheel, heap = drive_wheel(), drive_heap()
-        assert wheel == heap
-        assert wheel == ["a", "b", "c", "f", "h", "d", "g"]
+        ran, heap = drive_sim(), drive_heap()
+        assert ran == heap
+        if hook is None:
+            assert ran == ["a", "b", "c", "f", "h", "d", "g"]
+        else:
+            assert ran == ["f", "c", "b", "a", "h", "d", "g"]
 
-    def test_unpop_relinks_cancellation_and_count(self):
-        sched = EventScheduler()
+    def test_cancel_unrun_same_tick_entry_after_stop(self, sim):
         fired = []
-        a = sched.schedule_at(3, lambda: fired.append("a"))
-        b = sched.schedule_at(3, lambda: fired.append("b"))
-        c = sched.schedule_at(3, lambda: fired.append("c"))
-        tick, batch = sched.pop_tick()
-        assert len(batch) == 3
-        batch[0][-1].callback()
-        sched.unpop(batch[1:])
-        assert len(sched) == 2
-        b.cancel()  # a handle stays cancellable after a pop_tick/unpop round trip
-        assert len(sched) == 1
-        assert sched.pop_next() is c
-        assert len(sched) == 0
 
-    def test_stop_mid_batch_resumes_in_order(self, sim):
-        # End-to-end through the Simulator: four same-tick events, the
-        # second stops the run; a later run() fires the reinserted tail in
-        # the original order.
+        def a():
+            fired.append("a")
+            sim.stop()
+
+        sim.schedule(3, a)
+        b = sim.schedule(3, lambda: fired.append("b"))
+        sim.schedule(3, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a"]
+        assert sim.pending_events() == 2
+        b.cancel()  # a handle stays cancellable while its tick is stopped
+        assert sim.pending_events() == 1
+        sim.run()
+        assert fired == ["a", "c"]
+        assert sim.events_executed == 2
+        assert sim.pending_events() == 0
+
+    def test_stop_mid_tick_resumes_in_order(self, sim):
+        # Four same-tick events, the second stops the run; a later run()
+        # fires the rest of the tick in the original order.
         fired = []
 
         def second():
@@ -193,8 +208,8 @@ class TestUnpopMidBatch:
 class TestSameTickCancellation:
     """An event cancelled by an earlier callback of its own tick never fires.
 
-    The heap reference skips it (the pop sees the flag); the run loop's
-    batched dispatch must too, whether or not a tie-break hook permutes
+    The heap reference skips it (the pop sees the flag); the run loop
+    must too, whether or not a tie-break hook permutes
     the tick, and the skipped entry is not an executed event.
     """
 
