@@ -78,7 +78,7 @@ def _drive_reference_loop(sim, until=None, max_events=None):
     """The pre-telemetry ``Simulator.run`` loop, verbatim minus telemetry.
 
     Replicates every check the shipping loop performs (stop request,
-    ``max_events``, horizon, backwards-clock sanitizer guard) but
+    ``max_events``, horizon, the probed run's backwards-clock guard) but
     dispatches ``event.callback()`` directly — no instrumentation arm.
     Kept as the measurement baseline for
     :func:`test_disabled_instrumentation_overhead`: the instrumented
@@ -99,7 +99,7 @@ def _drive_reference_loop(sim, until=None, max_events=None):
             break
         event = scheduler.pop_next()
         assert event is not None
-        if sim.sanitizer is not None and event.time < sim.now:
+        if sim.probe is not None and event.time < sim.now:
             raise AssertionError("clock would move backwards")
         sim.now = event.time
         event.cancelled = True
@@ -163,8 +163,9 @@ def test_end_to_end_transfer_sanitized(benchmark):
     """The same 10 MB flow with the invariant sanitizer installed.
 
     Compare against ``test_end_to_end_transfer_throughput`` to read the
-    sanitizer's overhead; the hooks are one attribute read + ``None`` test
-    when disabled, and per-packet counter updates when installed.
+    sanitizer's overhead; the probe hook sites are one attribute read +
+    ``None`` test when no probe is installed, and per-packet counter
+    updates when the sanitizer occupies the slot.
     """
 
     def run():

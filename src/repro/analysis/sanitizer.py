@@ -1,8 +1,9 @@
 """Runtime simulation-invariant sanitizer (opt-in, ASan-style).
 
-When installed on a :class:`~repro.sim.simulator.Simulator`, hooks in the
-event loop, output ports, hosts, and transport senders feed a
-:class:`Sanitizer` that checks, *while the run executes*:
+A :class:`Sanitizer` is a :class:`~repro.sim.probe.Probe`: installed in a
+:class:`~repro.sim.simulator.Simulator`'s probe slot, it hears the event
+loop, output ports, hosts, and transport senders and checks, *while the
+run executes*:
 
 * the sim clock never moves backwards (an event scheduled in the past
   surfaces here the moment it pops);
@@ -19,7 +20,7 @@ port/queue counters, so the sanitizer catches both lost packets *and*
 double counting.
 
 Every check failure raises :class:`~repro.errors.SanitizerError`
-immediately with the full tally.  When no sanitizer is installed the hook
+immediately with the full tally.  When no probe is installed the hook
 sites cost one attribute read and a ``None`` test each.
 """
 
@@ -29,12 +30,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SanitizerError
+from repro.sim.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.net.network import Network
-    from repro.net.node import Node
+    from repro.net.node import Host, Node
     from repro.net.packet import Packet
+    from repro.net.port import OutputPort
     from repro.sim.simulator import Simulator
 
 __all__ = ["Sanitizer", "SanitizerReport"]
@@ -75,8 +78,8 @@ class SanitizerReport:
         return {name: int(getattr(self, name)) for name in self.__dataclass_fields__}
 
 
-class Sanitizer:
-    """Collects per-fate packet counters through simulator hooks.
+class Sanitizer(Probe):
+    """Collects per-fate packet counters through the probe hooks.
 
     Create one, :meth:`install` it on the simulator *before* building the
     network, run, then call :meth:`finish` to get the reconciled
@@ -123,10 +126,10 @@ class Sanitizer:
         self.checks_passed = 0
 
     def install(self, sim: "Simulator") -> "Sanitizer":
-        """Attach to ``sim``; returns self for chaining."""
-        if sim.sanitizer is not None:
-            raise SanitizerError("simulator already has a sanitizer installed")
-        sim.sanitizer = self
+        """Occupy ``sim``'s probe slot; returns self for chaining."""
+        if sim.probe is not None:
+            raise SanitizerError("simulator already has a probe installed")
+        sim.probe = self
         self.sim = sim
         # Arm the pool's acquire-time leak check: recycling a packet some
         # component still references is exactly the class of bug this
@@ -136,46 +139,41 @@ class Sanitizer:
 
     # -- host hooks ---------------------------------------------------------
 
-    def on_inject(self, packet: "Packet") -> None:
+    def on_inject(self, host: "Host", packet: "Packet") -> None:
         """A host handed ``packet`` to its NIC (includes proxy re-sends)."""
         self.injected += 1
         self.injected_bytes += packet.size_bytes
 
-    def on_deliver(self, packet: "Packet") -> None:
+    def on_deliver(self, host: "Host", packet: "Packet") -> None:
         """A host is about to invoke the flow handler for ``packet``."""
         self.delivered += 1
         self.delivered_bytes += packet.size_bytes
 
-    def on_stray(self, packet: "Packet") -> None:
+    def on_stray(self, host: "Host", packet: "Packet") -> None:
         """A host received a packet with no registered handler."""
         self.stray += 1
         self.stray_bytes += packet.size_bytes
 
-    def on_corrupt_drop(self, packet: "Packet") -> None:
+    def on_corrupt_drop(self, host: "Host", packet: "Packet") -> None:
         """A host NIC checksum rejected a fault-corrupted packet."""
         self.corrupt_dropped += 1
         self.corrupt_dropped_bytes += packet.size_bytes
 
     # -- port hooks ---------------------------------------------------------
 
-    def on_down_drop(self, packet: "Packet") -> None:
+    def on_down_drop(self, port: "OutputPort", packet: "Packet") -> None:
         """A packet was offered to a port whose link is down."""
         self.down_dropped += 1
         self.down_dropped_bytes += packet.size_bytes
 
-    def on_blackhole(self, packet: "Packet") -> None:
+    def on_blackhole(self, port: "OutputPort", packet: "Packet") -> None:
         """A fault-injection blackhole window swallowed a packet."""
         self.blackholed += 1
         self.blackholed_bytes += packet.size_bytes
 
-    def on_offer(self, queue: Any, packet: "Packet", dropped: bool,
+    def on_offer(self, port: "OutputPort", packet: "Packet", dropped: bool,
                  size_before: int) -> None:
-        """A queue resolved an ``offer``; checks the occupancy bound.
-
-        ``size_before`` is the packet size before the offer, so a trim
-        (NDP: payload cut to header) is visible as a size change even when
-        the trimmed header is then dropped from a full control lane.
-        """
+        """A queue resolved an ``offer``; checks the occupancy bound."""
         size_after = packet.size_bytes
         if size_after != size_before:
             self.trimmed += 1
@@ -184,15 +182,15 @@ class Sanitizer:
             self.queue_dropped += 1
             self.queue_dropped_bytes += size_after
         else:
-            self._check_queue_bound(queue)
+            self._check_queue_bound(port.queue)
         self.checks_passed += 1
 
-    def on_tx_start(self, packet: "Packet") -> None:
+    def on_tx_start(self, port: "OutputPort", packet: "Packet") -> None:
         """A port dequeued ``packet`` and began serializing it."""
         self.in_transit += 1
         self.in_transit_bytes += packet.size_bytes
 
-    def on_wire_lost(self, packet: "Packet") -> None:
+    def on_wire_lost(self, port: "OutputPort", packet: "Packet") -> None:
         """The link died while ``packet`` was serializing; it is gone."""
         self.in_transit -= 1
         self.in_transit_bytes -= packet.size_bytes
@@ -207,7 +205,7 @@ class Sanitizer:
 
     # -- transport hooks ----------------------------------------------------
 
-    def check_sender(self, sender: Any) -> None:
+    def on_ack(self, sender: Any) -> None:
         """Window invariants after an ACK was processed."""
         if sender.pipe < 0:
             raise SanitizerError(

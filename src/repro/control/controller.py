@@ -119,7 +119,9 @@ class Controller:
         self._install()
         self.reroutes += 1
         self.event_installs.append(self.sim.now)
-        self.sim.trace("control", "reroute", installs=self.installs)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_reroute(self)
 
     def _refresh(self) -> None:
         self._install()

@@ -207,10 +207,13 @@ class ProxyPoolManager:
             moved += 1
         if index is None:
             self.degrades += 1
-            self.sim.trace("failover", "degrade", flows=moved)
+            kind = "degrade"
         elif index == 0:
             self.failbacks += 1
-            self.sim.trace("failover", "failback", flows=moved)
+            kind = "failback"
         else:
             self.failovers += 1
-            self.sim.trace("failover", "migrate", flows=moved)
+            kind = "migrate"
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_failover(self, kind, moved)

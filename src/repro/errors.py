@@ -28,10 +28,6 @@ class SchedulingError(SimulationError):
     """An event was scheduled in the past or on a finished simulator."""
 
 
-class TracingError(SimulationError):
-    """A trace sink was used after close or misconfigured."""
-
-
 class TopologyError(ReproError):
     """The topology under construction is malformed."""
 

@@ -380,12 +380,6 @@ class GridSpec:
             total *= len(a)
         return total
 
-    def axis(self, name: str) -> Axis:
-        for a in self.axes:
-            if a.name == name:
-                return a
-        raise ExperimentError(f"no axis named {name!r}")
-
     def cell(self, index: int) -> Cell:
         """Materialize the cell at flat ``index`` (odometer order)."""
         total = len(self)

@@ -541,7 +541,7 @@ class ExperimentEngine:
         self.workers = resolve_workers(workers)
         self.cache = cache
         #: the per-run execution options every incast is run under.  Runs
-        #: whose options bypass the cache (sanitize, telemetry, tracer,
+        #: whose options bypass the cache (sanitize, telemetry, a probe,
         #: custom instrumentation) skip it in both directions: a cached
         #: result proves nothing about invariants and carries no snapshot,
         #: and an instrumented result is not interchangeable with a plain

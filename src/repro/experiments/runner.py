@@ -207,7 +207,8 @@ def run_incast(
     * ``options.telemetry`` (or an explicit ``options.instrumentation``)
       records sampled time-series and a run profile into
       ``IncastResult.telemetry`` without perturbing simulation results.
-    * ``options.tracer`` streams structured trace records.
+    * ``options.probe`` is installed in the simulator's probe slot before
+      the network is built, and hears every data-path event of the run.
     """
     # One cell is one collector window: the build allocates as heavily and
     # as acyclically as the run loop, and the finished cell's fabric (one
@@ -220,9 +221,7 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     spec = SCHEME_REGISTRY.get(scenario.scheme)
     wall_start = time.perf_counter()
     inst = options.build_instrumentation()
-    sim = Simulator(
-        seed=scenario.seed, tracer=options.tracer, instrumentation=inst
-    )
+    sim = Simulator(seed=scenario.seed, instrumentation=inst)
     if options.tie_break_seed is not None:
         # Dynamic race detection: permute same-tick event order under a
         # named substream.  Imported lazily — repro.analysis.races imports
@@ -234,6 +233,8 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
         )
     inst.phase("build")
     sanitizer = Sanitizer().install(sim) if options.sanitize else None
+    if options.probe is not None:
+        sim.probe = options.probe
     trimming = spec.trimming
     topo = build_interdc(
         sim, scenario.interdc.with_trimming(trimming), routing=scenario.routing

@@ -724,7 +724,7 @@ class QueueEngine(ExperimentEngine):
         if self.options.bypasses_cache:
             raise ExperimentError(
                 "the queue backend cannot run cache-bypassing options "
-                "(sanitize/telemetry/tracer); use the pool backend"
+                "(sanitize/telemetry/probe); use the pool backend"
             )
         if self.options.metrics != DEFAULT_METRICS:
             raise ExperimentError(

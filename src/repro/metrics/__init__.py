@@ -15,7 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
     from repro.metrics.export import (
         write_cdf_csv,
-        write_distribution_csv,
         write_sweep_csv,
         write_sweep_json,
         write_timeseries_csv,
@@ -37,8 +36,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.metrics.collector": ["NetworkCounters", "collect_network_counters"],
     "repro.metrics.config": ["DEFAULT_METRICS", "MetricsConfig"],
     "repro.metrics.export": [
-        "write_cdf_csv", "write_distribution_csv", "write_sweep_csv",
-        "write_sweep_json", "write_timeseries_csv",
+        "write_cdf_csv", "write_sweep_csv", "write_sweep_json",
+        "write_timeseries_csv",
     ],
     "repro.metrics.sink": [
         "DistributionDigest", "DistributionSink", "SeriesSink",
@@ -72,7 +71,6 @@ __all__ = [
     "rank_hottest",
     "summarize",
     "write_cdf_csv",
-    "write_distribution_csv",
     "write_sweep_csv",
     "write_sweep_json",
     "write_timeseries_csv",

@@ -20,7 +20,6 @@ from repro.errors import ExperimentError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.sweeps import SweepPoint
     from repro.hoststack.measurement import LatencyMeasurement
-    from repro.metrics.sink import DistributionDigest
     from repro.metrics.timeseries import TimeSeries
 
 
@@ -82,31 +81,6 @@ def write_timeseries_csv(series: "TimeSeries", path: str | Path) -> Path:
         writer.writerow(["time_ms", series.name])
         for t, v in zip(series.times, series.values):
             writer.writerow([t / 1e9, v])
-    return path
-
-
-def write_distribution_csv(
-    digests: "dict[str, DistributionDigest]", path: str | Path
-) -> Path:
-    """One row per named distribution digest: moments + percentile table."""
-    if not digests:
-        raise ExperimentError("nothing to export: no distribution digests")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    pcts = sorted({pct for digest in digests.values() for pct, _ in digest.percentiles})
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["name", "count", "mean", "stdev", "min", "max"]
-            + [f"p{pct:g}" for pct in pcts]
-        )
-        for name, digest in digests.items():
-            table = dict(digest.percentiles)
-            writer.writerow(
-                [name, digest.count, digest.mean, digest.stdev,
-                 digest.minimum, digest.maximum]
-                + [table.get(pct, "") for pct in pcts]
-            )
     return path
 
 

@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.sketches import StreamingMoments
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -29,19 +26,6 @@ class SummaryStat:
         if baseline.mean == 0:
             return 0.0
         return (baseline.mean - self.mean) / baseline.mean
-
-    @classmethod
-    def from_moments(cls, moments: "StreamingMoments") -> "SummaryStat":
-        """Summarize a streaming accumulator without materializing samples."""
-        if moments.count == 0:
-            return empty_summary()
-        return cls(
-            mean=moments.mean,
-            minimum=moments.minimum,
-            maximum=moments.maximum,
-            stdev=moments.stdev,
-            count=moments.count,
-        )
 
 
 def jain_fairness(values: Iterable[float]) -> float:

@@ -104,38 +104,34 @@ class Host(Node):
         """Transmit ``packet`` out of the NIC."""
         if self.nic is None:
             raise TopologyError(f"host {self.name} is not connected")
-        san = self.sim.sanitizer
-        if san is not None:
+        probe = self.sim.probe
+        if probe is not None:
             # Host NICs are the sole injection points: transport sends,
             # ACKs/NACKs, and proxy relays all pass through here.
-            san.on_inject(packet)
+            probe.on_inject(self, packet)
         self.nic.send(packet)
 
     def receive(self, packet: Packet) -> None:
         """Deliver to the flow's handler; count strays for diagnostics."""
-        san = self.sim.sanitizer
+        probe = self.sim.probe
         if packet.corrupted:
             # The NIC checksum catches a corrupted packet: it consumed
             # bandwidth and buffer space all the way here, but the stack
             # never sees it — strictly worse than a clean in-network drop.
             self.corrupt_dropped += 1
-            if san is not None:
-                san.on_corrupt_drop(packet)
-            if self.sim.tracer.enabled:
-                self.sim.trace(self.name, "corrupt-drop", flow=packet.flow_id, seq=packet.seq)
+            if probe is not None:
+                probe.on_corrupt_drop(self, packet)
             packet.release()
             return
         handler = self.handlers.get(packet.flow_id)
         if handler is None:
             self.stray_packets += 1
-            if san is not None:
-                san.on_stray(packet)
-            if self.sim.tracer.enabled:
-                self.sim.trace(self.name, "stray", flow=packet.flow_id, seq=packet.seq)
+            if probe is not None:
+                probe.on_stray(self, packet)
             packet.release()
             return
-        if san is not None:
-            san.on_deliver(packet)
+        if probe is not None:
+            probe.on_deliver(self, packet)
         handler(packet)
 
     @property

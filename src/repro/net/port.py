@@ -25,10 +25,9 @@ from repro.net.packet import Packet
 from repro.net.queues import EnqueueOutcome
 from repro.units import PS_PER_S
 
-# Hoisted enum members: an attribute load off the enum class per offered
+# Hoisted enum member: an attribute load off the enum class per offered
 # packet is measurable at this call rate.
 _DROPPED = EnqueueOutcome.DROPPED
-_TRIMMED = EnqueueOutcome.TRIMMED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
@@ -119,45 +118,34 @@ class OutputPort:
 
     def send(self, packet: Packet) -> EnqueueOutcome:
         """Offer ``packet`` to the queue and kick the service loop."""
-        sim = self.sim
-        san = sim.sanitizer
+        probe = self.sim.probe
         if not self.up:
             self.dropped_while_down += 1
-            if san is not None:
-                san.on_down_drop(packet)
-            if sim.tracer.enabled:
-                sim.trace(self.name, "drop-down", flow=packet.flow_id, seq=packet.seq)
+            if probe is not None:
+                probe.on_down_drop(self, packet)
             packet.release()
             return EnqueueOutcome.DROPPED
         if self.blackhole_fraction > 0 and self._fault_hits(self.blackhole_fraction):
             self.blackholed_packets += 1
-            if san is not None:
-                san.on_blackhole(packet)
-            if sim.tracer.enabled:
-                sim.trace(self.name, "blackhole", flow=packet.flow_id, seq=packet.seq)
+            if probe is not None:
+                probe.on_blackhole(self, packet)
             packet.release()
             return EnqueueOutcome.DROPPED
         if self.corrupt_fraction > 0 and self._fault_hits(self.corrupt_fraction):
             packet.corrupted = True
             self.corrupted_packets += 1
-            if sim.tracer.enabled:
-                sim.trace(self.name, "corrupt", flow=packet.flow_id, seq=packet.seq)
-        if san is None:
+            if probe is not None:
+                probe.on_corrupt_mark(self, packet)
+        if probe is None:
             outcome = self._qoffer(packet)
         else:
             size_before = packet.size_bytes
             outcome = self._qoffer(packet)
-            san.on_offer(self.queue, packet,
-                         outcome is _DROPPED, size_before)
+            probe.on_offer(self, packet, outcome is _DROPPED, size_before)
         if outcome is _DROPPED:
-            if sim.tracer.enabled:
-                sim.trace(self.name, "drop", flow=packet.flow_id, seq=packet.seq)
             packet.release()
-        else:
-            if outcome is _TRIMMED and sim.tracer.enabled:
-                sim.trace(self.name, "trim", flow=packet.flow_id, seq=packet.seq)
-            if not self.busy:
-                self._start_service()
+        elif not self.busy:
+            self._start_service()
         return outcome
 
     def _start_service(self) -> None:
@@ -167,8 +155,8 @@ class OutputPort:
             return
         self.busy = True
         sim = self.sim
-        if sim.sanitizer is not None:
-            sim.sanitizer.on_tx_start(packet)
+        if sim.probe is not None:
+            sim.probe.on_tx_start(self, packet)
         size = packet.size_bytes
         tx_delay = self._tx_cache.get(size)
         if tx_delay is None:
@@ -181,12 +169,12 @@ class OutputPort:
         self._serializing = None
         assert packet is not None
         sim = self.sim
-        san = sim.sanitizer
+        probe = sim.probe
         if not self.up:
             # The link died mid-flight: the packet is lost on the wire and
             # the port goes quiet until it comes back up.
-            if san is not None:
-                san.on_wire_lost(packet)
+            if probe is not None:
+                probe.on_wire_lost(self, packet)
             packet.release()
             self.busy = False
             return
@@ -202,8 +190,8 @@ class OutputPort:
         if nxt is None:
             self.busy = False
             return
-        if san is not None:
-            san.on_tx_start(nxt)
+        if probe is not None:
+            probe.on_tx_start(self, nxt)
         size = nxt.size_bytes
         tx_delay = self._tx_cache.get(size)
         if tx_delay is None:
@@ -215,15 +203,15 @@ class OutputPort:
         # Constant propagation delay + in-order scheduling means the oldest
         # wire packet is always the one landing now.
         packet = self._wire.popleft()
-        san = self.sim.sanitizer
-        if san is None:
+        probe = self.sim.probe
+        if probe is None:
             # Looked up per arrival (not prebound): tests and fault hooks
             # legitimately swap a node's receive method.
             self.dst_node.receive(packet)
         else:
-            # Route the landing through the sanitizer so the in-transit
-            # tally stays exact.
-            san.deliver(self.dst_node, packet)
+            # Route the landing through the probe so an in-transit tally
+            # can stay exact.
+            probe.deliver(self.dst_node, packet)
 
     def _fault_hits(self, fraction: float) -> bool:
         """Bernoulli trial on the port's dedicated fault substream.

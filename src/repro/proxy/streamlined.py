@@ -139,7 +139,9 @@ class StreamlinedProxy:
         # Sorted so handler churn is independent of set-hash order.
         for flow_id in sorted(self.flows):
             self.host.unregister_handler(flow_id)
-        self.sim.trace(self.label, "crash", flows=len(self.flows))
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_proxy_crash(self)
 
     def restart(self) -> None:
         """Restart after a crash; stateless forwarding resumes immediately."""
@@ -148,7 +150,9 @@ class StreamlinedProxy:
         self.crashed = False
         for flow_id in sorted(self.flows):
             self.host.register_handler(flow_id, self._handle)
-        self.sim.trace(self.label, "restart", flows=len(self.flows))
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_proxy_restart(self)
 
     # -- data plane -----------------------------------------------------------------
 

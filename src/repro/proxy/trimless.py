@@ -90,7 +90,9 @@ class TrimlessStreamlinedProxy:
             self.detector.remove(flow_id)
         self._trackers.clear()
         self._senders.clear()
-        self.sim.trace(self.label, "crash", flows=len(self.flows))
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_proxy_crash(self)
 
     def restart(self) -> None:
         """Restart after a crash: forwarding resumes, but each flow gets a
@@ -104,7 +106,9 @@ class TrimlessStreamlinedProxy:
             self._trackers[flow_id] = self.detector.tracker(
                 flow_id, partial(self._on_inferred_loss, flow_id)
             )
-        self.sim.trace(self.label, "restart", flows=len(self.flows))
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_proxy_restart(self)
 
     # -- data plane ------------------------------------------------------------------
 

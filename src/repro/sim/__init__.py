@@ -2,9 +2,10 @@
 
 The kernel is deliberately small: a cancellable event scheduler driven by an
 integer-picosecond clock, a restartable :class:`~repro.sim.timers.Timer`
-built on top of it, seeded random-number management, and an optional trace
-sink.  Everything else in the library (links, queues, transports, proxies)
-is expressed as callbacks scheduled on a :class:`~repro.sim.simulator.Simulator`.
+built on top of it, seeded random-number management, and one optional
+observer slot (:class:`~repro.sim.probe.Probe`).  Everything else in the
+library (links, queues, transports, proxies) is expressed as callbacks
+scheduled on a :class:`~repro.sim.simulator.Simulator`.
 """
 
 from typing import TYPE_CHECKING
@@ -19,11 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover
         save_checkpoint,
     )
     from repro.sim.events import Event
+    from repro.sim.probe import Probe
     from repro.sim.rng import RngRegistry, SimRandom, derive_stream
     from repro.sim.scheduler import EventScheduler
     from repro.sim.simulator import Simulator
     from repro.sim.timers import Timer
-    from repro.sim.tracing import CsvTracer, NullTracer, RecordingTracer, TraceRecord, Tracer
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.checkpoint": [
@@ -31,29 +32,23 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "save_checkpoint",
     ],
     "repro.sim.events": ["Event"],
+    "repro.sim.probe": ["Probe"],
     "repro.sim.rng": ["RngRegistry", "SimRandom", "derive_stream"],
     "repro.sim.scheduler": ["EventScheduler"],
     "repro.sim.simulator": ["Simulator"],
     "repro.sim.timers": ["Timer"],
-    "repro.sim.tracing": [
-        "CsvTracer", "NullTracer", "RecordingTracer", "TraceRecord", "Tracer",
-    ],
 })
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointError",
-    "CsvTracer",
     "Event",
     "EventScheduler",
-    "NullTracer",
-    "RecordingTracer",
+    "Probe",
     "RngRegistry",
     "SimRandom",
     "Simulator",
     "Timer",
-    "TraceRecord",
-    "Tracer",
     "derive_stream",
     "load_checkpoint",
     "save_checkpoint",

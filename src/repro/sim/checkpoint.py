@@ -64,7 +64,9 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
 #:       and gains ``_hooked``, the end of the block of the current bucket
 #:       already handed to the tie-break hook; a receiver's held delayed-ACK
 #:       tail and mark are ``_ack_tail`` and ``_ack_marked``.
-CHECKPOINT_SCHEMA_VERSION = 3
+#:   4 — one probe slot: the simulator's trace-sink attribute and its
+#:       ``sanitizer`` slot become ``probe``.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _MAGIC = b"RPCKPT\x00"
 #: magic, schema version, length of the python tag; the tag and the payload's
@@ -177,8 +179,8 @@ def save_checkpoint(path: str | Path, payload: Any) -> Path:
     The caller is responsible for quiescence: checkpoint between
     ``Simulator.run`` segments, never from inside an event callback (the
     engine enforces this).  Objects holding OS resources — open files,
-    sockets, a :class:`~repro.sim.tracing.CsvTracer` — are not
-    checkpointable and surface here as :class:`CheckpointError`.
+    sockets, a probe writing to either — are not checkpointable and
+    surface here as :class:`CheckpointError`.
     """
     path = Path(path)
     try:

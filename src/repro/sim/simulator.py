@@ -1,4 +1,4 @@
-"""The simulator facade: clock + scheduler + RNG + tracer.
+"""The simulator facade: clock + scheduler + RNG + probe slot.
 
 A :class:`Simulator` owns the run loop.  Components hold a reference to it
 and use :meth:`schedule` / :meth:`schedule_at` to arrange future work and
@@ -19,11 +19,10 @@ from repro.net.pool import PacketPool
 from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import EventScheduler
-from repro.sim.tracing import NullTracer, Tracer
 from repro.telemetry.instrumentation import NULL_INSTRUMENTATION, Instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.sanitizer import Sanitizer
+    from repro.sim.probe import Probe
 
 
 @contextmanager
@@ -57,17 +56,15 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        tracer: Tracer | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.now: int = 0
         self.scheduler = EventScheduler()
         self.rng = RngRegistry(seed)
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.events_executed: int = 0
-        #: Opt-in invariant checker (see :mod:`repro.analysis.sanitizer`);
-        #: components test ``sim.sanitizer is not None`` on their hot paths.
-        self.sanitizer: Sanitizer | None = None
+        #: Opt-in observer (see :mod:`repro.sim.probe`); every data-path
+        #: hook site tests ``sim.probe is not None`` once.
+        self.probe: Probe | None = None
         #: Free-list recycling for data/ACK/NACK packets (see
         #: :mod:`repro.net.pool`); endpoints acquire from it and the
         #: terminating component releases back into it.
@@ -125,7 +122,7 @@ class Simulator:
         # each costs the run loop only local `is not None` tests.
         inst = self.instrumentation if self.instrumentation.enabled else None
         hook = scheduler.tie_break
-        sanitizing = self.sanitizer is not None
+        probed = self.probe is not None
         budget = sys.maxsize if max_events is None else max_events
         executed = 0
         try:
@@ -153,7 +150,7 @@ class Simulator:
                             continue
                         obj.cancelled = True  # consumed; pending -> False
                         obj = obj.callback
-                    if sanitizing and t < self.now:
+                    if probed and t < self.now:
                         self._backwards(t)
                     self.now = t
                     if inst is not None:
@@ -176,7 +173,7 @@ class Simulator:
         return self.now
 
     def _backwards(self, t: int) -> None:
-        """Sanitizer: an event slipped into the past through the raw
+        """Probed runs: an event slipped into the past through the raw
         scheduler (Simulator.schedule_at validates up front)."""
         raise SanitizerError(
             f"clock would move backwards: event at {t} popped at now={self.now}"
@@ -187,11 +184,6 @@ class Simulator:
         self._stop_requested = True
 
     # -- convenience --------------------------------------------------------
-
-    def trace(self, source: str, kind: str, **details: Any) -> None:
-        """Emit a trace record stamped with the current time."""
-        if self.tracer.enabled:
-            self.tracer.record(self.now, source, kind, **details)
 
     def pending_events(self) -> int:
         """Number of live events still queued (counted on ask, O(pending))."""

@@ -1,8 +1,9 @@
 """repro.telemetry — low-overhead observability for runs and sweeps.
 
-Unifies the simulator's tracer surface and the metrics collectors under
-one :class:`Instrumentation` protocol with named probe points in the
-scheduler, ports, senders, proxies, and fault injector:
+Unifies the metrics collectors under one :class:`Instrumentation`
+protocol with named registration points in the scheduler, ports, senders,
+proxies, and fault injector (per-event observation of the data path is the
+simulator's probe slot, :mod:`repro.sim.probe`):
 
 * :class:`TelemetryRecorder` — per-run sampled time-series (queue depth,
   ECN marks, trims, NACKs, cwnd/inflight, proxy relay occupancy) with a

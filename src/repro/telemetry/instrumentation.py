@@ -31,8 +31,8 @@ class Instrumentation:
     """Base class / protocol for run instrumentation.
 
     Every hook is a documented no-op so concrete recorders override only
-    what they need.  ``enabled`` mirrors the tracer convention: hot paths
-    read it once and skip every call when it is False.
+    what they need.  Hot paths read ``enabled`` once and skip every call
+    when it is False.
     """
 
     #: Hot paths hoist this once per run; False means every hook is dead.

@@ -1,14 +1,14 @@
 """The unified per-run options bundle.
 
 ``run_incast`` grew call-site-by-call-site keyword arguments (``sanitize``,
-then tracers, then telemetry); :class:`RunOptions` collapses them into one
+then probes, then telemetry); :class:`RunOptions` collapses them into one
 frozen, picklable value that travels unchanged from the CLI through
 :class:`~repro.experiments.parallel.ExperimentEngine` and the worker pool
 into the runner.
 
 Cache interaction: any option that changes what a result *carries*
 (sanitizer tallies, telemetry snapshots) or observes the run from outside
-(a tracer, custom instrumentation) makes the run non-interchangeable with
+(a probe, custom instrumentation) makes the run non-interchangeable with
 a plain cached one, so :attr:`RunOptions.bypasses_cache` is True and the
 engine skips the result cache in both directions.
 """
@@ -31,7 +31,7 @@ from repro.telemetry.recorder import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.tracing import Tracer
+    from repro.sim.probe import Probe
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ class RunOptions:
 
     * ``sanitize`` — install the invariant sanitizer; the conservation
       tally lands in ``IncastResult.conservation``.
-    * ``tracer`` — a :class:`~repro.sim.tracing.Tracer` handed to the
-      simulator (None = the near-free ``NullTracer``).
+    * ``probe`` — a :class:`~repro.sim.probe.Probe` installed in the
+      simulator's probe slot before the network is built (None = no
+      observer).  The sanitizer occupies the same slot, so ``probe``
+      and ``sanitize=True`` exclude each other.
     * ``instrumentation`` — an explicit :class:`Instrumentation` instance;
       intended for single in-process runs (a recorder accumulates state).
     * ``telemetry`` — build a fresh :class:`TelemetryRecorder` per run,
@@ -64,7 +66,7 @@ class RunOptions:
     """
 
     sanitize: bool = False
-    tracer: "Tracer | None" = None
+    probe: "Probe | None" = None
     instrumentation: Instrumentation | None = None
     telemetry: bool = False
     sample_interval_ps: int = DEFAULT_SAMPLE_INTERVAL_PS
@@ -82,6 +84,11 @@ class RunOptions:
             raise ConfigError("tie_break_limit must be non-negative")
         if self.tie_break_limit is not None and self.tie_break_seed is None:
             raise ConfigError("tie_break_limit requires tie_break_seed")
+        if self.sanitize and self.probe is not None:
+            raise ConfigError(
+                "sanitize=True installs the sanitizer in the probe slot; "
+                "it cannot take another probe"
+            )
 
     def build_instrumentation(self) -> Instrumentation:
         """The instrumentation one run should carry.
@@ -106,7 +113,7 @@ class RunOptions:
         return (
             self.sanitize
             or self.telemetry
-            or self.tracer is not None
+            or self.probe is not None
             or self.instrumentation is not None
             or self.tie_break_seed is not None
         )

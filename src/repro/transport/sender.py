@@ -191,7 +191,9 @@ class WindowedSender:
         self._rto.stop()
         self._tlp.stop()
         self._retx.clear()
-        self.sim.trace(self.label, "flow-failed", reason=reason)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_flow_failed(self, reason)
         if self.on_fail is not None:
             self.on_fail(self)
 
@@ -218,10 +220,6 @@ class WindowedSender:
             self._on_ack(packet)
         elif packet.kind == PacketType.NACK:
             self._on_nack(packet)
-        # DATA addressed to a sender is a wiring bug; ignore silently in
-        # production runs but leave a trace for debugging.
-        elif self.sim.tracer.enabled:  # pragma: no cover - defensive
-            self.sim.trace(self.label, "unexpected-data", seq=packet.seq)
         packet.release()
 
     # -- internals: ACK/NACK --------------------------------------------------------
@@ -259,9 +257,9 @@ class WindowedSender:
 
         self._detect_rack_losses(packet.ts_echo)
 
-        san = self.sim.sanitizer
-        if san is not None:
-            san.check_sender(self)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_ack(self)
 
         if self.cum_ack >= self.total_packets:
             self._complete()
@@ -459,7 +457,9 @@ class WindowedSender:
         self.pipe = 0
         self._backoff = min(self._backoff + 1, _MAX_BACKOFF)
         self._rto.restart(self.rtt.rto_ps(self._backoff))
-        self.sim.trace(self.label, "timeout", lost=len(lost))
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_timeout(self, len(lost))
         self._try_send()
 
     def _complete(self) -> None:

@@ -89,7 +89,7 @@ class TestCheckpointFormat:
         from repro.sim.scheduler import EventScheduler
         from repro.sim.simulator import Simulator
 
-        assert CHECKPOINT_SCHEMA_VERSION == 3
+        assert CHECKPOINT_SCHEMA_VERSION >= 3
         slots = ("_buckets", "_bucket_heap", "_cur", "_cur_g", "_idx",
                  "_shift", "tie_break")
 
@@ -115,7 +115,48 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(path)
-        assert str(excinfo.value) == "checkpoint schema 2 != supported 3"
+        assert str(excinfo.value) == (
+            f"checkpoint schema 2 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+        assert excinfo.value.__cause__ is None
+
+    def test_refuses_schema_3_files_whole(self, tmp_path, monkeypatch):
+        # Schema 4 replaces the simulator's ``tracer`` and ``sanitizer``
+        # with one ``probe`` slot.  A schema-3 simulator pickles a
+        # ``repro.sim.tracing.NullTracer``, a module that no longer exists;
+        # the header check must refuse the file before unpickling reaches it.
+        import sys
+        import types
+
+        from repro.sim.simulator import Simulator
+
+        assert CHECKPOINT_SCHEMA_VERSION == 4
+        tracing = types.ModuleType("repro.sim.tracing")
+
+        class NullTracer:
+            enabled = False
+
+        NullTracer.__module__ = tracing.__name__
+        NullTracer.__qualname__ = "NullTracer"
+        tracing.NullTracer = NullTracer
+        monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+
+        sim = Simulator(seed=0)
+        sim.schedule(5, sim.stop)
+        del sim.probe
+        sim.tracer = NullTracer()
+        sim.sanitizer = None
+        body = dumps(sim)
+        path = save_checkpoint(tmp_path / "sim.ckpt", sim)
+        monkeypatch.delitem(sys.modules, tracing.__name__)
+        with pytest.raises(ModuleNotFoundError, match="repro.sim.tracing"):
+            loads(body)  # what an unguarded restore would do
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(_MAGIC), 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == "checkpoint schema 3 != supported 4"
         assert excinfo.value.__cause__ is None
 
     def test_rejects_foreign_python_tag(self, tmp_path):

@@ -10,7 +10,7 @@ from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError
 from repro.experiments.parallel import ExperimentEngine, ResultCache
 from repro.experiments.runner import IncastScenario, run_incast
-from repro.sim.tracing import RecordingTracer
+from repro.sim.probe import Probe
 from repro.telemetry import RunOptions
 from repro.units import kilobytes
 
@@ -39,7 +39,11 @@ class TestRunOptions:
         assert not RunOptions().bypasses_cache
         assert RunOptions(sanitize=True).bypasses_cache
         assert RunOptions(telemetry=True).bypasses_cache
-        assert RunOptions(tracer=RecordingTracer()).bypasses_cache
+        assert RunOptions(probe=Probe()).bypasses_cache
+
+    def test_sanitize_and_probe_exclude_each_other(self):
+        with pytest.raises(ConfigError, match="probe"):
+            RunOptions(sanitize=True, probe=Probe())
 
     def test_options_path_sanitizes_without_warning(self):
         with warnings.catch_warnings():
@@ -57,17 +61,26 @@ class TestRunOptions:
                 _scenario(), options=RunOptions(telemetry=True), sanitize=True
             )
 
-    def test_tracer_option_reaches_the_simulator(self):
+    def test_probe_option_reaches_the_simulator(self):
         from repro.faults.plan import blackhole_plan
         from repro.units import milliseconds
 
-        tracer = RecordingTracer(kinds={"blackhole"})
+        class Blackholes(Probe):
+            __slots__ = ("ports",)
+
+            def __init__(self):
+                self.ports = set()
+
+            def on_blackhole(self, port, packet):
+                self.ports.add(port.name)
+
+        probe = Blackholes()
         scenario = _scenario(faults=blackhole_plan(
             at_ps=0, duration_ps=milliseconds(5), drop_fraction=0.5,
             target="backbone",
         ))
-        run_incast(scenario, options=RunOptions(tracer=tracer))
-        assert tracer.of_kind("blackhole")
+        run_incast(scenario, options=RunOptions(probe=probe))
+        assert probe.ports
 
 
 class TestEngineOptions:

@@ -15,6 +15,7 @@ from repro.faults import blackhole_plan
 from repro.net.packet import make_data
 from repro.proxy.streamlined import StreamlinedProxy
 from repro.proxy.trimless import TrimlessStreamlinedProxy
+from repro.sim.probe import Probe
 from repro.sim.simulator import Simulator
 from repro.units import kilobytes, milliseconds, seconds
 from tests.conftest import build_pair
@@ -42,13 +43,20 @@ class TestInstallation:
     def test_install_returns_self_and_registers(self):
         sim = Simulator(seed=1)
         san = Sanitizer().install(sim)
-        assert sim.sanitizer is san
+        assert sim.probe is san
 
     def test_double_install_raises(self):
         sim = Simulator(seed=1)
         Sanitizer().install(sim)
         with pytest.raises(SanitizerError):
             Sanitizer().install(sim)
+
+    def test_install_on_a_probed_sim_raises(self):
+        sim = Simulator(seed=1)
+        probe = sim.probe = Probe()
+        with pytest.raises(SanitizerError, match="probe"):
+            Sanitizer().install(sim)
+        assert sim.probe is probe
 
 
 class TestConservation:
@@ -93,6 +101,10 @@ class TestUnitChecks:
         capacity_bytes = 100
         occupied_bytes = 200
 
+    class _Port:
+        def __init__(self, queue):
+            self.queue = queue
+
     class _Cc:
         cwnd = 10
         min_cwnd = 1
@@ -107,13 +119,14 @@ class TestUnitChecks:
     def test_accepted_enqueue_over_capacity_raises(self):
         san = Sanitizer()
         with pytest.raises(SanitizerError, match="over capacity"):
-            san.on_offer(self._OverfullQueue(), self._Packet(), False, 100)
+            san.on_offer(self._Port(self._OverfullQueue()), self._Packet(),
+                         False, 100)
 
     def test_negative_pipe_raises(self):
         sender = self._BrokenSender()
         sender.cc = self._Cc()
         with pytest.raises(SanitizerError, match="pipe went negative"):
-            Sanitizer().check_sender(sender)
+            Sanitizer().on_ack(sender)
 
     def test_cwnd_below_floor_raises(self):
         sender = self._BrokenSender()
@@ -122,7 +135,7 @@ class TestUnitChecks:
         cc.cwnd = 0
         sender.cc = cc
         with pytest.raises(SanitizerError, match="min_cwnd"):
-            Sanitizer().check_sender(sender)
+            Sanitizer().on_ack(sender)
 
 
 class TestSanitizedSchemes:

@@ -1,4 +1,4 @@
-"""The discrete-event kernel: scheduler, simulator, timers, RNG, tracing."""
+"""The discrete-event kernel: scheduler, simulator, timers, RNG."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import EventScheduler, HeapEventScheduler
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
-from repro.sim.tracing import RecordingTracer
 
 
 @pytest.fixture(params=[EventScheduler, HeapEventScheduler], ids=["wheel", "heap"])
@@ -406,27 +405,3 @@ class TestRngRegistry:
         forked = reg.fork(1)
         assert reg.stream("x").random() != forked.stream("x").random()
 
-
-class TestTracing:
-    def test_recording_tracer_captures(self, ):
-        tracer = RecordingTracer()
-        sim = Simulator(seed=0, tracer=tracer)
-        sim.schedule(5, lambda: sim.trace("src", "kind", value=3))
-        sim.run()
-        assert len(tracer.records) == 1
-        record = tracer.records[0]
-        assert (record.time, record.source, record.kind) == (5, "src", "kind")
-        assert record.details == {"value": 3}
-
-    def test_kind_filter(self):
-        tracer = RecordingTracer(kinds={"keep"})
-        sim = Simulator(seed=0, tracer=tracer)
-        sim.schedule(1, lambda: sim.trace("s", "keep"))
-        sim.schedule(2, lambda: sim.trace("s", "drop"))
-        sim.run()
-        assert [r.kind for r in tracer.records] == ["keep"]
-        assert tracer.of_kind("keep") == tracer.records
-
-    def test_null_tracer_is_free(self, sim):
-        sim.schedule(1, lambda: sim.trace("s", "anything", x=1))
-        sim.run()  # must not raise or record
