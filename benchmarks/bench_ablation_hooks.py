@@ -11,24 +11,14 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import run_incast
-from repro.hoststack import (
-    measure_pipeline,
-    nic_offload_pipeline,
-    sampler_for_sim,
-    tc_proxy_pipeline,
-    xdp_proxy_pipeline,
-)
+from repro.hoststack import PIPELINES, measure_pipeline
 
 from benchmarks.conftest import run_once
 
-PIPELINES = {
-    "tc": tc_proxy_pipeline,
-    "xdp": xdp_proxy_pipeline,
-    "offload": nic_offload_pipeline,
-}
+HOOKS = ("tc", "xdp", "offload")
 
 
-@pytest.mark.parametrize("hook", list(PIPELINES))
+@pytest.mark.parametrize("hook", HOOKS)
 def test_hook_pipeline_latency(benchmark, hook):
     """Per-packet latency distribution of one hook placement."""
     m = run_once(benchmark, lambda: measure_pipeline(PIPELINES[hook](), 100_000, seed=0))
@@ -43,8 +33,8 @@ def test_hooks_are_strictly_ordered(benchmark):
 
     def medians():
         return {
-            hook: measure_pipeline(factory(), 100_000, seed=1).table((50, 99))
-            for hook, factory in PIPELINES.items()
+            hook: measure_pipeline(PIPELINES[hook](), 100_000, seed=1).table((50, 99))
+            for hook in HOOKS
         }
 
     tables = run_once(benchmark, medians)
@@ -55,14 +45,10 @@ def test_hooks_are_strictly_ordered(benchmark):
     })
 
 
-@pytest.mark.parametrize("hook", list(PIPELINES))
+@pytest.mark.parametrize("hook", HOOKS)
 def test_hook_end_to_end(benchmark, reduced_scenario, hook):
     """Charging each hook's per-packet cost in the simulated proxy."""
-    scenario = replace(
-        reduced_scenario,
-        scheme="streamlined",
-        proxy_delay_sampler=sampler_for_sim(PIPELINES[hook](), seed=3),
-    )
+    scenario = replace(reduced_scenario, scheme="streamlined", proxy_overhead=hook)
     result = run_once(benchmark, lambda: run_incast(scenario))
     assert result.completed
     benchmark.extra_info.update(

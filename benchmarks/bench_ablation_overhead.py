@@ -11,25 +11,18 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import run_incast
-from repro.hoststack import (
-    ebpf_forward_path_pipeline,
-    sampler_for_sim,
-    userspace_proxy_pipeline,
-)
 
 from benchmarks.conftest import run_once
 
+#: variant -> IncastScenario.proxy_overhead (a repro.hoststack pipeline name)
+OVERHEADS = {"zero": None, "ebpf": "ebpf", "userspace": "userspace"}
 
-@pytest.mark.parametrize("variant", ["zero", "ebpf", "userspace"])
+
+@pytest.mark.parametrize("variant", list(OVERHEADS))
 def test_overhead_variant(benchmark, reduced_scenario, variant):
     """Streamlined proxy with no / eBPF-level / user-space-level overhead."""
-    samplers = {
-        "zero": None,
-        "ebpf": sampler_for_sim(ebpf_forward_path_pipeline(), seed=1),
-        "userspace": sampler_for_sim(userspace_proxy_pipeline(), seed=1),
-    }
     scenario = replace(
-        reduced_scenario, scheme="streamlined", proxy_delay_sampler=samplers[variant]
+        reduced_scenario, scheme="streamlined", proxy_overhead=OVERHEADS[variant]
     )
     result = run_once(benchmark, lambda: run_incast(scenario))
     assert result.completed
@@ -43,13 +36,9 @@ def test_ebpf_overhead_is_free_userspace_is_not(benchmark, reduced_scenario):
 
     def compare():
         icts = {}
-        for variant, sampler in (
-            ("zero", None),
-            ("ebpf", sampler_for_sim(ebpf_forward_path_pipeline(), seed=2)),
-            ("userspace", sampler_for_sim(userspace_proxy_pipeline(), seed=2)),
-        ):
+        for variant, overhead in OVERHEADS.items():
             scenario = replace(
-                reduced_scenario, scheme="streamlined", proxy_delay_sampler=sampler
+                reduced_scenario, scheme="streamlined", proxy_overhead=overhead
             )
             icts[variant] = run_incast(scenario).ict_ps
         icts["baseline"] = run_incast(

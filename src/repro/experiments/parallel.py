@@ -86,7 +86,10 @@ Outcome = tuple[str, Any, int, float]
 #: sinks change the recorded telemetry series), so sketch-mode and
 #: exact-mode runs never share cache entries; pre-v7 entries carry no
 #: metrics field and must not satisfy either mode.
-CACHE_SCHEMA_VERSION = 7
+#: v8: IncastScenario's per-packet proxy cost became the named
+#: proxy_overhead field (it was a callable), so every scenario document
+#: and key changed shape.
+CACHE_SCHEMA_VERSION = 8
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "results/.sweep-cache"))
@@ -96,15 +99,11 @@ DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "results/.sweep-cache
 # Stable scenario hashing
 # ---------------------------------------------------------------------------
 
-class Uncacheable(ExperimentError):
-    """The scenario embeds state (e.g. a callable) with no stable hash."""
-
-
 def _canonical(value: Any) -> Any:
     """Recursively reduce a config value to JSON-encodable primitives.
 
-    Raises :class:`Uncacheable` for values without a stable content
-    representation (callables such as ``proxy_delay_sampler``).
+    Raises :class:`TypeError` for values that are not data (a callable, an
+    open file): a scenario is plain data, so such a value is a caller bug.
     """
     if is_dataclass(value) and not isinstance(value, type):
         fields = {
@@ -118,7 +117,7 @@ def _canonical(value: Any) -> Any:
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    raise Uncacheable(f"no stable representation for {type(value).__name__}")
+    raise TypeError(f"no stable representation for {type(value).__name__}")
 
 
 def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
@@ -126,8 +125,7 @@ def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
 
     Two scenarios that compare equal field-by-field hash identically across
     processes and interpreter runs; any field change (scheme, degree,
-    bytes, nested config, seed) changes the key.  Raises :class:`Uncacheable`
-    for scenarios carrying callables (``proxy_delay_sampler``).
+    bytes, nested config, seed) changes the key.
 
     When the scenario names a registered scheme, the scheme's spec
     :meth:`~repro.schemes.SchemeSpec.fingerprint` is folded in as well:
@@ -141,7 +139,7 @@ def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
     two must never share a cache entry.
     """
     if not is_dataclass(scenario) or isinstance(scenario, type):
-        raise Uncacheable(f"cache keys require a dataclass, got {type(scenario).__name__}")
+        raise TypeError(f"cache keys require a dataclass, got {type(scenario).__name__}")
     metrics = options.metrics if options is not None else DEFAULT_METRICS
     document: dict[str, Any] = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -699,10 +697,7 @@ class ExperimentEngine:
         """The scenario's cache key; None when this run must not be cached."""
         if self.cache is None or self.options.bypasses_cache:
             return None
-        try:
-            return scenario_key(scenario, self.options)
-        except Uncacheable:
-            return None
+        return scenario_key(scenario, self.options)
 
     def _lookup(self, key: str | None) -> IncastResult | None:
         if key is None or self.cache is None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
@@ -60,7 +59,10 @@ class IncastScenario:
     seed: int = 0
     horizon_ps: int = seconds(300)
     routing: str = "spray"
-    proxy_delay_sampler: Callable[[], int] | None = None
+    #: per-packet proxy processing cost: the name of a host-stack pipeline
+    #: (:data:`repro.hoststack.PIPELINES`: "ebpf", "userspace", "tc",
+    #: "xdp", "offload"); None charges nothing.
+    proxy_overhead: str | None = None
     #: long-lived cross-traffic flows sharing the fabric (0 = quiet fabric).
     background_flows: int = 0
     background_bytes: int = megabytes(500)
@@ -77,7 +79,20 @@ class IncastScenario:
         # Registry lookup (not the frozen SCHEMES tuple) so third-party
         # schemes registered via repro.schemes validate too; raises
         # ExperimentError listing the registered names on a miss.
-        SCHEME_REGISTRY.get(self.scheme)
+        spec = SCHEME_REGISTRY.get(self.scheme)
+        if self.proxy_overhead is not None:
+            from repro.hoststack.measurement import PIPELINES
+
+            if self.proxy_overhead not in PIPELINES:
+                raise ExperimentError(
+                    f"unknown proxy_overhead {self.proxy_overhead!r}; "
+                    f"pick from {', '.join(PIPELINES)}"
+                )
+            if not spec.charges_overhead:
+                raise ExperimentError(
+                    f"scheme {self.scheme!r} cannot charge proxy_overhead: "
+                    "only a StreamlinedProxy charges per-packet processing"
+                )
         if self.routing not in ("spray", "ecmp"):
             raise ExperimentError(f"unknown routing {self.routing!r}")
         if self.degree < 1:

@@ -750,7 +750,8 @@ class QueueEngine(ExperimentEngine):
         if None in keys:
             raise ExperimentError(
                 f"the queue backend cannot run scenario {keys.index(None)}: "
-                f"it has no stable cache key to hand its result back under"
+                f"cache-bypassing options leave it no cache key to hand its "
+                f"result back under"
             )
         docs = {index: scenario_to_doc(scenarios[index]) for index in misses}
         return Coordinator(self, keys, docs).dispatch()

@@ -11,9 +11,14 @@ anchor numbers:
 * Figure 5a — eBPF lower bound: median 0.42 µs, two per-flow-state paths;
 * Figure 5b — wire-to-wire upper bound: median 325.92 µs.
 
-The same samplers plug into the simulator (``StreamlinedProxy``'s
-``processing_delay``) so "proxy overhead defeats the proxy" is a runnable
-ablation, not just a claim.
+The same pipelines plug into the simulator by name so "proxy overhead
+defeats the proxy" is a runnable ablation, not just a claim:
+``IncastScenario(proxy_overhead="userspace")`` names an entry of
+:data:`PIPELINES` (``ebpf``, ``userspace``, ``tc``, ``xdp``, ``offload``),
+and each proxy of the run charges one draw per packet from its own
+``proxy-overhead:<host>`` substream of the run's seed.  A name is plain
+data, so overhead scenarios hash, cache and cross process boundaries like
+any other.
 """
 
 from repro._lazy import lazy_exports
@@ -31,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "wire_to_wire_pipeline",
     ],
     "repro.hoststack.measurement": [
-        "LatencyMeasurement", "measure_pipeline", "sampler_for_sim",
+        "PIPELINES", "LatencyMeasurement", "measure_pipeline",
     ],
     "repro.hoststack.pipeline": ["LatencyPipeline"],
     "repro.hoststack.userspace": ["userspace_proxy_pipeline"],
@@ -44,12 +49,12 @@ __all__ = [
     "LatencyPipeline",
     "Lognormal",
     "Mixture",
+    "PIPELINES",
     "Stage",
     "ebpf_forward_path_pipeline",
     "ebpf_reverse_path_pipeline",
     "measure_pipeline",
     "nic_offload_pipeline",
-    "sampler_for_sim",
     "tc_proxy_pipeline",
     "userspace_proxy_pipeline",
     "wire_to_wire_pipeline",

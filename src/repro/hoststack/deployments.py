@@ -4,8 +4,9 @@ The paper's prototype hooks at TC and notes "moving to the eXpress Data
 Path (XDP) hook can further reduce kernel overhead" and that "the proxy
 program has the potential of being offloaded to the NIC directly".  These
 pipelines model the three deployment targets so their end-to-end effect is
-comparable — as distributions here, and inside the simulator via
-:func:`repro.hoststack.measurement.sampler_for_sim`:
+comparable — as distributions here, and inside the simulator as the
+``tc``, ``xdp`` and ``offload`` entries of
+:data:`repro.hoststack.measurement.PIPELINES`:
 
 * **TC** — the prototype's placement: driver/softirq work happens before
   the program runs;

@@ -2,9 +2,9 @@
 
 Mirrors the paper's methodology: generate a test load (the paper uses a
 30 s iperf run at 10 Gb/s line rate) through a pipeline and report the
-per-packet latency CDF.  Also exports :func:`sampler_for_sim`, the bridge
-that plugs a pipeline into the packet-level simulator as a per-packet
-proxy processing delay.
+per-packet latency CDF.  Also exports :data:`PIPELINES`, the names an
+``IncastScenario.proxy_overhead`` may take: each names the pipeline whose
+draws the scenario's proxies charge as per-packet processing delay.
 """
 
 from __future__ import annotations
@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.hoststack.deployments import (
+    nic_offload_pipeline,
+    tc_proxy_pipeline,
+    xdp_proxy_pipeline,
+)
+from repro.hoststack.ebpf import ebpf_forward_path_pipeline
 from repro.hoststack.pipeline import LatencyPipeline
+from repro.hoststack.userspace import userspace_proxy_pipeline
 from repro.metrics.cdf import EmpiricalCdf
 from repro.sim.rng import derive_stream
 from repro.units import to_microseconds
@@ -49,12 +56,12 @@ def measure_pipeline(
     )
 
 
-def sampler_for_sim(pipeline: LatencyPipeline, seed: int = 0) -> Callable[[], int]:
-    """A zero-argument per-packet delay sampler for the simulator.
-
-    Pass the result as ``IncastScenario.proxy_delay_sampler`` (or directly
-    to :class:`~repro.proxy.streamlined.StreamlinedProxy`) to charge
-    realistic host-stack processing on every packet the proxy touches.
-    """
-    rng = derive_stream(seed, "hoststack:sampler")
-    return lambda: pipeline.sample(rng)
+#: Pipeline name -> factory: the values ``IncastScenario.proxy_overhead``
+#: accepts, and the hook placements the ablation benches compare.
+PIPELINES: dict[str, Callable[[], LatencyPipeline]] = {
+    "ebpf": ebpf_forward_path_pipeline,
+    "userspace": userspace_proxy_pipeline,
+    "tc": tc_proxy_pipeline,
+    "xdp": xdp_proxy_pipeline,
+    "offload": nic_offload_pipeline,
+}

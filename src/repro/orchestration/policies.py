@@ -39,10 +39,27 @@ def make_queue_depth(hosts_by_id: dict, net=None) -> Policy:
     stays deterministic.  Registry-only policies see assignments; this
     one sees the actual bytes queued in the fabric.
     """
+    return _QueueDepth(hosts_by_id, net)
 
-    def depth(host_id: int) -> int:
-        host = hosts_by_id[host_id]
+
+def make_round_robin() -> Policy:
+    """A stateful round-robin policy (ignores load)."""
+    return _RoundRobin()
+
+
+# Policies with state are module-level classes, not closures, so a
+# checkpoint of the run holding them pickles them by reference.
+
+
+class _QueueDepth:
+    def __init__(self, hosts_by_id: dict, net) -> None:
+        self.hosts_by_id = hosts_by_id
+        self.net = net
+
+    def depth(self, host_id: int) -> int:
+        host = self.hosts_by_id[host_id]
         total = host.nic.backlog_bytes
+        net = self.net
         if net is not None:
             for neighbor in net.adjacency.get(host.id, ()):
                 port = net.nodes[neighbor].ports.get(host.id)
@@ -50,26 +67,22 @@ def make_queue_depth(hosts_by_id: dict, net=None) -> Policy:
                     total += port.backlog_bytes
         return total
 
-    def policy(registry: ProxyRegistry) -> int:
+    def __call__(self, registry: ProxyRegistry) -> int:
         proxies = registry.proxies
         if not proxies:
             raise OrchestrationError("no registered proxies")
-        best = min(proxies, key=lambda p: (depth(p.host_id), p.load, p.host_id))
+        best = min(proxies, key=lambda p: (self.depth(p.host_id), p.load, p.host_id))
         return best.host_id
 
-    return policy
 
+class _RoundRobin:
+    def __init__(self) -> None:
+        self.cursor = 0
 
-def make_round_robin() -> Policy:
-    """A stateful round-robin policy (ignores load)."""
-    cursor = [0]
-
-    def policy(registry: ProxyRegistry) -> int:
+    def __call__(self, registry: ProxyRegistry) -> int:
         hosts = registry.host_ids
         if not hosts:
             raise OrchestrationError("no registered proxies")
-        host = hosts[cursor[0] % len(hosts)]
-        cursor[0] += 1
+        host = hosts[self.cursor % len(hosts)]
+        self.cursor += 1
         return host
-
-    return policy

@@ -167,7 +167,6 @@ def run_concurrent_incasts(
                 sim, net, hosts_by_id[host_id],
                 transport=transport,
                 detector=None,
-                processing_delay=None,
             )
             proxies_on_host[host_id] = app
         return app

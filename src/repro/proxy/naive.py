@@ -17,6 +17,7 @@ and each delivery releases one segment to proxy_S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.config import TransportConfig
@@ -29,6 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
     from repro.transport.sender import WindowedSender
+
+
+def _relay_one(outer: "WindowedSender", seq: int) -> None:
+    """The inner leg delivered segment ``seq``: release one on the outer leg.
+
+    Module-level (bound with :func:`functools.partial`) so a checkpoint
+    pickles it by reference.
+    """
+    outer.release(1)
 
 
 @dataclass
@@ -140,7 +150,7 @@ class NaiveProxy:
             self.host,
             total_bytes,
             cfg,
-            on_deliver=lambda seq: outer.sender.release(1),
+            on_deliver=partial(_relay_one, outer.sender),
             on_sender_fail=on_sender_fail,
             label=f"{label or 'naive'}:local",
         )

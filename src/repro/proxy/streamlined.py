@@ -10,7 +10,8 @@ through the proxy.  The proxy's entire data-plane logic is:
 * ACK/NACK from the receiver → forward transparently to the sender.
 
 This mirrors the paper's eBPF prototype, whose measured per-packet cost is
-modelled by :mod:`repro.hoststack`; pass ``processing_delay`` to charge
+modelled by :mod:`repro.hoststack`; pass ``processing_delay`` (a
+zero-argument sampler, picklable so checkpoints can carry it) to charge
 that cost on every packet the proxy touches.
 """
 

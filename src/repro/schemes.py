@@ -38,6 +38,7 @@ the parallel engine's result cache like any built-in scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import ExperimentError
@@ -55,9 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
 
-#: ``make_proxy(sim, net, host, *, transport, detector, processing_delay,
+#: ``make_proxy(sim, net, host, *, transport, detector, overhead=None,
 #: label="")`` — every proxy flavour is built through this one signature so
-#: harnesses stay scheme-agnostic.
+#: harnesses stay scheme-agnostic.  ``overhead`` names a host-stack pipeline
+#: (``IncastScenario.proxy_overhead``); only the streamlined factory charges
+#: it, and the scenario refuses it for every other scheme.
 ProxyFactory = Callable[..., Any]
 
 
@@ -112,6 +115,11 @@ class SchemeSpec:
     make_proxy: ProxyFactory | None
     #: full incast wiring (flows, callbacks, failover) for run_incast
     wire: Callable[[SchemeContext], SchemeWiring]
+
+    @property
+    def charges_overhead(self) -> bool:
+        """Whether this scheme's proxies charge ``IncastScenario.proxy_overhead``."""
+        return self.make_proxy is _make_streamlined_proxy
 
     def fingerprint(self) -> str:
         """Content hash of the spec's behaviour, for result-cache keys.
@@ -244,7 +252,7 @@ def _make_naive_proxy(
     *,
     transport: "TransportConfig",
     detector: "DetectorConfig | None" = None,
-    processing_delay: Callable[[], int] | None = None,
+    overhead: str | None = None,
     label: str = "",
 ) -> NaiveProxy:
     return NaiveProxy(sim, host)
@@ -257,14 +265,20 @@ def _make_streamlined_proxy(
     *,
     transport: "TransportConfig",
     detector: "DetectorConfig | None" = None,
-    processing_delay: Callable[[], int] | None = None,
+    overhead: str | None = None,
     label: str = "",
 ) -> StreamlinedProxy:
-    if label:
-        return StreamlinedProxy(
-            sim, host, processing_delay=processing_delay, label=label
-        )
-    return StreamlinedProxy(sim, host, processing_delay=processing_delay)
+    processing_delay = None
+    if overhead is not None:
+        from repro.hoststack.measurement import PIPELINES
+
+        # One substream per proxy host, so a backup proxy's draws never
+        # shift the primary's.
+        rng = sim.rng.stream(f"proxy-overhead:{host.name}")
+        processing_delay = partial(PIPELINES[overhead]().sample, rng)
+    return StreamlinedProxy(
+        sim, host, processing_delay=processing_delay, label=label
+    )
 
 
 def _make_trimless_proxy(
@@ -274,7 +288,7 @@ def _make_trimless_proxy(
     *,
     transport: "TransportConfig",
     detector: "DetectorConfig | None" = None,
-    processing_delay: Callable[[], int] | None = None,
+    overhead: str | None = None,
     label: str = "",
 ) -> TrimlessStreamlinedProxy:
     return TrimlessStreamlinedProxy(sim, host, detector)
@@ -330,7 +344,7 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
         ctx.sim, ctx.net, proxy_host,
         transport=scenario.transport,
         detector=scenario.detector,
-        processing_delay=scenario.proxy_delay_sampler,
+        overhead=scenario.proxy_overhead,
     )
     wiring.proxies["primary"] = proxy
     wiring.proxy_hosts["primary"] = proxy_host
@@ -342,7 +356,7 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
             ctx.sim, ctx.net, backup_host,
             transport=scenario.transport,
             detector=scenario.detector,
-            processing_delay=scenario.proxy_delay_sampler,
+            overhead=scenario.proxy_overhead,
             label=f"sproxy-backup:{backup_host.name}",
         )
         wiring.proxies["backup"] = backup

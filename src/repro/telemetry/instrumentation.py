@@ -76,6 +76,11 @@ class NullInstrumentation(Instrumentation):
 
     enabled = False
 
+    def __reduce__(self) -> str:
+        # Pickle the singleton by reference: a restored graph shares the
+        # module's NULL_INSTRUMENTATION instead of holding a copy.
+        return "NULL_INSTRUMENTATION"
+
 
 #: Module-level singleton the simulator defaults to, so the disabled path
 #: allocates nothing per run.

@@ -402,7 +402,6 @@ class OpenLoopEngine:
                 self.sim, self.net, self._proxy_hosts_by_id[host_id],
                 transport=self.transport,
                 detector=None,
-                processing_delay=None,
             )
             self._proxies_on_host[host_id] = app
         return app

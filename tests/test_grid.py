@@ -117,6 +117,12 @@ class TestGridSpec:
         scenario = _base(scheme="naive", seed=5)
         assert scenario_from_doc(scenario_to_doc(scenario)) == scenario
 
+    def test_scenario_doc_round_trips_proxy_overhead(self):
+        scenario = _base(scheme="streamlined", proxy_overhead="userspace")
+        doc = scenario_to_doc(scenario)
+        assert doc["proxy_overhead"] == "userspace"
+        assert scenario_from_doc(doc) == scenario
+
     def test_config_from_doc_rejects_unknown_type(self):
         with pytest.raises(ExperimentError, match="unknown config type"):
             config_from_doc({"__type__": "NoSuchConfig"})

@@ -12,8 +12,8 @@ from repro.hoststack import (
     Mixture,
     ebpf_forward_path_pipeline,
     ebpf_reverse_path_pipeline,
+    PIPELINES,
     measure_pipeline,
-    sampler_for_sim,
     userspace_proxy_pipeline,
     wire_to_wire_pipeline,
 )
@@ -93,11 +93,15 @@ class TestPipelines:
         b = measure_pipeline(ebpf_forward_path_pipeline(), packets=1000, seed=9)
         assert a.samples_ps == b.samples_ps
 
-    def test_sampler_for_sim(self):
-        sampler = sampler_for_sim(ebpf_forward_path_pipeline(), seed=0)
-        draws = [sampler() for _ in range(100)]
-        assert all(isinstance(d, int) and d > 0 for d in draws)
-        assert len(set(draws)) > 1
+    def test_pipelines_by_name(self):
+        assert list(PIPELINES) == ["ebpf", "userspace", "tc", "xdp", "offload"]
+        rng = random.Random(0)
+        for name, factory in PIPELINES.items():
+            pipeline = factory()
+            assert isinstance(pipeline, LatencyPipeline), name
+            draws = [pipeline.sample(rng) for _ in range(100)]
+            assert all(isinstance(d, int) and d > 0 for d in draws), name
+            assert len(set(draws)) > 1, name
 
 
 class TestPaperAnchors:

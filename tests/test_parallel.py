@@ -1,16 +1,16 @@
 """The parallel execution engine: hashing, cache, pool, deterministic merge."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.analysis.races import result_digest
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
 from repro.experiments.grid import run_grid
 from repro.experiments.parallel import (
     ExperimentEngine,
     ResultCache,
-    Uncacheable,
     resolve_workers,
     scenario_key,
 )
@@ -20,6 +20,7 @@ from repro.experiments.sweeps import (
     run_scheme_summary,
     sweep_digest,
 )
+from repro.telemetry.options import RunOptions
 from repro.units import megabytes, microseconds
 
 
@@ -68,14 +69,30 @@ class TestScenarioKey:
         )
         assert scenario_key(varied) != scenario_key(tiny_scenario)
 
-    def test_callable_fields_are_uncacheable(self, tiny_scenario):
-        with_sampler = replace(tiny_scenario, proxy_delay_sampler=lambda: 0)
-        with pytest.raises(Uncacheable):
-            scenario_key(with_sampler)
+    def test_callable_fields_are_uncacheable(self):
+        # A scenario is plain data; a callable in a config is a caller bug,
+        # and hashing refuses it outright instead of running it uncached.
+        @dataclass(frozen=True)
+        class WithCallback:
+            callback: object = None
+
+        with pytest.raises(TypeError, match="function"):
+            scenario_key(WithCallback(callback=lambda: 0))
 
     def test_non_dataclass_rejected(self):
-        with pytest.raises(Uncacheable):
+        with pytest.raises(TypeError):
             scenario_key({"not": "a dataclass"})
+
+    def test_proxy_overhead_keys(self, tiny_scenario):
+        streamlined = replace(tiny_scenario, scheme="streamlined")
+        keys = {
+            overhead: scenario_key(replace(streamlined, proxy_overhead=overhead))
+            for overhead in (None, "ebpf", "userspace", "tc", "xdp", "offload")
+        }
+        assert len(set(keys.values())) == len(keys)  # distinct across values
+        for overhead, key in keys.items():  # equal for equal values
+            assert scenario_key(replace(streamlined, proxy_overhead=overhead)) == key
+        assert keys[None] == scenario_key(streamlined)
 
     def test_reregistered_scheme_changes_key(self, tiny_scenario):
         # Regression: keys used to hash the scheme *name* only, so a
@@ -236,12 +253,35 @@ class TestResultCache:
         assert cache.get(key) is not None
 
     def test_uncacheable_scenarios_just_run(self, tiny_scenario, tmp_path):
+        # Cache-bypassing options are the one way a run goes uncached.
         cache = ResultCache(tmp_path)
-        scenario = replace(tiny_scenario, proxy_delay_sampler=lambda: 0)
-        engine = ExperimentEngine(workers=1, cache=cache)
-        results = engine.run_incasts([scenario])
+        engine = ExperimentEngine(
+            workers=1, cache=cache, options=RunOptions(sanitize=True)
+        )
+        results = engine.run_incasts([tiny_scenario])
         assert results[0].completed
         assert cache.clear() == 0  # nothing was stored
+
+    def test_overhead_cells_cache_through_the_pool(self, tiny_scenario, tmp_path):
+        # Named overheads are plain data: the pool takes them (no serial
+        # fallback) and a second pass is served from the cache entirely.
+        scenarios = [
+            replace(tiny_scenario, scheme="streamlined", proxy_overhead=overhead,
+                    seed=seed)
+            for overhead in (None, "ebpf", "userspace") for seed in (0, 1)
+        ]
+        cache = ResultCache(tmp_path)
+        fallbacks: list[str] = []
+        cold = ExperimentEngine(workers=2, cache=cache, on_fallback=fallbacks.append)
+        first = cold.run_incasts(scenarios)
+        warm = ExperimentEngine(workers=2, cache=cache, on_fallback=fallbacks.append)
+        second = warm.run_incasts(scenarios)
+        assert fallbacks == []
+        assert cold.stats.cache_misses == len(scenarios)
+        assert warm.stats.cache_hits == len(scenarios)
+        assert warm.stats.cache_misses == 0
+        assert all(r.from_cache for r in second)
+        assert [result_digest(r) for r in second] == [result_digest(r) for r in first]
 
     def test_clear_removes_entries(self, tiny_scenario, tmp_path):
         cache = ResultCache(tmp_path)

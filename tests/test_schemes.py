@@ -1,5 +1,6 @@
-"""SchemeRegistry dispatch and third-party registration."""
+"""SchemeRegistry dispatch, third-party registration and proxy overhead."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,10 @@ from repro.schemes import (
     SchemeWiring,
     register_scheme,
 )
+from repro.hoststack import PIPELINES
+from repro.net.network import Network
+from repro.sim.rng import derive_stream
+from repro.sim.simulator import Simulator
 from repro.transport.connection import Connection
 from repro.units import kilobytes
 
@@ -30,6 +35,71 @@ def _scenario(**overrides):
         transport=TransportConfig(payload_bytes=4096),
     )
     return replace(base, **overrides) if overrides else base
+
+
+class TestProxyOverhead:
+    """``proxy_overhead`` names a host-stack pipeline the proxies charge."""
+
+    def test_unknown_name_is_refused_when_the_scenario_is_built(self):
+        with pytest.raises(ExperimentError, match="unknown proxy_overhead 'kernel'"):
+            _scenario(scheme="streamlined", proxy_overhead="kernel")
+
+    def test_naive_refuses_overhead(self):
+        # The split-connection relay has no per-packet processing hook.
+        with pytest.raises(ExperimentError, match="scheme 'naive' cannot charge"):
+            _scenario(scheme="naive", proxy_overhead="userspace")
+
+    def test_trimless_refuses_overhead(self):
+        with pytest.raises(ExperimentError, match="scheme 'trimless' cannot charge"):
+            _scenario(scheme="trimless", proxy_overhead="ebpf")
+
+    def test_proxyless_schemes_refuse_overhead(self):
+        with pytest.raises(ExperimentError, match="scheme 'baseline' cannot charge"):
+            _scenario(scheme="baseline", proxy_overhead="ebpf")
+
+        @register_scheme("test-direct", replace=True)
+        def wire(ctx):
+            return SchemeWiring()
+
+        try:
+            with pytest.raises(ExperimentError, match="scheme 'test-direct'"):
+                _scenario(scheme="test-direct", proxy_overhead="tc")
+        finally:
+            SCHEME_REGISTRY.unregister("test-direct")
+
+    def test_streamlined_schemes_charge_every_pipeline(self):
+        assert [s.name for s in SCHEME_REGISTRY if s.charges_overhead] == [
+            "streamlined", "proxy-failover",
+        ]
+        free = run_incast(_scenario(scheme="streamlined")).ict_ps
+        for name in PIPELINES:
+            slow = _scenario(scheme="streamlined", proxy_overhead=name)
+            ict = run_incast(slow).ict_ps
+            assert ict > free, name
+            assert run_incast(slow).ict_ps == ict, name  # a pure function of the seed
+        assert run_incast(
+            _scenario(scheme="proxy-failover", proxy_overhead="userspace")
+        ).completed
+
+    def test_each_proxy_draws_from_its_own_substream(self):
+        sim = Simulator(seed=7)
+        net = Network(sim)
+        make = SCHEME_REGISTRY.get("proxy-failover").make_proxy
+        primary, backup = (
+            make(sim, net, net.add_host(name), transport=TransportConfig(),
+                 overhead="ebpf")
+            for name in ("a", "b")
+        )
+        pipeline = PIPELINES["ebpf"]()
+        expected = derive_stream(7, "proxy-overhead:a")
+        assert [primary.processing_delay() for _ in range(5)] == [
+            pipeline.sample(expected) for _ in range(5)
+        ]
+        # The sampler is plain data to pickle: a copy continues the sequence.
+        clone = pickle.loads(pickle.dumps(backup.processing_delay))
+        assert [clone() for _ in range(5)] == [
+            backup.processing_delay() for _ in range(5)
+        ]
 
 
 class TestRegistry:

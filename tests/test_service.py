@@ -156,12 +156,12 @@ class TestQueueEngine:
             QueueEngine(workers=1, cache=cache, lease_ttl_s=0.0)
 
     def test_rejects_uncacheable_scenarios(self, tmp_path):
-        from dataclasses import replace
-
+        # Every scenario has a key; only cache-bypassing options take it
+        # away, and the queue refuses to run a cell it cannot key.
         engine = QueueEngine(workers=1, cache=ResultCache(tmp_path / "cache"))
-        scenario = replace(_base(), proxy_delay_sampler=lambda: 0)
-        with pytest.raises(ExperimentError, match="no stable cache key"):
-            list(engine.stream([scenario]))
+        engine.options = RunOptions(sanitize=True)
+        with pytest.raises(ExperimentError, match="no cache key"):
+            list(engine.stream([_base()]))
 
 
 class TestCoordinatorValidation:
