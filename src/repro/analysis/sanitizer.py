@@ -17,7 +17,8 @@ delivered, stray, corrupt-dropped, queue-dropped, dropped-while-down,
 blackholed-by-fault, lost-on-a-dying-wire, still in flight, or still
 queued.  The per-fate tallies are reconciled against the independent
 port/queue counters, so the sanitizer catches both lost packets *and*
-double counting.
+double counting.  :meth:`Sanitizer.check_ict_floor` holds a completed
+incast to the physics floor.
 
 Every check failure raises :class:`~repro.errors.SanitizerError`
 immediately with the full tally.  When no probe is installed the hook
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SanitizerError
 from repro.sim.probe import Probe
+from repro.units import serialization_delay_ps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -260,6 +262,23 @@ class Sanitizer(Probe):
             )
 
     # -- end of run ---------------------------------------------------------
+
+    def check_ict_floor(self, net: "Network", senders: "list[Host]",
+                        receiver: "Host", total_bytes: int, ict_ps: int) -> None:
+        """A completed incast cannot beat the speed of light and the wire.
+
+        Every payload byte crosses the receiver's access link, so the last
+        one lands no sooner than the nearest sender's one-way propagation
+        delay plus ``total_bytes`` serialized at the bottleneck rate.
+        """
+        rate = max(net.bottleneck_rate_bps(h.id, receiver.id) for h in senders)
+        delay = min(net.min_delay_ps(h.id, receiver.id) for h in senders)
+        floor = serialization_delay_ps(total_bytes, rate) + delay
+        if ict_ps < floor:
+            raise SanitizerError(
+                f"ICT {ict_ps} ps is below the physics floor {floor} ps "
+                f"({total_bytes} B at {rate:.3g} b/s + {delay} ps propagation)"
+            )
 
     def finish(self, net: "Network",
                injector: "FaultInjector | None" = None) -> SanitizerReport:

@@ -27,9 +27,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketType
-from repro.patterns.controller import PatternAwareController
 from repro.patterns.detector import DetectorSettings
-from repro.patterns.distributed import feed_controller, make_detection_backend
+from repro.patterns.distributed import make_detection_backend
 from repro.proxy.streamlined import ProxyStats
 from repro.schemes import SchemeWiring
 from repro.transport.connection import Connection
@@ -49,28 +48,19 @@ class PulserAgent:
 
     Taps each watched flow's packet handler to feed the detection backend,
     and on every detection multicasts one pulse NACK per active flow back
-    to its sender.  Detections are also forwarded into the pattern
-    predictor (:class:`~repro.patterns.controller.PatternAwareController`)
-    so the periodicity learner sees the same burst arrivals an operator
-    deployment would.
+    to its sender.
 
     Exposes :class:`~repro.proxy.streamlined.ProxyStats` so the runner
     aggregates pulses into the result's ``proxy_nacks_sent`` column.
     """
 
     def __init__(
-        self,
-        sim: "Simulator",
-        host: "Host",
-        backend: "DetectionBackend",
-        controller: PatternAwareController | None = None,
+        self, sim: "Simulator", host: "Host", backend: "DetectionBackend"
     ) -> None:
         self.sim = sim
         self.host = host
         self.backend = backend
-        self.controller = controller
         self.stats = ProxyStats()
-        self.pulses = 0  # detection events acted on
         self._flows: list[tuple["_Connection", "Host"]] = []
 
     def watch(self, conn: "Connection", sender_host: "Host") -> None:
@@ -90,20 +80,15 @@ class PulserAgent:
                 )
             _inner(packet)
             if event is not None:
-                self._on_detection(event)
+                # Emit off the delivery call stack: the arriving packet
+                # that fired the detection is already released but still
+                # live in the handler frames, so allocating pulses here can
+                # hand its recycled object out mid-delivery (the pool
+                # sanitizer rejects exactly that).
+                self.sim.schedule(0, self._emit_pulses)
 
         host.register_handler(flow_id, tap)
         self._flows.append((conn, sender_host))
-
-    def _on_detection(self, event: "DetectionEvent") -> None:
-        self.pulses += 1
-        if self.controller is not None:
-            feed_controller(self.controller, event)
-        # Emit off the delivery call stack: the arriving packet that fired
-        # the detection is already released but still live in the handler
-        # frames, so allocating pulses here can hand its recycled object
-        # out mid-delivery (the pool sanitizer rejects exactly that).
-        self.sim.schedule(0, self._emit_pulses)
 
     def _emit_pulses(self) -> None:
         pool = self.sim.packet_pool
@@ -136,7 +121,7 @@ def _pulser_settings(ctx: "SchemeContext") -> DetectorSettings:
 def _wire_pulser_common(ctx: "SchemeContext", backend_name: str) -> SchemeWiring:
     wiring = SchemeWiring()
     backend = make_detection_backend(backend_name, _pulser_settings(ctx))
-    agent = PulserAgent(ctx.sim, ctx.receiver, backend, PatternAwareController())
+    agent = PulserAgent(ctx.sim, ctx.receiver, backend)
     wiring.nack_proxies.append(agent)
     for i, (host, size) in enumerate(zip(ctx.senders, ctx.sizes)):
         conn = Connection(

@@ -332,6 +332,10 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
 
     conservation = None
     if sanitizer is not None:
+        if completed:
+            sanitizer.check_ict_floor(
+                net, senders, receiver, scenario.total_bytes, ict
+            )
         conservation = sanitizer.finish(net, injector).as_dict()
     counters = collect_network_counters(net)
     result = IncastResult(

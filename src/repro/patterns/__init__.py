@@ -24,7 +24,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ],
     "repro.patterns.distributed": [
         "DETECTION_BACKENDS", "DistributedIncastDetector", "LocalIncastSketch",
-        "SketchSettings", "feed_controller", "make_detection_backend",
+        "SketchSettings", "make_detection_backend",
     ],
     "repro.patterns.predictor": ["PeriodEstimate", "PeriodicIncastPredictor"],
     "repro.patterns.run": ["PatternAwareResult", "run_pattern_aware"],
@@ -43,7 +43,6 @@ __all__ = [
     "PeriodEstimate",
     "PeriodicIncastPredictor",
     "SketchSettings",
-    "feed_controller",
     "make_detection_backend",
     "run_pattern_aware",
 ]

@@ -12,10 +12,7 @@ enough distinct sources and bytes inside the window.
 Both detectors expose the same ``observe(time, src, dst, nbytes)``
 protocol, so schemes pick between them by name through
 :func:`make_detection_backend` — the registry the ``pulser`` /
-``pulser-dist`` competitor schemes select their backend from.  Detections
-can be forwarded into the :class:`~repro.patterns.controller.
-PatternAwareController` with :func:`feed_controller`, closing the loop to
-the periodicity predictor.
+``pulser-dist`` competitor schemes select their backend from.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.errors import ConfigError
-from repro.patterns.controller import PatternAwareController
 from repro.patterns.detector import DetectionEvent, DetectorSettings, OnlineIncastDetector
 from repro.units import milliseconds
 
@@ -176,12 +172,3 @@ def make_detection_backend(
             f"unknown detection backend {name!r}; known: {sorted(DETECTION_BACKENDS)}"
         ) from None
     return factory(settings)
-
-
-def feed_controller(controller: PatternAwareController, event: DetectionEvent) -> None:
-    """Forward one detection into the periodicity learner.
-
-    Detections are exactly the burst arrivals the controller learns from,
-    so any backend's output can drive proxy pre-staging.
-    """
-    controller.observe_burst(event.time, event.dst, event.window_bytes)

@@ -43,7 +43,7 @@ import os
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.config import InterDcConfig, TransportConfig, small_interdc_config
 from repro.errors import ConfigError, WorkloadError
@@ -51,7 +51,6 @@ from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.metrics.sink import DistributionDigest, DistributionSink, make_distribution_sink
 from repro.orchestration.run import STRATEGIES, make_selector
-from repro.patterns.controller import PatternAwareController
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim.checkpoint import save_checkpoint
 from repro.sim.simulator import Simulator
@@ -61,6 +60,9 @@ from repro.units import milliseconds, seconds
 from repro.workloads.incast import IncastJob
 from repro.workloads.registry import WORKLOAD_REGISTRY, TenantRequest, tenant_jobs
 from repro.workloads.sizes import HeavyTailConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.patterns.controller import PatternAwareController
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -319,9 +321,11 @@ class OpenLoopEngine:
             self.strategy, proxy_hosts, self.net, self.sim.rng.stream("engine:select")
         )
 
-        self.controller = (
-            PatternAwareController() if config.pattern_predictor else None
-        )
+        self.controller: PatternAwareController | None = None
+        if config.pattern_predictor:  # the learner loads numpy: only on request
+            from repro.patterns.controller import PatternAwareController
+
+            self.controller = PatternAwareController()
         self.fold = WorkloadFold(config.metrics, config.slo_ps, config.seed)
         self._proxies_on_host: dict[int, Any] = {}
         self._tenants = 0

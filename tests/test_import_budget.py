@@ -38,7 +38,11 @@ CELL_FORBIDDEN_PACKAGES = (
 )
 
 #: ``repro.*`` modules after the ledger's set-up probe work (parent: 116).
-LEDGER_SETUP_BUDGET = 95
+LEDGER_SETUP_BUDGET = 89
+
+#: The periodicity learner and what it imports.  Only the open-loop
+#: engine's ``pattern_predictor`` and ``run_pattern_aware`` read it.
+LEARNER = ("numpy", "repro.patterns.controller", "repro.patterns.predictor")
 
 BUILT_INS = ["baseline", "naive", "streamlined", "trimless", "proxy-failover"]
 
@@ -93,8 +97,29 @@ class TestFreshInterpreter:
             "make_workload('incast-d8', 3, Path.cwd()).setup()",
             tmp_path,
         )
-        assert "numpy" not in modules
+        assert not [m for m in LEARNER if m in modules]
         assert len(ours(modules)) <= LEDGER_SETUP_BUDGET, sorted(ours(modules))
+
+    def test_no_scheme_loads_the_learner(self, tmp_path):
+        # The ledger's incast-d8 scale: long enough that Pulser's detector
+        # fires often, so a learner fed from it would reach numpy.
+        modules = modules_after(
+            "from dataclasses import replace\n"
+            "from repro import competitors\n"
+            "from repro.config import TransportConfig, paper_interdc_config\n"
+            "from repro.experiments.runner import IncastScenario, run_incast\n"
+            "from repro.schemes import SCHEME_REGISTRY\n"
+            "competitors.install()\n"
+            "base = IncastScenario(\n"
+            "    degree=8, total_bytes=40_000_000, interdc=paper_interdc_config(),\n"
+            "    transport=TransportConfig(payload_bytes=8192), seed=3)\n"
+            "assert len(SCHEME_REGISTRY.names()) == 8\n"
+            "for name in SCHEME_REGISTRY.names():\n"
+            "    assert run_incast(replace(base, scheme=name)).completed, name",
+            tmp_path,
+        )
+        loaded = [m for m in LEARNER if m in modules]
+        assert not loaded, f"an incast cell loaded {loaded}"
 
     def test_schemes_is_the_built_ins_whatever_is_imported_first(self, tmp_path):
         # On a lazy root nothing imports the runner before install() runs;

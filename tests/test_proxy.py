@@ -182,6 +182,31 @@ class TestNaiveProxy:
         assert (flow.inner.receiver.stats.completed_at
                 < flow.outer.receiver.stats.completed_at)
 
+    def test_restart_serves_new_flows_but_not_dead_relays(self, sim, transport_cfg):
+        net, sender, proxy_host, receiver = build_line(sim)
+        proxy = NaiveProxy(sim, proxy_host)
+        # 5 MB takes 4 ms through the proxy's 10G port: at 1 ms neither leg
+        # has finished.
+        before = proxy.open(net, sender, receiver, 5_000_000, transport_cfg)
+        before.start()
+        sim.run(until=milliseconds(1))
+        assert not before.inner.completed and not before.completed
+        proxy.crash()
+        with pytest.raises(ProxyError):
+            proxy.open(net, sender, receiver, 50_000, transport_cfg)
+        proxy.restart()
+        assert not proxy.crashed and proxy.crashes == 1
+        done = []
+        after = proxy.open(net, sender, receiver, 50_000, transport_cfg,
+                           on_receiver_complete=lambda r: done.append(sim.now))
+        after.start()
+        sim.run(until=milliseconds(200))
+        assert after.completed and done
+        assert after.outer.receiver.stats.bytes_received == 50_000
+        assert not before.completed
+        assert before.outer.sender.failed
+        assert before.outer.receiver.stats.bytes_received < 5_000_000
+
 
 class TestTrimlessProxy:
     def test_detects_drops_and_nacks(self, sim, transport_cfg):

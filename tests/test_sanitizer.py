@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.sanitizer import Sanitizer
+from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import SanitizerError
 from repro.experiments.runner import (
@@ -13,11 +14,13 @@ from repro.experiments.runner import (
 )
 from repro.faults import blackhole_plan
 from repro.net.packet import make_data
+from repro.proxy.placement import pick_senders
 from repro.proxy.streamlined import StreamlinedProxy
 from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.sim.probe import Probe
 from repro.sim.simulator import Simulator
-from repro.units import kilobytes, milliseconds, seconds
+from repro.topology.interdc import build_interdc
+from repro.units import kilobytes, microseconds, milliseconds, seconds
 from tests.conftest import build_pair
 
 #: Insertion order {7, 3, 11, 5} iterates as [11, 3, 5, 7] on CPython —
@@ -138,10 +141,20 @@ class TestUnitChecks:
             Sanitizer().on_ack(sender)
 
 
+@pytest.fixture
+def competitors():
+    install()
+    try:
+        yield
+    finally:
+        uninstall()
+
+
 class TestSanitizedSchemes:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_every_scheme_conserves_packets(self, scheme):
+    @pytest.mark.parametrize("scheme", [*SCHEMES, *COMPETITOR_SCHEMES])
+    def test_every_scheme_conserves_packets(self, scheme, competitors):
         result = run_incast(_scenario(scheme), options=RunOptions(sanitize=True))
+        assert result.completed  # so it also cleared the physics floor
         tally = result.conservation
         assert tally is not None
         assert tally["injected_packets"] > 0
@@ -167,6 +180,38 @@ class TestSanitizedSchemes:
         assert tally is not None
         assert tally["faults_applied"] >= 1
         assert tally["injected_packets"] > 0
+
+
+class TestPhysicsFloor:
+    def test_a_completed_sanitized_cell_is_held_to_it(self, monkeypatch):
+        seen = []
+        check = Sanitizer.check_ict_floor
+        monkeypatch.setattr(
+            Sanitizer, "check_ict_floor",
+            lambda self, *args: (seen.append(args[-1]), check(self, *args)),
+        )
+        result = run_incast(_scenario("baseline"), options=RunOptions(sanitize=True))
+        assert seen == [result.ict_ps]
+
+    def test_an_ict_below_the_floor_raises(self):
+        cfg = small_interdc_config()
+        topo = build_interdc(Simulator(seed=0), cfg)
+        receiver = topo.fabrics[1].hosts[0]
+        senders = pick_senders(topo.fabrics[0], 4)
+        # 400 kB at 100 Gb/s is 32 us.  The shortest path is four 1 us
+        # fabric hops (host-leaf-spine at each end) and two backbone links
+        # (spine-router-spine).
+        assert cfg.fabric.link_rate_bps == 100e9
+        assert cfg.fabric.link_delay_ps == microseconds(1)
+        floor = microseconds(32 + 4) + 2 * cfg.backbone_delay_ps
+        sanitizer = Sanitizer()
+        sanitizer.check_ict_floor(
+            topo.net, senders, receiver, kilobytes(400), floor
+        )
+        with pytest.raises(SanitizerError, match="physics floor"):
+            sanitizer.check_ict_floor(
+                topo.net, senders, receiver, kilobytes(400), floor - 1
+            )
 
 
 class TestSortedFlowChurn:
