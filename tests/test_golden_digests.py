@@ -11,7 +11,10 @@ The harnesses that wire flows themselves are pinned the same way: the
 concurrent-incast orchestrator (:func:`run_concurrent_incasts`, one
 scheme/strategy pair per row), the open-loop engine (its fold digest over a
 one-second horizon), and the convergence probe (the receiver goodput series
-and every field derived from it).
+and every field derived from it).  Proxy placement is pinned by host name:
+the primary and hot-standby proxies each built-in proxy scheme wires, and
+the relays the cascade experiment's ``edge`` and ``cascade`` schemes put in
+each datacenter.
 
 A change that is meant to be behaviour-neutral (a faster scheduler, a
 refactor) must leave every value here as it is.  A deliberate model change
@@ -23,14 +26,25 @@ from dataclasses import astuple, replace
 
 import pytest
 
+import repro.experiments.cascade as cascade_experiment
 from repro.analysis.races import result_digest
 from repro.competitors import install, uninstall
-from repro.config import TransportConfig, small_interdc_config
+from repro.config import (
+    MultiDcConfig,
+    TransportConfig,
+    paper_interdc_config,
+    small_interdc_config,
+)
+from repro.errors import TopologyError
+from repro.experiments.cascade import CascadeScenario, run_cascade
 from repro.experiments.convergence import measure_convergence
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.orchestration.run import run_concurrent_incasts
-from repro.schemes import SCHEME_REGISTRY
+from repro.proxy.placement import pick_senders
+from repro.schemes import SCHEME_REGISTRY, SchemeContext
+from repro.sim.simulator import Simulator
+from repro.topology.interdc import build_interdc
 from repro.units import kilobytes, megabytes, milliseconds, seconds
 from repro.workloads.engine import DiurnalCurve, OpenLoopEngine, WorkloadEngineConfig
 from repro.workloads.incast import uniform_incast
@@ -164,3 +178,88 @@ def test_convergence_series_is_unchanged(scheme):
         result.underutilized_ps,
         result.mean_utilization,
     )) == CONVERGENCE[scheme]
+
+
+FABRICS = {"small": small_interdc_config, "paper": paper_interdc_config}
+
+#: (fabric, degree) -> (primary, hot standby).  Every proxy scheme puts its
+#: primary on the same host; ``proxy-failover`` adds the standby.  The small
+#: fabric has 8 servers per datacenter, so degree 8 leaves no proxy host.
+PROXY_HOSTS = {
+    ("small", 1): ("dc0-h1.3", "dc0-h1.2"),
+    ("small", 2): ("dc0-h1.3", "dc0-h0.3"),
+    ("small", 4): ("dc0-h1.3", "dc0-h0.3"),
+    ("paper", 1): ("dc0-h7.7", "dc0-h6.7"),
+    ("paper", 8): ("dc0-h7.7", "dc0-h6.7"),
+    ("paper", 16): ("dc0-h7.7", "dc0-h6.7"),
+    ("paper", 32): ("dc0-h7.7", "dc0-h6.7"),
+    ("paper", 62): ("dc0-h7.7", "dc0-h6.7"),
+}
+
+#: (fabric, degree) -> the cascade's relay per datacenter on a 3-DC line of
+#: that fabric; ``edge`` uses the first one alone.
+RELAY_HOSTS = {
+    ("small", 1): ("dc0-h1.3", "dc1-h1.3"),
+    ("small", 2): ("dc0-h1.3", "dc1-h1.3"),
+    ("small", 4): ("dc0-h1.3", "dc1-h1.3"),
+    ("paper", 1): ("dc0-h7.7", "dc1-h7.7"),
+    ("paper", 8): ("dc0-h7.7", "dc1-h7.7"),
+    ("paper", 16): ("dc0-h7.7", "dc1-h7.7"),
+    ("paper", 32): ("dc0-h7.7", "dc1-h7.7"),
+    ("paper", 62): ("dc0-h7.7", "dc1-h7.7"),
+}
+
+
+def _wired_proxy_hosts(scheme: str, fabric: str, degree: int) -> tuple[str, ...]:
+    """Wire (without running) one incast and name its proxy hosts."""
+    spec = SCHEME_REGISTRY.get(scheme)
+    interdc = FABRICS[fabric]()
+    sim = Simulator(seed=0)
+    topo = build_interdc(sim, interdc.with_trimming(spec.trimming))
+    wiring = spec.wire(SchemeContext(
+        sim=sim,
+        net=topo.net,
+        fabrics=topo.fabrics,
+        scenario=IncastScenario(scheme=scheme, degree=degree, interdc=interdc),
+        receiver=topo.fabrics[1].hosts[0],
+        senders=pick_senders(topo.fabrics[0], degree),
+        sizes=[100_000] * degree,
+        make_on_done=lambda i: lambda _receiver: None,
+        make_on_fail=lambda i: lambda _sender: None,
+    ))
+    return tuple(
+        wiring.proxy_hosts[role].name
+        for role in ("primary", "backup") if role in wiring.proxy_hosts
+    )
+
+
+@pytest.mark.parametrize("fabric,degree", sorted(PROXY_HOSTS))
+def test_proxy_placement_is_unchanged(fabric, degree):
+    primary, backup = PROXY_HOSTS[(fabric, degree)]
+    for scheme in ("naive", "streamlined", "trimless"):
+        assert _wired_proxy_hosts(scheme, fabric, degree) == (primary,), scheme
+    assert _wired_proxy_hosts("proxy-failover", fabric, degree) == (primary, backup)
+
+
+def test_a_full_sending_datacenter_has_no_proxy_host():
+    with pytest.raises(TopologyError):
+        _wired_proxy_hosts("naive", "small", 8)
+
+
+@pytest.mark.parametrize("fabric,degree", sorted(RELAY_HOSTS))
+def test_relay_placement_is_unchanged(monkeypatch, fabric, degree):
+    seen: dict[str, set[tuple[str, ...]]] = {}
+    real = cascade_experiment.build_relay_chain
+
+    def spy(net, src, dst, total_bytes, cfg, relay_hosts, **kwargs):
+        seen.setdefault(scheme, set()).add(tuple(h.name for h in relay_hosts))
+        return real(net, src, dst, total_bytes, cfg, relay_hosts, **kwargs)
+
+    monkeypatch.setattr(cascade_experiment, "build_relay_chain", spy)
+    chain = MultiDcConfig(fabric=FABRICS[fabric]().fabric)
+    for scheme in ("edge", "cascade"):
+        run_cascade(CascadeScenario(
+            scheme=scheme, degree=degree, chain=chain, horizon_ps=1
+        ))
+    relays = RELAY_HOSTS[(fabric, degree)]
+    assert seen == {"edge": {relays[:1]}, "cascade": {relays}}
