@@ -17,7 +17,7 @@ from benchmarks.conftest import run_once
 @pytest.mark.parametrize("scheme", ["baseline", "naive", "streamlined"])
 def test_scheme_with_backbone_blip(benchmark, reduced_scenario, scheme):
     """One scheme with a mid-transfer backbone link flap."""
-    from repro.proxy.placement import pick_proxy_host, pick_senders
+    from repro.proxy.placement import pick_senders, place
     from repro.proxy.naive import NaiveProxy
     from repro.proxy.streamlined import StreamlinedProxy
     from repro.transport.connection import Connection
@@ -41,7 +41,7 @@ def test_scheme_with_backbone_blip(benchmark, reduced_scenario, scheme):
             open_flow = Connection
         else:
             proxy_class = NaiveProxy if scheme == "naive" else StreamlinedProxy
-            open_flow = proxy_class(sim, pick_proxy_host(topo.fabrics[0], senders)).open
+            open_flow = proxy_class(sim, place(topo.fabrics[0], senders)[0]).open
         for host, size in zip(senders, sizes):
             open_flow(net, host, receiver, size, reduced_scenario.transport,
                       on_receiver_complete=done).start()

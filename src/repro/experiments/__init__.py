@@ -28,8 +28,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.cascade": [
-        "CASCADE_SCHEMES", "CascadeResult", "CascadeScenario", "compare_cascade",
-        "run_cascade",
+        "CASCADE_SCHEMES", "CascadeResult", "CascadeScenario", "run_cascade",
     ],
     "repro.experiments.convergence": [
         "ConvergenceResult", "compare_convergence", "measure_convergence",
@@ -76,7 +75,6 @@ __all__ = [
     "SweepPoint",
     "Verdict",
     "build_scenario",
-    "compare_cascade",
     "compare_convergence",
     "degree_sweep_spec",
     "evaluate_claims",

@@ -17,14 +17,13 @@ the source across all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import MultiDcConfig, TransportConfig
 from repro.errors import ExperimentError
-from repro.experiments.parallel import ExperimentEngine
 from repro.metrics.collector import NetworkCounters, collect_network_counters
-from repro.proxy.cascade import RelayChain, build_relay_chain
-from repro.proxy.placement import pick_proxy_host, pick_senders
+from repro.proxy.naive import build_relay_chain
+from repro.proxy.placement import pick_senders, place
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
@@ -90,11 +89,7 @@ def run_cascade(scenario: CascadeScenario) -> CascadeResult:
     else:
         relay_dcs = list(range(last))  # sending DC + every intermediate DC
 
-    relay_hosts = []
-    for dc in relay_dcs:
-        fabric = topo.fabrics[dc]
-        exclude = senders if dc == 0 else []
-        relay_hosts.append(pick_proxy_host(fabric, exclude))
+    relay_hosts = [place(topo.fabrics[dc], senders)[0] for dc in relay_dcs]
 
     base, extra = divmod(scenario.total_bytes, scenario.degree)
     sizes = [base + (1 if i < extra else 0) for i in range(scenario.degree)]
@@ -136,23 +131,3 @@ def run_cascade(scenario: CascadeScenario) -> CascadeResult:
         relays_used=len(relay_hosts),
     )
 
-
-def compare_cascade(
-    base: CascadeScenario,
-    schemes: tuple[str, ...] = CASCADE_SCHEMES,
-    *,
-    engine: ExperimentEngine | None = None,
-) -> dict[str, CascadeResult]:
-    """Run ``base`` under each relay placement, fanning out over the engine.
-
-    Results are merged in scheme order, so the mapping is identical for any
-    worker count.
-    """
-    unknown = set(schemes) - set(CASCADE_SCHEMES)
-    if unknown:
-        raise ExperimentError(f"unknown cascade schemes {sorted(unknown)}")
-    engine = engine if engine is not None else ExperimentEngine()
-    results = engine.map(
-        run_cascade, [replace(base, scheme=scheme) for scheme in schemes]
-    )
-    return dict(zip(schemes, results))

@@ -6,12 +6,13 @@
   to the sender as NACKs within microseconds and forwards everything else.
 * :class:`NaiveProxy` (§4.1 "Proxy (Naive)"): two full connections per
   flow bridged at the proxy by an in-order relay; the long leg is
-  NIC-paced, not window-paced.
+  NIC-paced, not window-paced.  The same relay repeated at every
+  datacenter of a multi-DC line is :func:`build_relay_chain`.
 * :class:`TrimlessStreamlinedProxy` (§5 Future Work #1): the streamlined
   scheme without switch trimming support — losses are *inferred* at the
   proxy by a bounded-memory detector (:mod:`repro.detection`).
-* :mod:`repro.proxy.placement`: deterministic sender/proxy placement
-  helpers shared by the experiment runner and the orchestrator.
+* :mod:`repro.proxy.placement`: deterministic sender placement and the
+  one proxy/relay placement call, :func:`place`.
 
 Each proxy class wires its own flows: ``open(net, src, dst, total_bytes,
 cfg, ...)`` takes :class:`~repro.transport.connection.Connection`'s
@@ -22,21 +23,19 @@ down.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.proxy.cascade": ["RelayChain", "build_relay_chain"],
-    "repro.proxy.naive": ["NaiveProxy", "NaiveRelayedFlow"],
-    "repro.proxy.placement": ["pick_proxy_host", "pick_senders"],
+    "repro.proxy.naive": ["NaiveProxy", "RelayChain", "build_relay_chain"],
+    "repro.proxy.placement": ["pick_senders", "place"],
     "repro.proxy.streamlined": ["ProxyStats", "StreamlinedProxy"],
     "repro.proxy.trimless": ["TrimlessStreamlinedProxy"],
 })
 
 __all__ = [
     "NaiveProxy",
-    "NaiveRelayedFlow",
     "ProxyStats",
     "RelayChain",
     "StreamlinedProxy",
     "TrimlessStreamlinedProxy",
     "build_relay_chain",
-    "pick_proxy_host",
     "pick_senders",
+    "place",
 ]

@@ -12,6 +12,12 @@ For each flow the proxy terminates two full connections:
 
 The relay preserves byte-stream order: proxy_R delivers in-order segments
 and each delivery releases one segment to proxy_S.
+
+The same split connection, repeated at every datacenter of a multi-DC
+line, is the cascaded-relay extension: :func:`build_relay_chain` wires
+``src -> relays... -> dst`` as one leg per segment, so each segment gets a
+window sized to *its own* BDP and loss recovery over *its own* RTT.  The
+Naive proxy is its two-leg case.
 """
 
 from __future__ import annotations
@@ -32,41 +38,97 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.sender import WindowedSender
 
 
-def _relay_one(outer: "WindowedSender", seq: int) -> None:
-    """The inner leg delivered segment ``seq``: release one on the outer leg.
+def _relay_one(next_sender: "WindowedSender", seq: int) -> None:
+    """A leg delivered segment ``seq``: release one on the next leg.
 
     Module-level (bound with :func:`functools.partial`) so a checkpoint
     pickles it by reference.
     """
-    outer.release(1)
+    next_sender.release(1)
 
 
 @dataclass
-class NaiveRelayedFlow:
-    """The pair of connections realizing one relayed flow."""
+class RelayChain:
+    """The per-segment connections realizing one relayed flow.
 
-    inner: Connection  # sender -> proxy
-    outer: Connection  # proxy  -> receiver
+    ``legs[0]`` leaves the source and ``legs[-1]`` reaches the destination;
+    every later leg idles until the leg before it delivers in order.
+    """
+
+    legs: list[Connection]
 
     @property
     def completed(self) -> bool:
-        """True once the *real* receiver has every byte."""
-        return self.outer.completed
+        """True once the final receiver has every byte."""
+        return self.legs[-1].completed
 
     @property
-    def relay_backlog_packets(self) -> int:
-        """Segments delivered to the proxy but not yet sent on the long leg."""
-        return self.outer.sender.available - self.outer.sender.next_new
+    def hops(self) -> int:
+        """Number of connections in the chain."""
+        return len(self.legs)
 
     def start(self, delay_ps: int = 0) -> None:
-        """Start both legs (the outer leg idles until data is relayed)."""
-        self.inner.start(delay_ps)
-        self.outer.start(delay_ps)
+        """Start every leg (downstream legs idle until data is relayed)."""
+        for leg in self.legs:
+            leg.start(delay_ps)
+
+    def backlog_packets(self, hop: int) -> int:
+        """Segments delivered to relay ``hop`` but not yet sent onward."""
+        sender = self.legs[hop + 1].sender
+        return sender.available - sender.next_new
 
     def teardown(self) -> None:
-        """Unregister all endpoints."""
-        self.inner.teardown()
-        self.outer.teardown()
+        """Unregister every leg's endpoints."""
+        for leg in self.legs:
+            leg.teardown()
+
+
+def build_relay_chain(
+    net: "Network",
+    src: "Host",
+    dst: "Host",
+    total_bytes: int,
+    cfg: TransportConfig,
+    relay_hosts: list["Host"],
+    *,
+    relay_cc: str | None = None,
+    on_complete: Callable[[AckingReceiver], None] | None = None,
+    on_sender_fail: Callable[["WindowedSender"], None] | None = None,
+    label: str = "chain",
+) -> RelayChain:
+    """Wire ``src -> relay_hosts... -> dst`` as chained connections.
+
+    The first leg runs ``cfg.cc``; every leg a relay sends runs
+    ``relay_cc`` (``None`` = ``cfg.cc`` too), starts with zero released
+    packets and is fed by the previous leg's in-order delivery.  Any leg
+    giving up kills the relayed flow (a dead leg starves the ones after
+    it), so ``on_sender_fail`` rides every leg.
+    """
+    if not relay_hosts:
+        raise ProxyError("a relay chain needs at least one relay host")
+    stations = [src, *relay_hosts, dst]
+    for a, b in zip(stations, stations[1:]):
+        if a is b:
+            raise ProxyError("consecutive chain stations must be distinct hosts")
+
+    last = len(stations) - 2
+    legs: list[Connection] = []
+    # Build downstream-first so each leg's deliveries can release the next.
+    for hop in range(last, -1, -1):
+        legs.insert(0, Connection(
+            net,
+            stations[hop],
+            stations[hop + 1],
+            total_bytes,
+            cfg,
+            cc_name=None if hop == 0 else relay_cc,
+            available_packets=None if hop == 0 else 0,
+            on_deliver=partial(_relay_one, legs[0].sender) if legs else None,
+            on_sender_fail=on_sender_fail,
+            on_receiver_complete=on_complete if hop == last else None,
+            label=f"{label}:hop{hop}",
+        ))
+    return RelayChain(legs)
 
 
 class NaiveProxy:
@@ -74,7 +136,7 @@ class NaiveProxy:
 
     def __init__(self, sim: "Simulator", host: "Host") -> None:
         self.host = host
-        self.flows: list[NaiveRelayedFlow] = []
+        self.flows: list[RelayChain] = []
         self.crashed = False
         self.crashes = 0
         sim.instrumentation.on_proxy(self)
@@ -98,10 +160,11 @@ class NaiveProxy:
         for flow in self.flows:
             if flow.completed:
                 continue
-            self.host.unregister_handler(flow.inner.flow_id)  # inner receiver
-            self.host.unregister_handler(flow.outer.flow_id)  # outer sender's ACKs
-            flow.inner.receiver.close()
-            flow.outer.sender.fail("proxy crash")
+            inner, outer = flow.legs
+            self.host.unregister_handler(inner.flow_id)  # inner receiver
+            self.host.unregister_handler(outer.flow_id)  # outer sender's ACKs
+            inner.receiver.close()
+            outer.sender.fail("proxy crash")
 
     def restart(self) -> None:
         """Restart the proxy process.
@@ -123,42 +186,25 @@ class NaiveProxy:
         on_receiver_complete: Callable[[AckingReceiver], None] | None = None,
         on_sender_fail: Callable[[WindowedSender], None] | None = None,
         label: str = "",
-    ) -> NaiveRelayedFlow:
-        """Wire one relayed flow ``src -> proxy -> dst``.
+    ) -> RelayChain:
+        """Wire one relayed flow ``src -> proxy -> dst``: a two-leg chain
+        whose long leg is NIC-paced (``"unlimited"``).
 
         Takes :class:`~repro.transport.connection.Connection`'s arguments.
-        Either leg giving up kills the relayed flow (a dead inner leg
-        starves the outer one forever), so ``on_sender_fail`` rides both.
         """
         if self.crashed:
             raise ProxyError(f"proxy on {self.host.name} is crashed; restart() first")
-        outer = Connection(
-            net,
-            self.host,
-            dst,
-            total_bytes,
-            cfg,
-            cc_name="unlimited",
-            available_packets=0,
+        flow = build_relay_chain(
+            net, src, dst, total_bytes, cfg, [self.host],
+            relay_cc="unlimited",
+            on_complete=on_receiver_complete,
             on_sender_fail=on_sender_fail,
-            on_receiver_complete=on_receiver_complete,
-            label=f"{label or 'naive'}:long",
+            label=label or "naive",
         )
-        inner = Connection(
-            net,
-            src,
-            self.host,
-            total_bytes,
-            cfg,
-            on_deliver=partial(_relay_one, outer.sender),
-            on_sender_fail=on_sender_fail,
-            label=f"{label or 'naive'}:local",
-        )
-        flow = NaiveRelayedFlow(inner=inner, outer=outer)
         self.flows.append(flow)
         return flow
 
-    def release(self, flow: NaiveRelayedFlow) -> None:
+    def release(self, flow: RelayChain) -> None:
         """Tear down a finished relay and forget it.
 
         Long-lived harnesses (the open-loop engine) relay thousands of

@@ -1,10 +1,11 @@
-"""Deterministic placement of incast senders and the proxy.
+"""Deterministic placement of incast senders, proxies and relays.
 
 The experiment runner (and the orchestrator, for multi-incast runs) places
 senders round-robin across the sending datacenter's leaves — spreading the
-incast the way a scheduler with no incast-awareness would — and puts the
-proxy on the leaf carrying the fewest senders, so the proxy's down-ToR
-link is a clean bottleneck rather than sharing a ToR with most senders.
+incast the way a scheduler with no incast-awareness would.  Every proxy,
+standby and relay host is then chosen by :func:`place`: a free server on
+the leaf carrying the fewest busy hosts, so the proxy's down-ToR link is a
+clean bottleneck rather than sharing a ToR with most senders.
 """
 
 from __future__ import annotations
@@ -44,19 +45,24 @@ def pick_senders(fabric: "Fabric", degree: int, exclude: set[int] | None = None)
     return chosen
 
 
-def pick_proxy_host(fabric: "Fabric", senders: list["Host"]) -> "Host":
-    """Choose the proxy: a non-sender server on the leaf with fewest senders."""
-    sender_ids = {h.id for h in senders}
-    sender_count = [
-        sum(1 for h in hosts if h.id in sender_ids) for hosts in fabric.hosts_by_leaf
-    ]
-    # Prefer leaves with fewer senders; break ties toward the last leaf so
-    # the default small-degree layouts keep proxy and senders apart.
-    order = sorted(
-        range(len(fabric.hosts_by_leaf)), key=lambda i: (sender_count[i], -i)
-    )
-    for leaf_index in order:
-        for host in reversed(fabric.hosts_by_leaf[leaf_index]):
-            if host.id not in sender_ids:
-                return host
-    raise TopologyError("no free server available to host the proxy")
+def place(fabric: "Fabric", busy: list["Host"], n: int = 1) -> list["Host"]:
+    """Choose ``n`` proxy or relay hosts in ``fabric``, none of them busy.
+
+    Each is the last free server on the leaf with the fewest busy hosts;
+    ties go to the last leaf, so the default small-degree layouts keep
+    proxies and senders apart.  Hosts chosen earlier in the call count as
+    busy, and ``busy`` hosts outside ``fabric`` count toward none of its
+    leaves.
+    """
+    leaves = fabric.hosts_by_leaf
+    taken = {h.id for h in busy}
+    chosen: list[Host] = []
+    for _ in range(n):
+        load = [sum(h.id in taken for h in hosts) for hosts in leaves]
+        order = sorted(range(len(leaves)), key=lambda i: (load[i], -i))
+        free = [h for i in order for h in reversed(leaves[i]) if h.id not in taken]
+        if not free:
+            raise TopologyError("no free server available to host the proxy")
+        taken.add(free[0].id)
+        chosen.append(free[0])
+    return chosen

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.errors import ExperimentError
 from repro.control.pool import ProxyPoolManager
 from repro.proxy.naive import NaiveProxy
-from repro.proxy.placement import pick_proxy_host
+from repro.proxy.placement import place
 from repro.proxy.streamlined import StreamlinedProxy
 from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.transport.connection import Connection
@@ -314,7 +314,7 @@ def _wire_baseline(ctx: SchemeContext) -> SchemeWiring:
 def _wire_naive(ctx: SchemeContext) -> SchemeWiring:
     wiring = SchemeWiring()
     scenario = ctx.scenario
-    proxy_host = pick_proxy_host(ctx.fabrics[0], ctx.senders)
+    [proxy_host] = place(ctx.fabrics[0], ctx.senders)
     proxy = _make_naive_proxy(
         ctx.sim, ctx.net, proxy_host, transport=scenario.transport
     )
@@ -327,8 +327,7 @@ def _wire_naive(ctx: SchemeContext) -> SchemeWiring:
             on_sender_fail=ctx.make_on_fail(i),
             label=f"naive{i}",
         )
-        wiring.senders.append(flow.inner.sender)
-        wiring.senders.append(flow.outer.sender)
+        wiring.senders.extend(leg.sender for leg in flow.legs)
         flow.start()
     return wiring
 
@@ -339,7 +338,7 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
     per flow, loose-source-routed through the proxy host."""
     wiring = SchemeWiring()
     scenario = ctx.scenario
-    proxy_host = pick_proxy_host(ctx.fabrics[0], ctx.senders)
+    proxy_host, *backup_hosts = place(ctx.fabrics[0], ctx.senders, 1 + with_backup)
     proxy = make_proxy(
         ctx.sim, ctx.net, proxy_host,
         transport=scenario.transport,
@@ -351,7 +350,7 @@ def _wire_via(ctx: SchemeContext, make_proxy: ProxyFactory,
     wiring.nack_proxies.append(proxy)
     backup = None
     if with_backup:
-        backup_host = pick_proxy_host(ctx.fabrics[0], [*ctx.senders, proxy_host])
+        [backup_host] = backup_hosts
         backup = make_proxy(
             ctx.sim, ctx.net, backup_host,
             transport=scenario.transport,

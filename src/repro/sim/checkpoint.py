@@ -51,7 +51,10 @@ from repro.errors import SimulationError
 #:       ``sanitizer`` slot become ``probe``.
 #:   5 — plain pickle: the header drops the python tag, and functions go
 #:       by reference only (no serialized code objects).
-CHECKPOINT_SCHEMA_VERSION = 5
+#:   6 — one relay: a Naive proxy's flows are ``RelayChain``s (the class
+#:       ``NaiveRelayedFlow`` is gone), whose legs relay through
+#:       ``partial(_relay_one, next_leg.sender)``.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

@@ -351,7 +351,7 @@ def _proxy_backlog_bytes(proxy: Any) -> float:
 
 def _naive_relay_backlog(proxy: Any) -> float:
     """Packets the naive proxy has received but not yet re-sent."""
-    return float(sum(f.relay_backlog_packets for f in proxy.flows))
+    return float(sum(f.backlog_packets(0) for f in proxy.flows))
 
 
 def _peak_rss_kb() -> int:

@@ -11,7 +11,8 @@ from repro.config import (
 )
 from repro.errors import ConfigError, ExperimentError, ProxyError
 from repro.experiments.cascade import CascadeScenario, run_cascade
-from repro.proxy.cascade import build_relay_chain
+from repro.proxy.naive import build_relay_chain
+from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.units import kilobytes, megabytes, milliseconds
@@ -147,6 +148,31 @@ class TestRelayChain:
         )
         # hop 0 is intra-DC (tiny window); hop 2 spans the 10 ms segment
         assert chain.legs[0].cc.cwnd < chain.legs[1].cc.cwnd < chain.legs[2].cc.cwnd
+
+    def test_a_mid_transfer_chain_resumes_from_a_checkpoint(
+        self, sim, transport_cfg, tmp_path
+    ):
+        # Each leg relays through partial(_relay_one, next_leg.sender), so
+        # the whole graph pickles by reference: no local closure in it.
+        topo = build_interdc(sim, small_chain())
+        chain = build_relay_chain(
+            topo.net, topo.hosts(0)[0], topo.hosts(2)[0], 100_000, transport_cfg,
+            [topo.hosts(0)[-1], topo.hosts(1)[0]],
+        )
+        chain.start()
+        while not 0 < chain.legs[1].receiver.stats.bytes_received < 100_000:
+            sim.run(max_events=97)
+        path = save_checkpoint(tmp_path / "chain.ckpt", (sim, topo, chain))
+        restored_sim, _, restored = load_checkpoint(path)
+
+        finished = []
+        for run_sim, run_chain in ((sim, chain), (restored_sim, restored)):
+            run_sim.run(until=milliseconds(500))
+            stats = run_chain.legs[-1].receiver.stats
+            assert run_chain.completed
+            finished.append((stats.completed_at, stats.bytes_received))
+        assert finished[0] == finished[1]
+        assert finished[0][1] == 100_000
 
     def test_chain_validation(self, sim, transport_cfg):
         topo = build_interdc(sim, small_chain())

@@ -176,6 +176,20 @@ class TestCheckpointFormat:
             f"checkpoint schema 4 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_5_naive_file(self):
+        # Written by the schema-5 code: the payload names the deleted
+        # repro.proxy.naive.NaiveRelayedFlow.  The version is read first,
+        # so the file is refused before unpickling could look the class up.
+        path = Path(__file__).parent / "fixtures" / "schema5_naive_flow.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 5))
+        assert b"NaiveRelayedFlow" in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 5 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())

@@ -119,13 +119,13 @@ class TestCloseReleasesBatchTail:
         FaultInjector(sim, plan, FaultContext(net, proxies={"primary": proxy})).arm()
         probe = {}
         def snapshot():
-            probe["held"] = flow.inner.receiver._ack_tail is not None
+            probe["held"] = flow.legs[0].receiver._ack_tail is not None
         sim.schedule(crash_at - 1, snapshot)
         sim.run(until=milliseconds(50))
         # the crash must have landed mid-batch or this regression tests nothing
         assert probe["held"], "crash landed between batches; move crash_at"
         assert proxy.crashed
-        assert flow.inner.receiver._ack_tail is None
+        assert flow.legs[0].receiver._ack_tail is None
 
 
 class TestEndToEndWithDelayedAcks:

@@ -81,7 +81,7 @@ class TestSmallAccessors:
 
     def test_relay_chain_needs_relays(self, sim, transport_cfg):
         from repro.errors import ProxyError
-        from repro.proxy.cascade import build_relay_chain
+        from repro.proxy.naive import build_relay_chain
         net, a, b = build_pair(sim)
         with pytest.raises(ProxyError):
             build_relay_chain(net, a, b, 100, transport_cfg, [])

@@ -9,7 +9,7 @@ from repro.errors import ProxyError
 from repro.net.network import Network
 from repro.net.packet import PacketType, make_ack, make_data
 from repro.proxy.naive import NaiveProxy
-from repro.proxy.placement import pick_proxy_host, pick_senders
+from repro.proxy.placement import pick_senders, place
 from repro.proxy.streamlined import StreamlinedProxy
 from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.sim.simulator import Simulator
@@ -136,15 +136,16 @@ class TestNaiveProxy:
         sim.run(until=milliseconds(200))
         assert flow.completed
         assert done
-        assert flow.outer.receiver.stats.bytes_received == 50_000
+        assert flow.legs[1].receiver.stats.bytes_received == 50_000
 
     def test_relay_preserves_byte_stream_order(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
         proxy = NaiveProxy(sim, proxy_host)
         flow = proxy.open(net, sender, receiver, 30_000, transport_cfg)
         seqs = []
-        inner_deliver = flow.inner.receiver.on_deliver
-        flow.inner.receiver.on_deliver = lambda seq: (seqs.append(seq), inner_deliver(seq))
+        inner = flow.legs[0].receiver
+        inner_deliver = inner.on_deliver
+        inner.on_deliver = lambda seq: (seqs.append(seq), inner_deliver(seq))
         flow.start()
         sim.run(until=milliseconds(200))
         assert seqs == sorted(seqs)
@@ -153,16 +154,17 @@ class TestNaiveProxy:
         net, sender, proxy_host, receiver = build_line(sim)
         proxy = NaiveProxy(sim, proxy_host)
         flow = proxy.open(net, sender, receiver, 10_000, transport_cfg)
-        assert flow.inner.flow_id != flow.outer.flow_id
+        inner, outer = flow.legs
+        assert inner.flow_id != outer.flow_id
         # inner terminates at the proxy host; outer originates there
-        assert flow.inner.dst is proxy_host
-        assert flow.outer.src is proxy_host
+        assert inner.dst is proxy_host
+        assert outer.src is proxy_host
 
     def test_long_leg_is_unwindowed(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
         proxy = NaiveProxy(sim, proxy_host)
         flow = proxy.open(net, sender, receiver, 10_000, transport_cfg)
-        assert flow.outer.cc.can_send(10**9)
+        assert flow.legs[1].cc.can_send(10**9)
 
     def test_backlog_drains(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
@@ -170,7 +172,7 @@ class TestNaiveProxy:
         flow = proxy.open(net, sender, receiver, 50_000, transport_cfg)
         flow.start()
         sim.run(until=milliseconds(200))
-        assert flow.relay_backlog_packets == 0
+        assert flow.backlog_packets(0) == 0
 
     def test_inner_leg_finishes_before_outer(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
@@ -179,8 +181,9 @@ class TestNaiveProxy:
         flow.start()
         sim.run(until=milliseconds(200))
         # the local leg has a us RTT; the long leg's completion includes 1ms legs
-        assert (flow.inner.receiver.stats.completed_at
-                < flow.outer.receiver.stats.completed_at)
+        inner, outer = flow.legs
+        assert (inner.receiver.stats.completed_at
+                < outer.receiver.stats.completed_at)
 
     def test_restart_serves_new_flows_but_not_dead_relays(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim)
@@ -190,7 +193,7 @@ class TestNaiveProxy:
         before = proxy.open(net, sender, receiver, 5_000_000, transport_cfg)
         before.start()
         sim.run(until=milliseconds(1))
-        assert not before.inner.completed and not before.completed
+        assert not before.legs[0].completed and not before.completed
         proxy.crash()
         with pytest.raises(ProxyError):
             proxy.open(net, sender, receiver, 50_000, transport_cfg)
@@ -202,10 +205,10 @@ class TestNaiveProxy:
         after.start()
         sim.run(until=milliseconds(200))
         assert after.completed and done
-        assert after.outer.receiver.stats.bytes_received == 50_000
+        assert after.legs[1].receiver.stats.bytes_received == 50_000
         assert not before.completed
-        assert before.outer.sender.failed
-        assert before.outer.receiver.stats.bytes_received < 5_000_000
+        assert before.legs[1].sender.failed
+        assert before.legs[1].receiver.stats.bytes_received < 5_000_000
 
 
 class TestTrimlessProxy:
@@ -270,14 +273,14 @@ class TestPlacement:
     def test_proxy_avoids_sender_leaves(self, sim):
         fabric = self._fabric(sim)
         senders = pick_senders(fabric, 4)  # one per leaf, rank 0
-        proxy = pick_proxy_host(fabric, senders)
+        [proxy] = place(fabric, senders)
         assert proxy.id not in {h.id for h in senders}
 
     def test_proxy_prefers_emptiest_leaf(self, sim):
         fabric = self._fabric(sim)
         # load leaves 0..2 heavily, keep leaf 3 sender-free
         senders = [h for leaf in fabric.hosts_by_leaf[:3] for h in leaf]
-        proxy = pick_proxy_host(fabric, senders)
+        [proxy] = place(fabric, senders)
         assert proxy in fabric.hosts_by_leaf[3]
 
     def test_too_many_senders_raises(self, sim):

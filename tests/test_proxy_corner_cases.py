@@ -104,14 +104,14 @@ class TestNaiveInnerLegCongestion:
         proxy = NaiveProxy(sim, proxy_host)
         flows = [proxy.open(net, tx, receiver, 200_000, transport_cfg) for tx in (tx1, tx2)]
         for flow in flows:
-            flow.inner.cc.cwnd = flow.inner.total_packets  # burst the local leg
+            flow.legs[0].cc.cwnd = flow.legs[0].total_packets  # burst the local leg
             flow.start()
         sim.run(until=milliseconds(2000))
         assert all(f.completed for f in flows)
-        inner_nacks = sum(f.inner.sender.stats.nacks_received for f in flows)
+        inner_nacks = sum(f.legs[0].sender.stats.nacks_received for f in flows)
         assert inner_nacks > 0
         # the long legs saw none of it
-        assert all(f.outer.sender.stats.nacks_received == 0 for f in flows)
+        assert all(f.legs[1].sender.stats.nacks_received == 0 for f in flows)
 
     def test_relay_reuse_across_sequential_flows(self, sim, transport_cfg):
         net, (tx1, tx2), proxy_host, receiver = build_two_stage(sim)
