@@ -6,6 +6,8 @@ regressions in the hot path are visible independently of experiment
 results.
 """
 
+from functools import partial
+
 from repro.analysis.sanitizer import Sanitizer
 from repro.config import QueueSpec, TransportConfig, small_interdc_config
 from repro.net.packet import make_data
@@ -41,7 +43,7 @@ def test_queue_offer_pop_throughput(benchmark):
                      ecn_low_bytes=10**6, ecn_high_bytes=10**7)
 
     def run():
-        q = spec.build(derive_stream(0, "bench:queue"))
+        q = spec.build(partial(derive_stream, 0, "bench:queue"))
         for i in range(50_000):
             q.offer(make_data(1, i, 0, 1, payload_bytes=1500))
         drained = 0

@@ -13,6 +13,7 @@ leaf/spine port buffers with 33.2 KB / 136.95 KB ECN thresholds, and
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -49,18 +50,25 @@ class QueueSpec:
                 f"{self.ecn_low_bytes}/{self.ecn_high_bytes}/{self.capacity_bytes}"
             )
 
-    def build(self, rng: SimRandom):
-        """Instantiate the discipline."""
+    def build(self, rng_source: Callable[[], SimRandom]):
+        """Instantiate the discipline.
+
+        ``rng_source`` returns the queue's RNG stream when called.  Only the
+        ECN-marking kinds ever call it, once, at their first in-band draw;
+        ``droptail`` and ``host`` queues never draw and ignore it.
+        """
         if self.kind == "droptail":
             return DropTailQueue(self.capacity_bytes)
         if self.kind == "ecn":
-            return EcnQueue(self.capacity_bytes, self.ecn_low_bytes, self.ecn_high_bytes, rng)
+            return EcnQueue(
+                self.capacity_bytes, self.ecn_low_bytes, self.ecn_high_bytes, rng_source
+            )
         if self.kind == "trimming":
             return TrimmingQueue(
                 self.capacity_bytes,
                 self.ecn_low_bytes,
                 self.ecn_high_bytes,
-                rng,
+                rng_source,
                 control_capacity_bytes=self.control_capacity_bytes,
             )
         return HostQueue(self.capacity_bytes, control_priority=self.control_priority)

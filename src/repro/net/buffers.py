@@ -14,6 +14,7 @@ switch is idle.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
@@ -55,7 +56,8 @@ class SharedEcnQueue:
     ECN marking uses the same RED-style low/high thresholds as
     :class:`~repro.net.queues.EcnQueue`, applied to the port's own
     occupancy, so DCTCP behaviour is unchanged — only the drop point moves
-    with the switch-wide load.
+    with the switch-wide load.  As there, ``rng_source`` is called once, at
+    the first in-band draw.
     """
 
     def __init__(
@@ -64,7 +66,7 @@ class SharedEcnQueue:
         alpha: float,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng_source: Callable[[], SimRandom],
     ) -> None:
         if alpha <= 0:
             raise ConfigError("DT alpha must be positive")
@@ -76,7 +78,8 @@ class SharedEcnQueue:
         self.ecn_high_bytes = ecn_high_bytes
         self.occupied_bytes = 0
         self.stats = QueueStats()
-        self._rng = rng
+        self._rng: SimRandom | None = None
+        self._rng_source = rng_source
         self._fifo: deque[Packet] = deque()
 
     # The dynamic limit this instant.
@@ -112,8 +115,11 @@ class SharedEcnQueue:
             packet.ecn_ce = True
             self.stats.marked += 1
             return
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rng_source()
         span = self.ecn_high_bytes - self.ecn_low_bytes
-        if self._rng.random() < (occupancy - self.ecn_low_bytes) / span:
+        if rng.random() < (occupancy - self.ecn_low_bytes) / span:
             packet.ecn_ce = True
             self.stats.marked += 1
 

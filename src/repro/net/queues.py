@@ -23,6 +23,7 @@ statistics; ports translate outcomes into traces.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from enum import IntEnum
 
 from repro.net.packet import Packet
@@ -125,16 +126,21 @@ class EcnQueue(DropTailQueue):
 
     The marking decision happens at enqueue time against the instantaneous
     occupancy, which is how htsim's random-early-marking queues behave.
+
+    ``rng_source`` is a zero-argument callable returning this queue's RNG
+    stream.  It is called once, at the first draw — the first data packet
+    offered while the occupancy sits strictly inside the ECN band — so a
+    queue that never congests never seeds a stream.
     """
 
-    __slots__ = ("ecn_low_bytes", "ecn_high_bytes", "_rng")
+    __slots__ = ("ecn_low_bytes", "ecn_high_bytes", "_rng", "_rng_source")
 
     def __init__(
         self,
         capacity_bytes: int,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng_source: Callable[[], SimRandom],
     ) -> None:
         super().__init__(capacity_bytes)
         if not 0 <= ecn_low_bytes <= ecn_high_bytes:
@@ -144,7 +150,8 @@ class EcnQueue(DropTailQueue):
             )
         self.ecn_low_bytes = ecn_low_bytes
         self.ecn_high_bytes = ecn_high_bytes
-        self._rng = rng
+        self._rng: SimRandom | None = None
+        self._rng_source = rng_source
 
     def offer(self, packet: Packet) -> EnqueueOutcome:
         size = packet.size_bytes
@@ -156,17 +163,22 @@ class EcnQueue(DropTailQueue):
             return _DROPPED
         # Inline of _maybe_mark against the pre-enqueue occupancy; the RNG is
         # consulted under exactly the same condition so draw order (and with
-        # it every digest) is unchanged.
+        # it every digest) is unchanged.  The stream is seeded here, at its
+        # first draw: a stream depends on (master seed, name) only.
         if not packet.is_control and occupancy > self.ecn_low_bytes:
             if occupancy >= self.ecn_high_bytes:
                 packet.ecn_ce = True
                 stats.marked += 1
-            elif self._rng.random() < (
-                (occupancy - self.ecn_low_bytes)
-                / (self.ecn_high_bytes - self.ecn_low_bytes)
-            ):
-                packet.ecn_ce = True
-                stats.marked += 1
+            else:
+                rng = self._rng
+                if rng is None:
+                    rng = self._rng = self._rng_source()
+                if rng.random() < (
+                    (occupancy - self.ecn_low_bytes)
+                    / (self.ecn_high_bytes - self.ecn_low_bytes)
+                ):
+                    packet.ecn_ce = True
+                    stats.marked += 1
         self._fifo.append(packet)
         occupancy += size
         self.occupied_bytes = occupancy
@@ -183,19 +195,21 @@ class TrimmingQueue:
     control lane.  Data packets are ECN-marked against the data occupancy;
     a data packet that would overflow the data lane is trimmed to its header
     and re-offered to the control lane (NDP-style).  Only a full control lane
-    actually drops.
+    actually drops.  ``rng_source`` is called once, at the first in-band
+    draw, as in :class:`EcnQueue`.
     """
 
     __slots__ = ("capacity_bytes", "control_capacity_bytes", "ecn_low_bytes",
                  "ecn_high_bytes", "occupied_bytes", "data_bytes",
-                 "control_bytes", "stats", "_rng", "_data", "_control")
+                 "control_bytes", "stats", "_rng", "_rng_source", "_data",
+                 "_control")
 
     def __init__(
         self,
         capacity_bytes: int,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng_source: Callable[[], SimRandom],
         control_capacity_bytes: int = 2_000_000,
     ) -> None:
         if capacity_bytes <= 0:
@@ -213,7 +227,8 @@ class TrimmingQueue:
         self.data_bytes = 0
         self.control_bytes = 0
         self.stats = QueueStats()
-        self._rng = rng
+        self._rng: SimRandom | None = None
+        self._rng_source = rng_source
         self._data: deque[Packet] = deque()
         self._control: deque[Packet] = deque()
 
@@ -245,12 +260,16 @@ class TrimmingQueue:
                 if occupancy >= self.ecn_high_bytes:
                     packet.ecn_ce = True
                     stats.marked += 1
-                elif self._rng.random() < (
-                    (occupancy - self.ecn_low_bytes)
-                    / (self.ecn_high_bytes - self.ecn_low_bytes)
-                ):
-                    packet.ecn_ce = True
-                    stats.marked += 1
+                else:
+                    rng = self._rng
+                    if rng is None:
+                        rng = self._rng = self._rng_source()
+                    if rng.random() < (
+                        (occupancy - self.ecn_low_bytes)
+                        / (self.ecn_high_bytes - self.ecn_low_bytes)
+                    ):
+                        packet.ecn_ce = True
+                        stats.marked += 1
             self._data.append(packet)
             self.data_bytes = occupancy + size
         occupied = self.occupied_bytes + size

@@ -19,6 +19,7 @@ spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.config import InterDcConfig, MultiDcConfig
 from repro.net.network import Network
@@ -61,7 +62,7 @@ def build_interdc(
     ]
     backbone_spec = cfg.backbone_queue.with_trimming(cfg.trimming)
     spine_spec = cfg.fabric.switch_queue.with_trimming(cfg.trimming)
-    rng_for = lambda name: sim.rng.stream(f"queue:{name}")  # noqa: E731
+    stream = sim.rng.stream
 
     backbone: list[Switch] = []
     spines = cfg.fabric.spines
@@ -76,8 +77,12 @@ def build_interdc(
                     router,
                     cfg.backbone_rate_bps,
                     delay,
-                    queue_ab=spine_spec.build(rng_for(f"{spine.name}->{router.name}")),
-                    queue_ba=backbone_spec.build(rng_for(f"{router.name}->{spine.name}")),
+                    queue_ab=spine_spec.build(
+                        partial(stream, f"queue:{spine.name}->{router.name}")
+                    ),
+                    queue_ba=backbone_spec.build(
+                        partial(stream, f"queue:{router.name}->{spine.name}")
+                    ),
                 )
     net.finalize(routing=routing)
     return InterDcNetwork(net=net, cfg=cfg, fabrics=fabrics, backbone=backbone)

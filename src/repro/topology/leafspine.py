@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.config import FabricConfig
 from repro.errors import ConfigError
@@ -42,7 +43,9 @@ def build_leafspine(
     fabric = Fabric(dc=dc)
     switch_spec = cfg.switch_queue.with_trimming(trimming)
     host_spec = cfg.host_queue
-    rng_for = lambda name: net.sim.rng.stream(f"queue:{name}")  # noqa: E731
+    # Each queue gets its ``queue:<port>`` stream as a deferred source and
+    # seeds it only at its first in-band draw.
+    stream = net.sim.rng.stream
 
     shared_alpha = cfg.shared_buffer_alpha
     if shared_alpha is not None and trimming:
@@ -54,8 +57,9 @@ def build_leafspine(
 
     def switch_queue(switch: Switch, name: str):
         """Static per-port queue, or a DT queue drawing on the switch pool."""
+        source = partial(stream, f"queue:{name}")
         if shared_alpha is None:
-            return switch_spec.build(rng_for(name))
+            return switch_spec.build(source)
         pool = pools.get(switch.id)
         if pool is None:
             pool = SharedBuffer(cfg.switch_queue.capacity_bytes)
@@ -65,7 +69,7 @@ def build_leafspine(
             shared_alpha,
             cfg.switch_queue.ecn_low_bytes,
             cfg.switch_queue.ecn_high_bytes,
-            rng_for(name),
+            source,
         )
 
     for s in range(cfg.spines):
@@ -92,7 +96,7 @@ def build_leafspine(
                 leaf,
                 cfg.link_rate_bps,
                 cfg.link_delay_ps,
-                queue_ab=host_spec.build(rng_for(f"{host.name}->{leaf.name}")),
+                queue_ab=host_spec.build(partial(stream, f"queue:{host.name}->{leaf.name}")),
                 queue_ba=switch_queue(leaf, f"{leaf.name}->{host.name}"),
             )
         fabric.hosts_by_leaf.append(servers)

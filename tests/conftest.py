@@ -102,8 +102,8 @@ def build_pair(sim: Simulator, rate_bps: float = gbps(10), delay_ps: int = micro
     for host in (a, b):
         net.connect(
             host, s, rate_bps, delay_ps,
-            queue_ab=host_spec.build(sim.rng.stream(f"q:{host.name}")),
-            queue_ba=switch_spec.build(sim.rng.stream(f"q:s->{host.name}")),
+            queue_ab=host_spec.build(partial(sim.rng.stream, f"q:{host.name}")),
+            queue_ba=switch_spec.build(partial(sim.rng.stream, f"q:s->{host.name}")),
         )
     net.finalize()
     return net, a, b
@@ -131,8 +131,8 @@ def build_incast_star(
     host_spec = QueueSpec(kind="host", capacity_bytes=megabytes(500))
     net.connect(
         receiver, s, rate_bps, delay_ps,
-        queue_ab=host_spec.build(sim.rng.stream("q:rx")),
-        queue_ba=bottleneck.build(sim.rng.stream("q:s->rx")),
+        queue_ab=host_spec.build(partial(sim.rng.stream, "q:rx")),
+        queue_ba=bottleneck.build(partial(sim.rng.stream, "q:s->rx")),
     )
     hosts = []
     uplink = QueueSpec(
@@ -146,8 +146,8 @@ def build_incast_star(
         hosts.append(h)
         net.connect(
             h, s, rate_bps, delay_ps,
-            queue_ab=host_spec.build(sim.rng.stream(f"q:tx{i}")),
-            queue_ba=uplink.build(sim.rng.stream(f"q:s->tx{i}")),
+            queue_ab=host_spec.build(partial(sim.rng.stream, f"q:tx{i}")),
+            queue_ba=uplink.build(partial(sim.rng.stream, f"q:s->tx{i}")),
         )
     net.finalize()
     return net, hosts, receiver

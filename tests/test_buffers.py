@@ -1,6 +1,7 @@
 """Shared switch buffers with Dynamic Threshold admission."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -38,8 +39,8 @@ class TestSharedBuffer:
 class TestSharedEcnQueue:
     def make(self, total=100_000, alpha=1.0, low=2_000, high=5_000):
         pool = SharedBuffer(total)
-        q1 = SharedEcnQueue(pool, alpha, low, high, random.Random(0))
-        q2 = SharedEcnQueue(pool, alpha, low, high, random.Random(1))
+        q1 = SharedEcnQueue(pool, alpha, low, high, partial(random.Random, 0))
+        q2 = SharedEcnQueue(pool, alpha, low, high, partial(random.Random, 1))
         return pool, q1, q2
 
     def test_single_port_can_take_alpha_share(self):
@@ -94,7 +95,7 @@ class TestSharedEcnQueue:
     def test_alpha_validation(self):
         pool = SharedBuffer(1000)
         with pytest.raises(ConfigError):
-            SharedEcnQueue(pool, 0, 0, 0, random.Random(0))
+            SharedEcnQueue(pool, 0, 0, 0, partial(random.Random, 0))
 
 
 class TestTopologyIntegration:

@@ -1,6 +1,7 @@
 """Checkpoint/restore: file format, by-reference functions, kill/resume digests."""
 
 import gc
+import hashlib
 import os
 import struct
 from functools import partial
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.competitors import install, uninstall
+from repro.config import TransportConfig
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.net.packet import Packet
 from repro.schemes import SCHEME_REGISTRY
@@ -21,13 +23,17 @@ from repro.sim.checkpoint import (
     loads,
     save_checkpoint,
 )
-from repro.units import milliseconds, seconds
+from repro.sim.rng import derive_stream
+from repro.sim.simulator import Simulator
+from repro.transport.connection import Connection
+from repro.units import kilobytes, microseconds, milliseconds, seconds
 from repro.workloads.engine import (
     DiurnalCurve,
     OpenLoopEngine,
     WorkloadEngineConfig,
 )
 from repro.workloads.sizes import HeavyTailConfig
+from tests.conftest import build_incast_star
 
 
 @pytest.fixture
@@ -190,6 +196,26 @@ class TestCheckpointFormat:
             f"checkpoint schema 5 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_resumes_a_real_schema_6_file_with_queues_seeded_at_build(self):
+        # Written by the schema-6 code before queues took a deferred stream
+        # source: every queue holds the Random it was handed at build, in
+        # ``_rng``, and no ``_rng_source``.  A stream seeded early is a
+        # stream seeded, so the file resumes to the digest the writing code
+        # computed for the uninterrupted run.
+        path = Path(__file__).parent / "fixtures" / "schema6_star_transfer.ckpt"
+        assert path.read_bytes().startswith(_MAGIC + struct.pack("<I", 6))
+        sim, net, conns = load_checkpoint(path)
+        queues = {port.name: port.queue for port in _ports(net)}
+        assert all(q._rng is not None for q in queues.values() if hasattr(q, "_rng"))
+        bottleneck = queues["s->rx"]
+        assert not hasattr(bottleneck, "_rng_source")
+        # It had drawn before the save, and draws on after the restore.
+        assert bottleneck._rng.getstate() != derive_stream(11, "q:s->rx").getstate()
+        state_at_save = bottleneck._rng.getstate()
+        assert _finish_star(sim, net, conns) == STAR_TRANSFER_DIGEST
+        assert bottleneck._rng.getstate() != state_at_save
+        assert _finish_star(*_star_transfer()) == STAR_TRANSFER_DIGEST
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())
@@ -282,6 +308,40 @@ class TestClosureSerialization:
                 with pytest.raises(CheckpointError, match="not serializable"):
                     save_checkpoint(tmp_path / "bad.ckpt", payload)
         assert not (tmp_path / "bad.ckpt").exists()
+
+
+#: :func:`_finish_star` of an uninterrupted :func:`_star_transfer`; the
+#: schema-6 fixture was saved from the same run at 80 us.
+STAR_TRANSFER_DIGEST = "289afc14840e668b"
+
+
+def _ports(net):
+    return [port for node in net.nodes.values() for port in node.ports.values()]
+
+
+def _star_transfer():
+    """Two 100 kB flows into one 100 kB ECN bottleneck, just started."""
+    sim = Simulator(seed=11)
+    net, senders, rx = build_incast_star(
+        sim, 2, delay_ps=microseconds(20), bottleneck_capacity=kilobytes(100)
+    )
+    cfg = TransportConfig(payload_bytes=8192)
+    conns = [Connection(net, sender, rx, 100_000, cfg) for sender in senders]
+    for conn in conns:
+        conn.start()
+    return sim, net, conns
+
+
+def _finish_star(sim, net, conns):
+    """Run a :func:`_star_transfer` out; digest what the marking decided."""
+    sim.run(until=milliseconds(50))
+    facts = (
+        sim.now,
+        sim.events_executed,
+        [(conn.completed, conn.sender.stats.retransmissions) for conn in conns],
+        sorted((port.name, port.queue.stats.as_dict()) for port in _ports(net)),
+    )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
 
 
 def _tiny_config(scheme, **overrides):

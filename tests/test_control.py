@@ -1,6 +1,8 @@
 """The reactive control plane: weight models, weighted route computation,
 and the Controller's fault-driven reconvergence."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import QueueSpec
@@ -23,7 +25,7 @@ from tests.conftest import ROUTING_FABRICS, build_fabric_net, controller_tables
 
 def _queue(sim, name):
     return QueueSpec(kind="host", capacity_bytes=megabytes(100)).build(
-        sim.rng.stream(name)
+        partial(sim.rng.stream, name)
     )
 
 

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import random
+from functools import partial
 
 # EmpiricalCdf imports numpy lazily; import it here so no example's deadline pays for it.
 import numpy  # noqa: F401
@@ -84,7 +85,7 @@ class TestQueueProperties:
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_ecn_queue_never_exceeds_capacity(self, sizes, seed):
         capacity = 20_000
-        q = EcnQueue(capacity, 2_000, 10_000, random.Random(seed))
+        q = EcnQueue(capacity, 2_000, 10_000, partial(random.Random, seed))
         peak = 0
         for i, payload in enumerate(sizes):
             q.offer(make_data(1, i, 0, 1, payload_bytes=payload))
@@ -94,7 +95,7 @@ class TestQueueProperties:
 
     @given(st.lists(st.integers(min_value=100, max_value=5000), min_size=1, max_size=200))
     def test_trimming_conserves_packets(self, sizes):
-        q = TrimmingQueue(10_000, 1_000, 5_000, random.Random(0),
+        q = TrimmingQueue(10_000, 1_000, 5_000, partial(random.Random, 0),
                           control_capacity_bytes=10**9)
         for i, payload in enumerate(sizes):
             outcome = q.offer(make_data(1, i, 0, 1, payload_bytes=payload))

@@ -66,7 +66,7 @@ class TestSharedBufferProperties:
     def test_pool_accounting_balances(self, sizes, alpha, seed):
         pool = SharedBuffer(64_000)
         rng = random.Random(seed)
-        queues = [SharedEcnQueue(pool, alpha, 1_000, 8_000, rng) for _ in range(3)]
+        queues = [SharedEcnQueue(pool, alpha, 1_000, 8_000, lambda: rng) for _ in range(3)]
         for i, size in enumerate(sizes):
             queues[i % 3].offer(make_data(1, i, 0, 1, payload_bytes=size))
             assert 0 <= pool.occupied_bytes <= pool.total_bytes

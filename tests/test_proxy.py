@@ -1,6 +1,8 @@
 """Proxy schemes: streamlined forwarding/NACK reflection, naive relay,
 trimless detection, and placement."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import QueueSpec, TransportConfig
@@ -38,11 +40,11 @@ def build_line(sim, trimming=False, bottleneck=kilobytes(50)):
     wide = QueueSpec(kind=kind, capacity_bytes=megabytes(4),
                      ecn_low_bytes=kilobytes(33), ecn_high_bytes=kilobytes(137))
     net.connect(sender, s, gbps(40), microseconds(1),
-                queue_ab=host_spec.build(None), queue_ba=wide.build(sim.rng.stream("q1")))
+                queue_ab=host_spec.build(None), queue_ba=wide.build(partial(sim.rng.stream, "q1")))
     net.connect(proxy_host, s, gbps(10), microseconds(1),
-                queue_ab=host_spec.build(None), queue_ba=down.build(sim.rng.stream("q2")))
+                queue_ab=host_spec.build(None), queue_ba=down.build(partial(sim.rng.stream, "q2")))
     net.connect(receiver, s, gbps(40), milliseconds(1),
-                queue_ab=host_spec.build(None), queue_ba=wide.build(sim.rng.stream("q3")))
+                queue_ab=host_spec.build(None), queue_ba=wide.build(partial(sim.rng.stream, "q3")))
     net.finalize()
     return net, sender, proxy_host, receiver
 

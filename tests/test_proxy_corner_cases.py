@@ -1,5 +1,7 @@
 """Proxy corner cases: remote trimming, inner-leg congestion, relay reuse."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import QueueSpec, TransportConfig
@@ -36,7 +38,9 @@ def build_two_stage(sim, *, near_trim=False, far_trim=False,
     down_near = spec(near_trim, near_cap)
     wide_far = spec(far_trim, megabytes(8))
     down_far = spec(far_trim, far_cap)
-    rng = sim.rng.stream
+    def rng(name):
+        return partial(sim.rng.stream, name)
+
     for i, tx in enumerate((tx1, tx2)):
         net.connect(tx, s_near, gbps(40), microseconds(1),
                     queue_ab=host.build(None), queue_ba=wide_near.build(rng(f"n{i}")))

@@ -1,6 +1,7 @@
 """Queue disciplines: drop-tail, ECN marking, trimming, host priority."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -62,7 +63,7 @@ class TestDropTail:
 
 class TestEcnQueue:
     def make(self, capacity=100_000, low=2_000, high=5_000, seed=0):
-        return EcnQueue(capacity, low, high, random.Random(seed))
+        return EcnQueue(capacity, low, high, partial(random.Random, seed))
 
     def test_no_marking_below_low(self):
         q = self.make()
@@ -102,12 +103,12 @@ class TestEcnQueue:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            EcnQueue(1000, 500, 100, random.Random(0))
+            EcnQueue(1000, 500, 100, partial(random.Random, 0))
 
 
 class TestTrimmingQueue:
     def make(self, capacity=3_000, low=500, high=2_000, control=10_000):
-        return TrimmingQueue(capacity, low, high, random.Random(0),
+        return TrimmingQueue(capacity, low, high, partial(random.Random, 0),
                              control_capacity_bytes=control)
 
     def test_overflow_trims_instead_of_dropping(self):

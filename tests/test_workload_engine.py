@@ -315,3 +315,33 @@ class TestRssPlateau:
     def test_zero_samples_platform_is_a_pass(self):
         track = [(i, 0) for i in range(12)]
         assert rss_plateau_ok(track)
+
+
+class TestSmokeCli:
+    """``python -m repro workload --smoke``, which CI's preemption drill runs."""
+
+    #: Streams seeded by t = 2 s of the smoke config: the 16 seeded at build
+    #: (12 ``spray:``, 4 ``engine:``) and 11 queues that drew in their band.
+    STREAMS_AT_2S = 27
+
+    def test_smoke_run_prints_its_digest_and_leaves_a_restorable_checkpoint(
+        self, capsys, tmp_path
+    ):
+        from repro.competitors import uninstall
+        from repro.experiments.workload import main
+        from repro.sim.checkpoint import load_checkpoint
+
+        try:
+            main(["--smoke", "--horizon", "2", "--segment", "1",
+                  "--checkpoint-dir", str(tmp_path)])
+        finally:
+            uninstall()  # main() installs the competitors globally
+        out = capsys.readouterr().out
+        (digest,) = [line.split()[1] for line in out.splitlines()
+                     if line.startswith("workload_digest: ")]
+        assert len(digest) == 64
+        assert "workload: ok (32 incasts, 2s simulated)" in out
+        engine = load_checkpoint(tmp_path / "workload.ckpt")
+        assert isinstance(engine, OpenLoopEngine)
+        assert engine.sim.now == seconds(2)
+        assert len(engine.sim.rng) == self.STREAMS_AT_2S
