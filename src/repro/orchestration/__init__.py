@@ -6,7 +6,9 @@ orchestrator with fresh load state) or decentralized (repeated trials by
 each incast, trading selection latency for probe overhead).  This package
 provides both, plus the bookkeeping registry and pluggable policies, and a
 runner that executes many concurrent incasts under a chosen strategy so
-the trade-offs are measurable.
+the trade-offs are measurable.  The runner hands its job list to the
+open-loop :class:`~repro.workloads.engine.OpenLoopEngine`, the one
+launch path for incasts that share a fabric.
 """
 
 from repro._lazy import lazy_exports

@@ -10,8 +10,8 @@ its first packet.
 
 The controller is deliberately observation-driven and simulator-agnostic:
 feed it ``(time, destination, total_bytes)`` arrivals and ask it, per
-burst, whether a proxy is staged.  The orchestration runner wires it to
-real jobs in :func:`run_pattern_aware`.
+burst, whether a proxy is staged.  The open-loop engine's proxy gate
+wires it to real jobs (``pattern_predictor``, and :func:`run_pattern_aware`).
 """
 
 from __future__ import annotations

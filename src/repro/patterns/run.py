@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import InterDcConfig, TransportConfig
-from repro.orchestration.run import MultiIncastResult, run_concurrent_incasts
-from repro.patterns.controller import ControllerConfig, PatternAwareController
+from repro.errors import OrchestrationError
+from repro.orchestration.run import MultiIncastResult
+from repro.patterns.controller import PatternAwareController
 from repro.units import seconds
+from repro.workloads.engine import OpenLoopEngine, WorkloadEngineConfig
 from repro.workloads.incast import IncastJob
 
 
@@ -49,36 +51,20 @@ def run_pattern_aware(
     horizon_ps: int = seconds(300),
 ) -> PatternAwareResult:
     """Execute ``jobs`` with the controller deciding proxy use per burst."""
-    controller = controller if controller is not None else PatternAwareController(
-        ControllerConfig()
-    )
-    proxied: list[str] = []
-    direct: list[str] = []
-
-    def gate(job: IncastJob) -> bool:
-        staged = controller.proxy_staged_for(job.start_ps, job.receiver_index)
-        # Observation happens *after* the decision: the controller cannot
-        # use a burst to predict itself.
-        controller.observe_burst(job.start_ps, job.receiver_index, job.total_bytes)
-        (proxied if staged else direct).append(job.name)
-        return staged
-
-    runs = run_concurrent_incasts(
-        jobs,
-        scheme=scheme,
-        strategy="central",
-        interdc=interdc,
-        transport=transport,
-        seed=seed,
-        horizon_ps=horizon_ps,
-        proxy_gate=gate,
-    )
-    period = (
-        controller.predicted_period_ps(jobs[0].receiver_index) if jobs else None
-    )
+    if not jobs:
+        raise OrchestrationError("need at least one incast job")
+    controller = controller if controller is not None else PatternAwareController()
+    engine = OpenLoopEngine(WorkloadEngineConfig(
+        scheme=scheme, interdc=interdc, transport=transport, seed=seed,
+        horizon_ps=horizon_ps, segment_ps=horizon_ps,
+        pattern_predictor=True, jobs=tuple(jobs),
+    ))
+    engine.controller = controller
+    engine.run()
+    runs = engine.multi_incast_result()
     return PatternAwareResult(
         runs=runs,
-        proxied_jobs=proxied,
-        direct_jobs=direct,
-        learned_period_ps=period,
+        proxied_jobs=[job.name for job in jobs if job.name in runs.proxy_assignments],
+        direct_jobs=[job.name for job in jobs if job.name not in runs.proxy_assignments],
+        learned_period_ps=controller.predicted_period_ps(jobs[0].receiver_index),
     )

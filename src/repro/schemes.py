@@ -15,10 +15,11 @@ has ``open(net, src, dst, total_bytes, cfg, ...)``, taking
 :class:`~repro.transport.connection.Connection`'s arguments, and
 ``release(flow)``.  The Naive proxy splits the flow into two relayed
 connections; the Streamlined family routes one end-to-end connection
-through itself.  So every harness that launches its own flows
-(:func:`~repro.orchestration.run.run_concurrent_incasts`, the open-loop
-:class:`~repro.workloads.engine.OpenLoopEngine`) opens either a direct
-``Connection`` or ``proxy.open(...)`` and never asks which proxy it has.
+through itself.  So the one harness that launches its own flows, the
+open-loop :class:`~repro.workloads.engine.OpenLoopEngine` (which also
+runs :func:`~repro.orchestration.run.run_concurrent_incasts`'s job
+lists), opens either a direct ``Connection`` or ``proxy.open(...)`` and
+never asks which proxy it has.
 
 Third parties extend the simulator by registering their own spec::
 

@@ -54,7 +54,10 @@ from repro.errors import SimulationError
 #:   6 — one relay: a Naive proxy's flows are ``RelayChain``s (the class
 #:       ``NaiveRelayedFlow`` is gone), whose legs relay through
 #:       ``partial(_relay_one, next_leg.sender)``.
-CHECKPOINT_SCHEMA_VERSION = 6
+#:   7 — one runner: the open-loop engine gains the job-list source and its
+#:       per-job bookkeeping, indexes the whole sending fabric, and draws
+#:       selection from ``orchestration:select``.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

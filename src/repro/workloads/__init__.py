@@ -2,9 +2,10 @@
 
 Each generator produces :class:`IncastJob` descriptions — groups of flows
 converging on one receiver — which the experiment runner and the
-orchestration runner turn into simulated traffic:
+open-loop engine turn into simulated traffic:
 
-* :mod:`repro.workloads.incast` — the basic fixed-degree incast of §4;
+* :mod:`repro.workloads.incast` — the basic fixed-degree incast of §4 and
+  the periodic incast train of ML-training synchronization;
 * :mod:`repro.workloads.moe` — Mixture-of-Experts dispatch/combine
   all-to-all phases (each expert is an incast receiver);
 * :mod:`repro.workloads.storage` — erasure-coded fragment reconstruction
@@ -16,10 +17,13 @@ Construction is registry-driven: every generator is registered in
 :data:`repro.workloads.registry.WORKLOAD_REGISTRY` as a
 :class:`~repro.workloads.registry.WorkloadSpec`, and
 :func:`~repro.workloads.registry.build_workload` resolves by name.  The
-:mod:`repro.workloads.engine` module turns tenant-capable specs into
-open-loop production traffic: seeded arrivals, heavy-tailed sizes
+:mod:`repro.workloads.engine` module is the one runner for incasts that
+share a fabric.  It turns tenant-capable specs into open-loop production
+traffic: seeded Poisson arrivals, heavy-tailed sizes
 (:mod:`repro.workloads.sizes`), a diurnal load curve, and streaming
-metric folds over minutes of simulated time.
+metric folds over minutes of simulated time.  Given a fixed job list
+instead, it runs the list to its last completion (the orchestration
+runner's concurrent incasts).
 """
 
 from typing import TYPE_CHECKING
@@ -27,7 +31,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.workloads.arrivals import ArrivalConfig, periodic_incasts, poisson_incasts
     from repro.workloads.engine import (
         DiurnalCurve,
         OpenLoopEngine,
@@ -37,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
         rss_plateau_ok,
     )
     from repro.workloads.georeplication import QuorumConfig, quorum_write_jobs
-    from repro.workloads.incast import IncastJob, uniform_incast
+    from repro.workloads.incast import IncastJob, periodic_incasts, uniform_incast
     from repro.workloads.moe import MoEConfig, moe_combine_jobs, moe_dispatch_jobs
     from repro.workloads.registry import (
         WORKLOAD_REGISTRY,
@@ -52,15 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.storage import ReconstructionConfig, reconstruction_jobs
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.workloads.arrivals": [
-        "ArrivalConfig", "periodic_incasts", "poisson_incasts",
-    ],
     "repro.workloads.engine": [
         "DiurnalCurve", "OpenLoopEngine", "WorkloadEngineConfig", "WorkloadFold",
         "WorkloadResult", "rss_plateau_ok",
     ],
     "repro.workloads.georeplication": ["QuorumConfig", "quorum_write_jobs"],
-    "repro.workloads.incast": ["IncastJob", "uniform_incast"],
+    "repro.workloads.incast": ["IncastJob", "periodic_incasts", "uniform_incast"],
     "repro.workloads.moe": ["MoEConfig", "moe_combine_jobs", "moe_dispatch_jobs"],
     "repro.workloads.registry": [
         "TenantRequest", "WORKLOAD_REGISTRY", "WorkloadRegistry", "WorkloadSpec",
@@ -71,7 +71,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "ArrivalConfig",
     "DiurnalCurve",
     "HeavyTailConfig",
     "IncastJob",
@@ -90,7 +89,6 @@ __all__ = [
     "moe_combine_jobs",
     "moe_dispatch_jobs",
     "periodic_incasts",
-    "poisson_incasts",
     "quorum_write_jobs",
     "reconstruction_jobs",
     "register_workload",

@@ -14,7 +14,11 @@ Mechanics:
 * **Arrivals** — an inhomogeneous Poisson process via thinning: gaps are
   drawn at the configured peak rate and accepted with probability
   ``diurnal.multiplier(now)``, all on named RNG substreams so the stream
-  is reproducible and checkpoint-stable.
+  is reproducible and checkpoint-stable.  A fixed ``jobs`` list replaces
+  it and the run stops at the list's last completion (what
+  :func:`~repro.orchestration.run.run_concurrent_incasts` runs).
+* **Proxies** — the pool is the sending hosts no job can name; the gate
+  is the predictor, else the ``admission`` policy, else always proxy.
 * **Tenants** — each arrival draws a bounded-Pareto volume
   (:class:`~repro.workloads.sizes.HeavyTailConfig`) and a mix entry from
   the :data:`~repro.workloads.registry.WORKLOAD_REGISTRY`; the spec's
@@ -46,11 +50,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.config import InterDcConfig, TransportConfig, small_interdc_config
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, OrchestrationError, WorkloadError
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.metrics.sink import DistributionDigest, DistributionSink, make_distribution_sink
-from repro.orchestration.run import STRATEGIES, make_selector
+from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
+from repro.orchestration.run import STRATEGIES, MultiIncastResult, make_selector
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim.checkpoint import save_checkpoint
 from repro.sim.simulator import Simulator
@@ -135,6 +140,12 @@ class WorkloadEngineConfig:
     #: gate proxy use behind the pattern-aware predictor (learned bursts
     #: get the proxy, unlearned ones run direct); False = always proxy.
     pattern_predictor: bool = False
+    #: gate proxy use behind the crossover policy instead (rejected
+    #: incasts run direct); ``pattern_predictor`` takes precedence.
+    admission: ProxyAdmissionPolicy | None = None
+    #: a fixed job list replacing the tenant arrivals; the run stops at its
+    #: last completion (or the horizon, if that comes first).
+    jobs: tuple[IncastJob, ...] = ()
     metrics: MetricsConfig = MetricsConfig(mode=MODE_SKETCH)
     seed: int = 0
 
@@ -269,10 +280,6 @@ class _JobTracker:
         #: wired Connection / relayed-flow objects, torn down after completion
         self.wired: list[Any] = []
 
-    def start(self) -> None:
-        """Wire and start the incast's flows (selection delay has elapsed)."""
-        self.engine._start_flows(self)
-
     def flow_done(self, _receiver: Any) -> None:
         """One flow of the incast finished."""
         self.remaining -= 1
@@ -309,16 +316,31 @@ class OpenLoopEngine:
         topo = build_interdc(self.sim, interdc.with_trimming(trimming))
         self.net = topo.net
         dc0, dc1 = topo.fabrics
-        # Reserve a quarter of the sending fabric as the proxy pool; the
-        # split is scheme-independent so per-scheme results compare on the
-        # same sender population.
-        reserve = max(1, len(dc0.hosts) // 4)
-        self._sender_hosts = dc0.hosts[:-reserve]
+        self._sender_hosts = dc0.hosts
         self._receiver_hosts = dc1.hosts
-        proxy_hosts = dc0.hosts[-reserve:]
+        # Tenants send from the first three quarters of the sending fabric;
+        # the split is scheme-independent so per-scheme results compare on
+        # the same sender population.
+        self._tenant_senders = len(dc0.hosts) - max(1, len(dc0.hosts) // 4)
+        named = set(range(self._tenant_senders))
+        if config.jobs:
+            named = {i for job in config.jobs for i in job.sender_indices}
+        for job in config.jobs:  # both fabrics are built from one config
+            highest = max(*job.sender_indices, job.receiver_index)
+            if highest >= len(dc0.hosts):
+                raise OrchestrationError(
+                    f"job {job.name!r} names host index {highest} but each "
+                    f"datacenter only has {len(dc0.hosts)} servers"
+                )
+        # The proxy pool: every sending host that no job can name.
+        proxy_hosts = [h for i, h in enumerate(dc0.hosts) if i not in named]
+        if self.strategy != "none" and not proxy_hosts:
+            raise OrchestrationError("no free servers left to act as proxies")
         self._proxy_hosts_by_id = {h.id: h for h in proxy_hosts}
-        _, self.selector = make_selector(
-            self.strategy, proxy_hosts, self.net, self.sim.rng.stream("engine:select")
+        self._buffer_bytes = interdc.fabric.switch_queue.capacity_bytes
+        self.selector = make_selector(
+            self.strategy, proxy_hosts, self.net,
+            self.sim.rng.stream("orchestration:select"),
         )
 
         self.controller: PatternAwareController | None = None
@@ -327,6 +349,11 @@ class OpenLoopEngine:
 
             self.controller = PatternAwareController()
         self.fold = WorkloadFold(config.metrics, config.slo_ps, config.seed)
+        # Job-list bookkeeping, per incast; an open-loop run keeps none.
+        self.ict_ps: dict[str, int] = {}
+        self.assignments: dict[str, int] = {}
+        self.peak_load: dict[int, int] = {}
+        self.decisions: dict[str, AdmissionDecision] = {}
         self._proxies_on_host: dict[int, Any] = {}
         self._tenants = 0
         self.segments_done = 0
@@ -336,7 +363,16 @@ class OpenLoopEngine:
         self._size_rng = self.sim.rng.stream("engine:sizes")
         self._mix_names = [name for name, _ in config.mix]
         self._mix_weights = [weight for _, weight in config.mix]
-        self._schedule_next_arrival()
+        if config.jobs:
+            for job in config.jobs:
+                self._offer(job)
+        else:
+            self._schedule_next_arrival()
+
+    @property
+    def finished(self) -> bool:
+        """True once every incast of a job list has completed."""
+        return bool(self.config.jobs) and self.fold.jobs_completed == len(self.config.jobs)
 
     # -- arrival process -----------------------------------------------------
 
@@ -368,35 +404,53 @@ class OpenLoopEngine:
             index=index,
             seed=(self.config.seed * 1_000_003 + index) & _SEED_MASK,
             total_bytes=total,
-            sender_pool=len(self._sender_hosts),
+            sender_pool=self._tenant_senders,
             receiver_pool=len(self._receiver_hosts),
         )
         jobs = tenant_jobs(
             WORKLOAD_REGISTRY.get(name),
             request,
             start_ps=self.sim.now,
-            sender_offset=(index * 3) % len(self._sender_hosts),
+            sender_offset=(index * 3) % self._tenant_senders,
             receiver_offset=index % len(self._receiver_hosts),
         )
         for job in jobs:
-            self.fold.bytes_offered += job.total_bytes
-            # Builders may emit relative starts (epochs, dispatch phases);
-            # launch each incast at its own instant, like the closed-loop
-            # harness does.
-            self.sim.schedule_at(job.start_ps, functools.partial(self._launch, job))
+            self._offer(job)
+
+    def _offer(self, job: IncastJob) -> None:
+        # Builders may emit relative starts (epochs, dispatch phases), and
+        # a job list starts anywhere: launch each incast at its own instant.
+        self.fold.bytes_offered += job.total_bytes
+        self.sim.schedule_at(job.start_ps, functools.partial(self._launch, job))
 
     # -- incast wiring -------------------------------------------------------
 
     def _admit(self, job: IncastJob) -> bool:
         if self.selector is None:
             return False
-        if self.controller is None:
+        if self.controller is not None:
+            staged = self.controller.proxy_staged_for(job.start_ps, job.receiver_index)
+            # Observation happens *after* the decision: a burst cannot be
+            # used to predict itself.
+            self.controller.observe_burst(
+                job.start_ps, job.receiver_index, job.total_bytes
+            )
+            return staged
+        admission = self.config.admission
+        if admission is None:
             return True
-        staged = self.controller.proxy_staged_for(job.start_ps, job.receiver_index)
-        # Observation happens *after* the decision: a burst cannot be used
-        # to predict itself.
-        self.controller.observe_burst(job.start_ps, job.receiver_index, job.total_bytes)
-        return staged
+        src = self._sender_hosts[job.sender_indices[0]]
+        dst = self._receiver_hosts[job.receiver_index]
+        decision = admission.decide(
+            job,
+            bottleneck_bps=dst.nic_rate_bps,
+            interdc_rtt_ps=self.net.path_rtt_ps(src.id, dst.id),
+            intra_rtt_ps=self.net.path_rtt_ps(src.id, next(iter(self._proxy_hosts_by_id))),
+            bottleneck_buffer_bytes=self._buffer_bytes,
+        )
+        if self.config.jobs:
+            self.decisions[job.name] = decision
+        return decision.use_proxy
 
     def _proxy_app(self, host_id: int) -> Any:
         app = self._proxies_on_host.get(host_id)
@@ -412,15 +466,21 @@ class OpenLoopEngine:
 
     def _launch(self, job: IncastJob) -> None:
         self.fold.jobs_launched += 1
+        host_id: int | None = None
+        delay = 0
         if self._admit(job):
             assert self.selector is not None
             host_id, delay = self.selector.select(job)
             self.fold.jobs_proxied += 1
+            if self.config.jobs:
+                self.assignments[job.name] = host_id
+                load = self.selector.registry.load(host_id)
+                self.peak_load[host_id] = max(self.peak_load.get(host_id, 0), load)
         else:
-            host_id, delay = None, 0
             self.fold.jobs_direct += 1
+        # Flows start once the selection delay has elapsed.
         tracker = _JobTracker(self, job, host_id)
-        self.sim.schedule(delay, tracker.start)
+        self.sim.schedule(delay, functools.partial(self._start_flows, tracker))
 
     def _start_flows(self, tracker: _JobTracker) -> None:
         job, host_id = tracker.job, tracker.host_id
@@ -438,7 +498,8 @@ class OpenLoopEngine:
 
     def _job_done(self, tracker: _JobTracker) -> None:
         job = tracker.job
-        self.fold.observe_completion(self.sim.now - job.start_ps, job.total_bytes)
+        ict = self.sim.now - job.start_ps
+        self.fold.observe_completion(ict, job.total_bytes)
         if self.selector is not None and tracker.host_id is not None:
             self.selector.release(job, tracker.host_id)
         # An open-loop run wires thousands of incasts onto one fabric;
@@ -446,6 +507,12 @@ class OpenLoopEngine:
         # memory grows without bound.  Linger briefly so in-flight final
         # ACKs land before endpoints unregister.
         self.sim.schedule(_TEARDOWN_LINGER_PS, functools.partial(self._teardown_job, tracker))
+        if self.config.jobs:
+            self.ict_ps[job.name] = ict
+            if self.finished:
+                # The last completion ends a job-list run: the network's
+                # counters are read at this instant.
+                self.sim.stop()
 
     def _teardown_job(self, tracker: _JobTracker) -> None:
         host_id = tracker.host_id
@@ -464,7 +531,8 @@ class OpenLoopEngine:
         checkpoint_path: str | Path | None = None,
         kill_at_ps: int | None = None,
     ) -> WorkloadResult:
-        """Advance to the horizon in grid-aligned segments.
+        """Advance to the horizon in grid-aligned segments; a job-list run
+        ends earlier, at its last completion.
 
         With ``checkpoint_path`` the engine snapshots itself after every
         segment; with ``kill_at_ps`` it SIGKILLs its own process at the
@@ -480,7 +548,7 @@ class OpenLoopEngine:
         gc.collect()
         horizon = self.config.horizon_ps
         segment = self.config.segment_ps
-        while self.sim.now < horizon:
+        while self.sim.now < horizon and not self.finished:
             boundary = min(horizon, ((self.sim.now // segment) + 1) * segment)
             self.sim.run(until=boundary)
             self.segments_done += 1
@@ -530,6 +598,27 @@ class OpenLoopEngine:
             digest=digest,
             learned_period_ps=learned,
             rss_track=list(self.rss_track),
+        )
+
+    def multi_incast_result(self) -> MultiIncastResult:
+        """A job-list run as the concurrent-incast harness reports it."""
+        jobs, selector = self.config.jobs, self.selector
+        return MultiIncastResult(
+            strategy=self.strategy,
+            scheme=self.config.scheme if self.strategy != "none" else "baseline",
+            ict_ps=dict(self.ict_ps),
+            completed=self.finished,
+            makespan_ps=max(
+                (job.start_ps + self.ict_ps[job.name]
+                 for job in jobs if job.name in self.ict_ps),
+                default=self.config.horizon_ps,
+            ),
+            probes=getattr(selector, "probes", getattr(selector, "selections", 0)),
+            fallbacks=getattr(selector, "fallbacks", 0),
+            proxy_assignments=dict(self.assignments),
+            counters=collect_network_counters(self.net),
+            per_proxy_peak_load=dict(self.peak_load),
+            admission_decisions=dict(self.decisions),
         )
 
 

@@ -1,4 +1,4 @@
-"""The basic incast job description."""
+"""The basic incast job description and its fixed-shape generators."""
 
 from __future__ import annotations
 
@@ -69,3 +69,28 @@ def uniform_incast(
         flow_bytes=tuple(base + (1 if i < extra else 0) for i in range(degree)),
         start_ps=start_ps,
     )
+
+
+def periodic_incasts(
+    bursts: int,
+    period_ps: int,
+    degree: int = 4,
+    total_bytes: int = 10_000_000,
+    receiver_index: int = 0,
+    sender_offset: int = 0,
+    name: str = "burst",
+) -> list[IncastJob]:
+    """A strictly periodic incast train (ML-training-style synchronization).
+
+    The pattern-aware controller's target: identical bursts every
+    ``period_ps``, all aimed at one destination.
+    """
+    if bursts < 1:
+        raise WorkloadError("bursts must be at least 1")
+    if period_ps <= 0:
+        raise WorkloadError("period_ps must be positive")
+    return [
+        uniform_incast(f"{name}{i}", degree, total_bytes, receiver_index,
+                       sender_offset, start_ps=i * period_ps)
+        for i in range(bursts)
+    ]

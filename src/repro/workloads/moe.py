@@ -50,9 +50,9 @@ def _expert_weights(cfg: MoEConfig) -> list[float]:
 
 def moe_combine_jobs(cfg: MoEConfig) -> list[IncastJob]:
     """The combine phase: experts return processed tokens, so every *worker*
-    becomes an incast receiver fed by all experts.  Run these with the
-    orchestration runner's ``reverse=True`` (experts live in the remote
-    datacenter)."""
+    becomes an incast receiver fed by all experts.  Both datacenters are
+    built from one fabric config, so the runners send from datacenter 0
+    and the experts' datacenter simply plays that role."""
     rng = derive_stream(cfg.seed, "workload:moe-combine")
     weights = _expert_weights(cfg)
     jobs: list[IncastJob] = []

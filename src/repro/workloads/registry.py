@@ -33,9 +33,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
 from repro.errors import WorkloadError
-from repro.workloads.arrivals import ArrivalConfig, periodic_incasts, poisson_incasts
 from repro.workloads.georeplication import QuorumConfig, quorum_write_jobs
-from repro.workloads.incast import IncastJob, uniform_incast
+from repro.workloads.incast import IncastJob, periodic_incasts, uniform_incast
 from repro.workloads.moe import MoEConfig, moe_combine_jobs, moe_dispatch_jobs
 from repro.workloads.storage import ReconstructionConfig, reconstruction_jobs
 
@@ -232,14 +231,6 @@ def _build_uniform(**params: Any) -> list[IncastJob]:
     return [uniform_incast(**params)]
 
 
-def _build_periodic(**params: Any) -> list[IncastJob]:
-    return periodic_incasts(**params)
-
-
-def _build_poisson(**params: Any) -> list[IncastJob]:
-    return poisson_incasts(ArrivalConfig(**params))
-
-
 def _build_moe_dispatch(**params: Any) -> list[IncastJob]:
     return moe_dispatch_jobs(MoEConfig(**params))
 
@@ -261,10 +252,8 @@ def _register_builtins() -> None:
                         Callable[[TenantRequest], list[IncastJob]] | None, str]] = [
         ("uniform", "Uniform incast", _build_uniform, _tenant_uniform,
          "One equal-split fixed-degree incast (paper §4)."),
-        ("periodic", "Periodic bursts", _build_periodic, None,
+        ("periodic", "Periodic bursts", periodic_incasts, None,
          "Strictly periodic incast train (ML-training synchronization)."),
-        ("poisson", "Poisson arrivals", _build_poisson, None,
-         "Poisson stream of jittered incasts (orchestration churn)."),
         ("moe-dispatch", "MoE dispatch", _build_moe_dispatch, _tenant_moe_dispatch,
          "Zipf-gated all-to-all dispatch, one incast per expert."),
         ("moe-combine", "MoE combine", _build_moe_combine, None,

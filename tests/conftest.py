@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import os
 import random
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +156,41 @@ def build_incast_star(
         )
     net.finalize()
     return net, hosts, receiver
+
+
+# -- unreached-function recorder (opt-in) ------------------------------------
+#
+# ``REPRO_UNREACHED=out.txt pytest tests/`` profiles every call into
+# ``src/repro`` and, when the session ends, writes to ``out.txt`` each function
+# defined there that nothing called (``path:line name``).  Code run in child
+# processes is not seen.  The hook slows the suite several-fold: off by default.
+
+_UNREACHED_OUT = os.environ.get("REPRO_UNREACHED")
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+_called: set[tuple[str, int]] = set()
+
+
+def _record_call(frame, event, _arg):
+    if event == "call":
+        _called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+def pytest_sessionstart(session):
+    if _UNREACHED_OUT:
+        sys.setprofile(_record_call)
+        threading.setprofile(_record_call)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if not _UNREACHED_OUT:
+        return
+    sys.setprofile(None)
+    unreached = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A code object's first line is its first decorator's.
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if (str(path), first) not in _called:
+                    unreached.append(f"{path.relative_to(_SRC.parent)}:{node.lineno} {node.name}")
+    Path(_UNREACHED_OUT).write_text("\n".join(unreached) + "\n")

@@ -1,7 +1,6 @@
 """Checkpoint/restore: file format, by-reference functions, kill/resume digests."""
 
 import gc
-import hashlib
 import os
 import struct
 from functools import partial
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.competitors import install, uninstall
-from repro.config import TransportConfig
+from repro.config import TransportConfig, small_interdc_config
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.net.packet import Packet
 from repro.schemes import SCHEME_REGISTRY
@@ -23,17 +22,15 @@ from repro.sim.checkpoint import (
     loads,
     save_checkpoint,
 )
-from repro.sim.rng import derive_stream
 from repro.sim.simulator import Simulator
-from repro.transport.connection import Connection
-from repro.units import kilobytes, microseconds, milliseconds, seconds
+from repro.units import milliseconds, seconds
 from repro.workloads.engine import (
     DiurnalCurve,
     OpenLoopEngine,
     WorkloadEngineConfig,
 )
 from repro.workloads.sizes import HeavyTailConfig
-from tests.conftest import build_incast_star
+from tests.test_golden_digests import CONCURRENT, CONCURRENT_JOBS, concurrent_fingerprint
 
 
 @pytest.fixture
@@ -196,25 +193,17 @@ class TestCheckpointFormat:
             f"checkpoint schema 5 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
-    def test_resumes_a_real_schema_6_file_with_queues_seeded_at_build(self):
-        # Written by the schema-6 code before queues took a deferred stream
-        # source: every queue holds the Random it was handed at build, in
-        # ``_rng``, and no ``_rng_source``.  A stream seeded early is a
-        # stream seeded, so the file resumes to the digest the writing code
-        # computed for the uninterrupted run.
+    def test_refuses_a_real_schema_6_file(self):
+        # Written by the schema-6 code: a star transfer saved mid-flight.
+        # Schema 7 changed the open-loop engine's pickled shape; the version
+        # is read first, so every schema-6 file is refused before unpickling.
         path = Path(__file__).parent / "fixtures" / "schema6_star_transfer.ckpt"
         assert path.read_bytes().startswith(_MAGIC + struct.pack("<I", 6))
-        sim, net, conns = load_checkpoint(path)
-        queues = {port.name: port.queue for port in _ports(net)}
-        assert all(q._rng is not None for q in queues.values() if hasattr(q, "_rng"))
-        bottleneck = queues["s->rx"]
-        assert not hasattr(bottleneck, "_rng_source")
-        # It had drawn before the save, and draws on after the restore.
-        assert bottleneck._rng.getstate() != derive_stream(11, "q:s->rx").getstate()
-        state_at_save = bottleneck._rng.getstate()
-        assert _finish_star(sim, net, conns) == STAR_TRANSFER_DIGEST
-        assert bottleneck._rng.getstate() != state_at_save
-        assert _finish_star(*_star_transfer()) == STAR_TRANSFER_DIGEST
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 6 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
 
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
@@ -308,40 +297,6 @@ class TestClosureSerialization:
                 with pytest.raises(CheckpointError, match="not serializable"):
                     save_checkpoint(tmp_path / "bad.ckpt", payload)
         assert not (tmp_path / "bad.ckpt").exists()
-
-
-#: :func:`_finish_star` of an uninterrupted :func:`_star_transfer`; the
-#: schema-6 fixture was saved from the same run at 80 us.
-STAR_TRANSFER_DIGEST = "289afc14840e668b"
-
-
-def _ports(net):
-    return [port for node in net.nodes.values() for port in node.ports.values()]
-
-
-def _star_transfer():
-    """Two 100 kB flows into one 100 kB ECN bottleneck, just started."""
-    sim = Simulator(seed=11)
-    net, senders, rx = build_incast_star(
-        sim, 2, delay_ps=microseconds(20), bottleneck_capacity=kilobytes(100)
-    )
-    cfg = TransportConfig(payload_bytes=8192)
-    conns = [Connection(net, sender, rx, 100_000, cfg) for sender in senders]
-    for conn in conns:
-        conn.start()
-    return sim, net, conns
-
-
-def _finish_star(sim, net, conns):
-    """Run a :func:`_star_transfer` out; digest what the marking decided."""
-    sim.run(until=milliseconds(50))
-    facts = (
-        sim.now,
-        sim.events_executed,
-        [(conn.completed, conn.sender.stats.retransmissions) for conn in conns],
-        sorted((port.name, port.queue.stats.as_dict()) for port in _ports(net)),
-    )
-    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
 
 
 def _tiny_config(scheme, **overrides):
@@ -508,3 +463,29 @@ class TestKillRestoreDigests:
         path = save_checkpoint(tmp_path / "exact.ckpt", engine)
         resumed = load_checkpoint(path).run()
         assert resumed.digest == uninterrupted.digest
+
+    def test_a_job_list_run_resumes_to_its_pinned_result(self, tmp_path):
+        # The decentralized cell: its probes draw the selection stream, so
+        # the stream's state must travel with the flows in flight.
+        config = WorkloadEngineConfig(
+            scheme="naive", strategy="decentralized",
+            interdc=small_interdc_config(), transport=TransportConfig(payload_bytes=4096),
+            horizon_ps=seconds(300), segment_ps=milliseconds(1),
+            jobs=CONCURRENT_JOBS,
+        )
+        uninterrupted = OpenLoopEngine(config)
+        uninterrupted.run()
+        reference = uninterrupted.multi_incast_result()
+
+        engine = OpenLoopEngine(config)
+        _advance_to(engine, milliseconds(1))  # both incasts are ~2.8 ms long
+        assert engine.fold.jobs_proxied == 2 and not engine.finished
+        restored = load_checkpoint(save_checkpoint(tmp_path / "jobs.ckpt", engine))
+        restored.run()
+        resumed = restored.multi_incast_result()
+
+        assert resumed.completed
+        assert resumed.ict_ps == reference.ict_ps
+        assert concurrent_fingerprint(resumed) == concurrent_fingerprint(reference) == (
+            CONCURRENT[("naive", "decentralized")]
+        )

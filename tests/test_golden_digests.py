@@ -104,21 +104,28 @@ CONCURRENT = {
 }
 
 
+#: 8 MB per job overflows the small fabric's leaf buffers: baseline drops
+#: and times out, streamlined trims, trimless's detector fires.
+CONCURRENT_JOBS = tuple(
+    uniform_incast(f"j{i}", degree=2, total_bytes=kilobytes(8_000),
+                   receiver_index=i, sender_offset=i * 2)
+    for i in range(2)
+)
+
+
 @pytest.mark.parametrize("scheme,strategy", sorted(CONCURRENT))
 def test_concurrent_incasts_are_unchanged(scheme, strategy):
-    # 8 MB per job overflows the small fabric's leaf buffers: baseline
-    # drops and times out, streamlined trims, trimless's detector fires.
-    jobs = [
-        uniform_incast(f"j{i}", degree=2, total_bytes=kilobytes(8_000),
-                       receiver_index=i, sender_offset=i * 2)
-        for i in range(2)
-    ]
     result = run_concurrent_incasts(
-        jobs, scheme=scheme, strategy=strategy,
+        list(CONCURRENT_JOBS), scheme=scheme, strategy=strategy,
         interdc=small_interdc_config(), transport=SCENARIO.transport,
     )
     assert result.completed
-    assert _fingerprint((
+    assert concurrent_fingerprint(result) == CONCURRENT[(scheme, strategy)]
+
+
+def concurrent_fingerprint(result) -> str:
+    """What a :data:`CONCURRENT` pin hashes of one run."""
+    return _fingerprint((
         result.strategy,
         result.scheme,
         sorted(result.ict_ps.items()),
@@ -128,7 +135,7 @@ def test_concurrent_incasts_are_unchanged(scheme, strategy):
         sorted(result.proxy_assignments.items()),
         sorted(result.per_proxy_peak_load.items()),
         astuple(result.counters),
-    )) == CONCURRENT[(scheme, strategy)]
+    ))
 
 
 OPEN_LOOP = {

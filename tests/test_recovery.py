@@ -168,3 +168,23 @@ class TestRecoverySweep:
         assert RECOVERY_FAILOVER.detection_timeout_ps < microseconds(300)
         assert (RECOVERY_FAILOVER.failback_stabilization_ps
                 >= RECOVERY_FAILOVER.probe_interval_ps)
+
+
+class TestSmokeCli:
+    """``python -m repro recovery --smoke``, which CI's recovery job runs."""
+
+    #: The smoke grid's sweep digest; a behaviour-neutral change keeps it.
+    SMOKE_DIGEST = "bb1d27398caaa857d16c415e70577d2fe9090a30ad2dcdbfdbddfeab449ab0c0"
+
+    def test_smoke_run_passes_its_invariants_and_prints_its_digest(self, capsys):
+        from repro.experiments.recovery import main
+
+        try:
+            main(["--smoke", "--no-cache"])
+        finally:
+            uninstall()  # main() installs the competitors globally
+        out = capsys.readouterr().out
+        (digest,) = [line.split()[1] for line in out.splitlines()
+                     if line.startswith("sweep_digest: ")]
+        assert digest == self.SMOKE_DIGEST
+        assert "recovery: ok" in out

@@ -3,8 +3,9 @@
 A queue's ``queue:<port>`` stream is seeded at its first in-band draw, so
 a cell seeds the streams its congested queues use and no others.  The
 budgets below are measured counts: the streams seeded at build (one
-``spray:`` per switch, the open-loop engine's ``engine:`` ones) plus the
-few queues that ever sit inside their ECN band.  Seeding every queue at
+``spray:`` per switch, the open-loop engine's ``engine:`` and
+``orchestration:select`` ones) plus the few queues that ever sit inside
+their ECN band.  Seeding every queue at
 build read 864 streams per ``incast-d8`` cell and 80 for the open-loop
 engine.
 """
@@ -27,7 +28,7 @@ from repro.sim.rng import derive_stream
 from repro.sim.simulator import Simulator
 from repro.units import megabytes, seconds
 from repro.workloads.engine import OpenLoopEngine, WorkloadEngineConfig
-from tests.test_checkpoint import _advance_to, _ports, _tiny_config
+from tests.test_checkpoint import _advance_to, _tiny_config
 
 #: Most streams any registered scheme seeds in a degree-8 cell on the
 #: paper fabric (8 MB, seed 0; the schemes read 99-106).  The ledger's
@@ -36,6 +37,10 @@ D8_STREAM_BUDGET = 106
 
 #: Streams the ledger's ``openloop`` engine config seeds over its 12 s.
 OPENLOOP_STREAMS = 32
+
+
+def _ports(net):
+    return [port for node in net.nodes.values() for port in node.ports.values()]
 
 
 @pytest.fixture

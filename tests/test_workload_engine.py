@@ -40,7 +40,7 @@ def _one_job(**params):
 
 class TestWorkloadRegistry:
     def test_builtins_are_registered(self):
-        for name in ("uniform", "periodic", "poisson", "moe-dispatch",
+        for name in ("uniform", "periodic", "moe-dispatch",
                      "moe-combine", "ec-reconstruct", "quorum"):
             assert name in WORKLOAD_REGISTRY
 
@@ -321,7 +321,8 @@ class TestSmokeCli:
     """``python -m repro workload --smoke``, which CI's preemption drill runs."""
 
     #: Streams seeded by t = 2 s of the smoke config: the 16 seeded at build
-    #: (12 ``spray:``, 4 ``engine:``) and 11 queues that drew in their band.
+    #: (12 ``spray:``, 3 ``engine:``, ``orchestration:select``) and 11 queues
+    #: that drew in their band.
     STREAMS_AT_2S = 27
 
     def test_smoke_run_prints_its_digest_and_leaves_a_restorable_checkpoint(

@@ -137,77 +137,81 @@ class TestQuorumWrites:
 
 
 class TestPoissonArrivals:
-    def _cfg(self, **kw):
-        from repro.workloads import ArrivalConfig
-        defaults = dict(jobs=10, mean_interarrival_ps=1_000_000, degree=2,
-                        total_bytes_mean=1_000_000, receivers=3, sender_pool=6, seed=1)
+    """The open-loop engine's Poisson tenant arrivals, the repo's churn
+    generator.  With the diurnal trough at 1 nothing is thinned, so the
+    accepted stream is the raw process at the peak rate."""
+
+    def _config(self, **kw):
+        from repro.config import TransportConfig, small_interdc_config
+        from repro.units import seconds
+        from repro.workloads import DiurnalCurve, HeavyTailConfig, WorkloadEngineConfig
+        defaults = dict(
+            scheme="streamlined", horizon_ps=seconds(5), segment_ps=seconds(5),
+            peak_arrivals_per_s=400.0, mix=(("uniform", 1.0),),
+            sizes=HeavyTailConfig(minimum_bytes=64_000, maximum_bytes=1_000_000,
+                                  alpha=1.3),
+            diurnal=DiurnalCurve(trough=1.0), interdc=small_interdc_config(),
+            transport=TransportConfig(payload_bytes=4096), seed=1,
+        )
         defaults.update(kw)
-        return ArrivalConfig(**defaults)
+        return WorkloadEngineConfig(**defaults)
+
+    def _arrivals(self, **kw):
+        """The engine and every incast its arrivals launch, none wired."""
+        from repro.workloads import OpenLoopEngine
+        config = self._config(**kw)
+        engine = OpenLoopEngine(config)
+        launched = []
+        engine._launch = launched.append
+        engine.sim.run(until=config.horizon_ps)
+        return engine, launched
 
     def test_jobs_ordered_by_start_time(self):
-        from repro.workloads import poisson_incasts
-        jobs = poisson_incasts(self._cfg())
+        engine, jobs = self._arrivals()
         starts = [j.start_ps for j in jobs]
         assert starts == sorted(starts)
-        assert len(jobs) == 10
+        assert len(jobs) == engine.fold.tenants_arrived > 1000
 
     def test_interarrival_mean_roughly_respected(self):
-        from repro.workloads import poisson_incasts
-        jobs = poisson_incasts(self._cfg(jobs=2000))
+        _, jobs = self._arrivals()
         gaps = [b.start_ps - a.start_ps for a, b in zip(jobs, jobs[1:])]
         mean = sum(gaps) / len(gaps)
-        assert 0.85e6 < mean < 1.15e6
+        assert 0.85 * 2.5e9 < mean < 1.15 * 2.5e9  # 400 arrivals/s
 
     def test_senders_stay_within_pool(self):
-        from repro.workloads import poisson_incasts
-        jobs = poisson_incasts(self._cfg())
+        engine, jobs = self._arrivals()
         for job in jobs:
-            assert max(job.sender_indices) < 6
+            assert max(job.sender_indices) < engine._tenant_senders
             assert len(set(job.sender_indices)) == job.degree
+            senders = {engine._sender_hosts[i].id for i in job.sender_indices}
+            assert not senders & set(engine._proxy_hosts_by_id)
 
     def test_receivers_rotate(self):
-        from repro.workloads import poisson_incasts
-        jobs = poisson_incasts(self._cfg())
-        assert {j.receiver_index for j in jobs} == {0, 1, 2}
-
-    def test_sizes_jittered_around_mean(self):
-        from repro.workloads import poisson_incasts
-        jobs = poisson_incasts(self._cfg(jobs=200, total_bytes_jitter=0.3))
-        sizes = [j.total_bytes for j in jobs]
-        assert all(700_000 <= s <= 1_300_000 for s in sizes)
-        assert len(set(sizes)) > 50  # actually jittered
+        engine, jobs = self._arrivals()
+        assert {j.receiver_index for j in jobs} == set(range(len(engine._receiver_hosts)))
 
     def test_deterministic_by_seed(self):
-        from repro.workloads import poisson_incasts
-        a = poisson_incasts(self._cfg(seed=9))
-        b = poisson_incasts(self._cfg(seed=9))
+        _, a = self._arrivals(seed=9)
+        _, b = self._arrivals(seed=9)
+        _, c = self._arrivals(seed=10)
         assert [(j.start_ps, j.flow_bytes) for j in a] == \
                [(j.start_ps, j.flow_bytes) for j in b]
-
-    def test_validation(self):
-        import pytest as _pytest
-        from repro.errors import WorkloadError
-        from repro.workloads import ArrivalConfig
-        with _pytest.raises(WorkloadError):
-            ArrivalConfig(degree=10, sender_pool=4)
-        with _pytest.raises(WorkloadError):
-            ArrivalConfig(mean_interarrival_ps=0)
+        assert [j.start_ps for j in a] != [j.start_ps for j in c]
 
     def test_churn_run_end_to_end(self):
-        from repro.config import TransportConfig, small_interdc_config
-        from repro.orchestration import run_concurrent_incasts
-        from repro.workloads import poisson_incasts
         from repro.units import milliseconds
-        cfg = self._cfg(jobs=4, degree=2, total_bytes_mean=4_000_000,
-                        mean_interarrival_ps=milliseconds(2), sender_pool=6)
-        jobs = poisson_incasts(cfg)
-        result = run_concurrent_incasts(
-            jobs, scheme="streamlined", strategy="central",
-            interdc=small_interdc_config(),
-            transport=TransportConfig(payload_bytes=4096),
-        )
-        assert result.completed
-        assert len(result.ict_ps) == 4
+        from repro.workloads import OpenLoopEngine
+        engine = OpenLoopEngine(self._config(
+            horizon_ps=milliseconds(200), segment_ps=milliseconds(200)
+        ))
+        result = engine.run()
+        assert result.jobs_launched == result.jobs_proxied > 20
+        assert result.jobs_completed >= result.jobs_launched - 2
+        # Each completion released its proxy: only incasts still in flight
+        # at the horizon hold one.
+        registry = engine.selector.registry
+        in_flight = result.jobs_launched - result.jobs_completed
+        assert sum(registry.load(h) for h in registry.host_ids) == in_flight
 
 
 class TestMoECombine:
@@ -226,6 +230,9 @@ class TestMoECombine:
         assert dispatched == combined  # same gating assignment, same seed
 
     def test_combine_runs_reversed_end_to_end(self):
+        # The combine phase is dispatch reversed: experts fan back into the
+        # workers.  Both datacenters share one fabric config, so the experts'
+        # datacenter simply plays the sending side.
         from repro.config import TransportConfig, small_interdc_config
         from repro.orchestration import run_concurrent_incasts
         from repro.workloads import MoEConfig, moe_combine_jobs
@@ -236,7 +243,6 @@ class TestMoECombine:
             jobs, scheme="streamlined", strategy="central",
             interdc=small_interdc_config(),
             transport=TransportConfig(payload_bytes=4096),
-            reverse=True,
         )
         assert result.completed
         assert len(result.ict_ps) == len(jobs)
