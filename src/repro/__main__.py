@@ -20,9 +20,8 @@ Commands:
 * ``races``    — the dynamic race detector: re-run scenarios under
   perturbed same-tick event orders, diff digests, and bisect divergences
   (see ``python -m repro races --help``);
-* ``service``  — the distributed sweep service: declare a grid, run a
-  journaled, killable, resumable work queue over it, join as a worker
-  process, or inspect progress
+* ``service``  — the sweep service: declare a grid, run it as a
+  journaled, killable, resumable campaign, or inspect its progress
   (see ``python -m repro service --help``);
 * ``workload`` — the open-loop production-traffic engine: seeded tenant
   arrivals, heavy-tailed incast sizes, a diurnal load curve, streaming
@@ -37,7 +36,7 @@ are shared through two argparse *parent* parsers: :func:`run_parser`
 holds what any simulation run reads (``--seed`` / ``--metrics``) and is
 all ``workload`` takes; :func:`common_parser` adds the engine flags
 (``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--run-timeout`` /
-``--backend`` / ``--sanitize``) and the telemetry flags (``--telemetry``
+``--sanitize``) and the telemetry flags (``--telemetry``
 / ``--telemetry-dir`` / ``--sample-interval``) for the commands that run
 an :class:`~repro.experiments.parallel.ExperimentEngine`.  The five sweep
 drivers (``quickstart``, ``figures``, ``faults``, ``bakeoff``,
@@ -51,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.parallel import ExperimentEngine
@@ -108,12 +107,6 @@ def common_parser() -> argparse.ArgumentParser:
         help="per-run wall-clock deadline in seconds (overruns are quarantined)",
     )
     execution.add_argument(
-        "--backend", choices=("pool", "queue"), default="pool",
-        help="how runs execute: 'pool' = in-process worker pool (default); "
-             "'queue' = the distributed work-queue service (journaled, "
-             "killable, resumable; see python -m repro service)",
-    )
-    execution.add_argument(
         "--sanitize", action="store_true",
         help="run every simulation under the invariant sanitizer "
              "(packet/byte conservation, queue bounds; bypasses the cache)",
@@ -151,19 +144,6 @@ def check_common_args(
         parser.error(
             f"--sample-interval must be positive, got {args.sample_interval}"
         )
-    if args.backend == "queue":
-        # The queue hands results between processes through the cache, so
-        # cacheless and cache-bypassing modes cannot ride it.
-        if args.no_cache:
-            parser.error("--backend queue requires the result cache "
-                         "(drop --no-cache)")
-        if args.sanitize:
-            parser.error("--sanitize bypasses the result cache and cannot "
-                         "run on --backend queue; use the pool backend")
-        if args.telemetry:
-            parser.error("--telemetry records per-run instrumentation that "
-                         "bypasses the result cache and cannot run on "
-                         "--backend queue; use the pool backend")
 
 
 def options_from_args(args: argparse.Namespace) -> "RunOptions":
@@ -184,14 +164,7 @@ def options_from_args(args: argparse.Namespace) -> "RunOptions":
 
 
 def build_engine(args: argparse.Namespace) -> "ExperimentEngine":
-    """The engine the shared flags ask for (the one CLI construction site).
-
-    ``--backend`` picks how cache misses execute: ``pool`` is the
-    in-process worker pool; ``queue`` routes every batch through the
-    distributed work-queue service
-    (:class:`~repro.experiments.service.QueueEngine` — journaled,
-    killable, resumable), which requires the cache.
-    """
+    """The engine the shared flags ask for (the one CLI construction site)."""
     from repro.experiments.parallel import (
         DEFAULT_CACHE_DIR,
         ExperimentEngine,
@@ -199,20 +172,14 @@ def build_engine(args: argparse.Namespace) -> "ExperimentEngine":
     )
     from repro.telemetry import SweepTelemetry
 
-    shared: dict[str, Any] = dict(
-        workers=args.workers or None,  # 0 = one per CPU on either backend
+    return ExperimentEngine(
+        workers=args.workers or None,  # 0 = one per CPU
         cache=None if args.no_cache
         else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR),
         run_timeout_s=args.run_timeout,
         options=options_from_args(args),
         telemetry=SweepTelemetry() if args.telemetry else None,
-    )
-    if args.backend == "queue":
-        from repro.experiments.service import QueueEngine
-
-        return QueueEngine(**shared)
-    return ExperimentEngine(
-        on_fallback=lambda reason: print(f"[parallel] {reason}"), **shared
+        on_fallback=lambda reason: print(f"[parallel] {reason}"),
     )
 
 

@@ -13,11 +13,10 @@
 * :mod:`repro.experiments.sweeps` — the paper's three parameter sweeps
   (incast degree, incast size, long-haul latency) with repetitions, all
   declared as grids.
-* :mod:`repro.experiments.service` — the distributed sweep service: a
-  SQLite-journaled work queue (coordinator + worker processes over a
-  socket protocol) that runs any batch killably and resumably;
-  :class:`QueueEngine` is the engine whose misses dispatch through it
-  (``--backend queue``; ``python -m repro service``).
+* :mod:`repro.experiments.service` — the sweep service:
+  :class:`QueueEngine` is the pool engine plus a SQLite journal of each
+  batch's cells, so a killed campaign resumes with only its missing
+  cells executed (``python -m repro service``).
 * :mod:`repro.experiments.figures` — regenerate every paper figure as a
   text table (``python -m repro figures``).
 * :mod:`repro.experiments.report` — table rendering and the shared

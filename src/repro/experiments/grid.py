@@ -34,7 +34,7 @@ moment they arrive, and emitted as the familiar
 never holds a full-grid result list.  :func:`run_grid` is the one
 expand → stream → fold loop: it feeds a fold from
 :meth:`ExperimentEngine.stream <repro.experiments.parallel.
-ExperimentEngine.stream>` as cells finish, on either backend.
+ExperimentEngine.stream>` as cells finish.
 """
 
 from __future__ import annotations
@@ -633,11 +633,11 @@ def run_grid(
     """Run a declared grid: expand → ``engine.stream`` → fold → finish.
 
     The one grid runner every sweep driver and ``service coordinate``
-    share.  Cells reach ``fold.add`` in **completion** order on every
-    backend, so the fold's bounded-memory property holds for the pool as
-    well as the queue; the folds are order-independent, so the product is
-    identical whether cells ran in-process, on N pool workers, or through
-    the distributed queue.  ``fold`` defaults to a :class:`SweepFold`
+    share.  Cells reach ``fold.add`` in **completion** order, so the
+    fold's bounded-memory property holds while the pool is still running;
+    the folds are order-independent, so the product is identical whether
+    cells ran in-process, on N pool workers, or were served from the
+    cache.  ``fold`` defaults to a :class:`SweepFold`
     (the classic ``list[SweepPoint]``); ``engine`` to a serial, uncached
     :class:`~repro.experiments.parallel.ExperimentEngine`.
     """

@@ -367,11 +367,33 @@ class _GuardedTask:
         )
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker as soon as ``parent`` is gone.
+
+    A SIGKILLed parent cannot shut its pool down, and its workers would
+    otherwise wait on the call queue forever, reparented to init.  A
+    daemon thread polls the parent pid; the worker's own thread runs the
+    tasks and keeps its ``SIGALRM`` deadline.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _pool(max_workers: int):
     """A worker pool on :func:`_pool_context` (the one executor factory)."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=max_workers, mp_context=_pool_context())
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=_pool_context(),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 def _run_isolated(task: _GuardedTask, item: Any) -> Outcome:
@@ -509,9 +531,9 @@ class ExperimentEngine:
     cache lookup/store, :class:`RunFailure` construction,
     :class:`ExecutionStats` and the telemetry records.  A backend
     supplies only :meth:`_dispatch` — how the cache misses execute; this
-    class fans them over an in-process worker pool, and
-    :class:`~repro.experiments.service.QueueEngine` runs them through the
-    journaled work queue.
+    class fans them over a worker pool, and
+    :class:`~repro.experiments.service.QueueEngine` journals what that
+    pool returns.
     """
 
     def __init__(
@@ -684,7 +706,7 @@ class ExperimentEngine:
 
         Yields ``(i, outcome)`` exactly once per miss, in completion
         order.  ``keys`` covers the whole batch (hits included) for
-        backends that journal it.
+        engines that journal it.
         """
         for j, outcome in self._fan_out(
             _RunTask(self.options), [scenarios[i] for i in misses]

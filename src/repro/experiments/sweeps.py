@@ -10,7 +10,7 @@ by :func:`~repro.experiments.grid.run_grid`, which streams the cells
 through an :class:`~repro.experiments.parallel.ExperimentEngine` into the
 order-independent :class:`~repro.experiments.grid.SweepFold`.  A sweep's
 summaries are therefore bit-identical for any worker count, cache state,
-or execution backend (in-process pool or the distributed work queue).
+or journaled resume.
 """
 
 from __future__ import annotations

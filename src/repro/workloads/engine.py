@@ -168,6 +168,12 @@ class WorkloadEngineConfig:
             raise ConfigError("mix weights must be positive")
         if self.slo_ps <= 0:
             raise ConfigError("slo_ps must be positive")
+        names = [job.name for job in self.jobs]
+        if len(set(names)) != len(names):
+            # per-job state is keyed by name: a repeat would collide on a
+            # proxy assignment or merge two incasts' completions into one
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            raise ConfigError(f"job names must be unique; repeated: {repeated}")
 
 
 class WorkloadFold:

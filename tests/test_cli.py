@@ -1,8 +1,11 @@
-"""The top-level ``python -m repro`` dispatcher."""
+"""The top-level ``python -m repro`` dispatcher and the drivers' bodies."""
 
 import pytest
 
 from repro.__main__ import main
+from repro.config import TransportConfig, small_interdc_config
+from repro.experiments.runner import IncastScenario
+from repro.units import kilobytes, milliseconds
 
 
 class TestDispatch:
@@ -31,7 +34,7 @@ class TestDispatch:
     def test_workload_takes_only_the_flags_it_reads(self, capsys):
         # Regression: workload inherited the whole engine/telemetry flag
         # set from the shared parser and silently ignored all of it.
-        for flags in (["--workers", "2"], ["--backend", "queue"],
+        for flags in (["--workers", "2"],
                       ["--no-cache"], ["--cache-dir", "x"],
                       ["--run-timeout", "5"], ["--sanitize"],
                       ["--telemetry"], ["--telemetry-dir", "x"],
@@ -54,3 +57,62 @@ class TestDispatch:
         main(["quickstart", "--cache-dir", str(tmp_path)])
         warm = capsys.readouterr().out
         assert "[engine] 5 runs, 5 cached, 0 simulated, 0 quarantined" in warm
+
+
+class TestCliBodies:
+    """One tiny-scale call per driver body that otherwise only CI runs."""
+
+    def test_fault_smoke(self, capsys):
+        from repro.experiments.faultsweep import _smoke
+        from repro.experiments.parallel import ExperimentEngine
+
+        _smoke(ExperimentEngine(workers=1), 1.0)
+        out = capsys.readouterr().out
+        assert "sweep_digest: " in out
+        assert "quarantine: ok" in out
+
+    def test_sweep_figures_on_a_small_base(self, monkeypatch):
+        from repro.experiments import figures
+
+        base = IncastScenario(
+            degree=2, total_bytes=kilobytes(100),
+            interdc=small_interdc_config(),
+            transport=TransportConfig(payload_bytes=4096),
+        )
+        monkeypatch.setattr(figures, "_base_scenario", lambda full: base)
+        # Fig. 2 (Right) sets absolute sizes: scale them 1000x down.
+        monkeypatch.setattr(figures, "megabytes", kilobytes)
+        for figure in (figures.figure2_left, figures.figure2_right,
+                       figures.figure3):
+            points = figure(reps=1)
+            assert len(points) == 3
+            assert all(tuple(point.schemes) == figures.SCHEMES
+                       for point in points)
+
+    def test_workload_sweep_and_table(self):
+        from repro.experiments.workload import workload_sweep, workload_table
+        from repro.workloads.engine import WorkloadEngineConfig
+        from repro.workloads.sizes import HeavyTailConfig
+
+        base = WorkloadEngineConfig(
+            horizon_ps=milliseconds(200), segment_ps=milliseconds(100),
+            peak_arrivals_per_s=40.0, seed=3,
+            sizes=HeavyTailConfig(minimum_bytes=64_000,
+                                  maximum_bytes=500_000, alpha=1.3),
+        )
+        rows = workload_sweep(base, schemes=("baseline",), loads=(1.0,),
+                              predictor_schemes=("streamlined",))
+        table = workload_table(rows)
+        assert [row.label for row in rows] == ["baseline", "streamlined+pred"]
+        assert "baseline" in table and "streamlined+pred" in table
+
+    def test_races_smoke(self, capsys):
+        from repro.analysis.races import main as races_main
+        from repro.competitors import uninstall
+
+        try:
+            races_main(["--smoke", "--schemes", "baseline", "--orders", "1",
+                        "--degree", "2", "--bytes-mb", "0.1", "--no-cache"])
+        finally:
+            uninstall()  # main() installs the competitors globally
+        assert "race smoke ok" in capsys.readouterr().out

@@ -1,11 +1,11 @@
-"""The distributed sweep service: journal semantics, engine, kill-and-resume."""
+"""The sweep service: journal semantics, engine, kill-and-resume drills."""
 
+import contextlib
 import os
 import signal
-import socket
 import subprocess
 import sys
-import threading
+import tempfile
 import time
 from pathlib import Path
 
@@ -17,10 +17,10 @@ from repro.experiments.grid import run_grid
 from repro.experiments.parallel import ExperimentEngine, ResultCache
 from repro.experiments.runner import IncastScenario
 from repro.experiments.service import (
-    Coordinator,
     QueueEngine,
     WorkQueue,
     batch_fingerprint,
+    journal_path_for,
     named_grid,
 )
 from repro.experiments.sweeps import degree_sweep_spec, sweep_digest
@@ -76,12 +76,9 @@ class TestWorkQueue:
         queue = self._queue(tmp_path)
         assert queue.fail(1, "exception", "boom")
         assert not queue.fail(1, "timeout", "late")
-        [(index, kind, message, _attempts, _elapsed)] = queue.failed_cells()
-        assert (index, kind, message) == (1, "exception", "boom")
-        assert not queue.all_terminal()
-        queue.complete(0, source="executed")
-        queue.complete(2, source="executed")
-        assert queue.all_terminal()
+        assert queue.complete(0, source="executed")
+        assert not queue.fail(0, "exception", "after done")
+        assert queue.counts() == {"pending": 1, "failed": 1, "done": 1}
         queue.close()
 
     def test_expired_lease_requeues_with_attempt_count(self, tmp_path):
@@ -97,23 +94,17 @@ class TestWorkQueue:
         queue = self._queue(tmp_path)
         now = 0.0
         for _ in range(3):  # three granted leases, all expire
-            assert (0, "k0") in queue.lease("w", 1, 1.0, now=now)
-            queue.release("w")
+            assert queue.lease("w", 1, 1.0, now=now) == [(0, "k0")]
             now += 10.0
         # The capped cell flips to failed; the grant moves on to the next.
         assert queue.lease("w", 1, 1.0, now=now, max_cell_attempts=3) == [
             (1, "k1")
         ]
-        [(index, kind, _message, attempts, _elapsed)] = queue.failed_cells()
-        assert (index, kind, attempts) == (0, "worker-crash", 3)
-        queue.close()
-
-    def test_release_requeues_a_dead_workers_cells(self, tmp_path):
-        queue = self._queue(tmp_path)
-        queue.lease("w1", 2, 60.0, now=0.0)
-        assert queue.release("w1") == 2
-        assert queue.cell_status(0) == "pending"
-        assert queue.lease("w2", 1, 60.0, now=0.0) == [(0, "k0")]
+        assert queue.cell_status(0) == "failed"
+        row = queue._db.execute(
+            "SELECT kind, attempts FROM cells WHERE idx = 0"
+        ).fetchone()
+        assert row == ("worker-crash", 3)
         queue.close()
 
     def test_initialize_rejects_a_different_grid(self, tmp_path):
@@ -148,12 +139,10 @@ class TestQueueEngine:
                 workers=1, cache=cache, options=RunOptions(sanitize=True)
             )
 
-    def test_rejects_bad_worker_and_lease_parameters(self, tmp_path):
+    def test_rejects_bad_worker_count(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         with pytest.raises(ExperimentError, match="workers"):
             QueueEngine(workers=-1, cache=cache)
-        with pytest.raises(ExperimentError, match="lease_ttl"):
-            QueueEngine(workers=1, cache=cache, lease_ttl_s=0.0)
 
     def test_rejects_uncacheable_scenarios(self, tmp_path):
         # Every scenario has a key; only cache-bypassing options take it
@@ -165,27 +154,38 @@ class TestQueueEngine:
 
 
 class TestCoordinatorValidation:
-    def test_rejects_empty_and_misindexed_batches(self, tmp_path):
-        # A batch is its ordered key list plus the documents still to run,
-        # so a misindexed batch is unrepresentable; an empty one is refused.
-        engine = QueueEngine(workers=1, cache=ResultCache(tmp_path / "cache"))
-        with pytest.raises(ExperimentError, match="at least one cell"):
-            Coordinator(engine, ["k0"], {})
-
     def test_named_grids(self):
         assert len(named_grid("bakeoff-smoke")) == 6
         with pytest.raises(ExperimentError):
             named_grid("no-such-grid")
 
 
-def _run_cli(args, cwd):
+def _env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro", "service", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=240,
-    )
+    return env
+
+
+def _run(command, cwd):
+    """Run ``command`` with its output in files, not pipes.
+
+    A leaked child holding a pipe open would stall the wait until the
+    timeout; a file does not.
+    """
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        done = subprocess.run(
+            command, cwd=cwd, env=_env(), stdout=out, stderr=err, timeout=240
+        )
+        out.seek(0)
+        err.seek(0)
+        return subprocess.CompletedProcess(
+            command, done.returncode, out.read(), err.read()
+        )
+
+
+def _run_cli(args, cwd):
+    return _run([sys.executable, "-m", "repro", "service", *args], cwd)
 
 
 def _parse_summary(stdout):
@@ -200,6 +200,63 @@ def _parse_summary(stdout):
     return digest, counts
 
 
+def _live(pid):
+    """True while ``pid`` runs (a zombie has exited; only its entry is left)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _live_naming(text):
+    """Live processes whose command line mentions ``text``."""
+    return [
+        int(entry.name) for entry in Path("/proc").iterdir()
+        if entry.name.isdigit() and _live(entry.name)
+        and text.encode() in _read_bytes(entry / "cmdline")
+    ]
+
+
+def _read_bytes(path):
+    try:
+        return path.read_bytes()
+    except OSError:
+        return b""
+
+
+def _assert_gone_within(pids_now, seconds=5.0):
+    """Every process ``pids_now()`` lists must be gone within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while (left := pids_now()) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    for pid in left:  # do not leave them running past the test
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert not left, f"processes outlived their SIGKILLed parent: {left}"
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+
+#: A pool sweep (no journal) that SIGKILLs itself after two cells are
+#: cached, printing its worker pids first.  argv: spec file, cache dir.
+_KILLED_POOL_SWEEP = """
+import multiprocessing, os, signal, sys
+from pathlib import Path
+from repro.experiments.grid import GridSpec
+from repro.experiments.parallel import ExperimentEngine, ResultCache
+
+spec = GridSpec.from_json(Path(sys.argv[1]).read_text())
+engine = ExperimentEngine(workers=2, cache=ResultCache(sys.argv[2]))
+for done, _ in enumerate(engine.stream(c.scenario for c in spec.expand()), 1):
+    if done == 2:
+        print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
 class TestServiceEndToEnd:
     def test_queue_engine_matches_serial_digest(self, tmp_path):
         spec = _tiny_spec()
@@ -210,6 +267,10 @@ class TestServiceEndToEnd:
         assert engine.stats.failures == 0
         assert engine.stats.cache_misses == len(spec)
         assert engine.stats.sim_wall_seconds > 0
+        keys = [engine._cache_key(cell.scenario) for cell in spec.expand()]
+        journal = WorkQueue(journal_path_for(engine.cache, keys))
+        assert journal.counts() == {"done": len(spec)}
+        journal.close()
         # A second pass over the same cache resumes everything.
         resumed_engine = QueueEngine(
             workers=2, cache=ResultCache(tmp_path / "queue")
@@ -219,6 +280,7 @@ class TestServiceEndToEnd:
         assert resumed_engine.stats.cache_hits == len(spec)
         assert resumed_engine.stats.cache_misses == 0
 
+    @needs_proc
     def test_coordinator_kill_and_resume_runs_only_missing_cells(
         self, tmp_path
     ):
@@ -233,74 +295,48 @@ class TestServiceEndToEnd:
             ["coordinate", *common, "--kill-after", "2"], tmp_path
         )
         assert killed.returncode == -signal.SIGKILL, killed.stderr
+        # Forked pool workers carry the coordinator's command line.
+        _assert_gone_within(lambda: _live_naming(str(spec_path)))
 
         status = _run_cli(
             ["status", "--spec", str(spec_path),
              "--cache-dir", str(tmp_path / "queue")], tmp_path
         )
-        assert "done" in status.stdout
+        assert "done: 2" in status.stdout
 
         resumed = _run_cli(["coordinate", *common], tmp_path)
         assert resumed.returncode == 0, resumed.stderr
         digest, counts = _parse_summary(resumed.stdout)
         assert digest == serial
-        assert counts["failed"] == "0"
-        # The journal survived the SIGKILL: at least the two acked cells
-        # resume from cache, and only the remainder executes.
-        assert int(counts["resumed"]) >= 2
-        assert int(counts["executed"]) + int(counts["resumed"]) == len(spec)
-        assert int(counts["executed"]) < len(spec)
+        # Each result is cached before its cell is journaled done, and the
+        # kill follows the second commit: exactly two cells resume from
+        # cache, and only the remainder executes.
+        assert counts == {
+            "total": str(len(spec)), "executed": str(len(spec) - 2),
+            "resumed": "2", "failed": "0",
+        }
 
-    def test_worker_sigkill_mid_batch_still_completes(self, tmp_path):
+    @needs_proc
+    def test_pool_kill_and_rerun_runs_only_missing_cells(self, tmp_path):
         spec = _tiny_spec()
         serial = _serial_digest(spec, tmp_path / "serial")
-        with socket.socket() as probe:  # an OS-picked free port
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        # workers=0: nothing is spawned; the cells wait for our workers.
-        engine = QueueEngine(
-            workers=0, cache=ResultCache(tmp_path / "queue"),
-            port=port, lease_ttl_s=1.0,
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json() + "\n")
+        cache_dir = tmp_path / "pool"
+
+        killed = _run(
+            [sys.executable, "-c", _KILLED_POOL_SWEEP, str(spec_path),
+             str(cache_dir)],
+            tmp_path,
         )
-        points = {}
-        thread = threading.Thread(
-            target=lambda: points.setdefault(
-                "value", run_grid(spec, engine=engine)
-            )
-        )
-        thread.start()
-        try:
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                try:
-                    socket.create_connection(("127.0.0.1", port), 0.5).close()
-                    break
-                except OSError:
-                    time.sleep(0.02)
-            else:
-                pytest.fail("coordinator never bound its port")
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        workers = [int(pid) for pid in killed.stdout.split()]
+        assert len(workers) == 2, killed.stdout
+        _assert_gone_within(lambda: [pid for pid in workers if _live(pid)])
 
-            def spawn():
-                env = dict(os.environ)
-                src = str(Path(__file__).resolve().parent.parent / "src")
-                env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-                return subprocess.Popen(
-                    [sys.executable, "-m", "repro", "service", "work",
-                     "--host", "127.0.0.1", "--port", str(port)],
-                    env=env, cwd=tmp_path,
-                )
-
-            victim = spawn()
-            time.sleep(1.0)  # let it lease (and usually start) a cell
-            victim.kill()
-            victim.wait()
-            survivor = spawn()
-            thread.join(timeout=180.0)
-            assert not thread.is_alive(), "coordinator never finished"
-            survivor.wait(timeout=30.0)
-        finally:
-            thread.join(timeout=10.0)
-
+        engine = ExperimentEngine(workers=2, cache=ResultCache(cache_dir))
+        points = run_grid(spec, engine=engine)
+        assert sweep_digest(points) == serial
         assert engine.stats.failures == 0
-        assert engine.stats.cache_misses == len(spec)
-        assert sweep_digest(points["value"]) == serial
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.cache_misses == len(spec) - 2

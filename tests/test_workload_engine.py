@@ -5,9 +5,11 @@ import math
 import pytest
 
 import repro
+from repro.config import small_interdc_config
 from repro.errors import ConfigError, WorkloadError
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.sim.rng import derive_stream
+from repro.orchestration import run_concurrent_incasts
 from repro.units import milliseconds, seconds
 from repro.workloads.engine import (
     DiurnalCurve,
@@ -15,7 +17,7 @@ from repro.workloads.engine import (
     WorkloadEngineConfig,
     rss_plateau_ok,
 )
-from repro.workloads.incast import IncastJob
+from repro.workloads.incast import IncastJob, uniform_incast
 from repro.workloads.registry import (
     WORKLOAD_REGISTRY,
     TenantRequest,
@@ -38,7 +40,34 @@ def _one_job(**params):
     ]
 
 
+#: Small parameters for each built-in workload's offline builder.
+_SMALL_BUILD_PARAMS = {
+    "uniform": dict(name="u", degree=2, total_bytes=2_000),
+    "periodic": dict(bursts=2, period_ps=milliseconds(1)),
+    "moe-dispatch": dict(senders=2, experts=2, tokens_per_sender=4),
+    "moe-combine": dict(senders=2, experts=2, tokens_per_sender=4),
+    "ec-reconstruct": dict(data_fragments=2, fragment_bytes=1_000, servers=4),
+    "quorum": dict(shards=2, batch_bytes_mean=1_000),
+}
+
+
 class TestWorkloadRegistry:
+    @pytest.mark.parametrize("name", WORKLOAD_REGISTRY.names())
+    def test_every_registered_builder_builds_jobs(self, name):
+        jobs = repro.build_workload(name, **_SMALL_BUILD_PARAMS[name])
+        assert jobs
+        assert all(isinstance(job, IncastJob) for job in jobs)
+
+    def test_names_iteration_and_len_follow_registration_order(self):
+        registry = WorkloadRegistry()
+        for name in ("b", "a"):
+            registry.register(
+                WorkloadSpec(name=name, display_name=name, build=_one_job)
+            )
+        assert registry.names() == ("b", "a")
+        assert [spec.name for spec in registry] == ["b", "a"]
+        assert len(registry) == 2
+
     def test_builtins_are_registered(self):
         for name in ("uniform", "periodic", "moe-dispatch",
                      "moe-combine", "ec-reconstruct", "quorum"):
@@ -203,6 +232,17 @@ class TestEngineConfig:
             WorkloadEngineConfig(mix=(("uniform", -1.0),))
         with pytest.raises(ConfigError):
             WorkloadEngineConfig(slo_ps=0)
+
+    @pytest.mark.parametrize("strategy", ["central", "shared"])
+    def test_rejects_duplicate_job_names(self, strategy):
+        # Per-job state is keyed by name: a repeat collides on a proxy
+        # assignment ("shared") or merges two incasts' ICTs ("central").
+        jobs = [uniform_incast("same", degree=2, total_bytes=1_000),
+                uniform_incast("same", degree=2, total_bytes=1_000,
+                               sender_offset=2)]
+        with pytest.raises(ConfigError, match=r"repeated: \['same'\]"):
+            run_concurrent_incasts(jobs, strategy=strategy,
+                                   interdc=small_interdc_config())
 
     def test_engine_rejects_non_tenant_mixes(self):
         with pytest.raises(WorkloadError, match="no tenant builder"):
