@@ -8,50 +8,24 @@ each scheme.
 
 from dataclasses import replace
 
-import pytest
-
-from repro.experiments.runner import run_incast
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 ACK_EVERY = (1, 4, 8)
+SCHEMES = ("baseline", "streamlined")
 
 
-@pytest.mark.parametrize("ack_every", ACK_EVERY)
-@pytest.mark.parametrize("scheme", ("baseline", "streamlined"))
-def test_ack_granularity_cell(benchmark, reduced_scenario, scheme, ack_every):
-    """One (scheme, ack_every) cell."""
-    scenario = replace(
-        reduced_scenario,
-        scheme=scheme,
-        transport=replace(reduced_scenario.transport, ack_every=ack_every),
-    )
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="acks", scheme=scheme, ack_every=ack_every,
-        ict_ms=result.ict_ps / 1e9,
-    )
-
-
-def test_proxy_wins_at_every_ack_granularity(benchmark, reduced_scenario):
+def test_proxy_wins_at_every_ack_granularity(benchmark, engine, reduced_scenario):
     """The headline comparison is robust to ACK coalescing."""
-
-    def compare():
-        out = {}
-        for ack_every in ACK_EVERY:
-            transport = replace(reduced_scenario.transport, ack_every=ack_every)
-            base = run_incast(replace(reduced_scenario, scheme="baseline",
-                                      transport=transport))
-            prox = run_incast(replace(reduced_scenario, scheme="streamlined",
-                                      transport=transport))
-            out[ack_every] = (base.ict_ps, prox.ict_ps)
-        return out
-
-    results = run_once(benchmark, compare)
-    for ack_every, (base, prox) in results.items():
+    icts = run_cells(benchmark, engine, {
+        (ack_every, scheme): replace(
+            reduced_scenario,
+            scheme=scheme,
+            transport=replace(reduced_scenario.transport, ack_every=ack_every),
+        )
+        for ack_every in ACK_EVERY
+        for scheme in SCHEMES
+    })
+    for ack_every in ACK_EVERY:
+        base = icts[ack_every, "baseline"].ict_ps
+        prox = icts[ack_every, "streamlined"].ict_ps
         assert prox < 0.6 * base, f"proxy should win at ack_every={ack_every}"
-    benchmark.extra_info.update(
-        ablation="acks",
-        reductions={str(k): round(1 - p / b, 3) for k, (b, p) in results.items()},
-    )

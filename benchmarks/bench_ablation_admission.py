@@ -6,8 +6,6 @@ Selective proxying should match always-proxy on the large incast while
 sparing the small one the extra hop and the proxy a pointless assignment.
 """
 
-import pytest
-
 from repro.config import TransportConfig, small_interdc_config
 from repro.orchestration import ProxyAdmissionPolicy, run_concurrent_incasts
 from repro.units import megabytes
@@ -40,25 +38,13 @@ def run(variant):
     )
 
 
-@pytest.mark.parametrize("variant", ["never", "always", "selective"])
-def test_admission_variant(benchmark, variant):
-    """One proxying policy over the mixed workload."""
-    result = run_once(benchmark, lambda: run(variant))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="admission", variant=variant,
-        ict_ms={name: round(v / 1e9, 3) for name, v in result.ict_ps.items()},
-        proxied=sorted(result.proxy_assignments),
-    )
-
-
 def test_selective_matches_always_where_it_matters(benchmark):
     """Gating keeps the big win and skips the pointless assignment."""
-
-    def compare():
-        return {variant: run(variant) for variant in ("never", "always", "selective")}
-
-    results = run_once(benchmark, compare)
+    results = run_once(benchmark, lambda: {
+        variant: run(variant) for variant in ("never", "always", "selective")
+    })
+    for variant, result in results.items():
+        assert result.completed, variant
     large = "above-crossover"
     small = "below-crossover"
     # the large incast keeps the full proxy benefit under gating
@@ -67,10 +53,3 @@ def test_selective_matches_always_where_it_matters(benchmark):
     assert results["selective"].ict_ps[small] < 1.1 * results["never"].ict_ps[small]
     # and the policy assigned exactly one proxy
     assert sorted(results["selective"].proxy_assignments) == [large]
-    benchmark.extra_info.update(
-        ablation="admission",
-        ict_ms={
-            variant: {n: round(v / 1e9, 3) for n, v in r.ict_ps.items()}
-            for variant, r in results.items()
-        },
-    )

@@ -2,59 +2,34 @@
 
 The paper dismisses deep/shared buffers as an answer to inter-DC incast:
 absorbing a BDP-scale burst needs buffers "expensive to build" and the
-long feedback loop remains.  We measure it: baseline ICT under static
-per-port buffers vs Dynamic-Threshold shared buffers at several alpha
-values, against the streamlined proxy on unchanged (static) buffers.
+long feedback loop remains.  We measure it: baseline ICT under
+Dynamic-Threshold shared buffers at several alpha values, against the
+streamlined proxy on unchanged (static per-port) buffers.
 """
 
 from dataclasses import replace
 
-import pytest
-
-from repro.experiments.runner import run_incast
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 ALPHAS = (0.5, 2.0, 8.0)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_shared_buffer_baseline(benchmark, reduced_scenario, alpha):
-    """Direct senders with DT shared switch buffers."""
-    scenario = replace(
-        reduced_scenario, interdc=reduced_scenario.interdc.with_shared_buffers(alpha)
-    )
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="buffers", alpha=alpha, ict_ms=result.ict_ps / 1e9,
-        drops=result.counters.packets_dropped,
-        peak_queue_mb=result.counters.max_queue_bytes / 1e6,
-    )
-
-
-def test_buffer_sharing_does_not_substitute_for_the_proxy(benchmark, reduced_scenario):
+def test_buffer_sharing_does_not_substitute_for_the_proxy(
+    benchmark, engine, reduced_scenario
+):
     """No alpha setting approaches the proxy's ICT: the feedback loop, not
     buffer capacity, is the binding constraint."""
-
-    def compare():
-        static = run_incast(reduced_scenario).ict_ps
-        shared = {
-            alpha: run_incast(replace(
-                reduced_scenario,
-                interdc=reduced_scenario.interdc.with_shared_buffers(alpha),
-            )).ict_ps
-            for alpha in ALPHAS
-        }
-        proxy = run_incast(replace(reduced_scenario, scheme="streamlined")).ict_ps
-        return static, shared, proxy
-
-    static, shared, proxy = run_once(benchmark, compare)
-    for alpha, ict in shared.items():
-        assert proxy < 0.5 * ict, f"alpha={alpha} should not rival the proxy"
-    benchmark.extra_info.update(
-        ablation="buffers",
-        static_ms=static / 1e9,
-        shared_ms={str(a): round(v / 1e9, 3) for a, v in shared.items()},
-        proxy_ms=proxy / 1e9,
-    )
+    cells = {
+        alpha: replace(
+            reduced_scenario,
+            interdc=reduced_scenario.interdc.with_shared_buffers(alpha),
+        )
+        for alpha in ALPHAS
+    }
+    cells["proxy"] = replace(reduced_scenario, scheme="streamlined")
+    results = run_cells(benchmark, engine, cells)
+    proxy = results["proxy"].ict_ps
+    for alpha in ALPHAS:
+        assert proxy < 0.5 * results[alpha].ict_ps, (
+            f"alpha={alpha} should not rival the proxy"
+        )

@@ -8,50 +8,24 @@ of DCTCP's ECN-proportional cuts.
 
 from dataclasses import replace
 
-import pytest
-
-from repro.experiments.runner import run_incast
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 CCS = ("dctcp", "aimd")
 SCHEMES = ("baseline", "streamlined")
 
 
-@pytest.mark.parametrize("cc", CCS)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_cc_variant(benchmark, reduced_scenario, scheme, cc):
-    """One (scheme, congestion control) cell."""
-    scenario = replace(
-        reduced_scenario,
-        scheme=scheme,
-        transport=replace(reduced_scenario.transport, cc=cc),
-    )
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="cc", cc=cc, scheme=scheme, ict_ms=result.ict_ps / 1e9
-    )
-
-
-def test_proxy_wins_under_both_ccs(benchmark, reduced_scenario):
+def test_proxy_wins_under_both_ccs(benchmark, engine, reduced_scenario):
     """The headline holds for DCTCP-like *and* Reno-AIMD senders."""
-
-    def compare():
-        out = {}
-        for cc in CCS:
-            transport = replace(reduced_scenario.transport, cc=cc)
-            base = run_incast(replace(reduced_scenario, scheme="baseline",
-                                      transport=transport))
-            prox = run_incast(replace(reduced_scenario, scheme="streamlined",
-                                      transport=transport))
-            out[cc] = (base.ict_ps, prox.ict_ps)
-        return out
-
-    results = run_once(benchmark, compare)
-    for cc, (base, prox) in results.items():
+    results = run_cells(benchmark, engine, {
+        (cc, scheme): replace(
+            reduced_scenario,
+            scheme=scheme,
+            transport=replace(reduced_scenario.transport, cc=cc),
+        )
+        for cc in CCS
+        for scheme in SCHEMES
+    })
+    for cc in CCS:
+        base = results[cc, "baseline"].ict_ps
+        prox = results[cc, "streamlined"].ict_ps
         assert prox < 0.6 * base, f"proxy should win under {cc}"
-    benchmark.extra_info.update(
-        ablation="cc",
-        reductions={cc: round(1 - p / b, 3) for cc, (b, p) in results.items()},
-    )

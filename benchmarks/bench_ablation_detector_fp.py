@@ -11,12 +11,9 @@ rate-based sender (spurious NACKs only cause spurious retransmissions).
 
 from dataclasses import replace
 
-import pytest
-
 from repro.detection.lossdetector import DetectorConfig
-from repro.experiments.runner import run_incast
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 #: Aggressive detector: will misread spraying reordering as loss.
 FP_PRONE = DetectorConfig(
@@ -24,56 +21,24 @@ FP_PRONE = DetectorConfig(
 )
 #: Conservative detector: waits out reordering.
 CAREFUL = DetectorConfig(max_tracked_gaps=1024, packet_threshold=16)
+DETECTORS = {"careful": CAREFUL, "fp-prone": FP_PRONE}
 
 
-@pytest.mark.parametrize("cc", ["dctcp", "bbr"])
-@pytest.mark.parametrize("detector_kind", ["careful", "fp-prone"])
-def test_detector_cc_cell(benchmark, reduced_scenario, cc, detector_kind):
-    """One (CC, detector aggressiveness) cell of the FW#1 question."""
-    detector = FP_PRONE if detector_kind == "fp-prone" else CAREFUL
-    scenario = replace(
-        reduced_scenario,
-        scheme="trimless",
-        detector=detector,
-        transport=replace(reduced_scenario.transport, cc=cc),
-    )
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="detector-fp", cc=cc, detector=detector_kind,
-        ict_ms=result.ict_ps / 1e9, nacks=result.nacks_received,
-        retransmissions=result.retransmissions,
-    )
-
-
-def test_bbr_tolerates_false_positives_better(benchmark, reduced_scenario):
+def test_bbr_tolerates_false_positives_better(benchmark, engine, reduced_scenario):
     """The paper's conjecture, measured: the FP-prone detector degrades the
     loss-cutting sender proportionally more than the rate-based one."""
-
-    def compare():
-        out = {}
-        for cc in ("dctcp", "bbr"):
-            transport = replace(reduced_scenario.transport, cc=cc)
-            careful = run_incast(replace(
-                reduced_scenario, scheme="trimless", detector=CAREFUL,
-                transport=transport,
-            ))
-            fp_prone = run_incast(replace(
-                reduced_scenario, scheme="trimless", detector=FP_PRONE,
-                transport=transport,
-            ))
-            out[cc] = (careful.ict_ps, fp_prone.ict_ps, fp_prone.nacks_received)
-        return out
-
-    results = run_once(benchmark, compare)
+    results = run_cells(benchmark, engine, {
+        (cc, kind): replace(
+            reduced_scenario,
+            scheme="trimless",
+            detector=detector,
+            transport=replace(reduced_scenario.transport, cc=cc),
+        )
+        for cc in ("dctcp", "bbr")
+        for kind, detector in DETECTORS.items()
+    })
     degradation = {
-        cc: fp / max(careful, 1) for cc, (careful, fp, _) in results.items()
+        cc: results[cc, "fp-prone"].ict_ps / max(results[cc, "careful"].ict_ps, 1)
+        for cc in ("dctcp", "bbr")
     }
     assert degradation["bbr"] <= degradation["dctcp"] * 1.05
-    benchmark.extra_info.update(
-        ablation="detector-fp",
-        slowdown_from_false_positives={
-            cc: round(v, 3) for cc, v in degradation.items()
-        },
-        nacks={cc: n for cc, (_, _, n) in results.items()},
-    )

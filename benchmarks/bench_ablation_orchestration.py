@@ -1,7 +1,5 @@
 """Ablation: proxy selection strategies across concurrent incasts (§5, FW#3)."""
 
-import pytest
-
 from repro.config import TransportConfig, small_interdc_config
 from repro.orchestration import run_concurrent_incasts
 from repro.units import megabytes
@@ -20,46 +18,20 @@ def make_jobs():
     ]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategy(benchmark, strategy):
-    """Three concurrent incasts under one selection strategy."""
-    scheme = "baseline" if strategy == "none" else "streamlined"
-    result = run_once(
-        benchmark,
-        lambda: run_concurrent_incasts(
-            make_jobs(), scheme=scheme, strategy=strategy,
+def test_contention_ordering(benchmark):
+    """Three concurrent incasts under every selection strategy: per-incast
+    proxies beat the shared proxy, which beats no proxy."""
+    results = run_once(benchmark, lambda: {
+        strategy: run_concurrent_incasts(
+            make_jobs(),
+            scheme="baseline" if strategy == "none" else "streamlined",
+            strategy=strategy,
             interdc=small_interdc_config(),
             transport=TransportConfig(payload_bytes=4096),
-        ),
-    )
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="orchestration", strategy=strategy,
-        mean_ict_ms=result.mean_ict_ps / 1e9,
-        makespan_ms=result.makespan_ps / 1e9,
-        probes=result.probes, fallbacks=result.fallbacks,
-    )
-
-
-def test_contention_ordering(benchmark):
-    """Per-incast proxies beat the shared proxy, which beats no proxy."""
-
-    def compare():
-        cfg = small_interdc_config()
-        transport = TransportConfig(payload_bytes=4096)
-        out = {}
-        for scheme, strategy in (
-            ("baseline", "none"), ("streamlined", "shared"), ("streamlined", "central")
-        ):
-            out[strategy] = run_concurrent_incasts(
-                make_jobs(), scheme=scheme, strategy=strategy,
-                interdc=cfg, transport=transport,
-            ).mean_ict_ps
-        return out
-
-    icts = run_once(benchmark, compare)
+        )
+        for strategy in STRATEGIES
+    })
+    for strategy, result in results.items():
+        assert result.completed, strategy
+    icts = {strategy: r.mean_ict_ps for strategy, r in results.items()}
     assert icts["central"] < icts["shared"] < icts["none"]
-    benchmark.extra_info.update(
-        ablation="orchestration",
-        mean_ict_ms={k: round(v / 1e9, 3) for k, v in icts.items()},
-    )

@@ -9,70 +9,36 @@ the trimless detector.
 
 from dataclasses import replace
 
-import pytest
-
-from repro.experiments.runner import run_incast
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 ROUTINGS = ("spray", "ecmp")
 
 
-@pytest.mark.parametrize("routing", ROUTINGS)
-@pytest.mark.parametrize("scheme", ("baseline", "streamlined"))
-def test_routing_cell(benchmark, reduced_scenario, scheme, routing):
-    """One (scheme, routing) cell."""
-    scenario = replace(reduced_scenario, scheme=scheme, routing=routing)
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="routing", routing=routing, scheme=scheme,
-        ict_ms=result.ict_ps / 1e9,
-    )
-
-
-def test_headline_insensitive_to_routing(benchmark, reduced_scenario):
+def test_headline_insensitive_to_routing(benchmark, engine, reduced_scenario):
     """The proxy wins regardless of multipath discipline."""
-
-    def compare():
-        out = {}
-        for routing in ROUTINGS:
-            base = run_incast(replace(reduced_scenario, scheme="baseline",
-                                      routing=routing))
-            prox = run_incast(replace(reduced_scenario, scheme="streamlined",
-                                      routing=routing))
-            out[routing] = (base.ict_ps, prox.ict_ps)
-        return out
-
-    results = run_once(benchmark, compare)
-    for routing, (base, prox) in results.items():
+    results = run_cells(benchmark, engine, {
+        (routing, scheme): replace(reduced_scenario, scheme=scheme, routing=routing)
+        for routing in ROUTINGS
+        for scheme in ("baseline", "streamlined")
+    })
+    for routing in ROUTINGS:
+        base = results[routing, "baseline"].ict_ps
+        prox = results[routing, "streamlined"].ict_ps
         assert prox < 0.5 * base, f"proxy should win under {routing}"
-    benchmark.extra_info.update(
-        ablation="routing",
-        reductions={r: round(1 - p / b, 3) for r, (b, p) in results.items()},
-    )
 
 
-def test_spraying_degrades_gap_detection(benchmark, reduced_scenario):
+def test_spraying_degrades_gap_detection(benchmark, engine, reduced_scenario):
     """FW#1's routing interaction, measured: the trimless proxy's gap
     detector covers almost every drop when ECMP delivers flows in order,
     but spraying's reordering makes some losses indistinguishable from
     displacement and they slip through to the sender's RTO."""
-
-    def compare():
-        out = {}
-        for routing in ROUTINGS:
-            result = run_incast(replace(
-                reduced_scenario, scheme="trimless", routing=routing
-            ))
-            drops = max(result.counters.packets_dropped, 1)
-            out[routing] = result.proxy_nacks_sent / drops
-        return out
-
-    coverage = run_once(benchmark, compare)
+    results = run_cells(benchmark, engine, {
+        routing: replace(reduced_scenario, scheme="trimless", routing=routing)
+        for routing in ROUTINGS
+    })
+    coverage = {
+        routing: r.proxy_nacks_sent / max(r.counters.packets_dropped, 1)
+        for routing, r in results.items()
+    }
     assert coverage["ecmp"] > coverage["spray"]
     assert coverage["ecmp"] > 0.95
-    benchmark.extra_info.update(
-        ablation="routing",
-        detection_coverage={r: round(c, 3) for r, c in coverage.items()},
-    )

@@ -9,59 +9,37 @@ bound (evict-as-lost vs evict-as-forget).
 
 from dataclasses import replace
 
-import pytest
-
 from repro.detection.lossdetector import DetectorConfig
-from repro.experiments.runner import run_incast
 from repro.units import microseconds
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_cells
 
 
-@pytest.mark.parametrize("scheme", ["baseline", "streamlined", "trimless"])
-def test_trimless_vs_trimming(benchmark, reduced_scenario, scheme):
-    """One scheme of the trimless comparison."""
-    scenario = replace(reduced_scenario, scheme=scheme)
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="trimless", scheme=scheme, ict_ms=result.ict_ps / 1e9,
-        nacks=result.nacks_received, timeouts=result.timeouts,
-    )
-
-
-def test_trimless_lands_between(benchmark, reduced_scenario):
+def test_trimless_lands_between(benchmark, engine, reduced_scenario):
     """Detector-driven NACKs beat the baseline but cannot see tail losses
     the way trimming does (gaps need later arrivals), so trimless sits
     between the two."""
-
-    def compare():
-        return {
-            scheme: run_incast(replace(reduced_scenario, scheme=scheme)).ict_ps
-            for scheme in ("baseline", "streamlined", "trimless")
-        }
-
-    icts = run_once(benchmark, compare)
+    results = run_cells(benchmark, engine, {
+        scheme: replace(reduced_scenario, scheme=scheme)
+        for scheme in ("baseline", "streamlined", "trimless")
+    })
+    icts = {scheme: r.ict_ps for scheme, r in results.items()}
     assert icts["streamlined"] < icts["trimless"] < icts["baseline"]
-    benchmark.extra_info.update(
-        ablation="trimless",
-        ict_ms={k: round(v / 1e9, 3) for k, v in icts.items()},
-    )
 
 
-@pytest.mark.parametrize("policy", ["lost", "forget"])
-def test_detector_memory_policy(benchmark, reduced_scenario, policy):
-    """FW#1's FP-vs-FN knob under a tight (64-gap) memory bound."""
-    detector = DetectorConfig(
-        max_tracked_gaps=64,
-        packet_threshold=8,
-        reorder_window_ps=microseconds(20),
-        evict_policy=policy,
-    )
-    scenario = replace(reduced_scenario, scheme="trimless", detector=detector)
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        ablation="detector-memory", policy=policy,
-        ict_ms=result.ict_ps / 1e9, timeouts=result.timeouts,
-    )
+def test_detector_memory_policies_complete(benchmark, engine, reduced_scenario):
+    """FW#1's FP-vs-FN knob under a tight (64-gap) memory bound: both
+    eviction policies still carry the incast to completion."""
+    run_cells(benchmark, engine, {
+        policy: replace(
+            reduced_scenario,
+            scheme="trimless",
+            detector=DetectorConfig(
+                max_tracked_gaps=64,
+                packet_threshold=8,
+                reorder_window_ps=microseconds(20),
+                evict_policy=policy,
+            ),
+        )
+        for policy in ("lost", "forget")
+    })

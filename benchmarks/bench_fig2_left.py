@@ -5,61 +5,20 @@ and Streamlined by 70.60% on average — with the benefit growing at larger
 degrees and the two proxies converging there.
 """
 
-from dataclasses import replace
+from repro.experiments.sweeps import degree_sweep_spec
 
-import pytest
-
-from repro.experiments.runner import run_incast
-from repro.units import megabytes
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_sweep
 
 DEGREES = (2, 4, 6)
-SCHEMES = ("baseline", "naive", "streamlined")
 
 
-@pytest.mark.parametrize("degree", DEGREES)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_fig2_left_point(benchmark, reduced_scenario, scheme, degree):
-    """One (scheme, degree) point of the degree sweep."""
-    scenario = replace(reduced_scenario, scheme=scheme, degree=degree)
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        figure="2-left", scheme=scheme, degree=degree,
-        ict_ms=result.ict_ps / 1e9,
-        drops=result.counters.packets_dropped,
-        trims=result.counters.packets_trimmed,
-    )
-
-
-def test_fig2_left_shape(benchmark, reduced_scenario):
+def test_fig2_left_shape(benchmark, engine, reduced_scenario):
     """The figure's shape: proxies beat baseline at every loss-inducing degree."""
-
-    def sweep():
-        rows = {}
-        for degree in DEGREES:
-            rows[degree] = {
-                scheme: run_incast(
-                    replace(reduced_scenario, scheme=scheme, degree=degree)
-                ).ict_ps
-                for scheme in SCHEMES
-            }
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    for degree, icts in rows.items():
-        assert icts["naive"] < icts["baseline"]
-        assert icts["streamlined"] < icts["baseline"]
-    reductions = {
-        degree: 1 - icts["streamlined"] / icts["baseline"]
-        for degree, icts in rows.items()
-    }
-    benchmark.extra_info.update(
-        figure="2-left",
-        paper_anchor="naive -75.67% avg, streamlined -70.60% avg",
-        measured_reductions={str(k): round(v, 3) for k, v in reductions.items()},
-    )
+    spec = degree_sweep_spec(reduced_scenario, DEGREES, reps=1)
+    points = run_sweep(benchmark, engine, spec)
+    for point in points:
+        assert point.reduction("naive") > 0, point.label
+        assert point.reduction("streamlined") > 0, point.label
     # averages in the paper's reported ballpark (reduced scale runs hotter)
-    mean_reduction = sum(reductions.values()) / len(reductions)
+    mean_reduction = sum(p.reduction("streamlined") for p in points) / len(points)
     assert mean_reduction > 0.5

@@ -5,63 +5,25 @@ on average for incasts larger than 20 MB; at the no-loss size every scheme
 is on par and the proxy buys nothing.
 """
 
-from dataclasses import replace
-
-import pytest
-
-from repro.experiments.runner import run_incast
+from repro.experiments.sweeps import size_sweep_spec
 from repro.units import megabytes
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_sweep
 
 #: On the reduced fabric the no-first-RTT-loss crossover sits around the
 #: 4 MB leaf buffers; 2 MB plays the role of the paper's 20 MB point.
 SIZES_MB = (2, 8, 24)
-SCHEMES = ("baseline", "naive", "streamlined")
 
 
-@pytest.mark.parametrize("size_mb", SIZES_MB)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_fig2_right_point(benchmark, reduced_scenario, scheme, size_mb):
-    """One (scheme, size) point of the size sweep."""
-    scenario = replace(reduced_scenario, scheme=scheme, total_bytes=megabytes(size_mb))
-    result = run_once(benchmark, lambda: run_incast(scenario))
-    assert result.completed
-    benchmark.extra_info.update(
-        figure="2-right", scheme=scheme, size_mb=size_mb,
-        ict_ms=result.ict_ps / 1e9,
-    )
-
-
-def test_fig2_right_crossover(benchmark, reduced_scenario):
+def test_fig2_right_crossover(benchmark, engine, reduced_scenario):
     """The crossover: parity below the loss threshold, big wins above."""
-
-    def sweep():
-        rows = {}
-        for size_mb in SIZES_MB:
-            rows[size_mb] = {
-                scheme: run_incast(
-                    replace(reduced_scenario, scheme=scheme,
-                            total_bytes=megabytes(size_mb))
-                ).ict_ps
-                for scheme in SCHEMES
-            }
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    small = rows[SIZES_MB[0]]
-    large = rows[SIZES_MB[-1]]
-    # parity at the no-loss size (within 15%)
-    assert abs(small["streamlined"] - small["baseline"]) < 0.15 * small["baseline"]
-    assert abs(small["naive"] - small["baseline"]) < 0.15 * small["baseline"]
-    # large incasts: both proxies win big
-    assert large["naive"] < 0.5 * large["baseline"]
-    assert large["streamlined"] < 0.5 * large["baseline"]
-    benchmark.extra_info.update(
-        figure="2-right",
-        paper_anchor="-57.08%/-53.60% avg beyond 20MB; parity at 20MB",
-        measured={
-            str(mb): {s: round(v / 1e9, 3) for s, v in icts.items()}
-            for mb, icts in rows.items()
-        },
+    spec = size_sweep_spec(
+        reduced_scenario, [megabytes(mb) for mb in SIZES_MB], reps=1
     )
+    points = run_sweep(benchmark, engine, spec)
+    small, large = points[0], points[-1]
+    for scheme in ("naive", "streamlined"):
+        # parity at the no-loss size (within 15%)
+        assert abs(small.reduction(scheme)) < 0.15
+        # large incasts: both proxies win big
+        assert large.reduction(scheme) > 0.5

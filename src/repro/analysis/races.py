@@ -667,7 +667,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point for ``python -m repro races``."""
     import argparse
 
-    from repro.__main__ import build_engine, check_common_args, common_parser
+    from repro.__main__ import check_common_args, common_parser
 
     parser = argparse.ArgumentParser(
         prog="python -m repro races",
@@ -717,7 +717,12 @@ def main(argv: Sequence[str] | None = None) -> None:
 
     import repro.competitors as competitors
 
-    competitors.install()
+    with competitors.installed():
+        _check(parser, args)
+
+
+def _check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Replay one order, or check every scheme (and, in smoke mode, the fixture)."""
     if args.order is not None:
         if args.scheme is None:
             parser.error("--order requires --scheme")
@@ -727,6 +732,7 @@ def main(argv: Sequence[str] | None = None) -> None:
 
     if args.smoke:
         args.bytes_mb = min(args.bytes_mb, 8.0)
+    from repro.__main__ import build_engine
     from repro.schemes import SCHEME_REGISTRY
 
     schemes = list(args.schemes) if args.schemes else list(SCHEME_REGISTRY.names())

@@ -16,13 +16,16 @@ core:
 Importing this package registers **nothing** (harnesses enumerate
 ``SCHEME_REGISTRY.names()`` when they run and tests pin the built-in
 five, :data:`repro.schemes.SCHEMES`); call :func:`install` to add the
-competitors and :func:`uninstall` to remove them again.  The
-``python -m repro bakeoff`` CLI installs them for every run.
+competitors and :func:`uninstall` to remove them again.  The CLI
+drivers that sweep every registered scheme (``bakeoff``, ``recovery``,
+``workload``, ``races``, ``service``) run inside :func:`installed`, so
+an in-process call leaves the registry as it found it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.competitors.pulser import PulserAgent, _wire_pulser, _wire_pulser_dist
 from repro.competitors.repflow import _wire_repflow
@@ -80,6 +83,18 @@ def install(
     return tuple(installed)
 
 
+@contextmanager
+def installed() -> Iterator[tuple[str, ...]]:
+    """Install the competitors for a ``with`` block, then remove exactly
+    the names :func:`install` added (ones already registered stay)."""
+    names = install()
+    try:
+        yield names
+    finally:
+        for name in names:
+            SCHEME_REGISTRY.unregister(name)
+
+
 def uninstall(*, registry: SchemeRegistry | None = None) -> None:
     """Remove every competitor scheme (test teardown, plugin unload)."""
     target = registry if registry is not None else SCHEME_REGISTRY
@@ -91,5 +106,6 @@ __all__ = [
     "COMPETITOR_SCHEMES",
     "PulserAgent",
     "install",
+    "installed",
     "uninstall",
 ]

@@ -253,9 +253,6 @@ def _run_bakeoff(
     seed0: int,
     export_dir: Path | None,
 ) -> None:
-    import repro.competitors as competitors
-
-    competitors.install()
     schemes = SCHEME_REGISTRY.names()
 
     base = bakeoff_base_scenario(
@@ -299,6 +296,7 @@ def _run_bakeoff(
 
 def main(argv: Sequence[str] | None = None) -> None:
     """CLI entry point for the bake-off (``python -m repro bakeoff``)."""
+    import repro.competitors as competitors
     from repro.__main__ import driver_parser, run_driver
 
     parser = driver_parser(
@@ -319,12 +317,13 @@ def main(argv: Sequence[str] | None = None) -> None:
     def body(args, engine: ExperimentEngine) -> None:
         if args.reps < 1:
             parser.error(f"--reps must be at least 1, got {args.reps}")
-        _run_bakeoff(
-            engine,
-            smoke=args.smoke,
-            reps=args.reps,
-            seed0=args.seed,
-            export_dir=args.export,
-        )
+        with competitors.installed():
+            _run_bakeoff(
+                engine,
+                smoke=args.smoke,
+                reps=args.reps,
+                seed0=args.seed,
+                export_dir=args.export,
+            )
 
     run_driver(parser, argv, body)

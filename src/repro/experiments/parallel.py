@@ -638,8 +638,6 @@ class ExperimentEngine:
                 done += 1
                 self._record(scenarios[i], "cached", 0, 0.0, done, total)
                 yield i, cached
-            if not misses:
-                return
             for i, (status, payload, attempts, elapsed) in self._dispatch(
                 scenarios, keys, misses
             ):
@@ -706,7 +704,9 @@ class ExperimentEngine:
 
         Yields ``(i, outcome)`` exactly once per miss, in completion
         order.  ``keys`` covers the whole batch (hits included) for
-        engines that journal it.
+        engines that journal it; it is called even when ``misses`` is
+        empty, so an all-hits pass is journaled too, and an empty fan-out
+        starts no pool.
         """
         for j, outcome in self._fan_out(
             _RunTask(self.options), [scenarios[i] for i in misses]

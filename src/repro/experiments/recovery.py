@@ -428,21 +428,21 @@ def main(argv: Sequence[str] | None = None) -> None:
         if args.control_delay < 0:
             parser.error(f"--control-delay must be >= 0, got {args.control_delay}")
         # The sweep covers every registered scheme, plug-ins included.
-        competitors.install()
-        control = ControlConfig(
-            weight_model=args.weight,
-            control_delay_ps=max(0, int(round(args.control_delay * 1_000_000))),
-        )
-        if args.smoke:
-            _smoke(engine, control)
-            return
-        rows = recovery_sweep(reps=args.reps, engine=engine, seed0=args.seed,
-                              control=control)
-        print("\n=== Recovery sweep ===")
-        print(recovery_table(rows))
-        print(f"sweep_digest: {recovery_digest(rows)}")
-        if args.export is not None:
-            for path in export_recovery(rows, args.export):
-                print(f"exported {path}")
+        with competitors.installed():
+            control = ControlConfig(
+                weight_model=args.weight,
+                control_delay_ps=max(0, int(round(args.control_delay * 1_000_000))),
+            )
+            if args.smoke:
+                _smoke(engine, control)
+                return
+            rows = recovery_sweep(reps=args.reps, engine=engine, seed0=args.seed,
+                                  control=control)
+            print("\n=== Recovery sweep ===")
+            print(recovery_table(rows))
+            print(f"sweep_digest: {recovery_digest(rows)}")
+            if args.export is not None:
+                for path in export_recovery(rows, args.export):
+                    print(f"exported {path}")
 
     run_driver(parser, argv, body)

@@ -387,8 +387,6 @@ def _coordinate(args: argparse.Namespace) -> None:
     from repro.experiments.sweeps import sweep_digest
     from repro.telemetry.sweep import SweepTelemetry
 
-    competitors.install()
-    spec = _load_spec(args.spec)
     shared: dict[str, Any] = dict(
         cache=ResultCache(args.cache_dir),
         run_timeout_s=args.run_timeout,
@@ -401,7 +399,8 @@ def _coordinate(args: argparse.Namespace) -> None:
             workers=args.workers, kill_after=args.kill_after, **shared
         )
     )
-    points = run_grid(spec, engine=engine)
+    with competitors.installed():
+        points = run_grid(_load_spec(args.spec), engine=engine)
     stats = engine.stats
     print(f"sweep_digest: {sweep_digest(points)}")
     print(
@@ -416,9 +415,9 @@ def _coordinate(args: argparse.Namespace) -> None:
 def _status(args: argparse.Namespace) -> None:
     from repro import competitors
 
-    competitors.install()
-    spec = _load_spec(args.spec)
-    keys = [scenario_key(cell.scenario) for cell in spec.expand()]
+    with competitors.installed():
+        spec = _load_spec(args.spec)
+        keys = [scenario_key(cell.scenario) for cell in spec.expand()]
     path = journal_path_for(ResultCache(args.cache_dir), keys)
     print(f"grid: {len(keys)} cells, fingerprint {spec.fingerprint()[:16]}…")
     print(f"journal: {path}")

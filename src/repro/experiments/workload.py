@@ -332,7 +332,12 @@ def main(argv: Sequence[str] | None = None) -> None:
         parser.error("--resume requires --checkpoint-dir")
 
     # Plug-in schemes are sweepable by name, same as the bake-off.
-    competitors.install()
+    with competitors.installed():
+        _run(parser, args)
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The smoke drill or the sweep ``args`` asks for."""
     # Open-loop runs default to bounded sketch sinks; --metrics exact
     # opts back into the reference per-packet paths.
     metrics = (

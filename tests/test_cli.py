@@ -108,11 +108,21 @@ class TestCliBodies:
 
     def test_races_smoke(self, capsys):
         from repro.analysis.races import main as races_main
-        from repro.competitors import uninstall
+        from repro.schemes import SCHEME_REGISTRY
 
-        try:
-            races_main(["--smoke", "--schemes", "baseline", "--orders", "1",
-                        "--degree", "2", "--bytes-mb", "0.1", "--no-cache"])
-        finally:
-            uninstall()  # main() installs the competitors globally
+        before = SCHEME_REGISTRY.names()
+        races_main(["--smoke", "--schemes", "baseline", "--orders", "1",
+                    "--degree", "2", "--bytes-mb", "0.1", "--no-cache"])
         assert "race smoke ok" in capsys.readouterr().out
+        assert SCHEME_REGISTRY.names() == before
+
+    def test_bakeoff_smoke_leaves_the_registry_as_it_found_it(self, capsys):
+        # The bake-off ranks the competitor plug-ins too; an in-process
+        # call must not leave them registered for later default sweeps.
+        from repro.schemes import SCHEME_REGISTRY
+
+        before = SCHEME_REGISTRY.names()
+        main(["bakeoff", "--smoke", "--no-cache", "--workers", "1"])
+        out = capsys.readouterr().out
+        assert "pulser-dist" in out and "sweep_digest: " in out
+        assert SCHEME_REGISTRY.names() == before

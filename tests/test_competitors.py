@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
+from repro.competitors import COMPETITOR_SCHEMES, install, installed, uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError, RoutingError
 from repro.experiments.runner import SCHEMES, IncastScenario, run_incast
@@ -68,6 +68,19 @@ class TestInstallLifecycle:
         assert len(registry) == len(COMPETITOR_SCHEMES)
         for name in COMPETITOR_SCHEMES:
             assert name not in SCHEME_REGISTRY
+
+    def test_installed_removes_only_what_it_added(self):
+        with installed() as names:
+            assert names == COMPETITOR_SCHEMES
+            assert all(name in SCHEME_REGISTRY for name in names)
+        assert SCHEME_REGISTRY.names() == SCHEMES
+        install()
+        try:
+            with installed() as names:
+                assert names == ()  # already registered: not its to remove
+            assert all(name in SCHEME_REGISTRY for name in COMPETITOR_SCHEMES)
+        finally:
+            uninstall()
 
     def test_uninstall_is_safe_when_not_installed(self):
         uninstall()  # no-op: unregister tolerates absent names

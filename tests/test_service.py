@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments import parallel
 from repro.experiments.grid import run_grid
 from repro.experiments.parallel import ExperimentEngine, ResultCache
 from repro.experiments.runner import IncastScenario
@@ -23,6 +24,7 @@ from repro.experiments.service import (
     journal_path_for,
     named_grid,
 )
+from repro.experiments.service import main as service_main
 from repro.experiments.sweeps import degree_sweep_spec, sweep_digest
 from repro.telemetry import RunOptions
 from repro.units import kilobytes
@@ -255,6 +257,33 @@ for done, _ in enumerate(engine.stream(c.scenario for c in spec.expand()), 1):
         print(*[p.pid for p in multiprocessing.active_children()], flush=True)
         os.kill(os.getpid(), signal.SIGKILL)
 """
+
+
+def _refuse_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch with no misses started a pool")
+
+    monkeypatch.setattr(parallel, "_pool_fanout", refuse)
+
+
+class TestAllHitsPass:
+    """A pass the cache serves entirely still journals, and starts no pool."""
+
+    def test_status_reports_a_served_grid_done(self, tmp_path, capsys, monkeypatch):
+        spec = str(tmp_path / "spec.json")
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        service_main(["spec", "--grid", "degree-smoke", "--out", spec])
+        service_main(["coordinate", "--spec", spec, *cache, "--serial"])
+        _refuse_pools(monkeypatch)
+        capsys.readouterr()
+        service_main(["coordinate", "--spec", spec, *cache, "--workers", "2"])
+        assert "executed=0 resumed=12" in capsys.readouterr().out
+        service_main(["status", "--spec", spec, *cache])
+        assert "status: 12/12 done" in capsys.readouterr().out
+
+    def test_an_empty_batch_needs_no_pool(self, monkeypatch):
+        _refuse_pools(monkeypatch)
+        assert list(ExperimentEngine(workers=2).stream([])) == []
 
 
 class TestServiceEndToEnd:
