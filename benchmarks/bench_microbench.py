@@ -1,7 +1,7 @@
-"""The disabled-instrumentation gate on the simulator's event loop.
+"""The unobserved-path gate on the simulator's event loop.
 
-``Simulator.run()`` with instrumentation *off* must stay within 2 % of
-the pre-telemetry loop it replaced; the raw throughput of the event
+``Simulator.run()`` with no probe installed (so no per-event clock read)
+must stay within 2 % of the pre-telemetry loop it replaced; the raw throughput of the event
 loop, ports and transport is recorded by the perf ledger
 (``python3 -m benchmarks.ledger``: ``pkts_per_s`` and the per-layer
 ``*.calls_per_kpkt``), not here.
@@ -15,10 +15,10 @@ def _drive_reference_loop(sim, until=None, max_events=None):
 
     Replicates every check the shipping loop performs (stop request,
     ``max_events``, horizon, the probed run's backwards-clock guard) but
-    dispatches ``event.callback()`` directly — no instrumentation arm.
+    dispatches ``event.callback()`` directly — no event-timing arm.
     Kept as the measurement baseline for
-    :func:`test_disabled_instrumentation_overhead`: the instrumented
-    simulator's *disabled* path must stay within noise of this.
+    :func:`test_disabled_instrumentation_overhead`: the simulator's
+    unobserved path must stay within noise of this.
     """
     scheduler = sim.scheduler
     executed = 0
@@ -59,12 +59,12 @@ def _chained_events(sim, total):
 
 
 def test_disabled_instrumentation_overhead():
-    """``Simulator.run()`` with instrumentation *off* pays <= 2% vs the
-    pre-telemetry reference loop.
+    """``Simulator.run()`` with no probe pays <= 2% vs the pre-telemetry
+    reference loop.
 
-    The disabled path hoists one ``enabled`` check per ``run()`` call and
-    adds one ``is None`` branch per event; this guards against anyone
-    moving real work onto it.  Min-of-N with interleaved reps so scheduler
+    The unobserved path decides once per ``run()`` call, from the probe's
+    class, not to time events, and adds one ``is None`` branch per event;
+    this guards against anyone moving real work onto it.  Min-of-N with interleaved reps so scheduler
     jitter and cache warmth hit both sides alike.
     """
     import time

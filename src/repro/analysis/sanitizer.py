@@ -199,11 +199,10 @@ class Sanitizer(Probe):
         self.wire_lost += 1
         self.wire_lost_bytes += packet.size_bytes
 
-    def deliver(self, node: "Node", packet: "Packet") -> None:
-        """Scheduled in place of ``node.receive``: lands an in-flight packet."""
+    def on_land(self, node: "Node", packet: "Packet") -> None:
+        """An in-flight packet reached ``node``: it is no longer in transit."""
         self.in_transit -= 1
         self.in_transit_bytes -= packet.size_bytes
-        node.receive(packet)
 
     # -- transport hooks ----------------------------------------------------
 

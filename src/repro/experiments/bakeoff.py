@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import TransportConfig, small_interdc_config
-from repro.experiments.faultsweep import blackhole_rate_sweep_spec
+from repro.experiments.faultsweep import blackhole_rate_sweep_spec, fault_base_scenario
 from repro.experiments.grid import GridSpec, axis, run_grid, sweep_spec
 from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.report import average_reductions, export_rows, render_table
 from repro.experiments.runner import IncastScenario
 from repro.experiments.sweeps import SweepPoint, sweep_digest
 from repro.schemes import SCHEME_REGISTRY
-from repro.units import kilobytes, microseconds, milliseconds, seconds
+from repro.units import kilobytes, microseconds, milliseconds
 
 #: Default grid axes: incast degree, one-way long-haul delay, and the
 #: factor every congestion-point buffer (and its ECN thresholds) scales by.
@@ -41,25 +40,10 @@ BAKEOFF_BUFFER_SCALES = (0.5, 1.0)
 FAULT_SENSITIVITY_RATE = 0.02
 
 
-def bakeoff_base_scenario(
-    *,
-    degree: int = 4,
-    total_bytes: int = kilobytes(400),
-    horizon_ps: int = seconds(2),
-) -> IncastScenario:
-    """The shared scenario under the bake-off grid.
-
-    Same spirit as :func:`~repro.experiments.faultsweep.
-    fault_base_scenario`: the small fabric and a bounded give-up point
-    keep the full grid × schemes × reps batch tractable.
-    """
-    return IncastScenario(
-        degree=degree,
-        total_bytes=total_bytes,
-        interdc=small_interdc_config(),
-        transport=TransportConfig(max_consecutive_timeouts=8),
-        horizon_ps=horizon_ps,
-    )
+#: The shared scenario under the bake-off grid: the fault sweeps' small
+#: fabric and bounded give-up point keep the full grid × schemes × reps
+#: batch tractable.
+bakeoff_base_scenario = fault_base_scenario
 
 
 def bakeoff_grid_spec(

@@ -23,7 +23,7 @@ from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.metrics.timeseries import Sampler, TimeSeries
 from repro.schemes import SCHEME_REGISTRY
-from repro.telemetry.instrumentation import Instrumentation
+from repro.sim.probe import Probe
 from repro.telemetry.options import RunOptions
 from repro.units import microseconds
 
@@ -50,7 +50,7 @@ class ConvergenceResult:
         ]
 
 
-class _ReceivedBytes(Instrumentation):
+class _ReceivedBytes(Probe):
     """Samples the bytes every receiver in the receiving datacenter holds.
 
     The incast's receiver is the only host in DC 1 that terminates flows:
@@ -106,7 +106,7 @@ def measure_convergence(
             "takes in; background flows would pass for goodput"
         )
     probe = _ReceivedBytes(sample_interval_ps)
-    run = run_incast(scenario, RunOptions(instrumentation=probe))
+    run = run_incast(scenario, RunOptions(probe=probe))
     result = ConvergenceResult(
         scenario=scenario,
         goodput=probe.cumulative.to_timeseries().rate_per_second(),

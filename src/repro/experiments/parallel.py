@@ -561,11 +561,10 @@ class ExperimentEngine:
         self.workers = resolve_workers(workers)
         self.cache = cache
         #: the per-run execution options every incast is run under.  Runs
-        #: whose options bypass the cache (sanitize, telemetry, a probe,
-        #: custom instrumentation) skip it in both directions: a cached
-        #: result proves nothing about invariants and carries no snapshot,
-        #: and an instrumented result is not interchangeable with a plain
-        #: one.
+        #: whose options bypass the cache (sanitize, telemetry, a probe)
+        #: skip it in both directions: a cached result proves nothing
+        #: about invariants and carries no snapshot, and an observed
+        #: result is not interchangeable with a plain one.
         self.options = options if options is not None else RunOptions()
         #: sweep-level telemetry sink (heartbeats + per-run records);
         #: None means no sweep accounting beyond ``stats``.

@@ -38,9 +38,10 @@ from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.placement import pick_senders
 from repro.schemes import SCHEME_REGISTRY, SCHEMES, SchemeContext  # SCHEMES: re-exported
+from repro.sim.probe import FanOut, Probe
 from repro.sim.simulator import Simulator, collector_paused
 from repro.telemetry.options import RunOptions
-from repro.telemetry.recorder import TelemetrySnapshot
+from repro.telemetry.recorder import TelemetryRecorder, TelemetrySnapshot
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import megabytes, seconds
@@ -219,11 +220,14 @@ def run_incast(
       built; invariants are checked throughout the run, exact packet/byte
       conservation is verified at the end, and the tally lands in
       ``IncastResult.conservation``.
-    * ``options.telemetry`` (or an explicit ``options.instrumentation``)
-      records sampled time-series and a run profile into
-      ``IncastResult.telemetry`` without perturbing simulation results.
+    * ``options.telemetry`` records sampled time-series and a run profile
+      into ``IncastResult.telemetry`` without perturbing simulation
+      results.
     * ``options.probe`` is installed in the simulator's probe slot before
-      the network is built, and hears every data-path event of the run.
+      the network is built, and hears every hook of the run.
+
+    Each asked-for observer goes into the one probe slot, in that order,
+    behind a :class:`~repro.sim.probe.FanOut` when there are several.
     """
     # One cell is one collector window: the build allocates as heavily and
     # as acyclically as the run loop, and the finished cell's fabric (one
@@ -235,8 +239,7 @@ def run_incast(
 def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     spec = SCHEME_REGISTRY.get(scenario.scheme)
     wall_start = time.perf_counter()
-    inst = options.build_instrumentation()
-    sim = Simulator(seed=scenario.seed, instrumentation=inst)
+    sim = Simulator(seed=scenario.seed)
     if options.tie_break_seed is not None:
         # Dynamic race detection: permute same-tick event order under a
         # named substream.  Imported lazily — repro.analysis.races imports
@@ -246,10 +249,23 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
         install_tie_break(
             sim, options.tie_break_seed, limit=options.tie_break_limit
         )
-    inst.phase("build")
+    # install() also arms the packet pool's leak check; a fan-out then
+    # takes the slot over with the sanitizer as its first member.
     sanitizer = Sanitizer().install(sim) if options.sanitize else None
-    if options.probe is not None:
-        sim.probe = options.probe
+    recorder = TelemetryRecorder(
+        sample_interval_ps=options.sample_interval_ps,
+        max_samples=options.max_samples,
+        metrics=options.metrics,
+    ) if options.telemetry else None
+    observers = [o for o in (sanitizer, recorder, options.probe) if o is not None]
+    if len(observers) > 1:
+        sim.probe = FanOut(observers)
+    elif observers:
+        sim.probe = observers[0]
+    if recorder is None and isinstance(options.probe, TelemetryRecorder):
+        recorder = options.probe
+    observer = sim.probe if sim.probe is not None else Probe()
+    observer.phase("build")
     trimming = spec.trimming
     topo = build_interdc(
         sim, scenario.interdc.with_trimming(trimming), routing=scenario.routing
@@ -322,10 +338,10 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     if scenario.control is not None:
         controller = Controller(sim, net, scenario.control).start().observe(injector)
 
-    inst.phase("run")
-    inst.begin_run(sim)
+    observer.phase("run")
+    observer.begin_run(sim)
     sim.run(until=scenario.horizon_ps)
-    inst.phase("collect")
+    observer.phase("collect")
     completed = all(state == "done" for state in outcome)
     failed_flows = sum(1 for state in outcome if state == "failed")
     ict = max(completions) if completions and completed else scenario.horizon_ps
@@ -338,6 +354,7 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
             )
         conservation = sanitizer.finish(net, injector).as_dict()
     counters = collect_network_counters(net)
+    observer.end_run()
     result = IncastResult(
         scenario=scenario,
         ict_ps=ict,
@@ -365,7 +382,7 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
             else None
         ),
         conservation=conservation,
-        telemetry=inst.finish(),
+        telemetry=recorder.snapshot if recorder is not None else None,
     )
     return result
 

@@ -337,5 +337,6 @@ def arm_faults(
     if not events:
         return None
     injector = FaultInjector(sim, events, ctx).arm()
-    sim.instrumentation.on_fault_injector(injector)
+    if sim.probe is not None:
+        sim.probe.on_fault_injector(injector)
     return injector

@@ -13,12 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.cdf import EmpiricalCdf
     from repro.metrics.collector import NetworkCounters, collect_network_counters
     from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
-    from repro.metrics.export import (
-        write_cdf_csv,
-        write_sweep_csv,
-        write_sweep_json,
-        write_timeseries_csv,
-    )
+    from repro.metrics.export import write_sweep_csv
     from repro.metrics.sink import (
         DistributionDigest,
         DistributionSink,
@@ -35,10 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.metrics.cdf": ["EmpiricalCdf"],
     "repro.metrics.collector": ["NetworkCounters", "collect_network_counters"],
     "repro.metrics.config": ["DEFAULT_METRICS", "MetricsConfig"],
-    "repro.metrics.export": [
-        "write_cdf_csv", "write_sweep_csv", "write_sweep_json",
-        "write_timeseries_csv",
-    ],
+    "repro.metrics.export": ["write_sweep_csv"],
     "repro.metrics.sink": [
         "DistributionDigest", "DistributionSink", "SeriesSink",
         "make_distribution_sink", "make_series_sink", "rank_hottest",
@@ -70,8 +62,5 @@ __all__ = [
     "make_series_sink",
     "rank_hottest",
     "summarize",
-    "write_cdf_csv",
     "write_sweep_csv",
-    "write_sweep_json",
-    "write_timeseries_csv",
 ]

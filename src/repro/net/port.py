@@ -112,9 +112,9 @@ class OutputPort:
         self._arrive_cb = self._arrive
         self._qoffer = queue.offer
         self._qpop = queue.pop
-        # Build-time registration with the telemetry layer (no-op unless
-        # instrumentation is installed); never touched on the data path.
-        sim.instrumentation.on_port(self)
+        # Build-time registration with an observer; never on the data path.
+        if sim.probe is not None:
+            sim.probe.on_port(self)
 
     def send(self, packet: Packet) -> EnqueueOutcome:
         """Offer ``packet`` to the queue and kick the service loop."""
@@ -204,14 +204,13 @@ class OutputPort:
         # wire packet is always the one landing now.
         packet = self._wire.popleft()
         probe = self.sim.probe
-        if probe is None:
-            # Looked up per arrival (not prebound): tests and fault hooks
-            # legitimately swap a node's receive method.
-            self.dst_node.receive(packet)
-        else:
-            # Route the landing through the probe so an in-transit tally
-            # can stay exact.
-            probe.deliver(self.dst_node, packet)
+        if probe is not None:
+            # Told before the node takes it, so an in-transit tally can
+            # stay exact.
+            probe.on_land(self.dst_node, packet)
+        # Looked up per arrival (not prebound): tests and fault hooks
+        # legitimately swap a node's receive method.
+        self.dst_node.receive(packet)
 
     def _fault_hits(self, fraction: float) -> bool:
         """Bernoulli trial on the port's dedicated fault substream.

@@ -139,7 +139,8 @@ class NaiveProxy:
         self.flows: list[RelayChain] = []
         self.crashed = False
         self.crashes = 0
-        sim.instrumentation.on_proxy(self)
+        if sim.probe is not None:
+            sim.probe.on_proxy(self)
 
     # -- failure injection ------------------------------------------------------
 

@@ -76,7 +76,8 @@ class StreamlinedProxy:
         self.crashed = False
         self.crashes = 0
         self._pool = sim.packet_pool
-        sim.instrumentation.on_proxy(self)
+        if sim.probe is not None:
+            sim.probe.on_proxy(self)
 
     # -- wiring ------------------------------------------------------------------
 

@@ -48,7 +48,8 @@ class TrimlessStreamlinedProxy:
         self._trackers: dict[int, FlowTracker] = {}
         self._flush_armed = False
         self._pool = sim.packet_pool
-        sim.instrumentation.on_proxy(self)
+        if sim.probe is not None:
+            sim.probe.on_proxy(self)
 
     # -- wiring -------------------------------------------------------------------
 

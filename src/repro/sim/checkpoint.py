@@ -57,7 +57,9 @@ from repro.errors import SimulationError
 #:   7 — one runner: the open-loop engine gains the job-list source and its
 #:       per-job bookkeeping, indexes the whole sending fabric, and draws
 #:       selection from ``orchestration:select``.
-CHECKPOINT_SCHEMA_VERSION = 7
+#:   8 — one observer slot: the simulator's ``instrumentation`` attribute
+#:       (and the ``NULL_INSTRUMENTATION`` it pickled by name) is gone.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

@@ -12,17 +12,14 @@ import gc
 import sys
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import SanitizerError, SchedulingError, SimulationError
 from repro.net.pool import PacketPool
 from repro.sim.events import Event
+from repro.sim.probe import Probe
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import EventScheduler
-from repro.telemetry.instrumentation import NULL_INSTRUMENTATION, Instrumentation
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.probe import Probe
 
 
 @contextmanager
@@ -53,28 +50,18 @@ def collector_paused() -> Iterator[None]:
 class Simulator:
     """Discrete-event run loop with an integer-picosecond clock."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        instrumentation: Instrumentation | None = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: int = 0
         self.scheduler = EventScheduler()
         self.rng = RngRegistry(seed)
         self.events_executed: int = 0
-        #: Opt-in observer (see :mod:`repro.sim.probe`); every data-path
-        #: hook site tests ``sim.probe is not None`` once.
+        #: Opt-in observer (see :mod:`repro.sim.probe`); every hook site
+        #: tests ``sim.probe is not None`` once.
         self.probe: Probe | None = None
         #: Free-list recycling for data/ACK/NACK packets (see
         #: :mod:`repro.net.pool`); endpoints acquire from it and the
         #: terminating component releases back into it.
         self.packet_pool = PacketPool()
-        #: Opt-in observability (see :mod:`repro.telemetry`); components
-        #: register themselves through it at build time, and the run loop
-        #: hoists its ``enabled`` flag once per :meth:`run` call.
-        self.instrumentation: Instrumentation = (
-            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        )
         self._running = False
         self._stop_requested = False
 
@@ -118,11 +105,17 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         scheduler = self.scheduler
-        # Hoisted once per run: with instrumentation disabled and no hook,
-        # each costs the run loop only local `is not None` tests.
-        inst = self.instrumentation if self.instrumentation.enabled else None
+        # Hoisted once per run: with no probe and no hook, each costs the
+        # run loop only a local test.  Events are timed only for a probe
+        # whose class overrides on_event.
         hook = scheduler.tie_break
-        probed = self.probe is not None
+        probe = self.probe
+        probed = probe is not None
+        on_event = (
+            probe.on_event
+            if probe is not None and type(probe).on_event is not Probe.on_event
+            else None
+        )
         budget = sys.maxsize if max_events is None else max_events
         executed = 0
         try:
@@ -153,12 +146,12 @@ class Simulator:
                     if probed and t < self.now:
                         self._backwards(t)
                     self.now = t
-                    if inst is not None:
+                    if on_event is not None:
                         started = time.perf_counter()  # repro: allow[wall-clock] profiler
                     obj()
-                    if inst is not None:
+                    if on_event is not None:
                         ended = time.perf_counter()  # repro: allow[wall-clock] profiler
-                        inst.on_event(obj, ended - started)
+                        on_event(obj, ended - started)
                     executed += 1
         finally:
             self._running = False

@@ -1,9 +1,8 @@
 """repro.telemetry — low-overhead observability for runs and sweeps.
 
-Unifies the metrics collectors under one :class:`Instrumentation`
-protocol with named registration points in the scheduler, ports, senders,
-proxies, and fault injector (per-event observation of the data path is the
-simulator's probe slot, :mod:`repro.sim.probe`):
+Records runs through the simulator's one observer slot
+(:mod:`repro.sim.probe`), where ports, senders, receivers, proxies and the
+fault injector register at build time:
 
 * :class:`TelemetryRecorder` — per-run sampled time-series (queue depth,
   ECN marks, trims, NACKs, cwnd/inflight, proxy relay occupancy) with a
@@ -15,17 +14,14 @@ simulator's probe slot, :mod:`repro.sim.probe`):
 * :class:`SweepTelemetry` — sweep-level heartbeats and cache/retry/worker
   accounting, exported as versioned JSON + CSV.
 
-Disabled runs pay one hoisted attribute check per run (see
-:data:`NULL_INSTRUMENTATION`); enabled runs are read-only observers, so
+Unrecorded runs pay one ``probe is not None`` test per hook site and no
+per-event clock read; recorded runs are read-only observers, so
 simulation results are bit-identical with telemetry on or off.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.telemetry.instrumentation": [
-        "Instrumentation", "NULL_INSTRUMENTATION", "NullInstrumentation",
-    ],
     "repro.telemetry.options": ["RunOptions"],
     "repro.telemetry.recorder": [
         "DEFAULT_MAX_SAMPLES", "DEFAULT_MAX_SERIES", "DEFAULT_SAMPLE_INTERVAL_PS",
@@ -41,9 +37,6 @@ __all__ = [
     "DEFAULT_MAX_SAMPLES",
     "DEFAULT_MAX_SERIES",
     "DEFAULT_SAMPLE_INTERVAL_PS",
-    "Instrumentation",
-    "NULL_INSTRUMENTATION",
-    "NullInstrumentation",
     "RunOptions",
     "RunProfile",
     "RunRecord",

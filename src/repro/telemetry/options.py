@@ -8,8 +8,7 @@ into the runner.
 
 Cache interaction: any option that changes what a result *carries*
 (sanitizer tallies, telemetry snapshots) or observes the run from outside
-(a probe, custom instrumentation) makes the run non-interchangeable with
-a plain cached one, so :attr:`RunOptions.bypasses_cache` is True and the
+(a probe) makes the run non-interchangeable with a plain cached one, so :attr:`RunOptions.bypasses_cache` is True and the
 engine skips the result cache in both directions.
 """
 
@@ -20,15 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
-from repro.telemetry.instrumentation import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-)
-from repro.telemetry.recorder import (
-    DEFAULT_MAX_SAMPLES,
-    DEFAULT_SAMPLE_INTERVAL_PS,
-    TelemetryRecorder,
-)
+from repro.telemetry.recorder import DEFAULT_MAX_SAMPLES, DEFAULT_SAMPLE_INTERVAL_PS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.probe import Probe
@@ -40,15 +31,14 @@ class RunOptions:
 
     * ``sanitize`` — install the invariant sanitizer; the conservation
       tally lands in ``IncastResult.conservation``.
-    * ``probe`` — a :class:`~repro.sim.probe.Probe` installed in the
-      simulator's probe slot before the network is built (None = no
-      observer).  The sanitizer occupies the same slot, so ``probe``
-      and ``sanitize=True`` exclude each other.
-    * ``instrumentation`` — an explicit :class:`Instrumentation` instance;
-      intended for single in-process runs (a recorder accumulates state).
-    * ``telemetry`` — build a fresh :class:`TelemetryRecorder` per run,
-      the picklable, pool-safe way to instrument a sweep; the snapshot
-      lands in ``IncastResult.telemetry``.
+    * ``telemetry`` — build a fresh
+      :class:`~repro.telemetry.recorder.TelemetryRecorder` per run, the
+      picklable, pool-safe way to record a sweep; the snapshot lands in
+      ``IncastResult.telemetry``.
+    * ``probe`` — a :class:`~repro.sim.probe.Probe` of the caller's, for
+      single in-process runs (a probe accumulates state).  A
+      ``TelemetryRecorder`` passed here fills ``IncastResult.telemetry``
+      too.
     * ``sample_interval_ps`` / ``max_samples`` — the recorder's sampling
       cadence (simulated time) and per-series memory bound.
     * ``tie_break_seed`` — install the dynamic race detector's
@@ -63,11 +53,14 @@ class RunOptions:
       selecting exact (reference) or sketch (bounded-memory) storage for
       everything the run measures.  Folded into ``scenario_key`` so the
       two modes never share cache entries.
+
+    ``sanitize``, ``telemetry`` and ``probe`` combine: the runner puts
+    whichever are asked for in the simulator's one probe slot, behind a
+    :class:`~repro.sim.probe.FanOut` when there are several.
     """
 
     sanitize: bool = False
     probe: "Probe | None" = None
-    instrumentation: Instrumentation | None = None
     telemetry: bool = False
     sample_interval_ps: int = DEFAULT_SAMPLE_INTERVAL_PS
     max_samples: int = DEFAULT_MAX_SAMPLES
@@ -84,28 +77,6 @@ class RunOptions:
             raise ConfigError("tie_break_limit must be non-negative")
         if self.tie_break_limit is not None and self.tie_break_seed is None:
             raise ConfigError("tie_break_limit requires tie_break_seed")
-        if self.sanitize and self.probe is not None:
-            raise ConfigError(
-                "sanitize=True installs the sanitizer in the probe slot; "
-                "it cannot take another probe"
-            )
-
-    def build_instrumentation(self) -> Instrumentation:
-        """The instrumentation one run should carry.
-
-        An explicit ``instrumentation`` wins; ``telemetry=True`` builds a
-        fresh recorder (safe across pool workers); otherwise the shared
-        :data:`~repro.telemetry.instrumentation.NULL_INSTRUMENTATION`.
-        """
-        if self.instrumentation is not None:
-            return self.instrumentation
-        if self.telemetry:
-            return TelemetryRecorder(
-                sample_interval_ps=self.sample_interval_ps,
-                max_samples=self.max_samples,
-                metrics=self.metrics,
-            )
-        return NULL_INSTRUMENTATION
 
     @property
     def bypasses_cache(self) -> bool:
@@ -114,6 +85,5 @@ class RunOptions:
             self.sanitize
             or self.telemetry
             or self.probe is not None
-            or self.instrumentation is not None
             or self.tie_break_seed is not None
         )

@@ -1,8 +1,8 @@
 """The concrete recorder: sampled time-series plus a run profiler.
 
-:class:`TelemetryRecorder` implements the :class:`~repro.telemetry
-.instrumentation.Instrumentation` protocol.  Components register at build
-time; when the runner calls :meth:`begin_run` the recorder wires a
+:class:`TelemetryRecorder` is a :class:`~repro.sim.probe.Probe`.
+Components register at build time; when the runner calls
+:meth:`begin_run` the recorder wires a
 :class:`~repro.metrics.timeseries.Sampler` onto the simulator with one
 probe per registered entity (queue bytes per port, cwnd/inflight per
 sender, backlog per proxy) plus network-wide aggregates, all sampled on a
@@ -12,16 +12,17 @@ Memory is bounded twice over: the sampler stops after ``max_samples``
 ticks, and at most ``max_series`` probes are registered (surplus entities
 are counted in ``series_dropped``, never silently ignored).
 
-Probes are **read-only**: they touch no component state and draw no
-randomness, so an instrumented run produces bit-identical simulation
-results to an uninstrumented one — only ``events_executed`` (sampler
-ticks) and wall-clock fields differ, and neither feeds the sweep digest.
+The sampler's probe functions are **read-only**: they touch no
+component state and draw no randomness, so a recorded run produces
+bit-identical simulation results to an unrecorded one — only
+``events_executed`` (sampler ticks) and wall-clock fields differ, and
+neither feeds the sweep digest.
 
 The profiler side accumulates wall-clock per phase (build/run/collect),
 per-handler event time keyed by callback qualname, and the process's heap
-high-water mark; :meth:`finish` folds everything into a picklable
-:class:`TelemetrySnapshot` that the runner attaches to
-``IncastResult.telemetry``.
+high-water mark; :meth:`end_run` folds everything into a picklable
+:class:`TelemetrySnapshot` (:attr:`TelemetryRecorder.snapshot`) that the
+runner attaches to ``IncastResult.telemetry``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import ConfigError
 from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
 from repro.metrics.timeseries import Sampler, TimeSeries
-from repro.telemetry.instrumentation import Instrumentation
+from repro.sim.probe import Probe
 from repro.units import microseconds
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,14 +131,12 @@ class TelemetrySnapshot:
         }
 
 
-class TelemetryRecorder(Instrumentation):
+class TelemetryRecorder(Probe):
     """Records sampled time-series and a wall-clock profile for one run.
 
     Intended lifetime is a single ``run_incast`` call: build components
-    (they self-register), :meth:`begin_run`, simulate, :meth:`finish`.
+    (they self-register), :meth:`begin_run`, simulate, :meth:`end_run`.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -171,6 +170,8 @@ class TelemetryRecorder(Instrumentation):
         self._wall_start = time.perf_counter()
         self._handler_seconds: dict[str, float] = {}
         self._handler_events: dict[str, int] = {}
+        #: the run's recording, set by :meth:`end_run`.
+        self.snapshot: TelemetrySnapshot | None = None
 
     # -- registration -------------------------------------------------------
 
@@ -273,8 +274,8 @@ class TelemetryRecorder(Instrumentation):
         table[key] = table.get(key, 0.0) + seconds
         self._handler_events[key] = self._handler_events.get(key, 0) + 1
 
-    def finish(self) -> TelemetrySnapshot:
-        """Stop sampling and fold everything into a snapshot."""
+    def end_run(self) -> None:
+        """Stop sampling and fold everything into :attr:`snapshot`."""
         self.phase("finished")  # closes the open phase's accounting
         if self._sampler is not None:
             self._sampler.stop()
@@ -302,7 +303,7 @@ class TelemetryRecorder(Instrumentation):
             "fault_events_applied": getattr(self._injector, "applied", 0),
             "fault_events_skipped": getattr(self._injector, "skipped", 0),
         }
-        return TelemetrySnapshot(
+        self.snapshot = TelemetrySnapshot(
             sample_interval_ps=self.sample_interval_ps,
             series=self._sampler.snapshot() if self._sampler else {},
             profile=profile,

@@ -97,7 +97,8 @@ class AckingReceiver:
         self._closed = False
         self._pool = sim.packet_pool
         self._delack = Timer(sim, self._flush_ack)
-        sim.instrumentation.on_receiver(self)
+        if sim.probe is not None:
+            sim.probe.on_receiver(self)
 
     # -- receive path -----------------------------------------------------------
 

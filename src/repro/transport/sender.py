@@ -154,9 +154,9 @@ class WindowedSender:
                 f"{total_packets} x {cfg.payload_bytes}B packets"
             )
         self._tail_payload = tail
-        # Build-time registration with the telemetry layer (no-op unless
-        # instrumentation is installed); never touched on the data path.
-        sim.instrumentation.on_sender(self)
+        # Build-time registration with an observer; never on the data path.
+        if sim.probe is not None:
+            sim.probe.on_sender(self)
 
     # -- driving ----------------------------------------------------------------
 

@@ -205,6 +205,21 @@ class TestCheckpointFormat:
             f"checkpoint schema 6 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_7_file(self):
+        # Written by the schema-7 code: a simulator whose payload names the
+        # deleted repro.telemetry.instrumentation.NULL_INSTRUMENTATION.  The
+        # version is read first, so the file is refused before unpickling
+        # could look the module up.
+        path = Path(__file__).parent / "fixtures" / "schema7_simulator.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 7))
+        assert b"NULL_INSTRUMENTATION" in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 7 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())
@@ -270,14 +285,6 @@ class TestClosureSerialization:
     def test_module_functions_pickle_by_reference(self):
         restored = loads(dumps(_module_level_probe))
         assert restored is _module_level_probe
-
-    def test_null_instrumentation_restores_as_the_singleton(self):
-        from repro.sim.simulator import Simulator
-        from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
-
-        sim = Simulator(seed=0)
-        assert sim.instrumentation is NULL_INSTRUMENTATION
-        assert loads(dumps(sim)).instrumentation is NULL_INSTRUMENTATION
 
     def test_shared_state_restores_as_one_object(self):
         # A container referenced both by a callback (a partial over a

@@ -3,9 +3,11 @@ with the data plane's own counters."""
 
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro.config import TransportConfig, small_interdc_config
 from repro.control.config import ControlConfig
 from repro.experiments.runner import IncastScenario, RunOptions, run_incast
@@ -24,10 +26,8 @@ from repro.faults import (
 from repro.sim.probe import Probe
 from repro.units import kilobytes, microseconds, milliseconds, seconds
 
-#: Every hook a probe can override.
-HOOKS = sorted(
-    name for name in vars(Probe) if name.startswith("on_") or name == "deliver"
-)
+#: Every build-time, per-event and data-path hook a probe can override.
+HOOKS = sorted(name for name in vars(Probe) if name.startswith("on_"))
 
 
 class CountingProbe(Probe):
@@ -165,3 +165,15 @@ def test_a_probe_does_not_move_the_run():
     assert (probed.ict_ps, probed.retransmissions, probed.failed_flows) == (
         plain.ict_ps, plain.retransmissions, plain.failed_flows
     )
+
+
+def test_only_a_probe_that_times_events_reads_the_clock(monkeypatch):
+    reads = []
+    clock = SimpleNamespace(perf_counter=lambda: reads.append(1) or 0.0)
+    monkeypatch.setattr(simulator_module, "time", clock)
+    scenario = _scenario("streamlined")
+    for options in (RunOptions(), RunOptions(sanitize=True), RunOptions(probe=Probe())):
+        run_incast(scenario, options)
+        assert reads == [], options
+    timed = run_incast(scenario, RunOptions(probe=CountingProbe()))
+    assert len(reads) == 2 * timed.events_executed

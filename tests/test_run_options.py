@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.races import result_digest
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError
 from repro.experiments.parallel import ExperimentEngine, ResultCache
@@ -13,6 +14,8 @@ from repro.experiments.runner import IncastScenario, run_incast
 from repro.sim.probe import Probe
 from repro.telemetry import RunOptions
 from repro.units import kilobytes
+from tests.test_probe import SCENARIOS as PROBE_SCENARIOS
+from tests.test_probe import CountingProbe
 
 
 def _scenario(**overrides):
@@ -41,9 +44,44 @@ class TestRunOptions:
         assert RunOptions(telemetry=True).bypasses_cache
         assert RunOptions(probe=Probe()).bypasses_cache
 
-    def test_sanitize_and_probe_exclude_each_other(self):
-        with pytest.raises(ConfigError, match="probe"):
-            RunOptions(sanitize=True, probe=Probe())
+    def test_sanitize_telemetry_and_probe_share_one_run(self):
+        # Each observer, fanned out with the others, sees exactly what it
+        # sees alone, and together they leave the run as a plain one.
+        scenario = PROBE_SCENARIOS["trims"]
+        plain = run_incast(scenario)
+        sanitized = run_incast(scenario, RunOptions(sanitize=True))
+        recorded = run_incast(scenario, RunOptions(telemetry=True))
+        alone = CountingProbe()
+        run_incast(scenario, RunOptions(probe=alone))
+        together = CountingProbe()
+        both = run_incast(scenario, RunOptions(
+            sanitize=True, telemetry=True, probe=together,
+        ))
+
+        assert both.conservation == sanitized.conservation
+        assert both.conservation["injected_packets"] > 0
+
+        def series(result):
+            return {name: (s.times, s.values)
+                    for name, s in result.telemetry.series.items()}
+
+        assert series(both) == series(recorded)
+        assert len(series(both)) > 1
+
+        # Sampler ticks are events too (all but the first sample, taken as
+        # the run starts): they are the only difference in the event
+        # count, and so in the per-event hook's call count.
+        ticks = len(both.telemetry.get("scheduler.pending")) - 1
+        assert together.calls.pop("on_event") == both.events_executed
+        assert alone.calls.pop("on_event") == plain.events_executed
+        assert together.calls == alone.calls
+        assert (together.drops, together.trims) == (alone.drops, alone.trims)
+        assert together.trims > 0
+
+        assert result_digest(plain) == result_digest(
+            replace(both, events_executed=both.events_executed - ticks)
+        )
+        assert result_digest(both) == result_digest(recorded)
 
     def test_options_path_sanitizes_without_warning(self):
         with warnings.catch_warnings():

@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.telemetry import (
-    NULL_INSTRUMENTATION,
     RunOptions,
     SweepTelemetry,
     TELEMETRY_SCHEMA_VERSION,
@@ -43,19 +42,11 @@ def _scenario(scheme="baseline", **overrides):
     return replace(base, **overrides) if overrides else base
 
 
-class TestNullInstrumentation:
-    def test_disabled_and_inert(self):
-        assert NULL_INSTRUMENTATION.enabled is False
-        NULL_INSTRUMENTATION.on_port(object())
-        NULL_INSTRUMENTATION.phase("build")
-        assert NULL_INSTRUMENTATION.finish() is None
-
+class TestRecorderSnapshot:
     def test_plain_run_attaches_no_snapshot(self):
         result = run_incast(_scenario())
         assert result.telemetry is None
 
-
-class TestRecorderSnapshot:
     def test_snapshot_series_and_profile(self):
         result = run_incast(_scenario("streamlined"),
                             options=RunOptions(telemetry=True))
@@ -113,7 +104,7 @@ class TestBoundedMemory:
     def test_max_series_drops_surplus_probes_counted(self):
         recorder = TelemetryRecorder(max_series=8)
         scenario = _scenario("streamlined")
-        result = run_incast(scenario, options=RunOptions(instrumentation=recorder))
+        result = run_incast(scenario, options=RunOptions(probe=recorder))
         snap = result.telemetry
         assert len(snap.series) == 8
         assert snap.counters["series_dropped"] > 0
