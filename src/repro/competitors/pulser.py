@@ -27,8 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketType
-from repro.patterns.detector import DetectorSettings
-from repro.patterns.distributed import make_detection_backend
 from repro.proxy.streamlined import ProxyStats
 from repro.schemes import SchemeWiring
 from repro.transport.connection import Connection
@@ -36,7 +34,7 @@ from repro.units import milliseconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host, PacketHandler
-    from repro.patterns.detector import DetectionEvent
+    from repro.patterns.detector import DetectionEvent, DetectorSettings
     from repro.patterns.distributed import DetectionBackend
     from repro.schemes import SchemeContext
     from repro.sim.simulator import Simulator
@@ -109,6 +107,8 @@ class PulserAgent:
 
 def _pulser_settings(ctx: "SchemeContext") -> DetectorSettings:
     """Thresholds scaled to the scenario so smoke-sized runs still detect."""
+    from repro.patterns.detector import DetectorSettings
+
     scenario = ctx.scenario
     return DetectorSettings(
         window_ps=milliseconds(1),
@@ -119,6 +119,8 @@ def _pulser_settings(ctx: "SchemeContext") -> DetectorSettings:
 
 
 def _wire_pulser_common(ctx: "SchemeContext", backend_name: str) -> SchemeWiring:
+    from repro.patterns.distributed import make_detection_backend
+
     wiring = SchemeWiring()
     backend = make_detection_backend(backend_name, _pulser_settings(ctx))
     agent = PulserAgent(ctx.sim, ctx.receiver, backend)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.control.weights import WEIGHT_MODELS
 from repro.errors import ConfigError
 from repro.units import microseconds
 
@@ -34,6 +33,8 @@ class ControlConfig:
     refresh_interval_ps: int = 0
 
     def __post_init__(self) -> None:
+        from repro.control.weights import WEIGHT_MODELS
+
         if self.weight_model not in WEIGHT_MODELS:
             raise ConfigError(
                 f"unknown weight model {self.weight_model!r}; known: "

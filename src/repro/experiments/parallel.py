@@ -54,13 +54,15 @@ import threading
 import time
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import ExperimentError
 from repro.metrics.config import DEFAULT_METRICS
 from repro.experiments.runner import IncastResult, IncastScenario, run_incast
 from repro.telemetry.options import RunOptions
-from repro.telemetry.sweep import SweepTelemetry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.sweep import SweepTelemetry
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -160,12 +162,20 @@ def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
 # On-disk result cache
 # ---------------------------------------------------------------------------
 
+#: An entry file is this magic, the payload's sha256, then the payload (a
+#: pickle).  A file that does not start with it -- an entry written before
+#: the framing, or a foreign file -- reads as a miss.
+_ENTRY_MAGIC = b"RPCACHE\x01"
+_ENTRY_HEADER = len(_ENTRY_MAGIC) + hashlib.sha256().digest_size
+
+
 class ResultCache:
     """Pickle-per-entry result store keyed by :func:`scenario_key`.
 
     Entries are written atomically (tmp file + rename) so a crashed or
-    concurrent run never leaves a truncated entry; unreadable entries are
-    treated as misses and overwritten.
+    concurrent run never leaves a truncated entry, and framed with their
+    payload's sha256 so a damaged one is never unpickled; unreadable
+    entries are treated as misses and overwritten.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
@@ -178,31 +188,40 @@ class ResultCache:
     def get(self, key: str) -> Any | None:
         """Load the cached value for ``key``, or None on miss/corruption.
 
-        A corrupted-but-readable entry (truncated pickle, stale class
-        layout) is deleted on the spot: leaving it would turn every future
-        lookup of this key into a doomed read, and ``put`` only runs when
-        a fresh result exists to overwrite it with.
+        A corrupted-but-readable entry (short header, digest mismatch, old
+        format, stale class layout) is deleted on the spot: leaving it
+        would turn every future lookup of this key into a doomed read, and
+        ``put`` only runs when a fresh result exists to overwrite it with.
         """
         path = self.path_for(key)
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            try:
-                if path.exists():
-                    path.unlink()
-            except OSError:  # pragma: no cover - unwritable cache dir
-                pass
+            blob = path.read_bytes()
+        except OSError:
             return None
+        body = blob[_ENTRY_HEADER:]
+        if (
+            blob.startswith(_ENTRY_MAGIC)
+            and hashlib.sha256(body).digest() == blob[len(_ENTRY_MAGIC):_ENTRY_HEADER]
+        ):
+            try:
+                return pickle.loads(body)
+            except Exception:  # an intact entry this code cannot load: a miss
+                pass
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - unwritable cache dir
+            pass
+        return None
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` atomically."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         with tmp.open("wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(_ENTRY_MAGIC + hashlib.sha256(body).digest())
+            fh.write(body)
         tmp.replace(path)
 
     def clear(self) -> int:

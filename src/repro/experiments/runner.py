@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.analysis.sanitizer import Sanitizer
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
-from repro.control import ControlConfig, Controller
+from repro.control.config import ControlConfig
 from repro.control.pool import FailoverConfig
 from repro.detection.lossdetector import DetectorConfig
 from repro.errors import ExperimentError
-from repro.faults.injector import FaultContext, arm_faults
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.placement import pick_senders
@@ -41,10 +40,12 @@ from repro.schemes import SCHEME_REGISTRY, SCHEMES, SchemeContext  # SCHEMES: re
 from repro.sim.probe import FanOut, Probe
 from repro.sim.simulator import Simulator, collector_paused
 from repro.telemetry.options import RunOptions
-from repro.telemetry.recorder import TelemetryRecorder, TelemetrySnapshot
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import megabytes, seconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.recorder import TelemetrySnapshot
 
 
 @dataclass(frozen=True)
@@ -249,21 +250,32 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
         install_tie_break(
             sim, options.tie_break_seed, limit=options.tie_break_limit
         )
-    # install() also arms the packet pool's leak check; a fan-out then
-    # takes the slot over with the sanitizer as its first member.
-    sanitizer = Sanitizer().install(sim) if options.sanitize else None
-    recorder = TelemetryRecorder(
-        sample_interval_ps=options.sample_interval_ps,
-        max_samples=options.max_samples,
-        metrics=options.metrics,
-    ) if options.telemetry else None
+    # Each observer's module is imported only when the run asks for it.
+    sanitizer = recorder = None
+    if options.sanitize:
+        from repro.analysis.sanitizer import Sanitizer
+
+        # install() also arms the packet pool's leak check; a fan-out then
+        # takes the slot over with the sanitizer as its first member.
+        sanitizer = Sanitizer().install(sim)
+    if options.telemetry:
+        from repro.telemetry.recorder import TelemetryRecorder
+
+        recorder = TelemetryRecorder(
+            sample_interval_ps=options.sample_interval_ps,
+            max_samples=options.max_samples,
+            metrics=options.metrics,
+        )
     observers = [o for o in (sanitizer, recorder, options.probe) if o is not None]
     if len(observers) > 1:
         sim.probe = FanOut(observers)
     elif observers:
         sim.probe = observers[0]
-    if recorder is None and isinstance(options.probe, TelemetryRecorder):
-        recorder = options.probe
+    if recorder is None and options.probe is not None:
+        from repro.telemetry.recorder import TelemetryRecorder
+
+        if isinstance(options.probe, TelemetryRecorder):
+            recorder = options.probe
     observer = sim.probe if sim.probe is not None else Probe()
     observer.phase("build")
     trimming = spec.trimming
@@ -321,21 +333,27 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
             *(h.id for h in proxy_hosts.values()),
         })
 
-    injector = arm_faults(
-        sim,
-        scenario.faults,
-        FaultContext(
-            net,
-            sender_hosts=senders,
-            receiver_host=receiver,
-            proxies=proxies,
-            proxy_hosts=proxy_hosts,
-            backbone=topo.backbone,
-        ),
-    )
+    injector = None  # an empty plan arms nothing
+    if scenario.faults:
+        from repro.faults.injector import FaultContext, arm_faults
+
+        injector = arm_faults(
+            sim,
+            scenario.faults,
+            FaultContext(
+                net,
+                sender_hosts=senders,
+                receiver_host=receiver,
+                proxies=proxies,
+                proxy_hosts=proxy_hosts,
+                backbone=topo.backbone,
+            ),
+        )
 
     controller = None
     if scenario.control is not None:
+        from repro.control.controller import Controller
+
         controller = Controller(sim, net, scenario.control).start().observe(injector)
 
     observer.phase("run")

@@ -10,8 +10,11 @@ Delay queries walk the graph once per *source attachment point*, not per
 pair: a node with a single neighbour (every host) reaches the rest of the
 graph only through it, so ``min_delay_ps`` is the source's access delay +
 a cached delay-weighted :func:`~repro.net.routing.shortest_distances` from
-its attachment point + the destination's access delay.  ``connect()``
-clears the cache; after ``finalize()`` the graph is frozen and it only fills.
+its attachment point + the destination's access delay.  The walks share
+one :func:`~repro.net.routing.forwarding_view`, derived at the first query.
+``connect()`` clears both; after ``finalize()`` the graph is frozen, the
+view stays and the cache only fills.  The view is not pickled: a restored
+network derives it again at its first query.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class Network:
         self._edge_attrs: dict[tuple[int, int], tuple[float, int]] = {}
         #: root -> {forwarding node: min delay from root}; see min_delay_ps.
         self._delays_from: dict[int, dict[int, int]] = {}
+        #: forwarding_view(adjacency), derived at the first delay query.
+        self._forwarding: dict[int, list[int]] | None = None
         self._next_node_id = 0
         self._next_flow_id = 0
         self._finalized = False
@@ -94,6 +99,7 @@ class Network:
         self._edge_attrs[(a.id, b.id)] = (rate_bps, delay_ps)
         self._edge_attrs[(b.id, a.id)] = (rate_bps, delay_ps)
         self._delays_from.clear()
+        self._forwarding = None
 
     def finalize(self, routing: str = "spray") -> None:
         """Build routing tables and install the chosen strategy on switches."""
@@ -164,7 +170,9 @@ class Network:
             access = self._edge_attrs[(src_id, root)][1]
         reach = self._delays_from.get(root)
         if reach is None:
-            forwarding = forwarding_view(adjacency)
+            forwarding = self._forwarding
+            if forwarding is None:
+                forwarding = self._forwarding = forwarding_view(adjacency)
             reach = self._delays_from[root] = (
                 shortest_distances(forwarding, root, cost=self.edge_delay_ps)
                 if root in forwarding else {root: 0}
@@ -270,6 +278,18 @@ class Network:
             raise TopologyError(f"node {host_id} is not a host")
         (leaf_id,) = self.adjacency[host_id]
         self.fail_link(host_id, leaf_id, at_ps, duration_ps)
+
+    # -- pickling ----------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # The view is derived from the adjacency: a checkpoint does not carry it.
+        state = self.__dict__.copy()
+        del state["_forwarding"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._forwarding = None
 
     # -- internals --------------------------------------------------------------
 

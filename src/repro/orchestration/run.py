@@ -27,18 +27,18 @@ from typing import TYPE_CHECKING
 from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.errors import OrchestrationError
 from repro.metrics.collector import NetworkCounters
-from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
 from repro.orchestration.central import CentralOrchestrator
-from repro.orchestration.decentralized import DecentralizedSelector
 from repro.orchestration.policies import least_loaded, make_queue_depth, make_round_robin
 from repro.orchestration.state import ProxyRegistry
 from repro.sim.rng import SimRandom
 from repro.units import seconds
-from repro.workloads.incast import IncastJob
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.net.node import Host
+    from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
+    from repro.orchestration.decentralized import DecentralizedSelector
+    from repro.workloads.incast import IncastJob
 
 STRATEGIES = ("none", "shared", "central", "round-robin", "queue-depth",
               "decentralized")
@@ -60,6 +60,8 @@ def make_selector(
     for host in hosts:
         registry.register(host.id)
     if strategy == "decentralized":
+        from repro.orchestration.decentralized import DecentralizedSelector
+
         return DecentralizedSelector(registry, rng)
     if strategy == "round-robin":
         return CentralOrchestrator(registry, make_round_robin())

@@ -22,10 +22,11 @@ simulation results are bit-identical with telemetry on or off.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.telemetry.options": ["RunOptions"],
+    "repro.telemetry.options": [
+        "DEFAULT_MAX_SAMPLES", "DEFAULT_SAMPLE_INTERVAL_PS", "RunOptions",
+    ],
     "repro.telemetry.recorder": [
-        "DEFAULT_MAX_SAMPLES", "DEFAULT_MAX_SERIES", "DEFAULT_SAMPLE_INTERVAL_PS",
-        "RunProfile", "TelemetryRecorder", "TelemetrySnapshot",
+        "DEFAULT_MAX_SERIES", "RunProfile", "TelemetryRecorder", "TelemetrySnapshot",
     ],
     "repro.telemetry.sweep": [
         "RunRecord", "SweepTelemetry", "TELEMETRY_JSON_SCHEMA",

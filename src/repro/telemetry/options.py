@@ -19,10 +19,17 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
-from repro.telemetry.recorder import DEFAULT_MAX_SAMPLES, DEFAULT_SAMPLE_INTERVAL_PS
+from repro.units import microseconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.probe import Probe
+
+#: Default sampling cadence: one probe sweep every 10 us of simulated time.
+DEFAULT_SAMPLE_INTERVAL_PS = microseconds(10)
+
+#: Default per-series sample cap (ticks, not bytes; each tick is two ints
+#: per series).  2048 ticks at the default cadence covers ~20 ms of run.
+DEFAULT_MAX_SAMPLES = 2048
 
 
 @dataclass(frozen=True)

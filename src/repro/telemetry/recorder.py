@@ -36,17 +36,10 @@ from repro.errors import ConfigError
 from repro.metrics.config import DEFAULT_METRICS, MetricsConfig
 from repro.metrics.timeseries import Sampler, TimeSeries
 from repro.sim.probe import Probe
-from repro.units import microseconds
+from repro.telemetry.options import DEFAULT_MAX_SAMPLES, DEFAULT_SAMPLE_INTERVAL_PS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
-
-#: Default sampling cadence: one probe sweep every 10 us of simulated time.
-DEFAULT_SAMPLE_INTERVAL_PS = microseconds(10)
-
-#: Default per-series sample cap (ticks, not bytes; each tick is two ints
-#: per series).  2048 ticks at the default cadence covers ~20 ms of run.
-DEFAULT_MAX_SAMPLES = 2048
 
 #: Default cap on the number of registered probes.
 DEFAULT_MAX_SERIES = 128

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.config import FabricConfig
 from repro.errors import ConfigError
-from repro.net.buffers import SharedBuffer, SharedEcnQueue
 from repro.net.network import Network
 from repro.net.node import Host, Switch
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.buffers import SharedBuffer
 
 
 @dataclass
@@ -54,6 +57,8 @@ def build_leafspine(
             "modelled per-port, as in NDP-class switches)"
         )
     pools: dict[int, SharedBuffer] = {}
+    if shared_alpha is not None:
+        from repro.net.buffers import SharedBuffer, SharedEcnQueue
 
     def switch_queue(switch: Switch, name: str):
         """Static per-port queue, or a DT queue drawing on the switch pool."""

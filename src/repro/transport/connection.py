@@ -16,10 +16,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import TransportConfig
 from repro.errors import TransportError
-from repro.transport.aimd import RenoAimd
 from repro.transport.cc_base import CongestionControl, UnlimitedWindow
 from repro.transport.dctcp import DctcpLike
-from repro.transport.rate_based import make_rate_based
 from repro.transport.receiver import AckingReceiver
 from repro.transport.rtt import RttEstimator
 from repro.transport.sender import WindowedSender
@@ -49,8 +47,12 @@ def make_congestion_control(
             nack_cut_factor=cfg.nack_cut_factor,
         )
     if kind == "aimd":
+        from repro.transport.aimd import RenoAimd
+
         return RenoAimd(initial_cwnd_packets, min_cwnd_packets=cfg.min_cwnd_packets)
     if kind == "bbr":
+        from repro.transport.rate_based import make_rate_based
+
         return make_rate_based(cfg, initial_cwnd_packets, base_rtt_ps)
     if kind == "unlimited":
         return UnlimitedWindow()

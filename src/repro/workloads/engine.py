@@ -54,20 +54,18 @@ from repro.errors import ConfigError, OrchestrationError, WorkloadError
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.metrics.config import MODE_SKETCH, MetricsConfig
 from repro.metrics.sink import DistributionDigest, DistributionSink, make_distribution_sink
-from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
-from repro.orchestration.run import STRATEGIES, MultiIncastResult, make_selector
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim.checkpoint import save_checkpoint
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
 from repro.units import milliseconds, seconds
-from repro.workloads.incast import IncastJob
-from repro.workloads.registry import WORKLOAD_REGISTRY, TenantRequest, tenant_jobs
 from repro.workloads.sizes import HeavyTailConfig
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.orchestration.admission import AdmissionDecision, ProxyAdmissionPolicy
+    from repro.orchestration.run import MultiIncastResult
     from repro.patterns.controller import PatternAwareController
+    from repro.workloads.incast import IncastJob
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -158,6 +156,8 @@ class WorkloadEngineConfig:
             raise ConfigError("peak_arrivals_per_s must be positive")
         if self.load_factor <= 0:
             raise ConfigError("load_factor must be positive")
+        from repro.orchestration.run import STRATEGIES
+
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}"
@@ -302,6 +302,9 @@ class OpenLoopEngine:
     """
 
     def __init__(self, config: WorkloadEngineConfig) -> None:
+        from repro.orchestration.run import make_selector
+        from repro.workloads.registry import WORKLOAD_REGISTRY
+
         self.config = config
         spec = SCHEME_REGISTRY.get(config.scheme)
         for name, _ in config.mix:
@@ -401,6 +404,8 @@ class OpenLoopEngine:
         self._spawn_tenant()
 
     def _spawn_tenant(self) -> None:
+        from repro.workloads.registry import WORKLOAD_REGISTRY, TenantRequest, tenant_jobs
+
         index = self._tenants
         self._tenants += 1
         self.fold.tenants_admitted += 1
@@ -552,6 +557,8 @@ class OpenLoopEngine:
         # here, before this run grows, so peak RSS does not depend on where
         # the interpreter's next full pass happens to fall.
         gc.collect()
+        if checkpoint_path is not None:
+            from repro.sim.checkpoint import save_checkpoint
         horizon = self.config.horizon_ps
         segment = self.config.segment_ps
         while self.sim.now < horizon and not self.finished:
@@ -608,6 +615,8 @@ class OpenLoopEngine:
 
     def multi_incast_result(self) -> MultiIncastResult:
         """A job-list run as the concurrent-incast harness reports it."""
+        from repro.orchestration.run import MultiIncastResult
+
         jobs, selector = self.config.jobs, self.selector
         return MultiIncastResult(
             strategy=self.strategy,

@@ -10,6 +10,7 @@ included; nodes with a single neighbour get no rows at all.
 """
 
 import heapq
+import pickle
 from collections import deque
 
 import pytest
@@ -364,6 +365,36 @@ class TestMinDelay:
         for src, dst in ((a.id, c.id), (c.id, a.id), (s.id, t.id), (a.id, t.id)):
             with pytest.raises(RoutingError):
                 net.min_delay_ps(src, dst)
+
+    def test_one_forwarding_view_per_network(self, monkeypatch):
+        views = []
+        derive = repro.net.network.forwarding_view
+
+        def counted(adjacency):
+            views.append(adjacency)
+            return derive(adjacency)
+
+        monkeypatch.setattr(repro.net.network, "forwarding_view", counted)
+        net = build_fabric_net("d272")
+        receiver = net.hosts[-1].id
+        for host in net.hosts:
+            net.min_delay_ps(host.id, receiver)
+            net.min_delay_ps(receiver, host.id)
+        assert len(views) == 1
+
+    def test_the_view_is_not_pickled(self):
+        # A checkpoint carries the delay cache but not the view; a restored
+        # network derives the view again at its first new root.
+        net = build_fabric_net("small")
+        receiver = net.hosts[-1].id
+        want = [net.min_delay_ps(h.id, receiver) for h in net.hosts]
+        assert net._forwarding is not None
+        restored = pickle.loads(pickle.dumps(net))
+        assert restored._forwarding is None
+        assert restored._delays_from == net._delays_from
+        restored._delays_from.clear()
+        assert [restored.min_delay_ps(h.id, receiver) for h in net.hosts] == want
+        assert restored._forwarding == net._forwarding
 
     def test_connect_after_a_query_invalidates_the_cache(self):
         sim = Simulator(seed=1)

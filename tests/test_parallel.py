@@ -1,8 +1,11 @@
 """The parallel execution engine: hashing, cache, pool, deterministic merge."""
 
+import pickle
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.races import result_digest
 from repro.config import TransportConfig, small_interdc_config
@@ -33,6 +36,19 @@ def tiny_scenario() -> IncastScenario:
         interdc=small_interdc_config(),
         transport=TransportConfig(payload_bytes=4096),
     )
+
+
+@pytest.fixture(scope="module")
+def cached_entry(tmp_path_factory):
+    """One real cache entry: its key, its result and its file's bytes."""
+    result = run_incast(IncastScenario(
+        degree=2, total_bytes=megabytes(1), interdc=small_interdc_config(),
+        transport=TransportConfig(payload_bytes=4096),
+    ))
+    cache = ResultCache(tmp_path_factory.mktemp("entry"))
+    key = scenario_key(result.scenario)
+    cache.put(key, result)
+    return key, result, cache.path_for(key).read_bytes()
 
 
 def _square(x: int) -> int:  # top-level: picklable for the pool
@@ -251,6 +267,45 @@ class TestResultCache:
         result = run_incast(tiny_scenario)
         cache.put(key, result)
         assert cache.get(key) is not None
+
+    def test_intact_entry_round_trips(self, cached_entry, tmp_path):
+        key, result, blob = cached_entry
+        cache = ResultCache(tmp_path)
+        cache.path_for(key).parent.mkdir(parents=True)
+        cache.path_for(key).write_bytes(blob)
+        assert result_digest(cache.get(key)) == result_digest(result)
+
+    def test_unframed_entry_is_a_miss(self, cached_entry, tmp_path):
+        # What the cache wrote before entries carried their payload's sha256.
+        key, result, _blob = cached_entry
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_entry_is_a_miss_never_a_wrong_result(
+        self, cached_entry, tmp_path_factory, data
+    ):
+        key, _result, blob = cached_entry
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        else:
+            flipped = bytearray(blob)
+            flipped[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= (
+                1 << data.draw(st.integers(0, 7), label="bit")
+            )
+            damaged = bytes(flipped)
+        cache = ResultCache(tmp_path_factory.mktemp("damaged"))
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(damaged)
+        # Never raises, never loads: a damaged entry is a miss, and deleted.
+        assert cache.get(key) is None
+        assert not path.exists()
 
     def test_uncacheable_scenarios_just_run(self, tiny_scenario, tmp_path):
         # Cache-bypassing options are the one way a run goes uncached.
