@@ -152,9 +152,23 @@ class GapLossDetector:
             self._trackers[flow_id] = tracker
         return tracker
 
+    def get(self, flow_id: int) -> FlowTracker | None:
+        """The tracker for ``flow_id``, if it has one."""
+        return self._trackers.get(flow_id)
+
     def remove(self, flow_id: int) -> None:
         """Forget a finished flow."""
         self._trackers.pop(flow_id, None)
+
+    def flush(self, now: int) -> bool:
+        """Time-sweep every tracker; whether any gap is still pending."""
+        pending = False
+        for tracker in self._trackers.values():
+            if tracker.pending_gaps():
+                tracker.flush(now)
+                if tracker.pending_gaps():
+                    pending = True
+        return pending
 
     def __len__(self) -> int:
         return len(self._trackers)

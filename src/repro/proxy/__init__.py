@@ -4,13 +4,13 @@
   one end-to-end connection per flow routed via the proxy; switches trim
   overflowing packets to headers, the proxy reflects trimmed headers back
   to the sender as NACKs within microseconds and forwards everything else.
+  Without switch trimming (§5 Future Work #1) the same proxy takes a
+  bounded-memory gap ``detector`` (:mod:`repro.detection`) and NACKs the
+  losses it infers.
 * :class:`NaiveProxy` (§4.1 "Proxy (Naive)"): two full connections per
   flow bridged at the proxy by an in-order relay; the long leg is
   NIC-paced, not window-paced.  The same relay repeated at every
   datacenter of a multi-DC line is :func:`build_relay_chain`.
-* :class:`TrimlessStreamlinedProxy` (§5 Future Work #1): the streamlined
-  scheme without switch trimming support — losses are *inferred* at the
-  proxy by a bounded-memory detector (:mod:`repro.detection`).
 * :mod:`repro.proxy.placement`: deterministic sender placement and the
   one proxy/relay placement call, :func:`place`.
 
@@ -26,7 +26,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.proxy.naive": ["NaiveProxy", "RelayChain", "build_relay_chain"],
     "repro.proxy.placement": ["pick_senders", "place"],
     "repro.proxy.streamlined": ["ProxyStats", "StreamlinedProxy"],
-    "repro.proxy.trimless": ["TrimlessStreamlinedProxy"],
 })
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "ProxyStats",
     "RelayChain",
     "StreamlinedProxy",
-    "TrimlessStreamlinedProxy",
     "build_relay_chain",
     "pick_senders",
     "place",

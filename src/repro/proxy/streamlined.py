@@ -13,6 +13,13 @@ This mirrors the paper's eBPF prototype, whose measured per-packet cost is
 modelled by :mod:`repro.hoststack`; pass ``processing_delay`` (a
 zero-argument sampler, picklable so checkpoints can carry it) to charge
 that cost on every packet the proxy touches.
+
+Without switch trimming (paper §5, Future Work #1), pass a
+:class:`~repro.detection.lossdetector.GapLossDetector` as ``detector``:
+every full data packet feeds its flow's tracker before it is forwarded,
+and inferred gaps become NACKs to the flow's sender, echoing the
+timestamp of the packet that revealed the gap (a burst is sent
+back-to-back, so it approximates the lost packet's send time).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from repro.transport.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import TransportConfig
+    from repro.detection.lossdetector import GapLossDetector
     from repro.net.network import Network
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
@@ -57,7 +65,8 @@ class ProxyStats:
 
 
 class StreamlinedProxy:
-    """Trim-aware forwarding proxy living on one host."""
+    """Trim-aware forwarding proxy living on one host, optionally inferring
+    losses itself through a gap ``detector``."""
 
     def __init__(
         self,
@@ -65,17 +74,22 @@ class StreamlinedProxy:
         host: "Host",
         *,
         processing_delay: Callable[[], int] | None = None,
+        detector: "GapLossDetector | None" = None,
         label: str = "",
     ) -> None:
         self.sim = sim
         self.host = host
         self.processing_delay = processing_delay
+        self.detector = detector
         self.label = label or f"sproxy:{host.name}"
         self.stats = ProxyStats()
         self.flows: set[int] = set()
         self.crashed = False
         self.crashes = 0
         self._pool = sim.packet_pool
+        if detector is not None:
+            self._senders: dict[int, int] = {}  # flow -> sender host id
+            self._flush_armed = False
         if sim.probe is not None:
             sim.probe.on_proxy(self)
 
@@ -118,40 +132,54 @@ class StreamlinedProxy:
         """Relay packets of ``flow_id`` (lower-level form of :meth:`attach`)."""
         self.host.register_handler(flow_id, self._handle)
         self.flows.add(flow_id)
+        if self.detector is not None:
+            self.detector.tracker(flow_id, partial(self._on_inferred_loss, flow_id))
 
     def detach_flow(self, flow_id: int) -> None:
-        """Stop relaying ``flow_id``."""
+        """Stop relaying ``flow_id`` and free its detector state."""
         if not self.crashed:
             self.host.unregister_handler(flow_id)
         self.flows.discard(flow_id)
+        if self.detector is not None:
+            self.detector.remove(flow_id)
+            self._senders.pop(flow_id, None)
 
     # -- failure injection --------------------------------------------------------
 
     def crash(self) -> None:
         """Kill the proxy process: packets in flight toward it go stray.
 
-        The Streamlined proxy holds *no* per-flow state — forwarding is a
-        pure function of the packet — so a later :meth:`restart` resumes
-        relaying every attached flow.
+        Forwarding is a pure function of the packet, so a later
+        :meth:`restart` resumes relaying every attached flow.  Detector
+        state (trackers, learned sender ids) is process memory and is lost
+        for good.
         """
         if self.crashed:
             return
         self.crashed = True
         self.crashes += 1
-        # Sorted so handler churn is independent of set-hash order.
+        # Sorted so handler and detector churn is independent of set-hash order.
         for flow_id in sorted(self.flows):
             self.host.unregister_handler(flow_id)
+            if self.detector is not None:
+                self.detector.remove(flow_id)
+        if self.detector is not None:
+            self._senders.clear()
         probe = self.sim.probe
         if probe is not None:
             probe.on_proxy_crash(self)
 
     def restart(self) -> None:
-        """Restart after a crash; stateless forwarding resumes immediately."""
+        """Restart after a crash; stateless forwarding resumes immediately,
+        each flow with a *fresh* tracker (gaps that straddled the outage
+        fall back to the sender's RTO)."""
         if not self.crashed:
             return
         self.crashed = False
         for flow_id in sorted(self.flows):
             self.host.register_handler(flow_id, self._handle)
+            if self.detector is not None:
+                self.detector.tracker(flow_id, partial(self._on_inferred_loss, flow_id))
         probe = self.sim.probe
         if probe is not None:
             probe.on_proxy_restart(self)
@@ -176,6 +204,8 @@ class StreamlinedProxy:
             if packet.trimmed:
                 self._reflect_nack(packet)
             else:
+                if self.detector is not None:
+                    self._observe(self.detector, packet)
                 self._forward(packet)
                 self.stats.data_forwarded += 1
         else:
@@ -204,3 +234,34 @@ class StreamlinedProxy:
         # The absorbed header terminates here — only its NACK travels on.
         packet.release()
         self.host.send(nack)
+
+    # -- loss inference (with a detector) -------------------------------------------
+
+    def _observe(self, detector: "GapLossDetector", packet: Packet) -> None:
+        self._senders.setdefault(packet.flow_id, packet.src)
+        tracker = detector.get(packet.flow_id)
+        if tracker is not None:
+            tracker.on_data(packet.seq, self.sim.now, packet.ts, packet.retx > 0)
+            if tracker.pending_gaps():
+                self._arm_flush(detector)
+
+    def _on_inferred_loss(self, flow_id: int, seq: int, approx_ts: int) -> None:
+        sender = self._senders.get(flow_id)
+        if sender is None:
+            return  # gap before any packet carries the sender id: impossible
+        nack = self._pool.nack(flow_id, seq, self.host.id, sender, ts_echo=approx_ts)
+        self.stats.nacks_sent += 1
+        self.host.send(nack)
+
+    def _arm_flush(self, detector: "GapLossDetector") -> None:
+        """Sweep quiet tails: a gap with no later arrival still ages out."""
+        if self._flush_armed:
+            return
+        self._flush_armed = True
+        self.sim.schedule(detector.cfg.reorder_window_ps + 1, self._flush)
+
+    def _flush(self) -> None:
+        self._flush_armed = False
+        detector = self.detector
+        if not self.crashed and detector is not None and detector.flush(self.sim.now):
+            self._arm_flush(detector)

@@ -47,7 +47,6 @@ from repro.control.pool import ProxyPoolManager
 from repro.proxy.naive import NaiveProxy
 from repro.proxy.placement import place
 from repro.proxy.streamlined import StreamlinedProxy
-from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.transport.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -291,8 +290,12 @@ def _make_trimless_proxy(
     detector: "DetectorConfig | None" = None,
     overhead: str | None = None,
     label: str = "",
-) -> TrimlessStreamlinedProxy:
-    return TrimlessStreamlinedProxy(sim, host, detector)
+) -> StreamlinedProxy:
+    from repro.detection.lossdetector import GapLossDetector
+
+    return StreamlinedProxy(
+        sim, host, detector=GapLossDetector(detector), label=f"tproxy:{host.name}"
+    )
 
 
 # -- built-in wiring ----------------------------------------------------------

@@ -59,7 +59,11 @@ from repro.errors import SimulationError
 #:       selection from ``orchestration:select``.
 #:   8 — one observer slot: the simulator's ``instrumentation`` attribute
 #:       (and the ``NULL_INSTRUMENTATION`` it pickled by name) is gone.
-CHECKPOINT_SCHEMA_VERSION = 8
+#:   9 — one streamlined proxy: the ``repro.proxy.trimless`` module is
+#:       gone; a ``StreamlinedProxy`` pickles its ``detector`` and, when it
+#:       has one, the learned sender ids, with the trackers in the detector
+#:       alone.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

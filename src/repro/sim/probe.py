@@ -67,7 +67,7 @@ class Probe:
         """An :class:`~repro.transport.receiver.AckingReceiver` was built."""
 
     def on_proxy(self, proxy: Any) -> None:
-        """A proxy (naive / streamlined / trimless) was built."""
+        """A proxy (naive, or streamlined with or without a detector) was built."""
 
     def on_fault_injector(self, injector: Any) -> None:
         """A :class:`~repro.faults.injector.FaultInjector` was armed."""

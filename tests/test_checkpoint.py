@@ -220,6 +220,22 @@ class TestCheckpointFormat:
             f"checkpoint schema 7 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_8_trimless_file(self):
+        # Written by the schema-8 code: an open-loop trimless engine saved
+        # mid-burst, whose payload names the trimless proxy class of the
+        # deleted repro.proxy.trimless.  The version is read first, so the
+        # file is refused before unpickling could look the module up (or
+        # restore a streamlined proxy with no ``detector`` attribute).
+        path = Path(__file__).parent / "fixtures" / "schema8_trimless.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 8))
+        assert b"repro.proxy.trimless" in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 8 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())

@@ -1,19 +1,18 @@
-"""Proxy schemes: streamlined forwarding/NACK reflection, naive relay,
-trimless detection, and placement."""
+"""Proxy schemes: streamlined forwarding/NACK reflection, the streamlined
+proxy's gap detector (trimless), naive relay, and placement."""
 
 from functools import partial
 
 import pytest
 
 from repro.config import QueueSpec, TransportConfig
-from repro.detection.lossdetector import DetectorConfig
+from repro.detection.lossdetector import DetectorConfig, GapLossDetector
 from repro.errors import ProxyError
 from repro.net.network import Network
 from repro.net.packet import PacketType, make_ack, make_data
 from repro.proxy.naive import NaiveProxy
 from repro.proxy.placement import pick_senders, place
 from repro.proxy.streamlined import StreamlinedProxy
-from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.sim.simulator import Simulator
 from repro.topology.leafspine import build_leafspine
 from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
@@ -214,13 +213,14 @@ class TestNaiveProxy:
 
 
 class TestTrimlessProxy:
+    """The streamlined proxy with a gap detector: no switch trimming."""
+
     def test_detects_drops_and_nacks(self, sim, transport_cfg):
         net, sender, proxy_host, receiver = build_line(sim, trimming=False,
                                                        bottleneck=kilobytes(30))
-        proxy = TrimlessStreamlinedProxy(
-            sim, proxy_host,
+        proxy = StreamlinedProxy(sim, proxy_host, detector=GapLossDetector(
             DetectorConfig(packet_threshold=4, reorder_window_ps=microseconds(10)),
-        )
+        ))
         conn = proxy.open(net, sender, receiver, 200_000, transport_cfg)
         conn.cc.cwnd = conn.total_packets  # force first-burst overflow
         conn.start()
@@ -229,22 +229,44 @@ class TestTrimlessProxy:
         assert proxy.stats.nacks_sent > 0
         assert conn.sender.stats.nacks_received > 0
 
-    def test_no_false_nacks_without_loss(self, sim, transport_cfg):
-        net, sender, proxy_host, receiver = build_line(sim, bottleneck=megabytes(4))
-        proxy = TrimlessStreamlinedProxy(sim, proxy_host)
-        conn = proxy.open(net, sender, receiver, 50_000, transport_cfg)
-        conn.start()
-        sim.run(until=milliseconds(200))
-        assert conn.completed
-        assert proxy.stats.nacks_sent == 0
+    def test_no_false_nacks_without_loss(self, transport_cfg):
+        # The same loss-free flow without and with a detector: the detector
+        # only observes, so nothing it sees may move the run.
+        runs = []
+        for detector in (None, GapLossDetector()):
+            sim = Simulator(seed=42)
+            net, sender, proxy_host, receiver = build_line(
+                sim, bottleneck=megabytes(4)
+            )
+            proxy = StreamlinedProxy(sim, proxy_host, detector=detector)
+            done = []
+            conn = proxy.open(net, sender, receiver, 500_000, transport_cfg,
+                              on_receiver_complete=lambda r: done.append(sim.now))
+            conn.start()
+            sim.run(until=milliseconds(200))
+            assert conn.completed
+            assert proxy.stats.nacks_sent == 0
+            runs.append((done, conn.sender.stats.as_dict(), proxy.stats.as_dict()))
+        assert runs[0] == runs[1]
+        _, sender_stats, proxy_stats = runs[0]
+        assert sender_stats["retransmissions"] == 0
+        assert proxy_stats["data_forwarded"] == sender_stats["data_packets_sent"] == 489
 
     def test_detach_cleans_state(self, sim):
         net, sender, proxy_host, receiver = build_line(sim)
-        proxy = TrimlessStreamlinedProxy(sim, proxy_host)
+        proxy = StreamlinedProxy(sim, proxy_host, detector=GapLossDetector())
         proxy.attach_flow(9)
+        assert len(proxy.detector) == 1
         proxy.detach_flow(9)
         assert 9 not in proxy_host.handlers
         assert len(proxy.detector) == 0
+
+    def test_no_detector_no_detector_state(self, sim):
+        net, sender, proxy_host, receiver = build_line(sim)
+        proxy = StreamlinedProxy(sim, proxy_host)
+        proxy.attach_flow(9)
+        assert proxy.detector is None
+        assert not hasattr(proxy, "_senders")
 
 
 class TestPlacement:

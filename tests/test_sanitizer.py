@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.sanitizer import Sanitizer
 from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
 from repro.config import TransportConfig, small_interdc_config
+from repro.detection.lossdetector import GapLossDetector
 from repro.errors import SanitizerError
 from repro.experiments.runner import (
     SCHEMES,
@@ -16,7 +17,6 @@ from repro.faults import blackhole_plan
 from repro.net.packet import make_data
 from repro.proxy.placement import pick_senders
 from repro.proxy.streamlined import StreamlinedProxy
-from repro.proxy.trimless import TrimlessStreamlinedProxy
 from repro.sim.probe import Probe
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
@@ -221,10 +221,14 @@ class TestSortedFlowChurn:
     directly, making handler and detector churn depend on hash order.
     """
 
-    @pytest.mark.parametrize("proxy_cls", [StreamlinedProxy, TrimlessStreamlinedProxy])
-    def test_crash_and_restart_iterate_sorted(self, sim, proxy_cls, monkeypatch):
+    @pytest.mark.parametrize(
+        "with_detector", [False, True], ids=["StreamlinedProxy", "detector"]
+    )
+    def test_crash_and_restart_iterate_sorted(self, sim, with_detector, monkeypatch):
         net, a, b = build_pair(sim)
-        proxy = proxy_cls(sim, a)
+        proxy = StreamlinedProxy(
+            sim, a, detector=GapLossDetector() if with_detector else None
+        )
         for flow_id in SCRAMBLED_FLOWS:
             proxy.attach_flow(flow_id)
 
