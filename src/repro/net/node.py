@@ -121,14 +121,12 @@ class Host(Node):
             self.corrupt_dropped += 1
             if probe is not None:
                 probe.on_corrupt_drop(self, packet)
-            packet.release()
             return
         handler = self.handlers.get(packet.flow_id)
         if handler is None:
             self.stray_packets += 1
             if probe is not None:
                 probe.on_stray(self, packet)
-            packet.release()
             return
         if probe is not None:
             probe.on_deliver(self, packet)

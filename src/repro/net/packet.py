@@ -3,7 +3,8 @@
 A :class:`Packet` is a mutable, slotted record — mutability lets queues
 trim payloads and mark ECN in place without reallocating on the hot path.
 Retransmissions and ACKs always build *new* packets, so a copy held by a
-sender's retransmission buffer is never aliased by one in flight.
+sender's retransmission buffer is never aliased by one in flight.  A packet
+is a plain object: it is freed when the last component holding it lets go.
 
 Routing through a proxy uses loose source routing: ``dst`` is the host the
 network should deliver the packet to *next*; ``stops`` lists the endpoints
@@ -53,10 +54,6 @@ class Packet:
         "ts",
         "ts_echo",
         "retx",
-        "_pool",
-        "_freed",
-        "_acquired_at",
-        "_released_at",
     )
 
     def __init__(
@@ -100,26 +97,6 @@ class Packet:
         self.ts = ts
         self.ts_echo = ts_echo
         self.retx = retx
-        # Pool bookkeeping (see repro.net.pool): set once by the owning
-        # PacketPool right after construction; None for hand-built packets.
-        self._pool = None
-        self._freed = False
-        # Provenance, stamped by a sanitizing pool: the call sites
-        # ("file:line") that acquired and released this packet, so
-        # double-release and stale-reference diagnostics name the
-        # offending components instead of just the packet.
-        self._acquired_at: str | None = None
-        self._released_at: str | None = None
-
-    def release(self) -> None:
-        """Hand this packet back to its pool (no-op for unpooled packets).
-
-        Call exactly once, from the component that *terminates* the packet;
-        the reference the caller still holds must die with its frame.
-        """
-        pool = self._pool
-        if pool is not None:
-            pool.give(self)
 
     # -- mutation on the data path -------------------------------------------
 

@@ -123,13 +123,11 @@ class OutputPort:
             self.dropped_while_down += 1
             if probe is not None:
                 probe.on_down_drop(self, packet)
-            packet.release()
             return EnqueueOutcome.DROPPED
         if self.blackhole_fraction > 0 and self._fault_hits(self.blackhole_fraction):
             self.blackholed_packets += 1
             if probe is not None:
                 probe.on_blackhole(self, packet)
-            packet.release()
             return EnqueueOutcome.DROPPED
         if self.corrupt_fraction > 0 and self._fault_hits(self.corrupt_fraction):
             packet.corrupted = True
@@ -142,9 +140,7 @@ class OutputPort:
             size_before = packet.size_bytes
             outcome = self._qoffer(packet)
             probe.on_offer(self, packet, outcome is _DROPPED, size_before)
-        if outcome is _DROPPED:
-            packet.release()
-        elif not self.busy:
+        if outcome is not _DROPPED and not self.busy:
             self._start_service()
         return outcome
 
@@ -175,7 +171,6 @@ class OutputPort:
             # the port goes quiet until it comes back up.
             if probe is not None:
                 probe.on_wire_lost(self, packet)
-            packet.release()
             self.busy = False
             return
         size = packet.size_bytes

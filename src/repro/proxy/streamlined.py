@@ -28,7 +28,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ProxyError
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet, PacketType, make_nack
 from repro.transport.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,7 +86,6 @@ class StreamlinedProxy:
         self.flows: set[int] = set()
         self.crashed = False
         self.crashes = 0
-        self._pool = sim.packet_pool
         if detector is not None:
             self._senders: dict[int, int] = {}  # flow -> sender host id
             self._flush_armed = False
@@ -197,7 +196,6 @@ class StreamlinedProxy:
         if self.crashed:
             # Packet was in the processing pipeline when we died; it
             # terminates here.
-            packet.release()
             return
         self.stats.packets_processed += 1
         if packet.kind == PacketType.DATA:
@@ -223,7 +221,7 @@ class StreamlinedProxy:
 
     def _reflect_nack(self, packet: Packet) -> None:
         self.stats.trimmed_absorbed += 1
-        nack = self._pool.nack(
+        nack = make_nack(
             packet.flow_id,
             packet.seq,
             self.host.id,
@@ -232,7 +230,6 @@ class StreamlinedProxy:
         )
         self.stats.nacks_sent += 1
         # The absorbed header terminates here — only its NACK travels on.
-        packet.release()
         self.host.send(nack)
 
     # -- loss inference (with a detector) -------------------------------------------
@@ -249,7 +246,7 @@ class StreamlinedProxy:
         sender = self._senders.get(flow_id)
         if sender is None:
             return  # gap before any packet carries the sender id: impossible
-        nack = self._pool.nack(flow_id, seq, self.host.id, sender, ts_echo=approx_ts)
+        nack = make_nack(flow_id, seq, self.host.id, sender, ts_echo=approx_ts)
         self.stats.nacks_sent += 1
         self.host.send(nack)
 

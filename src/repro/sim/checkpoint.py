@@ -9,8 +9,8 @@ transport state, hosts, proxies, the RNG substreams seeded so far, and
 whatever fold state the caller nests alongside them — captured *between*
 ``run()`` segments, when the simulator is quiescent and pause/resume is
 already exactly equivalent to one long run.  What a class holds only as a
-cache it leaves out of its own pickled state (the packet pool's free list);
-this module does not know which classes those are.
+cache it leaves out of its own pickled state (the network's forwarding
+view); this module does not know which classes those are.
 
 The format is plain :mod:`pickle`, so the graph must hold only what
 pickle carries: data, instances of importable classes, and functions and
@@ -63,7 +63,10 @@ from repro.errors import SimulationError
 #:       gone; a ``StreamlinedProxy`` pickles its ``detector`` and, when it
 #:       has one, the learned sender ids, with the trackers in the detector
 #:       alone.
-CHECKPOINT_SCHEMA_VERSION = 9
+#:  10 — no packet pool: the simulator pickles no pool, and a ``Packet``
+#:       carries its wire fields only (its four pool-bookkeeping slots are
+#:       gone).
+CHECKPOINT_SCHEMA_VERSION = 10
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.errors import SanitizerError, SchedulingError, SimulationError
-from repro.net.pool import PacketPool
 from repro.sim.events import Event
 from repro.sim.probe import Probe
 from repro.sim.rng import RngRegistry
@@ -58,10 +57,6 @@ class Simulator:
         #: Opt-in observer (see :mod:`repro.sim.probe`); every hook site
         #: tests ``sim.probe is not None`` once.
         self.probe: Probe | None = None
-        #: Free-list recycling for data/ACK/NACK packets (see
-        #: :mod:`repro.net.pool`); endpoints acquire from it and the
-        #: terminating component releases back into it.
-        self.packet_pool = PacketPool()
         self._running = False
         self._stop_requested = False
 

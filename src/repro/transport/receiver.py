@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import TransportConfig
 from repro.errors import TransportError
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet, PacketType, make_ack, make_nack
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,7 +95,6 @@ class AckingReceiver:
         self._ack_marked = False
         self._ack_tail: Packet | None = None
         self._closed = False
-        self._pool = sim.packet_pool
         self._delack = Timer(sim, self._flush_ack)
         if sim.probe is not None:
             sim.probe.on_receiver(self)
@@ -107,34 +106,27 @@ class AckingReceiver:
 
         Called on connection teardown and when the hosting process crashes
         (Naive proxy) so no stale timer callback fires afterwards.  Any data
-        packet held as the pending ACK-batch tail is released: its echo will
-        never be sent, and leaving it allocated leaks a pool buffer per
-        crashed flow under coalesced ACKs.
+        packet held as the pending ACK-batch tail is dropped: its echo will
+        never be sent, and a closed receiver should not pin it for as long
+        as the receiver object itself lives.
         """
         self._closed = True
         self._delack.stop()
-        last = self._ack_tail
-        if last is not None:
-            self._ack_tail = None
-            last.release()
+        self._ack_tail = None
 
     def on_packet(self, packet: Packet) -> None:
         """Entry point for packets delivered to the receiving host.
 
-        The receiver terminates everything handed to it except the data
-        packet feeding the current ACK batch, which is held (as
-        ``_ack_tail``) until the batch flushes or a newer packet
-        supersedes it.
+        The receiver keeps only the data packet feeding the current ACK
+        batch, held (as ``_ack_tail``) until the batch flushes or a newer
+        packet supersedes it; the ACK echoes that packet's seq and ts.
         """
         if self._closed:
-            packet.release()
             return
         if packet.kind != PacketType.DATA:
-            packet.release()
             return  # control addressed to a receiver: nothing to do
         if packet.trimmed:
             self._send_nack(packet)
-            packet.release()
             return
         self._accept(packet)
 
@@ -161,11 +153,8 @@ class AckingReceiver:
 
         self._pending_acks += 1
         self._ack_marked = self._ack_marked or packet.ecn_ce
-        prev = self._ack_tail
-        if prev is not None:
-            # A newer packet supersedes the held batch tail: the old one's
-            # echo will never be sent, so it is dead now.
-            prev.release()
+        # A newer packet supersedes the held batch tail: the ACK echoes the
+        # latest arrival only.
         self._ack_tail = packet
         finished = self.cum >= self.total_packets
         if (
@@ -188,7 +177,7 @@ class AckingReceiver:
             return
         self._delack.stop()
         route = self.return_route
-        ack = self._pool.ack(
+        ack = make_ack(
             self.flow_id,
             self.host.id,
             route[0],
@@ -202,14 +191,13 @@ class AckingReceiver:
         self._pending_acks = 0
         self._ack_marked = False
         self._ack_tail = None
-        packet.release()  # echo fields copied into the ACK; the data is dead
         self.stats.acks_sent += 1
         self.host.send(ack)
 
     def _send_nack(self, packet: Packet) -> None:
         self.stats.trimmed_headers += 1
         route = self.return_route
-        nack = self._pool.nack(
+        nack = make_nack(
             self.flow_id,
             packet.seq,
             self.host.id,

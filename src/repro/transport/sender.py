@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import TransportConfig
 from repro.errors import TransportError
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet, PacketType, make_data
 from repro.sim.timers import Timer
 from repro.transport.cc_base import CongestionControl
 from repro.transport.rtt import RttEstimator
@@ -141,7 +141,6 @@ class WindowedSender:
         self._rto = Timer(sim, self._on_rto)
         self._tlp = Timer(sim, self._on_tlp)
         self._wire_ts = 0
-        self._pool = sim.packet_pool
         wire_bytes = cfg.payload_bytes + cfg.header_bytes
         self._wire_step = round(wire_bytes * 8 * 1_000_000_000_000 / host.nic_rate_bps)
 
@@ -210,17 +209,15 @@ class WindowedSender:
     def on_packet(self, packet: Packet) -> None:
         """Entry point for ACK/NACK packets delivered to the sending host.
 
-        The sender terminates every packet handed to it: once the handlers
-        return, the ACK/NACK is dead and goes back to the pool.
+        A finished, failed or closed sender ignores them; nothing keeps
+        the packet once the handlers return.
         """
         if self.completed or self.failed or self._closed:
-            packet.release()
             return
         if packet.kind == PacketType.ACK:
             self._on_ack(packet)
         elif packet.kind == PacketType.NACK:
             self._on_nack(packet)
-        packet.release()
 
     # -- internals: ACK/NACK --------------------------------------------------------
 
@@ -357,7 +354,7 @@ class WindowedSender:
     def _transmit(self, seq: int, retransmit: bool) -> None:
         wire_ts = self._next_wire_ts()
         payload = self._tail_payload if seq == self.total_packets - 1 else self._full_payload
-        packet = self._pool.data(
+        packet = make_data(
             self.flow_id,
             seq,
             self.host.id,
@@ -415,7 +412,7 @@ class WindowedSender:
             if probe_seq == self.total_packets - 1
             else self._full_payload
         )
-        packet = self._pool.data(
+        packet = make_data(
             self.flow_id,
             probe_seq,
             self.host.id,

@@ -36,27 +36,3 @@ def bad_deadline(now):
     """Exact float comparison in time logic."""
     return now == 0.001
 
-
-def bad_nack_path(self, flow_id, seq):
-    """Acquires a NACK the early-return path never releases or sends."""
-    nack = self.pool.nack(flow_id, seq, 0, 1)
-    if seq > self.cum:
-        return None
-    self.host.send(nack)
-    return nack
-
-
-def bad_stale_read(self, packet):
-    """Reads (and re-releases) a packet after it went back to the pool."""
-    packet.release()
-    self.bytes_seen += packet.size
-    packet.release()
-
-
-def bad_watch(self, inner):
-    """The pulser reentrancy bug: allocate-and-send inside a delivery tap."""
-    def tap(packet, _inner=inner):
-        _inner(packet)
-        pulse = self.pool.nack(packet.flow_id, 0, self.host.id, 1)
-        self.host.send(pulse)
-    return tap

@@ -189,7 +189,7 @@ class TestCli:
         assert main(["--format=github", str(BAD_EXAMPLE)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(l.startswith("::error file=") for l in lines)
-        assert any(",title=pool-leak-path::" in l for l in lines)
+        assert any(",title=raw-heapq::" in l for l in lines)
 
     def test_github_format_silent_when_clean(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"

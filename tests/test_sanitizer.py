@@ -14,6 +14,7 @@ from repro.experiments.runner import (
     run_incast,
 )
 from repro.faults import blackhole_plan
+from repro.faults.plan import FaultPlan, LinkDown, LinkUp, ProxyCrash, ProxyRestart
 from repro.net.packet import make_data
 from repro.proxy.placement import pick_senders
 from repro.proxy.streamlined import StreamlinedProxy
@@ -180,6 +181,33 @@ class TestSanitizedSchemes:
         assert tally is not None
         assert tally["faults_applied"] >= 1
         assert tally["injected_packets"] > 0
+
+
+class TestFaultPlanConservation:
+    """Conservation closes across the fault plans that drop the most: a
+    port dropping what it holds when its link goes down mid-delivery, and
+    a crashed proxy dropping what reaches it."""
+
+    def test_sanitized_run_survives_link_down_mid_delivery(self):
+        plan = FaultPlan((
+            LinkDown(at_ps=microseconds(20)),
+            LinkUp(at_ps=microseconds(220)),
+        ))
+        result = run_incast(
+            _scenario("streamlined", faults=plan), RunOptions(sanitize=True)
+        )
+        assert result.counters.packets_lost_to_failures > 0
+        assert result.conservation is not None
+
+    def test_sanitized_run_survives_proxy_crash_holding_a_batch(self):
+        plan = FaultPlan((
+            ProxyCrash(at_ps=microseconds(30), proxy="primary"),
+            ProxyRestart(at_ps=microseconds(230), proxy="primary"),
+        ))
+        result = run_incast(
+            _scenario("streamlined", faults=plan), RunOptions(sanitize=True)
+        )
+        assert result.conservation is not None
 
 
 class TestPhysicsFloor:
