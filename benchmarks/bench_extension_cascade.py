@@ -9,9 +9,9 @@ instead of the 22 ms end-to-end loop.
 
 from dataclasses import replace
 
-from repro.config import FabricConfig, MultiDcConfig, QueueSpec, TransportConfig
+from repro.config import TransportConfig, small_interdc_config
 from repro.experiments.cascade import CascadeScenario, run_cascade
-from repro.units import kilobytes, megabytes, milliseconds
+from repro.units import megabytes, milliseconds
 
 from benchmarks.conftest import run_once
 
@@ -19,19 +19,10 @@ SCHEMES = ("baseline", "edge", "cascade")
 
 
 def chain_scenario() -> CascadeScenario:
-    fabric = FabricConfig(
-        spines=2, leaves=2, servers_per_leaf=4,
-        switch_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(4),
-                               ecn_low_bytes=kilobytes(33.2),
-                               ecn_high_bytes=kilobytes(136.95)),
-    )
-    chain = MultiDcConfig(
-        fabric=fabric,
+    # The small two-DC config, stretched to a line of three.
+    chain = replace(
+        small_interdc_config(),
         segment_delays_ps=(milliseconds(1), milliseconds(10)),
-        backbone_per_spine=2,
-        backbone_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(12),
-                                 ecn_low_bytes=megabytes(2.5),
-                                 ecn_high_bytes=megabytes(10)),
     )
     return CascadeScenario(
         degree=4, total_bytes=megabytes(16), chain=chain,

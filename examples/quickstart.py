@@ -45,7 +45,7 @@ def main() -> None:
     )
 
     print(f"incast: {scenario.degree} senders, {total / 1e6:.0f} MB total, "
-          f"{interdc.backbone_delay_ps / 1e9:.1f} ms long-haul links\n")
+          f"{interdc.segment_delays_ps[0] / 1e9:.1f} ms long-haul links\n")
     print(f"{'scheme':<14} {'ICT':>12} {'vs baseline':>12} "
           f"{'drops':>8} {'trims':>8} {'timeouts':>9}")
 

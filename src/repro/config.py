@@ -222,72 +222,49 @@ def _backbone_queue() -> QueueSpec:
 
 @dataclass(frozen=True)
 class InterDcConfig:
-    """Two fabrics joined by backbone routers (paper §4.1): a one-segment line."""
+    """Leaf–spine datacenters in a line, each segment bridged by
+    ``fabric.spines * backbone_per_spine`` backbone routers.  The paper's
+    topology (§4.1) is the one-segment line; longer ones (metro DC →
+    regional hub → remote region) carry the cascaded-proxy extension."""
 
     fabric: FabricConfig = field(default_factory=FabricConfig)
-    backbone_routers: int = 64
+    #: long-haul latency of each segment; len + 1 datacenters are built.
+    segment_delays_ps: tuple[int, ...] = (milliseconds(1),)
     backbone_per_spine: int = 8
     backbone_rate_bps: float = gbps(100)
-    backbone_delay_ps: int = milliseconds(1)
     backbone_queue: QueueSpec = field(default_factory=_backbone_queue)
     trimming: bool = False
 
     def __post_init__(self) -> None:
-        if self.backbone_routers < 1 or self.backbone_per_spine < 1:
-            raise ConfigError("backbone dimensions must be at least 1")
+        delays = self.segment_delays_ps
+        if not isinstance(delays, tuple) or not delays or min(delays) < 0:
+            raise ConfigError(
+                f"segment_delays_ps must be a non-empty tuple of non-negative "
+                f"delays, got {delays!r}"
+            )
+        if self.backbone_per_spine < 1:
+            raise ConfigError("backbone_per_spine must be at least 1")
         if self.backbone_rate_bps <= 0:
             raise ConfigError(
                 f"backbone_rate_bps must be positive, got {self.backbone_rate_bps}"
             )
-        if self.backbone_delay_ps < 0:
-            raise ConfigError(
-                f"backbone_delay_ps must be non-negative, got {self.backbone_delay_ps}"
-            )
-        if self.backbone_per_spine * self.fabric.spines != self.backbone_routers:
-            raise ConfigError(
-                "backbone_routers must equal spines * backbone_per_spine "
-                f"({self.fabric.spines} * {self.backbone_per_spine} != "
-                f"{self.backbone_routers})"
-            )
-
-    @property
-    def segment_delays_ps(self) -> tuple[int, ...]:
-        """The one segment's long-haul latency, shaped like :class:`MultiDcConfig`'s."""
-        return (self.backbone_delay_ps,)
 
     def with_trimming(self, enabled: bool) -> "InterDcConfig":
         """The same config with packet trimming toggled on every switch."""
         return replace(self, trimming=enabled)
 
     def with_backbone_delay(self, delay_ps: int) -> "InterDcConfig":
-        """The same config with a different long-haul link latency (Fig. 3)."""
-        return replace(self, backbone_delay_ps=delay_ps)
+        """The same two-DC config with a different long-haul latency (Fig. 3);
+        a longer line has no single backbone delay and is refused."""
+        if len(self.segment_delays_ps) != 1:
+            raise ConfigError(
+                f"with_backbone_delay needs a one-segment line, not {self.segment_delays_ps}"
+            )
+        return replace(self, segment_delays_ps=(delay_ps,))
 
     def with_shared_buffers(self, alpha: float) -> "InterDcConfig":
         """The same config with DT shared buffers on every fabric switch."""
         return replace(self, fabric=replace(self.fabric, shared_buffer_alpha=alpha))
-
-
-@dataclass(frozen=True)
-class MultiDcConfig:
-    """A line of datacenters (metro DC → regional hub → remote region) joined
-    by per-segment backbones: the cascaded-proxy extension's substrate."""
-
-    fabric: FabricConfig = field(default_factory=FabricConfig)
-    #: long-haul latency of each segment; len+1 datacenters are built.
-    segment_delays_ps: tuple[int, ...] = (milliseconds(1), milliseconds(10))
-    backbone_per_spine: int = 2
-    backbone_rate_bps: float = gbps(100)
-    backbone_queue: QueueSpec = field(default_factory=_backbone_queue)
-    trimming: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.segment_delays_ps:
-            raise ConfigError("need at least one inter-DC segment")
-        if any(d < 0 for d in self.segment_delays_ps):
-            raise ConfigError("segment delays must be non-negative")
-        if self.backbone_per_spine < 1:
-            raise ConfigError("backbone_per_spine must be at least 1")
 
 
 def paper_interdc_config() -> InterDcConfig:
@@ -314,7 +291,6 @@ def small_interdc_config() -> InterDcConfig:
     )
     return InterDcConfig(
         fabric=fabric,
-        backbone_routers=4,
         backbone_per_spine=2,
         backbone_queue=QueueSpec(
             kind="ecn",

@@ -53,19 +53,20 @@ class ConvergenceResult:
 class _ReceivedBytes(Probe):
     """Samples the bytes every receiver in the receiving datacenter holds.
 
-    The incast's receiver is the only host in DC 1 that terminates flows:
-    a split-connection proxy's inner legs end in DC 0, and
-    :func:`measure_convergence` refuses background flows.
+    The incast's receiver is the only host in the last DC of the line
+    that terminates flows: a split-connection proxy's inner legs end in
+    DC 0, and :func:`measure_convergence` refuses background flows.
     """
 
-    def __init__(self, interval_ps: int) -> None:
+    def __init__(self, interval_ps: int, receiving_dc: int) -> None:
         self.interval_ps = interval_ps
+        self.receiving_dc = receiving_dc
         self.receivers: list[Any] = []
         self.bottleneck_bps = 0.0  # bytes per second into the receiver
         self.cumulative: Any = None
 
     def on_receiver(self, receiver: Any) -> None:
-        if receiver.host.dc == 1:
+        if receiver.host.dc == self.receiving_dc:
             self.receivers.append(receiver)
             self.bottleneck_bps = receiver.host.nic_rate_bps / 8
 
@@ -105,7 +106,7 @@ def measure_convergence(
             "measure_convergence counts every byte the receiving datacenter "
             "takes in; background flows would pass for goodput"
         )
-    probe = _ReceivedBytes(sample_interval_ps)
+    probe = _ReceivedBytes(sample_interval_ps, len(scenario.interdc.segment_delays_ps))
     run = run_incast(scenario, RunOptions(probe=probe))
     result = ConvergenceResult(
         scenario=scenario,

@@ -50,8 +50,9 @@ from repro.experiments.parallel import ExperimentEngine, RunFailure, _canonical
 from repro.experiments.runner import IncastResult, IncastScenario
 
 #: Bump when the spec document shape changes (axes layout, applier
-#: contract); a journal keyed to an old fingerprint then refuses to resume.
-GRID_SCHEMA_VERSION = 1
+#: contract, config fields); a journal keyed to an old fingerprint then
+#: refuses to resume.  2: ``InterDcConfig`` lists ``segment_delays_ps``.
+GRID_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,9 @@ def config_from_doc(doc: Any) -> Any:
     Inverse of :func:`scenario_to_doc` for the dataclass types the grid
     vocabulary uses: ``{"__type__": Name, ...}`` objects become registered
     dataclasses, arrays become tuples (every sequence field in the config
-    tree is a tuple), and primitives pass through.
+    tree is a tuple), and primitives pass through.  A document the
+    dataclass refuses (an unknown or missing field, a value of the wrong
+    type) raises :class:`~repro.errors.ExperimentError` naming the type.
     """
     if isinstance(doc, dict):
         if "__type__" in doc:
@@ -134,7 +137,12 @@ def config_from_doc(doc: Any) -> Any:
                 for key, value in doc.items()
                 if key != "__type__"
             }
-            return cls(**kwargs)
+            try:
+                return cls(**kwargs)
+            except (TypeError, ValueError) as exc:
+                raise ExperimentError(
+                    f"scenario document does not describe a valid {name}: {exc}"
+                ) from exc
         return {key: config_from_doc(value) for key, value in doc.items()}
     if isinstance(doc, list):
         return tuple(config_from_doc(value) for value in doc)

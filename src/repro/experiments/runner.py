@@ -2,7 +2,8 @@
 
 The runner reproduces the paper's §4.1 methodology: ``degree`` senders in
 datacenter 0 simultaneously transmit equal shares of ``total_bytes`` to a
-single receiver in datacenter 1.  Scheme selection is data-driven: the
+single receiver in the last datacenter of the line (datacenter 1 on the
+paper's two-DC topology).  Scheme selection is data-driven: the
 scenario's ``scheme`` string is looked up in
 :data:`repro.schemes.SCHEME_REGISTRY` and the resulting
 :class:`~repro.schemes.SchemeSpec` decides whether the fabric trims and
@@ -192,7 +193,7 @@ def _start_background(sim, topo, scenario: IncastScenario, busy_hosts: set[int])
     """
     rng = sim.rng.stream("background")
     idle0 = [h for h in topo.fabrics[0].hosts if h.id not in busy_hosts]
-    idle1 = [h for h in topo.fabrics[1].hosts if h.id not in busy_hosts]
+    idle1 = [h for h in topo.fabrics[-1].hosts if h.id not in busy_hosts]
     for i in range(scenario.background_flows):
         pools = [(idle0, idle0), (idle1, idle1), (idle0, idle1), (idle1, idle0)]
         src_pool, dst_pool = pools[i % len(pools)]
@@ -255,8 +256,8 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     if options.sanitize:
         from repro.analysis.sanitizer import Sanitizer
 
-        # install() also arms the packet pool's leak check; a fan-out then
-        # takes the slot over with the sanitizer as its first member.
+        # install() takes the probe slot; a fan-out then takes the slot
+        # over with the sanitizer as its first member.
         sanitizer = Sanitizer().install(sim)
     if options.telemetry:
         from repro.telemetry.recorder import TelemetryRecorder
@@ -284,7 +285,7 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     )
     net = topo.net
 
-    receiver = topo.fabrics[1].hosts[0]
+    receiver = topo.fabrics[-1].hosts[0]
     senders = pick_senders(topo.fabrics[0], scenario.degree)
     sizes = scenario.flow_sizes()
 
@@ -313,7 +314,7 @@ def _run_cell(scenario: IncastScenario, options: RunOptions) -> IncastResult:
     wiring = spec.wire(SchemeContext(
         sim=sim,
         net=net,
-        fabrics=topo.fabrics,
+        fabrics=tuple(topo.fabrics),
         scenario=scenario,
         receiver=receiver,
         senders=senders,

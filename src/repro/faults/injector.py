@@ -16,6 +16,8 @@ Target grammar (validated when the injector is armed):
 * ``"backbone"``            — every backbone router / its links;
 * ``"backbone:<i>"``        — backbone router ``i`` (isolating one of the
   64 long-haul paths packet spraying uses);
+* ``"backbone:<i>:<j>"``    — link ``j`` of backbone router ``i``, in the
+  router's adjacency order (``0`` faces the left-hand datacenter);
 * ``"proxy"`` / ``"primary"`` — the primary proxy host's access link;
 * ``"backup"``              — the backup proxy host's access link;
 * ``"sender:<i>"``          — incast sender ``i``'s access link;
@@ -30,6 +32,7 @@ injector counts applied vs skipped events so results record the coverage.
 
 from __future__ import annotations
 
+import re
 import time as _time
 from functools import partial
 from typing import TYPE_CHECKING, Iterable
@@ -57,22 +60,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
 
 _ROLE_TARGETS = ("all", "backbone", "receiver", "proxy", "primary", "backup")
-_INDEXED_PREFIXES = ("backbone:", "sender:")
+_INDEXED_TARGET = re.compile(r"backbone:[0-9]+(:[0-9]+)?|sender:[0-9]+")
 
 
 def _validate_target(target: str) -> None:
     """Reject malformed target strings up front (arming time, not mid-run)."""
-    if target in _ROLE_TARGETS:
+    if target in _ROLE_TARGETS or _INDEXED_TARGET.fullmatch(target):
         return
-    for prefix in _INDEXED_PREFIXES:
-        if target.startswith(prefix):
-            index = target[len(prefix):]
-            if index.isdigit():
-                return
-            raise FaultError(f"target {target!r}: index must be a non-negative integer")
+    if target.startswith(("backbone:", "sender:")):
+        raise FaultError(f"target {target!r}: index must be a non-negative integer")
     raise FaultError(
         f"unknown fault target {target!r}; use one of {_ROLE_TARGETS} or "
-        f"'backbone:<i>' / 'sender:<i>'"
+        f"'backbone:<i>' / 'backbone:<i>:<j>' / 'sender:<i>'"
     )
 
 
@@ -134,10 +133,11 @@ class FaultContext:
         if target == "backbone":
             return [pair for r in self.backbone for pair in self._router_links(r)]
         if target.startswith("backbone:"):
-            index = int(target.split(":", 1)[1])
-            if index < len(self.backbone):
-                return self._router_links(self.backbone[index])
-            return []
+            index, *link = (int(i) for i in target.split(":")[1:])
+            if index >= len(self.backbone):
+                return []
+            links = self._router_links(self.backbone[index])
+            return links[link[0]:link[0] + 1] if link else links
         host = self._host_for_role(target)
         if host is None:
             return []

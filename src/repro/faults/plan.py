@@ -23,9 +23,10 @@ Event vocabulary:
   or wall-clock-stall the whole simulation process, used to exercise the
   parallel engine's failure quarantine.
 
-Targets are symbolic (``"backbone"``, ``"backbone:3"``, ``"proxy"``,
-``"backup"``, ``"sender:0"``, ``"receiver"``, ``"all"``) and resolved
-against the built topology by :class:`~repro.faults.injector.FaultInjector`;
+Targets are symbolic (``"backbone"``, ``"backbone:3"``, ``"backbone:3:0"``,
+``"proxy"``, ``"backup"``, ``"sender:0"``, ``"receiver"``, ``"all"``) and
+resolved against the built topology by
+:class:`~repro.faults.injector.FaultInjector`;
 a target that names a role absent from the run (e.g. ``"proxy"`` under the
 baseline scheme) is skipped, which keeps one plan comparable across
 schemes.

@@ -238,7 +238,9 @@ class Network:
         downed link models transient loss that transports must absorb
         (RTO/RACK).  Watchers registered with :meth:`subscribe_link_state`
         are notified of genuine state changes and may recompute and
-        reinstall tables (see :mod:`repro.control`).
+        reinstall tables (see :mod:`repro.control`).  Timed failures are
+        a :class:`~repro.faults.plan.FaultPlan`, armed with
+        :func:`~repro.faults.injector.arm_faults`.
         """
         try:
             port_ab = self.nodes[a_id].ports[b_id]
@@ -260,24 +262,6 @@ class Network:
             for neighbor, port in node.ports.items()
             if not port.up
         )
-
-    def fail_link(self, a_id: int, b_id: int, at_ps: int, duration_ps: int) -> None:
-        """Schedule a transient failure of the a<->b link."""
-        if duration_ps <= 0:
-            raise TopologyError("failure duration must be positive")
-        self.set_link_state(a_id, b_id, True)  # validates the link exists
-        self.sim.schedule_at(at_ps, lambda: self.set_link_state(a_id, b_id, False))
-        self.sim.schedule_at(
-            at_ps + duration_ps, lambda: self.set_link_state(a_id, b_id, True)
-        )
-
-    def fail_host(self, host_id: int, at_ps: int, duration_ps: int) -> None:
-        """Schedule a transient failure of a host (its access link)."""
-        host = self.nodes.get(host_id)
-        if host is None or not isinstance(host, Host):
-            raise TopologyError(f"node {host_id} is not a host")
-        (leaf_id,) = self.adjacency[host_id]
-        self.fail_link(host_id, leaf_id, at_ps, duration_ps)
 
     # -- pickling ----------------------------------------------------------------
 

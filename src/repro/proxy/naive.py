@@ -13,11 +13,13 @@ For each flow the proxy terminates two full connections:
 The relay preserves byte-stream order: proxy_R delivers in-order segments
 and each delivery releases one segment to proxy_S.
 
-The same split connection, repeated at every datacenter of a multi-DC
-line, is the cascaded-relay extension: :func:`build_relay_chain` wires
-``src -> relays... -> dst`` as one leg per segment, so each segment gets a
-window sized to *its own* BDP and loss recovery over *its own* RTT.  The
-Naive proxy is its two-leg case.
+The same split connection, repeated at every datacenter of a longer
+:class:`~repro.config.InterDcConfig` line, is the cascaded-relay
+extension (:mod:`repro.experiments.cascade`): :func:`build_relay_chain`
+wires ``src -> relays... -> dst`` as one leg per segment, so each segment
+gets a window sized to *its own* BDP and loss recovery over *its own* RTT.
+The Naive proxy is its two-leg case; the cascade's relay legs run the
+scenario's congestion control, where Naive's long-haul leg is NIC-paced.
 """
 
 from __future__ import annotations

@@ -70,13 +70,14 @@ class SchemeContext:
 
     ``scenario`` is the :class:`~repro.experiments.runner.IncastScenario`
     being run (typed loosely to keep this module import-light).
-    ``make_on_done(i)`` / ``make_on_fail(i)`` build the per-flow completion
+    ``fabrics`` is the line of datacenters, the senders' first and the
+    receiver's last.  ``make_on_done(i)`` / ``make_on_fail(i)`` build the per-flow completion
     and failure callbacks for flow index ``i``.
     """
 
     sim: "Simulator"
     net: "Network"
-    fabrics: tuple[Any, Any]
+    fabrics: tuple[Any, ...]
     scenario: Any
     receiver: "Host"
     senders: list["Host"]

@@ -66,7 +66,10 @@ from repro.errors import SimulationError
 #:  10 — no packet pool: the simulator pickles no pool, and a ``Packet``
 #:       carries its wire fields only (its four pool-bookkeeping slots are
 #:       gone).
-CHECKPOINT_SCHEMA_VERSION = 10
+#:  11 — one line config: an ``InterDcConfig`` pickles one latency per
+#:       segment in ``segment_delays_ps``, in place of its router count and
+#:       single backbone delay, and the separate multi-DC config is gone.
+CHECKPOINT_SCHEMA_VERSION = 11
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

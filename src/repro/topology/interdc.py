@@ -1,10 +1,10 @@
 """Datacenters in a line joined by long-haul backbones (paper §4.1).
 
-The paper's evaluation topology is the one-segment case: two leaf–spine
-datacenters joined by backbone routers (:class:`~repro.config.InterDcConfig`).
-A :class:`~repro.config.MultiDcConfig` with ``k`` segment latencies builds
-``k + 1`` datacenters in a line, segment ``s`` bridging DC ``s`` and DC
-``s + 1`` — the substrate of the cascaded-proxy extension.
+An :class:`~repro.config.InterDcConfig` with ``k`` segment latencies
+builds ``k + 1`` leaf–spine datacenters in a line, segment ``s`` bridging
+DC ``s`` and DC ``s + 1``.  The paper's evaluation topology is the
+one-segment line; longer lines are the substrate of the cascaded-proxy
+extension.  Traffic enters at DC 0 and the receiver sits in the last DC.
 
 In every segment, backbone router ``b`` connects spine
 ``b // backbone_per_spine`` on the left and spine ``b % spines`` on the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.config import InterDcConfig, MultiDcConfig
+from repro.config import InterDcConfig
 from repro.net.network import Network
 from repro.net.node import Host, Switch
 from repro.sim.simulator import Simulator
@@ -33,7 +33,7 @@ class InterDcNetwork:
     """Handles to a built line of datacenters."""
 
     net: Network
-    cfg: InterDcConfig | MultiDcConfig
+    cfg: InterDcConfig
     fabrics: list[Fabric] = field(default_factory=list)
     #: every backbone router in build order, segment after segment
     backbone: list[Switch] = field(default_factory=list)
@@ -50,7 +50,7 @@ class InterDcNetwork:
 
 def build_interdc(
     sim: Simulator,
-    cfg: InterDcConfig | MultiDcConfig,
+    cfg: InterDcConfig,
     routing: str = "spray",
 ) -> InterDcNetwork:
     """Build the line of datacenters ``cfg`` describes on ``sim`` and finalize routing."""

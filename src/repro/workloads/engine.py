@@ -324,7 +324,7 @@ class OpenLoopEngine:
         trimming = spec.trimming and self.strategy != "none"
         topo = build_interdc(self.sim, interdc.with_trimming(trimming))
         self.net = topo.net
-        dc0, dc1 = topo.fabrics
+        dc0, dc1 = topo.fabrics[0], topo.fabrics[-1]
         self._sender_hosts = dc0.hosts
         self._receiver_hosts = dc1.hosts
         # Tenants send from the first three quarters of the sending fabric;

@@ -16,7 +16,6 @@ import pytest
 from repro.config import (
     FabricConfig,
     InterDcConfig,
-    MultiDcConfig,
     QueueSpec,
     TransportConfig,
     paper_interdc_config,
@@ -28,7 +27,7 @@ from repro.net.queues import HostQueue
 from repro.net.routing import build_next_hop_tables
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
-from repro.units import gbps, kilobytes, megabytes, microseconds
+from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 
 
 @pytest.fixture()
@@ -75,7 +74,11 @@ def build_fabric_net(name: str) -> Network:
         "small": small_interdc_config,
         "paper": paper_interdc_config,
         "d272": d272_interdc_config,
-        "multidc": lambda: MultiDcConfig(fabric=small_interdc_config().fabric),
+        "multidc": lambda: InterDcConfig(
+            fabric=small_interdc_config().fabric,
+            segment_delays_ps=(milliseconds(1), milliseconds(10)),
+            backbone_per_spine=2,
+        ),
     }[name]()
     return build_interdc(Simulator(seed=1), cfg).net
 

@@ -28,7 +28,7 @@ def _tiny_points(workers=1):
     spec = bakeoff_grid_spec(
         base,
         degrees=(2,),
-        delays_ps=(base.interdc.backbone_delay_ps,),
+        delays_ps=base.interdc.segment_delays_ps,
         buffer_scales=(1.0,),
         schemes=("baseline", "naive"),
         reps=1,

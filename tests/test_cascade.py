@@ -1,39 +1,25 @@
 """Multi-DC chains and cascaded relays."""
 
-import pytest
-
-from repro.config import (
-    FabricConfig,
-    MultiDcConfig,
-    QueueSpec,
-    TransportConfig,
-    small_interdc_config,
-)
-from repro.errors import ConfigError, ExperimentError, ProxyError
-from repro.experiments.cascade import CascadeScenario, run_cascade
-from repro.proxy.naive import build_relay_chain
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
-from repro.sim.simulator import Simulator
-from repro.topology.interdc import build_interdc
-from repro.units import kilobytes, megabytes, milliseconds
 from dataclasses import replace
 
+import pytest
 
-def small_chain(segments=(milliseconds(1), milliseconds(10))) -> MultiDcConfig:
-    fabric = FabricConfig(
-        spines=2, leaves=2, servers_per_leaf=4,
-        switch_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(4),
-                               ecn_low_bytes=kilobytes(33.2),
-                               ecn_high_bytes=kilobytes(136.95)),
-    )
-    return MultiDcConfig(
-        fabric=fabric,
-        segment_delays_ps=segments,
-        backbone_per_spine=2,
-        backbone_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(12),
-                                 ecn_low_bytes=megabytes(2.5),
-                                 ecn_high_bytes=megabytes(10)),
-    )
+from repro.config import InterDcConfig, TransportConfig, small_interdc_config
+from repro.errors import ConfigError, ExperimentError, ProxyError
+from repro.experiments.cascade import CascadeRun, CascadeScenario, run_cascade
+from repro.experiments.runner import IncastScenario, run_incast
+from repro.proxy.naive import build_relay_chain
+from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.sim.probe import Probe
+from repro.sim.simulator import Simulator
+from repro.telemetry.options import RunOptions
+from repro.topology.interdc import build_interdc
+from repro.units import kilobytes, megabytes, milliseconds, seconds
+
+
+def small_chain(segments=(milliseconds(1), milliseconds(10))) -> InterDcConfig:
+    """The small two-DC config stretched to a line of ``len(segments) + 1``."""
+    return replace(small_interdc_config(), segment_delays_ps=segments)
 
 
 @pytest.fixture()
@@ -75,15 +61,9 @@ class TestMultiDcTopology:
 
         for trimming in (False, True):
             two_dc = small_interdc_config().with_trimming(trimming)
-            line = MultiDcConfig(
-                fabric=two_dc.fabric,
-                segment_delays_ps=two_dc.segment_delays_ps,
-                backbone_per_spine=two_dc.backbone_per_spine,
-                backbone_rate_bps=two_dc.backbone_rate_bps,
-                backbone_queue=two_dc.backbone_queue,
-                trimming=trimming,
-            )
+            line = small_chain((milliseconds(1),)).with_trimming(trimming)
             assert fingerprint(line) == fingerprint(two_dc)
+            assert fingerprint(small_chain()) != fingerprint(two_dc)
 
     def test_end_to_end_delay_sums_segments(self, sim):
         topo = build_interdc(sim, small_chain())
@@ -105,9 +85,44 @@ class TestMultiDcTopology:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            MultiDcConfig(segment_delays_ps=())
+            InterDcConfig(segment_delays_ps=())
         with pytest.raises(ConfigError):
-            MultiDcConfig(segment_delays_ps=(-1,))
+            InterDcConfig(segment_delays_ps=(-1,))
+        with pytest.raises(ConfigError):
+            InterDcConfig(segment_delays_ps=[milliseconds(1)])
+
+    def test_backbone_delay_is_refused_on_a_longer_line(self):
+        # A two-segment line has no single backbone delay to replace.
+        with pytest.raises(ConfigError, match="one-segment line"):
+            small_chain().with_backbone_delay(milliseconds(5))
+
+
+class _Receivers(Probe):
+    """Every receiver the run builds."""
+
+    def __init__(self):
+        self.receivers = []
+
+    def on_receiver(self, receiver):
+        self.receivers.append(receiver)
+
+
+class TestIncastOnALine:
+    @pytest.mark.parametrize("scheme", ["baseline", "naive", "streamlined"])
+    def test_an_incast_runs_to_a_receiver_in_the_last_dc(self, scheme):
+        scenario = IncastScenario(
+            scheme=scheme, degree=4, total_bytes=kilobytes(400),
+            interdc=small_chain(), horizon_ps=seconds(5),
+        )
+        probe = _Receivers()
+        result = run_incast(scenario, RunOptions(sanitize=True, probe=probe))
+        assert result.completed and result.failed_flows == 0
+        # Every byte reaches DC 2, so the flows cross both segments.
+        far = [r for r in probe.receivers if r.host.dc == 2]
+        assert sum(r.stats.bytes_received for r in far) == scenario.total_bytes
+        assert result.ict_ps > 2 * sum(scenario.interdc.segment_delays_ps)
+        # sanitized: exact conservation and the ICT floor held on the line
+        assert result.conservation["checks_passed"] > 0
 
 
 class TestRelayChain:
@@ -230,3 +245,30 @@ class TestCascadeExperiment:
     def test_scheme_validation(self, scenario):
         with pytest.raises(ExperimentError):
             replace(scenario, scheme="relay-everything")
+
+    def test_a_blipped_run_resumes_from_a_mid_transfer_checkpoint(
+        self, scenario, tmp_path
+    ):
+        # The blip is a LinkDown/LinkUp plan armed through the fault
+        # injector, so its pending events pickle by reference.  Save after
+        # the link went down and before it comes back up, with bytes still
+        # crossing every leg.
+        blipped = replace(scenario, blip=(1, milliseconds(10), milliseconds(5)))
+        run = CascadeRun(blipped)
+        run.sim.run(until=milliseconds(12))
+        assert run.net.down_links() and run.remaining == blipped.degree
+        path = save_checkpoint(tmp_path / "cascade.ckpt", run)
+        restored = load_checkpoint(path)
+
+        outcomes = []
+        for each in (run, restored):
+            each.sim.run(until=blipped.horizon_ps)
+            result = each.result()
+            assert result.completed and not each.net.down_links()
+            legs = [
+                (leg.sender.stats.data_packets_sent, leg.receiver.stats.bytes_received)
+                for flow in each.flows for leg in flow.legs
+            ]
+            outcomes.append((result.ict_ps, legs, result.counters))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == run_cascade(blipped).ict_ps

@@ -248,6 +248,22 @@ class TestCheckpointFormat:
             f"checkpoint schema 9 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_10_file(self):
+        # Written by the schema-10 code: a simulator and the small two-DC
+        # config, whose payload pickles the deleted backbone_routers and
+        # backbone_delay_ps fields.  Unpickled, it would be an InterDcConfig
+        # with no segment_delays_ps; the version is read first, so the file
+        # is refused before that could happen.
+        path = Path(__file__).parent / "fixtures" / "schema10_interdc.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 10))
+        assert b"backbone_delay_ps" in blob and b"backbone_routers" in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 10 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())

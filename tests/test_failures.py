@@ -3,11 +3,19 @@
 import pytest
 
 from repro.config import TransportConfig, small_interdc_config
-from repro.errors import TopologyError
+from repro.errors import ConfigError, FaultError, TopologyError
+from repro.faults import FaultContext, arm_faults, link_flap_plan
 from repro.net.packet import make_data
 from repro.transport.connection import Connection
 from repro.units import megabytes, microseconds, milliseconds
 from tests.conftest import build_pair
+
+
+def flap(sim, net, target, at_ps, duration_ps, **roles):
+    """Arm a one-link down/up plan on ``target`` (roles as FaultContext's)."""
+    arm_faults(
+        sim, link_flap_plan(target, at_ps, duration_ps), FaultContext(net, **roles)
+    )
 
 
 class TestPortUpDown:
@@ -63,32 +71,31 @@ class TestNetworkFailureApi:
         with pytest.raises(TopologyError):
             net.set_link_state(a.id, b.id, False)  # hosts are not adjacent
 
-    def test_fail_link_schedules_down_and_up(self, sim):
+    def test_link_flap_plan_schedules_down_and_up(self, sim):
         net, a, b = build_pair(sim)
-        switch_id = net.adjacency[a.id][0]
-        net.fail_link(a.id, switch_id, at_ps=1000, duration_ps=500)
+        flap(sim, net, "sender:0", at_ps=1000, duration_ps=500, sender_hosts=[a])
         sim.run(until=1200)
         assert not a.nic.up
         sim.run(until=2000)
         assert a.nic.up
 
-    def test_fail_host_targets_access_link(self, sim):
+    def test_host_target_flaps_its_access_link(self, sim):
         net, a, b = build_pair(sim)
-        net.fail_host(a.id, at_ps=10, duration_ps=10)
+        flap(sim, net, "receiver", at_ps=10, duration_ps=10, receiver_host=b)
         sim.run(until=15)
-        assert not a.nic.up
+        assert not b.nic.up and a.nic.up
+        assert net.down_links() == {(b.id, net.adjacency[b.id][0]),
+                                    (net.adjacency[b.id][0], b.id)}
 
-    def test_fail_host_validates(self, sim):
+    def test_malformed_link_target_is_refused(self, sim):
         net, a, b = build_pair(sim)
-        switch_id = net.adjacency[a.id][0]
-        with pytest.raises(TopologyError):
-            net.fail_host(switch_id, at_ps=0, duration_ps=1)
+        for target in ("sender:0:1", "backbone:0:x", "backbone:0:1:2", "leaf"):
+            with pytest.raises(FaultError):
+                flap(sim, net, target, at_ps=0, duration_ps=1, sender_hosts=[a])
 
-    def test_duration_must_be_positive(self, sim):
-        net, a, b = build_pair(sim)
-        switch_id = net.adjacency[a.id][0]
-        with pytest.raises(TopologyError):
-            net.fail_link(a.id, switch_id, at_ps=0, duration_ps=0)
+    def test_duration_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            link_flap_plan("sender:0", at_ps=0, duration_ps=0)
 
 
 class TestTransportUnderFailure:
@@ -96,7 +103,8 @@ class TestTransportUnderFailure:
         net, a, b = build_pair(sim)
         conn = Connection(net, a, b, 200_000, transport_cfg)
         # kill the sender's access link mid-transfer for 200us
-        net.fail_host(a.id, at_ps=microseconds(20), duration_ps=microseconds(200))
+        flap(sim, net, "sender:0", at_ps=microseconds(20),
+             duration_ps=microseconds(200), sender_hosts=[a])
         conn.start()
         sim.run(until=milliseconds(2000))
         assert conn.completed
@@ -106,7 +114,8 @@ class TestTransportUnderFailure:
     def test_transfer_survives_receiver_side_failure(self, sim, transport_cfg):
         net, a, b = build_pair(sim)
         conn = Connection(net, a, b, 200_000, transport_cfg)
-        net.fail_host(b.id, at_ps=microseconds(20), duration_ps=microseconds(300))
+        flap(sim, net, "receiver", at_ps=microseconds(20),
+             duration_ps=microseconds(300), receiver_host=b)
         conn.start()
         sim.run(until=milliseconds(2000))
         assert conn.completed
@@ -120,13 +129,12 @@ class TestTransportUnderFailure:
         sim = Simulator(seed=0)
         topo = build_interdc(sim, small_interdc_config())
         net = topo.net
-        router = topo.backbone[0]
-        spine_id = net.adjacency[router.id][0]
         conn = Connection(
             net, topo.hosts(0)[0], topo.hosts(1)[0], megabytes(4), transport_cfg
         )
-        net.fail_link(router.id, spine_id, at_ps=microseconds(100),
-                      duration_ps=milliseconds(1))
+        # backbone router 0's link toward DC 0's spine
+        flap(sim, net, "backbone:0:0", at_ps=microseconds(100),
+             duration_ps=milliseconds(1), backbone=topo.backbone)
         conn.start()
         sim.run(until=milliseconds(5000))
         assert conn.completed

@@ -127,6 +127,18 @@ class TestInjectorTargets:
         ports = ctx.resolve_ports("backbone")
         assert links and len(ports) == 2 * len(links)
 
+    def test_backbone_link_target_names_one_link_of_one_router(self):
+        _, ctx = self._ctx()
+        router = ctx.backbone[1]
+        peers = ctx.net.adjacency[router.id]
+        assert ctx.resolve_links("backbone:1") == [(router.id, p) for p in peers]
+        for j, peer in enumerate(peers):
+            assert ctx.resolve_links(f"backbone:1:{j}") == [(router.id, peer)]
+            assert len(ctx.resolve_ports(f"backbone:1:{j}")) == 2
+        # A link or router this topology lacks is skipped, not an error.
+        assert ctx.resolve_links(f"backbone:1:{len(peers)}") == []
+        assert ctx.resolve_links(f"backbone:{len(ctx.backbone)}:0") == []
+
     def test_absent_role_is_skipped_not_an_error(self):
         # "proxy" under baseline names a role this run does not have.
         result = run_incast(

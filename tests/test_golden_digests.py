@@ -30,7 +30,6 @@ import repro.experiments.cascade as cascade_experiment
 from repro.analysis.races import result_digest
 from repro.competitors import install, uninstall
 from repro.config import (
-    MultiDcConfig,
     TransportConfig,
     paper_interdc_config,
     small_interdc_config,
@@ -263,7 +262,7 @@ def test_relay_placement_is_unchanged(monkeypatch, fabric, degree):
         return real(net, src, dst, total_bytes, cfg, relay_hosts, **kwargs)
 
     monkeypatch.setattr(cascade_experiment, "build_relay_chain", spy)
-    chain = MultiDcConfig(fabric=FABRICS[fabric]().fabric)
+    chain = replace(CascadeScenario().chain, fabric=FABRICS[fabric]().fabric)
     for scheme in ("edge", "cascade"):
         run_cascade(CascadeScenario(
             scheme=scheme, degree=degree, chain=chain, horizon_ps=1

@@ -1,12 +1,14 @@
 """GridSpec: odometer order, sharding, serialization, and streaming folds."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.config import TransportConfig, small_interdc_config
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.grid import (
+    GRID_SCHEMA_VERSION,
     Axis,
     AxisValue,
     GridSpec,
@@ -126,6 +128,29 @@ class TestGridSpec:
     def test_config_from_doc_rejects_unknown_type(self):
         with pytest.raises(ExperimentError, match="unknown config type"):
             config_from_doc({"__type__": "NoSuchConfig"})
+
+    @pytest.mark.parametrize("field", [
+        "backbone_routerz",  # a misspelt field
+        "backbone_delay_ps",  # a field the line config lost
+    ])
+    def test_a_hostile_spec_document_is_an_experiment_error(self, field):
+        doc = _spec(degrees=(2,), schemes=("baseline",), reps=1).to_doc()
+        doc["base"]["interdc"][field] = 4
+        with pytest.raises(ExperimentError, match="InterDcConfig") as excinfo:
+            GridSpec.from_json(json.dumps(doc))
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        # A known field with a value of the wrong shape is the config's own
+        # typed refusal.
+        doc["base"]["interdc"].pop(field)
+        doc["base"]["interdc"]["segment_delays_ps"] = 5
+        with pytest.raises(ConfigError, match="segment_delays_ps"):
+            GridSpec.from_json(json.dumps(doc))
+
+    def test_a_document_from_the_previous_schema_is_refused(self):
+        doc = _spec(degrees=(2,), schemes=("baseline",), reps=1).to_doc()
+        doc["schema"] = GRID_SCHEMA_VERSION - 1
+        with pytest.raises(ExperimentError, match="schema"):
+            GridSpec.from_doc(doc)
 
 
 class TestSweepFold:

@@ -6,29 +6,21 @@ datacenter boundary of a chain).  Each proxy reflects trims arriving *at
 it* and forwards everything else; ACKs retrace the full reverse route.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import FabricConfig, MultiDcConfig, QueueSpec, TransportConfig
+from repro.config import small_interdc_config
 from repro.proxy.streamlined import StreamlinedProxy
 from repro.topology.interdc import build_interdc
 from repro.transport.connection import Connection
-from repro.units import kilobytes, megabytes, milliseconds
+from repro.units import megabytes, milliseconds
 
 
 def chain_topo(sim, trimming=True):
-    fabric = FabricConfig(
-        spines=2, leaves=2, servers_per_leaf=4,
-        switch_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(4),
-                               ecn_low_bytes=kilobytes(33.2),
-                               ecn_high_bytes=kilobytes(136.95)),
-    )
-    cfg = MultiDcConfig(
-        fabric=fabric,
+    cfg = replace(
+        small_interdc_config(),
         segment_delays_ps=(milliseconds(1), milliseconds(5)),
-        backbone_per_spine=2,
-        backbone_queue=QueueSpec(kind="ecn", capacity_bytes=megabytes(12),
-                                 ecn_low_bytes=megabytes(2.5),
-                                 ecn_high_bytes=megabytes(10)),
         trimming=trimming,
     )
     return build_interdc(sim, cfg)

@@ -231,7 +231,7 @@ class TestPhysicsFloor:
         # (spine-router-spine).
         assert cfg.fabric.link_rate_bps == 100e9
         assert cfg.fabric.link_delay_ps == microseconds(1)
-        floor = microseconds(32 + 4) + 2 * cfg.backbone_delay_ps
+        floor = microseconds(32 + 4) + 2 * cfg.segment_delays_ps[0]
         sanitizer = Sanitizer()
         sanitizer.check_ict_floor(
             topo.net, senders, receiver, kilobytes(400), floor

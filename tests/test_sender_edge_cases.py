@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import TransportConfig
+from repro.faults import FaultContext, arm_faults, link_flap_plan
 from repro.metrics.summary import jain_fairness
 from repro.net.packet import PacketType, make_ack
 from repro.transport.connection import Connection
@@ -86,8 +87,11 @@ class TestRtoBackoff:
     def test_backoff_resets_on_progress(self, sim, transport_cfg):
         net, a, b = build_pair(sim)
         conn = Connection(net, a, b, 50_000, transport_cfg)
-        switch = net.adjacency[a.id][0]
-        net.fail_link(a.id, switch, at_ps=microseconds(5), duration_ps=milliseconds(2))
+        arm_faults(
+            sim,
+            link_flap_plan("sender:0", at_ps=microseconds(5), duration_ps=milliseconds(2)),
+            FaultContext(net, sender_hosts=[a]),
+        )
         conn.start()
         sim.run(until=milliseconds(500))
         assert conn.completed

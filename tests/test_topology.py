@@ -98,9 +98,9 @@ class TestInterDc:
 
     def test_with_backbone_delay_derives_config(self):
         cfg = small_interdc_config().with_backbone_delay(milliseconds(10))
-        assert cfg.backbone_delay_ps == milliseconds(10)
+        assert cfg.segment_delays_ps == (milliseconds(10),)
         # original is untouched (frozen dataclasses)
-        assert small_interdc_config().backbone_delay_ps == milliseconds(1)
+        assert small_interdc_config().segment_delays_ps == (milliseconds(1),)
 
     def test_all_cross_dc_pairs_routable(self, small_topo):
         net = small_topo.net
@@ -110,9 +110,13 @@ class TestInterDc:
 
 
 class TestConfigValidation:
-    def test_backbone_dimension_mismatch(self):
+    def test_backbone_dimensions_must_be_positive(self):
+        # A segment has spines * backbone_per_spine routers, so the one
+        # backbone dimension left to refuse is an empty one.
         with pytest.raises(ConfigError):
-            InterDcConfig(backbone_routers=10, backbone_per_spine=8)
+            InterDcConfig(backbone_per_spine=0)
+        with pytest.raises(ConfigError):
+            InterDcConfig(backbone_rate_bps=0)
 
     def test_queue_spec_threshold_order(self):
         from repro.config import QueueSpec
