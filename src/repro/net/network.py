@@ -120,9 +120,11 @@ class Network:
         """Reinstall next-hop tables on every switch (control-plane hook).
 
         Updates each distinct routing strategy in place and rebuilds the
-        switches' single-candidate ``direct_ports`` fast path — the fast
-        path bypasses the strategy, so skipping the rebuild would leave
-        packets forwarding along the stale tables forever.
+        switches' single-candidate ``direct_ports`` — arriving packets are
+        forwarded through those without consulting the strategy, so skipping
+        the rebuild would leave them forwarding along the stale tables
+        forever.  A packet already on a wire is forwarded by the new tables:
+        its arrival reads ``direct_ports`` when it lands.
         """
         if not self._finalized:
             raise TopologyError("install_tables() requires a finalized network")
@@ -137,10 +139,11 @@ class Network:
         self._set_direct_ports(tables)
 
     def _set_direct_ports(self, tables) -> None:
-        # Single-candidate destinations bypass the strategy entirely on the
-        # forwarding fast path; with one equal-cost hop, spray and ECMP both
-        # return it without consulting RNG or hash, so the bypass is
-        # behavior-preserving.
+        # Single-candidate destinations bypass the strategy entirely: an
+        # arriving packet is offered to the port straight from
+        # OutputPort._arrive, without Switch.receive.  With one equal-cost
+        # hop, spray and ECMP both return it without consulting RNG or
+        # hash, so the bypass is behavior-preserving.
         for switch in self.switches:
             ports = switch.ports
             switch.direct_ports = {

@@ -25,6 +25,12 @@ PacketHandler = Callable[[Packet], None]
 class Node:
     """Common base: identity plus a set of output ports keyed by neighbor id."""
 
+    #: Destination id -> output port for arrivals forwarded without
+    #: receive() (see Switch).  None on a host, where every landing packet
+    #: goes to receive(); a class attribute, so a host's pickled state
+    #: does not carry it.
+    direct_ports: dict[int, OutputPort] | None = None
+
     def __init__(self, sim: "Simulator", node_id: int, name: str, dc: int) -> None:
         self.sim = sim
         self.id = node_id
@@ -53,18 +59,21 @@ class Switch(Node):
         super().__init__(sim, node_id, name, dc)
         self.routing: "RoutingStrategy | None" = None
         self.spray_rng: SimRandom | None = None
-        #: Forwarding fast path, filled by Network.finalize(): destinations
-        #: with exactly one equal-cost next hop map straight to the output
-        #: port, skipping the strategy dispatch (and, for spraying, leaving
-        #: the RNG untouched exactly as the slow path would).
+        #: Filled by Network.finalize(): destinations with exactly one
+        #: equal-cost next hop map straight to the output port.  An arriving
+        #: packet for one of them is forwarded by the port it lands from
+        #: (OutputPort._arrive) without calling receive(); with one
+        #: candidate every strategy returns it without touching an RNG or
+        #: a hash, so skipping the strategy changes nothing.
         self.direct_ports: dict[int, OutputPort] = {}
 
     def receive(self, packet: Packet) -> None:
-        """Forward toward ``packet.dst``."""
-        port = self.direct_ports.get(packet.dst)
-        if port is not None:
-            port.send(packet)
-            return
+        """Forward toward ``packet.dst`` through the routing strategy.
+
+        Arrivals reach this only for destinations missing from
+        :attr:`direct_ports`: the multi-path ones, spread by spraying or
+        ECMP.
+        """
         routing = self.routing
         if routing is None:
             raise RoutingError(f"switch {self.name} has no routing installed")

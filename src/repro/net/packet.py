@@ -25,6 +25,13 @@ class PacketType(IntEnum):
     NACK = 2
 
 
+# Hoisted members: an attribute load off the enum class costs several times
+# a module global's, and every packet built or dispatched pays one.
+_DATA = PacketType.DATA
+_ACK = PacketType.ACK
+_NACK = PacketType.NACK
+
+
 #: Wire size of protocol headers; also the size of a trimmed packet and of
 #: ACK/NACK control packets.  64 B matches the header size htsim-style
 #: simulators use for NDP-like trimming.
@@ -80,7 +87,7 @@ class Packet:
         # disciplines read it once per offered packet: ACKs, NACKs, and
         # trimmed headers ride the priority/control queue.  ``trim()`` is the
         # only mutation that changes the classification after construction.
-        self.is_control = kind != PacketType.DATA
+        self.is_control = kind != _DATA
         self.seq = seq
         self.src = src
         self.dst = dst
@@ -137,7 +144,7 @@ def make_data(
     """Build a DATA packet."""
     return Packet(
         flow_id,
-        PacketType.DATA,
+        _DATA,
         seq,
         src,
         dst,
@@ -165,7 +172,7 @@ def make_ack(
     """Build an ACK carrying the cumulative ack and the echoed data seq."""
     packet = Packet(
         flow_id,
-        PacketType.ACK,
+        _ACK,
         echo_seq,
         src,
         dst,
@@ -191,7 +198,7 @@ def make_nack(
     """Build a NACK for one lost/trimmed data sequence number."""
     return Packet(
         flow_id,
-        PacketType.NACK,
+        _NACK,
         seq,
         src,
         dst,

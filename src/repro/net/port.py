@@ -14,6 +14,16 @@ frequent events in a run, so both are scheduled through the simulator's
 sits in ``_serializing``; packets in flight sit in the ``_wire`` deque,
 which is FIFO-correct because a port's propagation delay is constant, so
 arrivals complete in transmission order.
+
+A hop is three calls into this module and no others on the common path:
+``send`` enqueues and, on an idle port, starts serializing inline;
+``_tx_done`` puts the packet on the wire and starts the next one;
+``_arrive`` lands it and, when the destination switch has a single
+next hop for it (``Switch.direct_ports``), offers it straight to that
+output port.  Only multi-path destinations (spray/ECMP) go through
+:meth:`~repro.net.node.Switch.receive`, and packets for a host through
+:meth:`~repro.net.node.Host.receive`.  ``_start_service`` starts a port
+that comes back up (``set_up``).
 """
 
 from __future__ import annotations
@@ -118,17 +128,18 @@ class OutputPort:
 
     def send(self, packet: Packet) -> EnqueueOutcome:
         """Offer ``packet`` to the queue and kick the service loop."""
-        probe = self.sim.probe
+        sim = self.sim
+        probe = sim.probe
         if not self.up:
             self.dropped_while_down += 1
             if probe is not None:
                 probe.on_down_drop(self, packet)
-            return EnqueueOutcome.DROPPED
+            return _DROPPED
         if self.blackhole_fraction > 0 and self._fault_hits(self.blackhole_fraction):
             self.blackholed_packets += 1
             if probe is not None:
                 probe.on_blackhole(self, packet)
-            return EnqueueOutcome.DROPPED
+            return _DROPPED
         if self.corrupt_fraction > 0 and self._fault_hits(self.corrupt_fraction):
             packet.corrupted = True
             self.corrupted_packets += 1
@@ -140,8 +151,22 @@ class OutputPort:
             size_before = packet.size_bytes
             outcome = self._qoffer(packet)
             probe.on_offer(self, packet, outcome is _DROPPED, size_before)
-        if outcome is not _DROPPED and not self.busy:
-            self._start_service()
+        if outcome is _DROPPED or self.busy:
+            return outcome
+        # An idle port starts serializing at once; _start_service inlined,
+        # because most offers find their port idle.
+        nxt = self._qpop()
+        if nxt is None:
+            return outcome
+        self.busy = True
+        if probe is not None:
+            probe.on_tx_start(self, nxt)
+        size = nxt.size_bytes
+        tx_delay = self._tx_cache.get(size)
+        if tx_delay is None:
+            tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
+        self._serializing = nxt
+        self._sched_call(sim.now + tx_delay, self._tx_cb)
         return outcome
 
     def _start_service(self) -> None:
@@ -198,14 +223,23 @@ class OutputPort:
         # Constant propagation delay + in-order scheduling means the oldest
         # wire packet is always the one landing now.
         packet = self._wire.popleft()
+        node = self.dst_node
         probe = self.sim.probe
         if probe is not None:
             # Told before the node takes it, so an in-transit tally can
             # stay exact.
-            probe.on_land(self.dst_node, packet)
+            probe.on_land(node, packet)
+        # Read when the packet lands, not when it was sent, so tables a
+        # control plane installs meanwhile apply to it.  A host's is None.
+        direct = node.direct_ports
+        if direct is not None:
+            port = direct.get(packet.dst)
+            if port is not None:
+                port.send(packet)
+                return
         # Looked up per arrival (not prebound): tests and fault hooks
-        # legitimately swap a node's receive method.
-        self.dst_node.receive(packet)
+        # legitimately swap a host's receive method.
+        node.receive(packet)
 
     def _fault_hits(self, fraction: float) -> bool:
         """Bernoulli trial on the port's dedicated fault substream.

@@ -191,10 +191,10 @@ class RoutingStrategy:
 
         Strategies are shared across switches, so one call redirects every
         switch using this strategy.  Callers must also rebuild the
-        switches' single-candidate ``direct_ports`` fast path — it bypasses
-        the strategy entirely and would otherwise keep forwarding along the
-        stale tables (:meth:`repro.net.network.Network.install_tables` does
-        both).
+        switches' single-candidate ``direct_ports`` — arrivals for those
+        destinations are forwarded without consulting the strategy and
+        would otherwise keep following the stale tables
+        (:meth:`repro.net.network.Network.install_tables` does both).
         """
         self._tables = tables
 

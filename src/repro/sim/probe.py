@@ -131,7 +131,7 @@ class Probe:
         """``port``'s link died while ``packet`` was serializing; it is gone."""
 
     def on_land(self, node: "Node", packet: "Packet") -> None:
-        """An in-flight packet reached ``node``; ``node.receive`` runs next."""
+        """An in-flight packet reached ``node``, which forwards or delivers it."""
 
     # -- transport --------------------------------------------------------------
 

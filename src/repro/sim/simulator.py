@@ -141,10 +141,11 @@ class Simulator:
                     if probed and t < self.now:
                         self._backwards(t)
                     self.now = t
-                    if on_event is not None:
+                    if on_event is None:
+                        obj()
+                    else:
                         started = time.perf_counter()  # repro: allow[wall-clock] profiler
-                    obj()
-                    if on_event is not None:
+                        obj()
                         ended = time.perf_counter()  # repro: allow[wall-clock] profiler
                         on_event(obj, ended - started)
                     executed += 1

@@ -26,6 +26,9 @@ from repro.errors import TransportError
 from repro.net.packet import Packet, PacketType, make_ack, make_nack
 from repro.sim.timers import Timer
 
+# Read per packet: a module global loads faster than an enum member.
+_DATA = PacketType.DATA
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
@@ -123,7 +126,7 @@ class AckingReceiver:
         """
         if self._closed:
             return
-        if packet.kind != PacketType.DATA:
+        if packet.kind != _DATA:
             return  # control addressed to a receiver: nothing to do
         if packet.trimmed:
             self._send_nack(packet)

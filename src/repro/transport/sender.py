@@ -40,6 +40,10 @@ from repro.sim.timers import Timer
 from repro.transport.cc_base import CongestionControl
 from repro.transport.rtt import RttEstimator
 
+# Read per packet: a module global loads faster than an enum member.
+_ACK = PacketType.ACK
+_NACK = PacketType.NACK
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.sim.simulator import Simulator
@@ -214,9 +218,9 @@ class WindowedSender:
         """
         if self.completed or self.failed or self._closed:
             return
-        if packet.kind == PacketType.ACK:
+        if packet.kind == _ACK:
             self._on_ack(packet)
-        elif packet.kind == PacketType.NACK:
+        elif packet.kind == _NACK:
             self._on_nack(packet)
 
     # -- internals: ACK/NACK --------------------------------------------------------
@@ -267,7 +271,7 @@ class WindowedSender:
             self._rto.stop()
         self._try_send()
         if self.pipe > 0:
-            self._arm_tlp(restart=True)
+            self._tlp.restart(self._tlp_delay())
         else:
             self._tlp.stop()
 
@@ -375,8 +379,12 @@ class WindowedSender:
         else:
             self.stats.data_packets_sent += 1
         self.host.send(packet)
-        self._rto.start_if_idle(self.rtt.rto_ps(self._backoff))
-        self._arm_tlp()
+        # Both timers are usually armed already: compute a delay only for
+        # one that is idle.
+        if not self._rto.armed:
+            self._rto.restart(self.rtt.rto_ps(self._backoff))
+        if not self._tlp.armed:
+            self._tlp.restart(self._tlp_delay())
 
     def _next_wire_ts(self) -> int:
         """Estimated NIC wire-emission time for the next packet: the sender
@@ -388,12 +396,8 @@ class WindowedSender:
 
     # -- internals: tail loss probe -----------------------------------------------------
 
-    def _arm_tlp(self, restart: bool = False) -> None:
-        delay = round(2 * self.rtt.srtt) + self.cfg.rack_window_min_ps
-        if restart:
-            self._tlp.restart(delay)
-        else:
-            self._tlp.start_if_idle(delay)
+    def _tlp_delay(self) -> int:
+        return round(2 * self.rtt.srtt) + self.cfg.rack_window_min_ps
 
     def _on_tlp(self) -> None:
         """No ACK for ~2 RTTs with data outstanding: re-send the highest

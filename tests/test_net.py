@@ -1,14 +1,21 @@
 """Ports, nodes, routing, and the network container."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.races import result_digest
+from repro.competitors import install, uninstall
+from repro.config import QueueSpec, TransportConfig, small_interdc_config
 from repro.errors import RoutingError, TopologyError
+from repro.experiments.runner import IncastScenario, run_incast
 from repro.net.network import Network
-from repro.net.node import Host
+from repro.net.node import Host, Switch
 from repro.net.packet import make_data
 from repro.net.routing import EcmpRouting, SprayRouting, build_next_hop_tables
+from repro.schemes import SCHEME_REGISTRY
 from repro.sim.simulator import Simulator
-from repro.units import gbps, microseconds, serialization_delay_ps
+from repro.units import gbps, megabytes, microseconds, serialization_delay_ps
 from tests.conftest import build_pair
 
 
@@ -164,6 +171,79 @@ class TestRoutingStrategies:
         net, *_ = self._diamond(sim)
         with pytest.raises(TopologyError):
             net.finalize(routing="teleport")
+
+
+class TestDirectPorts:
+    """An arrival for a single-next-hop destination is forwarded from the
+    port it lands from, through ``Switch.direct_ports``, without consulting
+    the routing strategy."""
+
+    def test_every_scheme_digest_is_the_same_through_the_strategy(self, monkeypatch):
+        cell = IncastScenario(
+            degree=6, total_bytes=megabytes(8), interdc=small_interdc_config(),
+            transport=TransportConfig(payload_bytes=4096), seed=0,
+        )
+        install()
+        try:
+            schemes = SCHEME_REGISTRY.names()
+            bypassed = {s: result_digest(run_incast(replace(cell, scheme=s)))
+                        for s in schemes}
+            # Empty the dict wherever finalize() or install_tables() fills
+            # it: every hop then goes through Switch.receive and the strategy.
+            fill = Network._set_direct_ports
+
+            def emptied(net, tables):
+                fill(net, tables)
+                for switch in net.switches:
+                    switch.direct_ports = {}
+
+            routed = []
+            receive = Switch.receive
+
+            def counted(switch, packet):
+                routed.append(packet.dst)
+                receive(switch, packet)
+
+            monkeypatch.setattr(Network, "_set_direct_ports", emptied)
+            monkeypatch.setattr(Switch, "receive", counted)
+            strategy = {s: result_digest(run_incast(replace(cell, scheme=s)))
+                        for s in schemes}
+        finally:
+            uninstall()
+        assert len(schemes) == 8 and routed
+        assert strategy == bypassed
+
+    @staticmethod
+    def _line(sim):
+        """a - s1 - s2 - s3 - b, with host c on s2; 10 us per link."""
+        net = Network(sim)
+        a, b, c = (net.add_host(name) for name in "abc")
+        s1, s2, s3 = (net.add_switch(name) for name in ("s1", "s2", "s3"))
+        spec = QueueSpec(kind="host", capacity_bytes=megabytes(1))
+        for x, y in ((a, s1), (s1, s2), (s2, s3), (s3, b), (s2, c)):
+            net.connect(x, y, gbps(10), microseconds(10),
+                        queue_ab=spec.build(None), queue_ba=spec.build(None))
+        net.finalize()
+        return net, a, b, c, s1, s2
+
+    @pytest.mark.parametrize("reroute", [False, True])
+    def test_a_packet_on_the_wire_forwards_by_the_tables_it_lands_on(self, sim, reroute):
+        net, a, b, c, s1, s2 = self._line(sim)
+        landed = {b.id: [], c.id: []}
+        for host in (b, c):
+            host.register_handler(1, lambda p, h=host.id: landed[h].append(p.seq))
+        a.send(make_data(1, 0, a.id, b.id, payload_bytes=1000))
+        wire = s1.ports[s2.id]
+        while wire.tx_packets == 0:
+            sim.run(max_events=1)
+        # The packet is between s1 and s2.  The new tables send s2's
+        # traffic for b to host c instead of on toward s3.
+        if reroute:
+            tables = {node: dict(row) for node, row in s2.routing.tables.items()}
+            tables[s2.id][b.id] = (c.id,)
+            net.install_tables(tables)
+        sim.run()
+        assert landed == ({b.id: [], c.id: [0]} if reroute else {b.id: [0], c.id: []})
 
 
 class TestNetworkQueries:
