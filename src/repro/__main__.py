@@ -20,6 +20,9 @@ Commands:
 * ``races``    — the dynamic race detector: re-run scenarios under
   perturbed same-tick event orders, diff digests, and bisect divergences
   (see ``python -m repro races --help``);
+* ``rebaseline`` — the re-baseline protocol: record or check multi-seed
+  ICT intervals on the headline figure cells
+  (see ``python -m repro rebaseline --help``);
 * ``service``  — the sweep service: declare a grid, run it as a
   journaled, killable, resumable campaign, or inspect its progress
   (see ``python -m repro service --help``);
@@ -304,6 +307,10 @@ def main(argv: list[str] | None = None) -> None:
         from repro.analysis.races import main as races_main
 
         races_main(args)
+    elif command == "rebaseline":
+        from repro.analysis.rebaseline import main as rebaseline_main
+
+        rebaseline_main(args)
     elif command == "service":
         from repro.experiments.service import main as service_main
 
@@ -324,7 +331,7 @@ def main(argv: list[str] | None = None) -> None:
     else:
         print(f"unknown command {command!r}; "
               "try: figures, verdicts, quickstart, faults, bakeoff, "
-              "recovery, lint, races, service, workload",
+              "recovery, lint, races, rebaseline, service, workload",
               file=sys.stderr)
         raise SystemExit(2)
 

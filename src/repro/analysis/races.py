@@ -126,7 +126,14 @@ def _domain_of(payload: object) -> str | None:
     instance: a port's ``_arrive`` executes on the *destination* node
     (it delivers into ``dst_node.receive`` and that node's output
     queues), every other port event on the owning node; transport and
-    proxy agents resolve through their ``.host``.  Handlers with no
+    proxy agents resolve through their ``.host``.  ``_arrive`` also
+    catches its own port up (it starts the queued packets whose start
+    tick has come), which mutates the *source* node's port.  That
+    catch-up depends only on virtual time: it pops the packets whose start
+    tick is at or before ``now``, and a same-tick ``send`` on that port
+    runs the same catch-up before it offers.  So it commutes with every
+    same-tick event of the source node, and ``_arrive`` stays in the
+    destination's domain.  Handlers with no
     resolvable domain (plain functions, controllers) are treated as
     free-floating: each is its own domain and permutes freely.
     """

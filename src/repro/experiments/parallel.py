@@ -91,7 +91,11 @@ Outcome = tuple[str, Any, int, float]
 #: v8: IncastScenario's per-packet proxy cost became the named
 #: proxy_overhead field (it was a callable), so every scenario document
 #: and key changed shape.
-CACHE_SCHEMA_VERSION = 8
+#: v9: one event per hop — the output port no longer schedules a
+#: serialization-end event, which changes same-tick order, and with it
+#: every result and events_executed; cached v8 results describe the
+#: two-event port.
+CACHE_SCHEMA_VERSION = 9
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "results/.sweep-cache"))

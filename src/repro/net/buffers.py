@@ -14,7 +14,7 @@ switch is idle.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
@@ -25,7 +25,7 @@ from repro.sim.rng import SimRandom
 class SharedBuffer:
     """One switch's buffer pool."""
 
-    __slots__ = ("total_bytes", "occupied_bytes", "peak_bytes")
+    __slots__ = ("total_bytes", "occupied_bytes", "peak_bytes", "ports")
 
     def __init__(self, total_bytes: int) -> None:
         if total_bytes <= 0:
@@ -33,6 +33,9 @@ class SharedBuffer:
         self.total_bytes = total_bytes
         self.occupied_bytes = 0
         self.peak_bytes = 0
+        #: the output ports whose queues draw on this pool (they register
+        #: themselves): each catches all of them up before it offers
+        self.ports: list = []
 
     @property
     def free_bytes(self) -> int:
@@ -132,6 +135,10 @@ class SharedEcnQueue:
         self.shared.release(packet.size_bytes)
         self.stats.dequeued += 1
         return packet
+
+    def service_order(self) -> Iterator[Packet]:
+        """The queued packets in pop order, left in place."""
+        return iter(self._fifo)
 
     def __len__(self) -> int:
         return len(self._fifo)

@@ -1,29 +1,57 @@
-"""Output ports: queue + serializing link.
+"""Output ports: queue + serializing link, one scheduler event per hop.
 
 A port owns one queue discipline and one unidirectional link (rate +
-propagation delay).  Store-and-forward semantics: the head packet is
-dequeued when transmission starts, finishes serializing after
+propagation delay).  Store-and-forward semantics: a packet leaves the
+queue when its transmission starts, finishes serializing after
 ``size * 8 / rate``, and arrives at the far node one propagation delay
-after that.  The next packet may start serializing the instant the
-previous one finishes.
+after that.  The next packet starts serializing the instant the previous
+one finishes.
 
-Hot-path layout: serialization and wire propagation are the two most
-frequent events in a run, so both are scheduled through the simulator's
-``schedule_call`` fast path with prebound methods — no ``functools.partial``
-(or Event handle) is allocated per packet.  The packet mid-serialization
-sits in ``_serializing``; packets in flight sit in the ``_wire`` deque,
-which is FIFO-correct because a port's propagation delay is constant, so
-arrivals complete in transmission order.
+**One event per hop.**  Serialization end is not an event.  When a
+packet starts, the port appends it to ``_wire``, schedules its
+``_arrive`` at ``start + tx + delay`` and advances ``_free_at``, the tick
+its link falls idle.  A packet that waits in the queue starts at the tick
+its predecessor's serialization ends, but it is popped *lazily*, by a
+catch-up that starts every queued packet whose start tick has come
+(``_free_at <= now``), each at its own virtual tick.  Three callers run
+it: the next ``send``, the port's own ``_arrive`` and ``set_up``.  Packet
+k lands at ``start_k + tx_k + delay``, at or after packet k+1's start
+tick ``start_k + tx_k``, so the arrival of one packet always starts the
+next and the chain never stalls, even on a zero-delay link.  The
+``_wire`` deque is FIFO-correct because a port's propagation delay is
+constant: arrivals complete in transmission order.
 
-A hop is three calls into this module and no others on the common path:
-``send`` enqueues and, on an idle port, starts serializing inline;
-``_tx_done`` puts the packet on the wire and starts the next one;
-``_arrive`` lands it and, when the destination switch has a single
-next hop for it (``Switch.direct_ports``), offers it straight to that
-output port.  Only multi-path destinations (spray/ECMP) go through
-:meth:`~repro.net.node.Switch.receive`, and packets for a host through
-:meth:`~repro.net.node.Host.receive`.  ``_start_service`` starts a port
-that comes back up (``set_up``).
+**The same-tick rule: dequeue first.**  At one tick, every packet whose
+start tick is at or before that tick leaves the queue before an offer at
+that tick reads the occupancy.  An offer at tick ``t`` therefore sees
+exactly the accepted packets whose transmission starts after ``t``: the
+store-and-forward queue at ``t``.  This matters because ECN marks and
+trims read the occupancy at offer.  Every catch-up trigger applies the
+rule the same way: ``send`` catches up before it offers, and
+``_arrive`` and ``set_up`` catch up to their own tick.  The re-baseline
+protocol (:mod:`repro.analysis.rebaseline`) chose this rule: in canonical
+same-tick order it reproduces the two-event port's headline intervals
+cell for cell.  A catch-up depends on nothing but virtual time, so it
+commutes with every same-tick event of the port's own node.  That is why
+the race detector can keep ``_arrive`` in the destination node's domain.
+
+Readers never mutate a port: :attr:`OutputPort.backlog_bytes` returns the
+virtual backlog by walking the queue's service order without popping.
+A sampler that caught up would schedule arrivals in a different FIFO
+position and change the run it observes.
+
+A hop is, on the common path, two calls into this module: ``send``
+offers the packet and, on an idle port, starts it inline; ``_arrive``
+lands it, catches its own port up (inline), and when the destination
+switch has a single next hop for it (``Switch.direct_ports``), offers it
+straight to that output port.  Only multi-path destinations (spray/ECMP)
+go through :meth:`~repro.net.node.Switch.receive`, and packets for a host
+through :meth:`~repro.net.node.Host.receive`.
+
+A link that goes down loses the packet whose serialization spans that
+tick (its slot on the wire holds None; its arrival reports it lost);
+packets fully serialized before then still land.  Queued packets wait and
+resume when the link comes back up.
 """
 
 from __future__ import annotations
@@ -54,7 +82,6 @@ class OutputPort:
         "rate_bps",
         "delay_ps",
         "dst_node",
-        "busy",
         "up",
         "tx_packets",
         "tx_bytes",
@@ -65,11 +92,12 @@ class OutputPort:
         "blackholed_packets",
         "corrupted_packets",
         "_ps_per_byte",
-        "_serializing",
+        "_free_at",
         "_wire",
+        "_lost",
+        "_pool_ports",
         "_tx_cache",
         "_sched_call",
-        "_tx_cb",
         "_arrive_cb",
         "_qoffer",
         "_qpop",
@@ -90,8 +118,9 @@ class OutputPort:
         self.rate_bps = rate_bps
         self.delay_ps = delay_ps
         self.dst_node = dst_node
-        self.busy = False
         self.up = True
+        #: packets (bytes) that finished serializing or are serializing;
+        #: a packet lost on the wire is taken back out.
         self.tx_packets = 0
         self.tx_bytes = 0
         self.dropped_while_down = 0
@@ -105,20 +134,31 @@ class OutputPort:
         self.corrupted_packets = 0
         # Pre-computed serialization cost; exact (80 ps/B) at 100 Gb/s.
         self._ps_per_byte = 8 * PS_PER_S / rate_bps
-        #: the packet currently serializing (None while idle or link-lost)
-        self._serializing: Packet | None = None
-        #: packets in flight toward dst_node, in transmission order
-        self._wire: deque[Packet] = deque()
+        #: the tick the link finishes the last packet started on it; the
+        #: next queued packet starts here
+        self._free_at = 0
+        #: packets started toward dst_node, in transmission order; None
+        #: stands for one lost when the link went down mid-serialization
+        self._wire: deque[Packet | None] = deque()
+        #: the packets behind the wire's None slots, in the same order;
+        #: made at the first loss (an empty deque is ~0.75 kB, per port)
+        self._lost: deque[Packet] | None = None
+        #: the ports sharing this port's buffer pool (shared-buffer switches):
+        #: an offer here reads the pool, so all of them catch up first
+        self._pool_ports: list[OutputPort] | None = None
+        shared = getattr(queue, "shared", None)
+        if shared is not None:
+            self._pool_ports = shared.ports
+            shared.ports.append(self)
         #: size_bytes -> serialization ps; a run sees a handful of sizes,
         #: so this replaces a float multiply + round() per packet.
         self._tx_cache: dict[int, int] = {}
-        # Prebound for the two schedules every transmitted packet performs:
-        # the scheduler fast path is called directly (both delays are
-        # non-negative by construction, so the Simulator wrapper's guard is
-        # redundant here) and the bound methods are allocated once instead
-        # of once per packet.
+        # Prebound for the one schedule every transmitted packet performs:
+        # the scheduler fast path is called directly (arrival ticks are
+        # never in the past by construction, so the Simulator wrapper's
+        # guard is redundant here) and the bound method is allocated once
+        # instead of once per packet.
         self._sched_call = sim.scheduler.schedule_call
-        self._tx_cb = self._tx_done
         self._arrive_cb = self._arrive
         self._qoffer = queue.offer
         self._qpop = queue.pop
@@ -127,7 +167,7 @@ class OutputPort:
             sim.probe.on_port(self)
 
     def send(self, packet: Packet) -> EnqueueOutcome:
-        """Offer ``packet`` to the queue and kick the service loop."""
+        """Offer ``packet`` to the queue; an idle port starts it at once."""
         sim = self.sim
         probe = sim.probe
         if not self.up:
@@ -145,86 +185,96 @@ class OutputPort:
             self.corrupted_packets += 1
             if probe is not None:
                 probe.on_corrupt_mark(self, packet)
+        now = sim.now
+        # Dequeue first: packets whose start tick has come leave the queue
+        # before this offer reads its occupancy.
+        if self._pool_ports is not None:
+            for port in self._pool_ports:
+                if port._free_at <= now and port.queue.occupied_bytes:
+                    port._catch_up(now)
+        elif self._free_at <= now and self.queue.occupied_bytes:
+            self._catch_up(now)
         if probe is None:
             outcome = self._qoffer(packet)
         else:
             size_before = packet.size_bytes
             outcome = self._qoffer(packet)
             probe.on_offer(self, packet, outcome is _DROPPED, size_before)
-        if outcome is _DROPPED or self.busy:
+        if outcome is _DROPPED or self._free_at > now:
             return outcome
-        # An idle port starts serializing at once; _start_service inlined,
-        # because most offers find their port idle.
+        # The link is idle and the queue held nothing else: the packet (or
+        # its trimmed header) starts now.  _catch_up inlined, because most
+        # offers find their port idle.
         nxt = self._qpop()
-        if nxt is None:
-            return outcome
-        self.busy = True
         if probe is not None:
             probe.on_tx_start(self, nxt)
         size = nxt.size_bytes
         tx_delay = self._tx_cache.get(size)
         if tx_delay is None:
             tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
-        self._serializing = nxt
-        self._sched_call(sim.now + tx_delay, self._tx_cb)
-        return outcome
-
-    def _start_service(self) -> None:
-        packet = self._qpop()
-        if packet is None:
-            self.busy = False
-            return
-        self.busy = True
-        sim = self.sim
-        if sim.probe is not None:
-            sim.probe.on_tx_start(self, packet)
-        size = packet.size_bytes
-        tx_delay = self._tx_cache.get(size)
-        if tx_delay is None:
-            tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
-        self._serializing = packet
-        self._sched_call(sim.now + tx_delay, self._tx_cb)
-
-    def _tx_done(self) -> None:
-        packet = self._serializing
-        self._serializing = None
-        assert packet is not None
-        sim = self.sim
-        probe = sim.probe
-        if not self.up:
-            # The link died mid-flight: the packet is lost on the wire and
-            # the port goes quiet until it comes back up.
-            if probe is not None:
-                probe.on_wire_lost(self, packet)
-            self.busy = False
-            return
-        size = packet.size_bytes
+        self._free_at = now + tx_delay
         self.tx_packets += 1
         self.tx_bytes += size
-        self._wire.append(packet)
-        self._sched_call(sim.now + self.delay_ps, self._arrive_cb)
-        # Back-to-back service: the next packet (if any) starts serializing
-        # immediately; _start_service is inlined because this is where most
-        # service starts happen under load.
-        nxt = self._qpop()
-        if nxt is None:
-            self.busy = False
+        self._wire.append(nxt)
+        self._sched_call(now + tx_delay + self.delay_ps, self._arrive_cb)
+        return outcome
+
+    def _catch_up(self, now: int) -> None:
+        """Start every queued packet whose start tick is at or before ``now``."""
+        if not self.up:
             return
-        if probe is not None:
-            probe.on_tx_start(self, nxt)
-        size = nxt.size_bytes
-        tx_delay = self._tx_cache.get(size)
-        if tx_delay is None:
-            tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
-        self._serializing = nxt
-        self._sched_call(sim.now + tx_delay, self._tx_cb)
+        free = self._free_at
+        queue = self.queue
+        probe = self.sim.probe
+        while free <= now and queue.occupied_bytes:
+            packet = self._qpop()
+            if probe is not None:
+                probe.on_tx_start(self, packet)
+            size = packet.size_bytes
+            tx_delay = self._tx_cache.get(size)
+            if tx_delay is None:
+                tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
+            free += tx_delay
+            self.tx_packets += 1
+            self.tx_bytes += size
+            self._wire.append(packet)
+            self._sched_call(free + self.delay_ps, self._arrive_cb)
+        self._free_at = free
 
     def _arrive(self) -> None:
         # Constant propagation delay + in-order scheduling means the oldest
         # wire packet is always the one landing now.
         packet = self._wire.popleft()
+        sim = self.sim
+        now = sim.now
+        # This landing is at or after the next queued packet's start tick:
+        # catch the port up (inlined _catch_up; the busy port's common path).
+        free = self._free_at
+        if free <= now and self.queue.occupied_bytes and self.up:
+            queue = self.queue
+            probe = sim.probe
+            while free <= now and queue.occupied_bytes:
+                nxt = self._qpop()
+                if probe is not None:
+                    probe.on_tx_start(self, nxt)
+                size = nxt.size_bytes
+                tx_delay = self._tx_cache.get(size)
+                if tx_delay is None:
+                    tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)
+                free += tx_delay
+                self.tx_packets += 1
+                self.tx_bytes += size
+                self._wire.append(nxt)
+                self._sched_call(free + self.delay_ps, self._arrive_cb)
+            self._free_at = free
+        probe = sim.probe
+        if packet is None:
+            # Its serialization was cut by the link going down.
+            lost = self._lost.popleft()
+            if probe is not None:
+                probe.on_wire_lost(self, lost)
+            return
         node = self.dst_node
-        probe = self.sim.probe
         if probe is not None:
             # Told before the node takes it, so an in-transit tally can
             # stay exact.
@@ -257,17 +307,53 @@ class OutputPort:
     def set_up(self, up: bool) -> None:
         """Bring the port up or down (failure injection).
 
-        While down, every offered packet is dropped and any packet mid-
-        serialization is lost.  Bringing the port back up resumes service
-        of whatever survived in the queue.
+        While down, every offered packet is dropped, and the packet whose
+        serialization spans the tick the link goes down is lost: its
+        arrival reports it to the probe's ``on_wire_lost`` and it leaves
+        ``tx_packets``/``tx_bytes``.  Packets fully serialized before then
+        still land.  Queued packets wait; bringing the port back up starts
+        them from that tick.
         """
         if self.up == up:
             return
-        self.up = up
-        if up and not self.busy and not self.queue.is_empty:
-            self._start_service()
+        now = self.sim.now
+        if up:
+            self.up = True
+            if self._free_at < now:
+                self._free_at = now
+            self._catch_up(now)
+            return
+        self._catch_up(now)
+        self.up = False
+        if self._free_at > now:
+            # The last packet started is mid-serialization: cut it.
+            packet = self._wire[-1]
+            self._wire[-1] = None
+            if self._lost is None:
+                self._lost = deque()
+            self._lost.append(packet)
+            self.tx_packets -= 1
+            self.tx_bytes -= packet.size_bytes
+            self._free_at = now
 
     @property
     def backlog_bytes(self) -> int:
-        """Bytes currently waiting in this port's queue."""
-        return self.queue.occupied_bytes
+        """Bytes waiting in this port's queue at ``now``.
+
+        The virtual backlog: queued bytes minus those of packets whose
+        start tick has come but which no catch-up has popped yet.  It walks
+        the queue's service order and pops or schedules nothing.
+        """
+        backlog = self.queue.occupied_bytes
+        free = self._free_at
+        now = self.sim.now
+        if free > now or not backlog or not self.up:
+            return backlog
+        for packet in self.queue.service_order():
+            if free > now:
+                break
+            size = packet.size_bytes
+            backlog -= size
+            tx_delay = self._tx_cache.get(size)
+            free += tx_delay if tx_delay is not None else round(size * self._ps_per_byte)
+        return backlog

@@ -17,14 +17,17 @@ Four disciplines cover everything the paper's setups need:
   does not bury its own ACKs/NACKs behind relayed payloads.
 
 All disciplines share the ``offer``/``pop`` interface and count their own
-statistics; ports translate outcomes into traces.
+statistics; ports translate outcomes into traces.  ``service_order()``
+iterates the queued packets in the order ``pop`` would return them,
+without popping: a port reads its virtual backlog through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from enum import IntEnum
+from itertools import chain
 
 from repro.net.packet import Packet
 from repro.sim.rng import SimRandom
@@ -112,6 +115,10 @@ class DropTailQueue:
         self.occupied_bytes -= packet.size_bytes
         self.stats.dequeued += 1
         return packet
+
+    def service_order(self) -> Iterator[Packet]:
+        """The queued packets in pop order, left in place."""
+        return iter(self._fifo)
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -293,6 +300,10 @@ class TrimmingQueue:
         self.stats.dequeued += 1
         return packet
 
+    def service_order(self) -> Iterator[Packet]:
+        """The queued packets in pop order (control lane first), left in place."""
+        return chain(self._control, self._data)
+
     def _offer_control(self, packet: Packet, outcome: EnqueueOutcome) -> EnqueueOutcome:
         if self.control_bytes + packet.size_bytes > self.control_capacity_bytes:
             self.stats.dropped += 1
@@ -364,6 +375,10 @@ class HostQueue:
         self.occupied_bytes -= packet.size_bytes
         self.stats.dequeued += 1
         return packet
+
+    def service_order(self) -> Iterator[Packet]:
+        """The queued packets in pop order (control lane first), left in place."""
+        return chain(self._control, self._data)
 
     def __len__(self) -> int:
         return len(self._data) + len(self._control)

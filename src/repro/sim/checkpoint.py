@@ -69,7 +69,11 @@ from repro.errors import SimulationError
 #:  11 — one line config: an ``InterDcConfig`` pickles one latency per
 #:       segment in ``segment_delays_ps``, in place of its router count and
 #:       single backbone delay, and the separate multi-DC config is gone.
-CHECKPOINT_SCHEMA_VERSION = 11
+#:  12 — one event per hop: an ``OutputPort`` pickles ``_free_at``,
+#:       ``_lost`` and ``_pool_ports`` in place of ``busy``,
+#:       ``_serializing`` and the prebound ``_tx_cb``; a pending
+#:       serialization end is no longer a calendar entry.
+CHECKPOINT_SCHEMA_VERSION = 12
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

@@ -125,10 +125,17 @@ class Probe:
         """
 
     def on_tx_start(self, port: "OutputPort", packet: "Packet") -> None:
-        """``port`` dequeued ``packet`` and began serializing it."""
+        """``port`` dequeued ``packet``, whose serialization has started.
+
+        A queued packet is dequeued lazily, so this can come after the
+        tick its serialization started (never after it lands).
+        """
 
     def on_wire_lost(self, port: "OutputPort", packet: "Packet") -> None:
-        """``port``'s link died while ``packet`` was serializing; it is gone."""
+        """``port``'s link died while ``packet`` was serializing; it is gone.
+
+        Reported at the tick the packet would have landed.
+        """
 
     def on_land(self, node: "Node", packet: "Packet") -> None:
         """An in-flight packet reached ``node``, which forwards or delivers it."""

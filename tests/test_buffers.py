@@ -9,6 +9,7 @@ from repro.config import FabricConfig, small_interdc_config
 from repro.errors import ConfigError
 from repro.net.buffers import SharedBuffer, SharedEcnQueue
 from repro.net.packet import make_data
+from repro.net.port import OutputPort
 from repro.net.queues import EnqueueOutcome
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
@@ -129,3 +130,28 @@ class TestTopologyIntegration:
     def test_invalid_alpha_in_config(self):
         with pytest.raises(ConfigError):
             FabricConfig(shared_buffer_alpha=0)
+
+
+class TestPoolPortsCatchUp:
+    def test_an_offer_sees_the_pool_its_neighbours_have_drained(self):
+        # Port a's queued packets start lazily (its link is 1 ms long, so
+        # no arrival pops them soon).  Once their start ticks have passed,
+        # an offer at port b reads a pool that no longer holds them: every
+        # port of the pool catches up before any of them offers.
+        sim = Simulator()
+        pool = SharedBuffer(100_000)
+        ports = []
+        for name in ("a", "b"):
+            queue = SharedEcnQueue(pool, 1.0, 50_000, 90_000,
+                                   lambda: random.Random(0))
+            ports.append(OutputPort(sim, name, queue, 1e9, 1_000_000_000, None))
+        a, b = ports
+        assert pool.ports == [a, b]
+        for seq in range(3):
+            a.send(data(seq))  # the first starts, two wait in the pool
+        assert pool.occupied_bytes == 2 * data().size_bytes
+        tx = round(data().size_bytes * 8_000)  # ps at 1 Gb/s
+        sim.schedule_at(2 * tx, lambda: b.send(data(9)))
+        sim.run(until=2 * tx)
+        assert pool.occupied_bytes == 0  # both of a's started; b's too
+        assert a.tx_packets == 3 and b.tx_packets == 1

@@ -5,7 +5,8 @@ import pytest
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError, FaultError, TopologyError
 from repro.faults import FaultContext, arm_faults, link_flap_plan
-from repro.net.packet import make_data
+from repro.analysis.sanitizer import Sanitizer
+from repro.net.packet import HEADER_BYTES, make_data
 from repro.transport.connection import Connection
 from repro.units import megabytes, microseconds, milliseconds
 from tests.conftest import build_pair
@@ -36,6 +37,28 @@ class TestPortUpDown:
         sim.schedule(1, lambda: a.nic.set_up(False))  # during serialization
         sim.run()
         assert got == []
+
+    def test_blip_shorter_than_a_serialization_loses_that_packet(self, sim):
+        # 100 KB at 10 Gb/s serializes for 80 us; the link is down for 1 us
+        # of it.  The packet on the link is lost even though the link is
+        # back before its serialization would have ended; the one queued
+        # behind it starts when the link comes back and lands.
+        sanitizer = Sanitizer().install(sim)
+        net, a, b = build_pair(sim)
+        got = []
+        b.register_handler(1, lambda p: got.append(p.seq))
+        for seq in range(2):
+            a.send(make_data(1, seq, a.id, b.id, payload_bytes=100_000))
+        sim.schedule(microseconds(10), lambda: a.nic.set_up(False))
+        sim.schedule(microseconds(11), lambda: a.nic.set_up(True))
+        sim.run()
+        assert got == [1]
+        assert a.nic.tx_packets == 1
+        assert a.nic.tx_bytes == 100_000 + HEADER_BYTES
+        report = sanitizer.finish(net)  # exact conservation, or it raises
+        assert report.wire_lost_packets == 1
+        assert report.wire_lost_bytes == 100_000 + HEADER_BYTES
+        assert report.in_transit_packets == report.queued_packets == 0
 
     def test_queue_survives_and_resumes(self, sim):
         net, a, b = build_pair(sim)

@@ -50,14 +50,14 @@ from repro.workloads.incast import uniform_incast
 from repro.workloads.sizes import HeavyTailConfig
 
 GOLDEN = {
-    "baseline": "b7bff36631fa258ecbc889b5129b98051c01b74146b9fb036dfd0781f375dcb8",
-    "naive": "779d6a4234482e919f73ca2ae419a5391c9900ef7e0007fc8768ad44fce873e9",
-    "streamlined": "9ebe346c0dbc54d95547e1755327a56b14b57bb47023270c4c8637e76e551190",
-    "trimless": "060b7c51a3bfd69f74d99a0eaca4389aa8985cc505e7f6668b4abba6eaa07dbe",
-    "proxy-failover": "94bcb3d055cec1f1f42e3c60a76492e71e158af3fc2beb9ec1644cfb97cc7598",
-    "repflow": "d93d15a31ae1412579f965b5b52db175987384380f1ddbc713c1754716f1ee24",
-    "pulser": "40106890b6567eabc16660ed6ed9578ab0196226995831802ab1307483c5acd8",
-    "pulser-dist": "40106890b6567eabc16660ed6ed9578ab0196226995831802ab1307483c5acd8",
+    "baseline": "e413537b80bd062298935a4320bd628ac339fe7c1c5f3fffeac2f0e116ac3818",
+    "naive": "dc777142d8e7fc386d73d0de74ce0d1c7a91a8715013e70d112e4b7b489d1a5a",
+    "streamlined": "45c68a992f004c37ee8f409165937e936c0cf1522636fc0e757e18ac2983a153",
+    "trimless": "d8a3c8d8f3377f28e24aa6686bd8fdc5b5f9a18ffdb026a35b6c4a91ed0a018c",
+    "proxy-failover": "d512b5e544d54ddde583dec8ff70a7dfb699aef6e698d090a8d4a79076cf0d24",
+    "repflow": "03056c6ca548b8e8a32f01d12f07890a1a808a86e552280d35fef41e0ecab6e9",
+    "pulser": "1acf5bdc7d0131c13575e1d052035e10fb2a56805820dadfb181efee15fbadd8",
+    "pulser-dist": "1acf5bdc7d0131c13575e1d052035e10fb2a56805820dadfb181efee15fbadd8",
 }
 
 SCENARIO = IncastScenario(
@@ -95,11 +95,11 @@ def _fingerprint(parts) -> str:
 
 
 CONCURRENT = {
-    ("baseline", "none"): "661216645ed09741c6e4545dbdaa821b878212874824c65a451835c5497554ab",
-    ("naive", "central"): "f0893a14ce7120bc9a883b961c966ffe9261992f10d79e19b65543f3bdbc583f",
-    ("streamlined", "shared"): "93a80644dc8d6d3dee7bd8b145b1657ace129a3394f81f40b20a2169c0564fa6",
-    ("trimless", "round-robin"): "d2c9cb1e016ddc0a85ba29d20bee1640c648c6598f046902a74f017bfc49cfb3",
-    ("naive", "decentralized"): "19fa72bcf2a3002842e84e3b21dc2e361e319288c32323f2caf7adbae5a42e93",
+    ("baseline", "none"): "d68c5c1a2a3765a65ccda4d8f31e97a4e0e7c67885ef5db77750d5f0f87adfa9",
+    ("naive", "central"): "54aa99cc24ce50c1c0b7c9881291dce70faf5b22a5dccc4073086e0bab3ba909",
+    ("streamlined", "shared"): "5f956a12c670902d3607a68cba8f9e11084dfd92a313a2183b61d910b5e11b4a",
+    ("trimless", "round-robin"): "89da66b233b9b6568fcc1c8c0668580cbfc922459cf4b89311217e3eb0c3c51c",
+    ("naive", "decentralized"): "c7d19ea9cd36bb0640b0a52a3249849e6a081144502af2880c97ba76e949bbf8",
 }
 
 
@@ -138,9 +138,9 @@ def concurrent_fingerprint(result) -> str:
 
 
 OPEN_LOOP = {
-    "streamlined": "d2b276c4b347d47ba2fe0561d9c82d402f0b14e7e13c55ade5caea0a640d4e58",
-    "naive": "cf508f967190a77d584ff7cd681002b4195fd7a72f03be3e55dcab89db606aba",
-    "baseline": "b014474adace12260f386fbcd7451d8d8299be913d410f1eeb6d98fcc427f26b",
+    "streamlined": "946171c58263cb73a07d8a791eed0b5db6351700d5a246a19f84f4df904561d6",
+    "naive": "d7f9494cde52521a65e8eeb216a1e83f4e9aebf096cd2a307b2007138c42bf2e",
+    "baseline": "d6a796751f757489ab091d0d3e68f75fce3e46639fbe057801f6fd1f5860c131",
 }
 
 
@@ -162,10 +162,10 @@ def test_open_loop_digest_is_unchanged(scheme):
 
 
 CONVERGENCE = {
-    "baseline": "4c253c057d248872dfb3feb35f659708bed11458710f19a69081d63c1735dfa3",
-    "naive": "00fd093e60d1efa0570c79f96251ae27ddea3dc184ecdac918dc4dea5b819fe9",
-    "streamlined": "267555ab9c6478e7780464c788aea6edc88a165ac6b7e93f319ae20ea00b34e3",
-    "trimless": "5ef5104b06650226ba16497a8aec3b9041510b3485b27cbff0c2b8800ed304ab",
+    "baseline": "e4891240b818c2a2e5c25e4f052bb3e0ca36932588d2a4a70995900bdb99598f",
+    "naive": "0fd8bb19627daec25dcf1db87bbb9f0764d1cbb6a186d602336863a21730c9ed",
+    "streamlined": "9d34c3a5a3ada3fb51593a3f155e17ac9de7e04472f7cd78a9c732f0cee95386",
+    "trimless": "7ad3e2edc64acde87417455b6715bcb0ad1019a3cca68f1ec22568f4fa6845c1",
 }
 
 

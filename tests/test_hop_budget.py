@@ -1,4 +1,5 @@
-"""The hop budget, in calls per packet hop (they repeat exactly; seconds do not).
+"""The hop budget, in calls and events per packet hop (they repeat exactly;
+seconds do not).
 
 Most of a packet-level run is the per-packet path: a port serializes, the
 packet lands, a switch forwards it, a sender or receiver answers.  Each
@@ -15,6 +16,8 @@ entry when two code objects share that label.  Only ``repro`` code is
 counted, and comprehensions are skipped (CPython 3.12 inlines them into
 their function), so the counts are the same on every supported Python.
 A change that lowers a count lowers its budget in the same commit.
+A second case counts scheduler events per port transmission on the same
+cell: one event per hop holds it near one.
 """
 
 from __future__ import annotations
@@ -36,10 +39,20 @@ LAYERS = ("net", "sim", "transport")
 #: arrivals forwarded through ``direct_ports`` from the port, idle ports
 #: started inline and the sender computed only the timeouts it arms, they
 #: were net 7 881 / 8 111 and transport 1 695 / 1 232 (sim unchanged).
+#: With two events per hop (a serialization-end event, then the arrival)
+#: they were net 6 875 / 7 221, sim 2 810 / 2 500 and transport 1 529 /
+#: 1 009.  Transport code did not change with the fusion, but the cell's
+#: same-tick order did, and with it which packets each sender retransmits:
+#: baseline 1 528.5 -> 1 530.3 calls, streamlined 1 008.8 -> 992.9.
 BUDGET = {
-    "baseline": {"net": 6875, "sim": 2810, "transport": 1529},
-    "streamlined": {"net": 7221, "sim": 2500, "transport": 1009},
+    "baseline": {"net": 5559, "sim": 1809, "transport": 1531},
+    "streamlined": {"net": 5817, "sim": 1499, "transport": 993},
 }
+
+#: Scheduler events per port transmission: one event per hop (the
+#: arrival), plus the transport's timers, less the hops a run stops before
+#: they land.  Two-event hops read 2.001 (baseline) and 1.944 (streamlined).
+EVENTS_PER_TRANSMISSION = 1.05
 
 #: Code objects CPython 3.12 no longer calls (PEP 709).
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -57,13 +70,17 @@ def _layer_of(code) -> str | None:
     return path.parent.name
 
 
-def hop_calls(scheme: str) -> tuple[dict[str, int], int]:
-    """Calls per layer and port transmissions of one run of the fixed cell."""
-    scenario = build_scenario(
+def _cell(scheme: str):
+    return build_scenario(
         scheme, degree=6, total_bytes=megabytes(8),
         interdc=small_interdc_config(),
         transport=TransportConfig(payload_bytes=4096), seed=0,
     )
+
+
+def hop_calls(scheme: str) -> tuple[dict[str, int], int]:
+    """Calls per layer and port transmissions of one run of the fixed cell."""
+    scenario = _cell(scheme)
     previous = sys.getprofile()  # conftest's unreached-function recorder
     profile = cProfile.Profile()
     profile.enable()
@@ -90,3 +107,13 @@ def test_hop_calls_stay_inside_their_budget(scheme):
         if calls[layer] * 1000 > budget * transmissions
     }
     assert not over, f"{scheme}: calls per 1 000 transmissions over budget {over}"
+
+
+@pytest.mark.parametrize("scheme", sorted(BUDGET))
+def test_a_hop_is_one_event(scheme):
+    result = run_incast(_cell(scheme))
+    assert result.completed
+    per_transmission = result.events_executed / result.counters.tx_packets
+    assert per_transmission <= EVENTS_PER_TRANSMISSION, (
+        f"{scheme}: {per_transmission:.3f} events per port transmission"
+    )

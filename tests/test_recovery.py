@@ -174,7 +174,7 @@ class TestSmokeCli:
     """``python -m repro recovery --smoke``, which CI's recovery job runs."""
 
     #: The smoke grid's sweep digest; a behaviour-neutral change keeps it.
-    SMOKE_DIGEST = "bb1d27398caaa857d16c415e70577d2fe9090a30ad2dcdbfdbddfeab449ab0c0"
+    SMOKE_DIGEST = "acf2f74d1631903c9c4e551a2701542e038ad02d812f71662d7d46e748ee0374"
 
     def test_smoke_run_passes_its_invariants_and_prints_its_digest(self, capsys):
         from repro.experiments.recovery import main

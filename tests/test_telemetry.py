@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.competitors import install, uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ConfigError
 from repro.experiments.parallel import ExperimentEngine
@@ -17,7 +18,8 @@ from repro.telemetry import (
     TelemetrySnapshot,
     validate_sweep_telemetry,
 )
-from repro.units import kilobytes, microseconds
+from repro.schemes import SCHEME_REGISTRY
+from repro.units import kilobytes, megabytes, microseconds
 
 #: Result fields that must be bit-identical with telemetry on vs off.
 #: ``events_executed`` and ``wall_seconds`` legitimately differ (sampler
@@ -133,6 +135,41 @@ class TestDigestEquality:
         for name in _DIGEST_FIELDS:
             assert getattr(off, name) == getattr(on, name), name
         assert off.telemetry is None and on.telemetry is not None
+
+
+class TestSamplingDoesNotPerturb:
+    """A sampler reads every port's backlog between catch-ups: it must read
+    the virtual backlog, not start queued packets itself (which would
+    schedule their arrivals at a different FIFO position)."""
+
+    def test_sampled_run_equals_the_unsampled_run_on_every_scheme(self):
+        # 700 ns is just over one 4 KB serialization: samples land between
+        # a queued packet's start tick and the catch-up that pops it.  The
+        # golden-digest cell (degree 6, 8 MB) congests enough that a
+        # sampler which popped would move flow completions.
+        sampled = RunOptions(telemetry=True, sample_interval_ps=700_000)
+        install()
+        try:
+            schemes = SCHEME_REGISTRY.names()
+            for scheme in schemes:
+                scenario = _scenario(scheme, degree=6, total_bytes=megabytes(8))
+                off = run_incast(scenario)
+                on = run_incast(scenario, options=sampled)
+                assert on.telemetry is not None
+                for result in (off, on):
+                    assert result.completed, scheme
+                # Field by field: result_digest also hashes events_executed,
+                # which the sampler's own ticks move.
+                for name in ("ict_ps", "flow_completion_ps", "retransmissions",
+                             "timeouts"):
+                    assert getattr(off, name) == getattr(on, name), (scheme, name)
+                for name in ("packets_marked", "packets_trimmed",
+                             "packets_dropped", "tx_packets", "tx_bytes"):
+                    assert (getattr(off.counters, name)
+                            == getattr(on.counters, name)), (scheme, name)
+        finally:
+            uninstall()
+        assert len(schemes) == 8
 
 
 class TestSweepTelemetry:

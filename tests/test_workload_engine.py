@@ -361,9 +361,9 @@ class TestSmokeCli:
     """``python -m repro workload --smoke``, which CI's preemption drill runs."""
 
     #: Streams seeded by t = 2 s of the smoke config: the 16 seeded at build
-    #: (12 ``spray:``, 3 ``engine:``, ``orchestration:select``) and 11 queues
+    #: (12 ``spray:``, 3 ``engine:``, ``orchestration:select``) and 10 queues
     #: that drew in their band.
-    STREAMS_AT_2S = 27
+    STREAMS_AT_2S = 26
 
     def test_smoke_run_prints_its_digest_and_leaves_a_restorable_checkpoint(
         self, capsys, tmp_path
