@@ -299,6 +299,13 @@ class FaultInjector:
         ports = self.ctx.resolve_ports(event.target)
         if not ports:
             return False
+        for port in ports:
+            if not hasattr(port.queue, "capacity_bytes"):
+                # DT admission sizes the port from the switch's pool.
+                raise FaultError(
+                    f"BufferDegrade: port {port.name} draws on a shared buffer "
+                    "and has no per-port capacity to shrink"
+                )
         queues = [port.queue for port in ports]
         for queue in queues:
             orig, factors = self._degrades.get(queue, (queue.capacity_bytes, []))

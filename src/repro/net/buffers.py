@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
-from repro.net.queues import EnqueueOutcome, QueueStats
+from repro.net.queues import PASS_NONE, EnqueueOutcome, QueueStats
 from repro.sim.rng import SimRandom
 
 
@@ -62,6 +62,9 @@ class SharedEcnQueue:
     with the switch-wide load.  As there, ``rng_source`` is called once, at
     the first in-band draw.
     """
+
+    #: Nothing passes: DT admission reads the pool, not this port alone.
+    IDLE_PASS = PASS_NONE
 
     def __init__(
         self,
@@ -133,7 +136,6 @@ class SharedEcnQueue:
         packet = self._fifo.popleft()
         self.occupied_bytes -= packet.size_bytes
         self.shared.release(packet.size_bytes)
-        self.stats.dequeued += 1
         return packet
 
     def service_order(self) -> Iterator[Packet]:

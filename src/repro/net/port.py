@@ -40,13 +40,23 @@ virtual backlog by walking the queue's service order without popping.
 A sampler that caught up would schedule arrivals in a different FIFO
 position and change the run it observes.
 
-A hop is, on the common path, two calls into this module: ``send``
-offers the packet and, on an idle port, starts it inline; ``_arrive``
-lands it, catches its own port up (inline), and when the destination
-switch has a single next hop for it (``Switch.direct_ports``), offers it
-straight to that output port.  Only multi-path destinations (spray/ECMP)
-go through :meth:`~repro.net.node.Switch.receive`, and packets for a host
-through :meth:`~repro.net.node.Host.receive`.
+A hop is, on the common path, two calls into this module and none into
+the queue: ``send`` finds the link idle (so the queue empty), and when
+the discipline's ``IDLE_PASS`` says the empty queue would admit the
+packet unchanged (no drop, trim, mark or RNG draw; its size read against
+``capacity_bytes`` at the offer), it counts what ``offer`` would have
+counted (``enqueued``, ``max_occupied_bytes``) and starts the packet
+inline.  Any other offer goes through ``queue.offer``, and on an idle
+port ``queue.pop``.  A probed run always takes that full path (``offer``,
+``on_offer``, ``pop``, ``on_tx_start``), so every hook reads the
+occupancy the model defines, and a run with and without a probe must
+give the same digest and counters (``tests/test_probe.py``).
+``_arrive`` lands the packet, catches its own port up (inline), and when
+the destination switch has a single next hop for it
+(``Switch.direct_ports``), offers it straight to that output port.  Only
+multi-path destinations (spray/ECMP) go through
+:meth:`~repro.net.node.Switch.receive`, and packets for a host through
+:meth:`~repro.net.node.Host.receive`.
 
 A link that goes down loses the packet whose serialization spans that
 tick (its slot on the wire holds None; its arrival reports it lost);
@@ -63,9 +73,10 @@ from repro.net.packet import Packet
 from repro.net.queues import EnqueueOutcome
 from repro.units import PS_PER_S
 
-# Hoisted enum member: an attribute load off the enum class per offered
+# Hoisted enum members: an attribute load off the enum class per offered
 # packet is measurable at this call rate.
 _DROPPED = EnqueueOutcome.DROPPED
+_ENQUEUED = EnqueueOutcome.ENQUEUED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
@@ -101,6 +112,7 @@ class OutputPort:
         "_arrive_cb",
         "_qoffer",
         "_qpop",
+        "_idle_pass",
     )
 
     def __init__(
@@ -162,6 +174,8 @@ class OutputPort:
         self._arrive_cb = self._arrive
         self._qoffer = queue.offer
         self._qpop = queue.pop
+        #: which packets an idle port starts without the queue
+        self._idle_pass = queue.IDLE_PASS
         # Build-time registration with an observer; never on the data path.
         if sim.probe is not None:
             sim.probe.on_port(self)
@@ -186,29 +200,49 @@ class OutputPort:
             if probe is not None:
                 probe.on_corrupt_mark(self, packet)
         now = sim.now
+        queue = self.queue
         # Dequeue first: packets whose start tick has come leave the queue
         # before this offer reads its occupancy.
         if self._pool_ports is not None:
             for port in self._pool_ports:
                 if port._free_at <= now and port.queue.occupied_bytes:
                     port._catch_up(now)
-        elif self._free_at <= now and self.queue.occupied_bytes:
+        elif self._free_at <= now and queue.occupied_bytes:
             self._catch_up(now)
-        if probe is None:
-            outcome = self._qoffer(packet)
+        # After the catch-up, an idle link means an empty queue.
+        idle = self._free_at <= now
+        size = packet.size_bytes
+        # IDLE_PASS levels are ordered so that one comparison is the rule:
+        # PASS_ANY passes both kinds, PASS_DATA data only.  A probed run
+        # takes the full path, so every hook sees the occupancy the model
+        # defines: offer, on_offer, pop, on_tx_start.
+        if (
+            idle
+            and probe is None
+            and self._idle_pass > packet.is_control
+            and size <= queue.capacity_bytes
+        ):
+            # The empty queue would admit the packet unchanged and pop it
+            # at once, so only its counts move.
+            stats = queue.stats
+            stats.enqueued += 1
+            if size > stats.max_occupied_bytes:
+                stats.max_occupied_bytes = size
+            nxt = packet
+            outcome = _ENQUEUED
         else:
-            size_before = packet.size_bytes
             outcome = self._qoffer(packet)
-            probe.on_offer(self, packet, outcome is _DROPPED, size_before)
-        if outcome is _DROPPED or self._free_at > now:
-            return outcome
+            if probe is not None:
+                probe.on_offer(self, packet, outcome is _DROPPED, size)
+            if outcome is _DROPPED or not idle:
+                return outcome
+            nxt = self._qpop()
+            if probe is not None:
+                probe.on_tx_start(self, nxt)
+            size = nxt.size_bytes
         # The link is idle and the queue held nothing else: the packet (or
         # its trimmed header) starts now.  _catch_up inlined, because most
         # offers find their port idle.
-        nxt = self._qpop()
-        if probe is not None:
-            probe.on_tx_start(self, nxt)
-        size = nxt.size_bytes
         tx_delay = self._tx_cache.get(size)
         if tx_delay is None:
             tx_delay = self._tx_cache[size] = round(size * self._ps_per_byte)

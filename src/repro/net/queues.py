@@ -20,6 +20,15 @@ All disciplines share the ``offer``/``pop`` interface and count their own
 statistics; ports translate outcomes into traces.  ``service_order()``
 iterates the queued packets in the order ``pop`` would return them,
 without popping: a port reads its virtual backlog through it.
+
+Each discipline also declares, as its ``IDLE_PASS`` class constant, which
+packets an *empty* queue would admit unchanged: no drop, no trim, no ECN
+mark and no RNG draw.  An idle, unprobed port starts such a packet
+without entering the queue (:meth:`repro.net.port.OutputPort.send`) and
+counts only what ``offer`` would have counted: ``stats.enqueued`` and
+``stats.max_occupied_bytes``.  The levels are ordered so that a packet
+passes when ``IDLE_PASS > packet.is_control`` and its size is at most
+``capacity_bytes``, read at the offer (a fault may shrink it mid-run).
 """
 
 from __future__ import annotations
@@ -47,13 +56,19 @@ _ENQUEUED = EnqueueOutcome.ENQUEUED
 _DROPPED = EnqueueOutcome.DROPPED
 _TRIMMED = EnqueueOutcome.TRIMMED
 
+#: ``IDLE_PASS`` levels.  No packet passes: every offer enters the queue.
+PASS_NONE = 0
+#: Data packets within ``capacity_bytes`` pass; control packets do not.
+PASS_DATA = 1
+#: Every packet within ``capacity_bytes`` passes.
+PASS_ANY = 2
+
 
 class QueueStats:
     """Counters every queue maintains."""
 
     __slots__ = (
         "enqueued",
-        "dequeued",
         "dropped",
         "trimmed",
         "marked",
@@ -63,7 +78,6 @@ class QueueStats:
 
     def __init__(self) -> None:
         self.enqueued = 0
-        self.dequeued = 0
         self.dropped = 0
         self.trimmed = 0
         self.marked = 0
@@ -79,6 +93,10 @@ class DropTailQueue:
     """FIFO with a byte-capacity limit."""
 
     __slots__ = ("capacity_bytes", "occupied_bytes", "stats", "_fifo")
+
+    #: An empty FIFO admits anything that fits, and marks nothing at zero
+    #: occupancy (so :class:`EcnQueue` inherits this).
+    IDLE_PASS = PASS_ANY
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -113,7 +131,6 @@ class DropTailQueue:
             return None
         packet = self._fifo.popleft()
         self.occupied_bytes -= packet.size_bytes
-        self.stats.dequeued += 1
         return packet
 
     def service_order(self) -> Iterator[Packet]:
@@ -211,6 +228,11 @@ class TrimmingQueue:
                  "control_bytes", "stats", "_rng", "_rng_source", "_data",
                  "_control")
 
+    #: An empty data lane admits a data packet that fits, untrimmed and
+    #: unmarked.  Control packets go to the control lane, whose own cap
+    #: (``control_capacity_bytes``) the pass rule does not read.
+    IDLE_PASS = PASS_DATA
+
     def __init__(
         self,
         capacity_bytes: int,
@@ -297,7 +319,6 @@ class TrimmingQueue:
         else:
             return None
         self.occupied_bytes -= packet.size_bytes
-        self.stats.dequeued += 1
         return packet
 
     def service_order(self) -> Iterator[Packet]:
@@ -333,6 +354,9 @@ class HostQueue:
 
     __slots__ = ("capacity_bytes", "control_priority", "occupied_bytes",
                  "stats", "_data", "_control")
+
+    #: Either lane of an empty NIC queue admits anything that fits.
+    IDLE_PASS = PASS_ANY
 
     def __init__(
         self,
@@ -373,7 +397,6 @@ class HostQueue:
         else:
             return None
         self.occupied_bytes -= packet.size_bytes
-        self.stats.dequeued += 1
         return packet
 
     def service_order(self) -> Iterator[Packet]:

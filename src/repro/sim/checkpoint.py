@@ -73,7 +73,9 @@ from repro.errors import SimulationError
 #:       ``_lost`` and ``_pool_ports`` in place of ``busy``,
 #:       ``_serializing`` and the prebound ``_tx_cb``; a pending
 #:       serialization end is no longer a calendar entry.
-CHECKPOINT_SCHEMA_VERSION = 12
+#:  13 — an idle port skips its queue: an ``OutputPort`` pickles
+#:       ``_idle_pass``, and ``QueueStats`` no longer has ``dequeued``.
+CHECKPOINT_SCHEMA_VERSION = 13
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

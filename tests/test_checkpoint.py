@@ -280,6 +280,22 @@ class TestCheckpointFormat:
             f"checkpoint schema 11 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_12_file(self):
+        # Written by the schema-12 code: a two-host network whose port is
+        # mid-serialization with a packet queued behind it, so the payload
+        # pickles the deleted ``QueueStats.dequeued`` slot and a port with
+        # no ``_idle_pass``.  Unpickled, that port would fail its first
+        # send; the version is read first, so the file is refused before.
+        path = Path(__file__).parent / "fixtures" / "schema12_port.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 12))
+        assert b"dequeued" in blob and b"_idle_pass" not in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 12 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())

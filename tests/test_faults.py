@@ -225,6 +225,24 @@ class TestFaultBehavior:
         sim.run(until=microseconds(20))
         assert [p.queue.capacity_bytes for p in ports] == original
 
+    def test_buffer_degrade_on_a_shared_buffer_port_is_a_fault_error(self):
+        # A DT port has no capacity of its own: its limit follows the pool.
+        sim = Simulator(seed=0)
+        topo = build_interdc(sim, small_interdc_config().with_shared_buffers(1.0))
+        ctx = FaultContext(topo.net, receiver_host=topo.fabrics[1].hosts[0])
+        ports = ctx.resolve_ports("receiver")
+        shared = [p for p in ports if not hasattr(p.queue, "capacity_bytes")]
+        assert shared and len(shared) < len(ports)
+        own = [p for p in ports if p not in shared]
+        before = [p.queue.capacity_bytes for p in own]
+        plan = FaultPlan((BufferDegrade(at_ps=0, duration_ps=microseconds(10),
+                                        factor=0.5, target="receiver"),))
+        FaultInjector(sim, plan, ctx).arm()
+        with pytest.raises(FaultError, match=f"port {shared[0].name} draws on a shared"):
+            sim.run(until=microseconds(1))
+        # Refused before any queue shrank, the per-port ones included.
+        assert [p.queue.capacity_bytes for p in own] == before
+
     def test_deterministic_across_identical_runs(self):
         plan = blackhole_plan(at_ps=0, duration_ps=milliseconds(50), drop_fraction=0.1)
         a = run_incast(_fault_scenario("streamlined", faults=plan, seed=5))

@@ -16,6 +16,14 @@ Every packet's land tick (so its start tick), the occupancy each offer
 leaves, each drop, trim and ECN mark must match.  Offers are scheduled
 before the run, so the offers of one tick precede the port's own
 arrivals at that tick; by the rule, that order does not matter.
+
+The probe that reads each offer makes the port take its full path.  Each
+example therefore runs a second time with no probe, where an idle port
+starts a packet its empty queue would admit unchanged without entering
+the queue: the land ticks and the queue's counters must not move.  The
+explicit cases below are the packets that must *not* pass: one larger
+than an empty queue, a control packet over a trimming queue's control
+cap, and one larger than a capacity shrunk after the port was built.
 """
 
 from __future__ import annotations
@@ -23,12 +31,19 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.packet import HEADER_BYTES, Packet, PacketType
 from repro.net.port import OutputPort
-from repro.net.queues import DropTailQueue, EcnQueue, HostQueue, TrimmingQueue
+from repro.net.queues import (
+    DropTailQueue,
+    EcnQueue,
+    EnqueueOutcome,
+    HostQueue,
+    TrimmingQueue,
+)
 from repro.sim.probe import Probe
 from repro.sim.simulator import Simulator
 
@@ -161,19 +176,77 @@ offer_lists = st.lists(
 def test_one_port_follows_the_store_and_forward_schedule(
     offers, discipline, capacity, mark_above, delay_ps
 ):
+    probe = _Offers()
+    port, landed = _run(offers, _queue(discipline, capacity, mark_above),
+                        delay_ps, probe)
+
+    seen, land = reference(offers, discipline, capacity, mark_above, delay_ps)
+    assert probe.seen == seen
+    assert landed == land
+    assert port.tx_packets == len(land)
+    assert port.backlog_bytes == 0 and not port._wire
+
+    bare, bare_landed = _run(offers, _queue(discipline, capacity, mark_above),
+                             delay_ps)
+    assert bare_landed == land
+    assert bare.queue.stats.as_dict() == port.queue.stats.as_dict()
+
+
+def _run(offers, queue, delay_ps=0, probe=None):
+    """Offer ``(tick, payload, is_control)`` packets to one port; run it."""
     sim = Simulator(seed=0)
-    probe = sim.probe = _Offers()
+    sim.probe = probe
     sink = _Sink(sim)
-    port = OutputPort(sim, "a->b", _queue(discipline, capacity, mark_above),
-                      RATE_BPS, delay_ps, sink)
+    port = OutputPort(sim, "a->b", queue, RATE_BPS, delay_ps, sink)
     for i, (tick, payload, is_control) in enumerate(offers):
         kind = PacketType.ACK if is_control else PacketType.DATA
         packet = Packet(0, kind, i, 0, 1, payload_bytes=payload)
         sim.schedule_at(tick, partial(port.send, packet))
     sim.run()
+    return port, sink.landed
 
-    seen, land = reference(offers, discipline, capacity, mark_above, delay_ps)
-    assert probe.seen == seen
-    assert sink.landed == land
-    assert port.tx_packets == len(land)
-    assert port.backlog_bytes == 0 and not port._wire
+
+def _outcomes(discipline, capacity, offers, shrink_to=None):
+    """Per offer, the outcome an unprobed idle port returns, plus the
+    queue's counters; ``shrink_to`` cuts the capacity after the build."""
+    sim = Simulator(seed=0)
+    queue = _queue(discipline, capacity, mark_above=capacity)
+    port = OutputPort(sim, "a->b", queue, RATE_BPS, 0, _Sink(sim))
+    if shrink_to is not None:
+        queue.capacity_bytes = shrink_to
+    outcomes = []
+    for i, (payload, is_control) in enumerate(offers):
+        sim.run(until=sim.now + 10 * GRID_PS)  # the port is idle again
+        kind = PacketType.ACK if is_control else PacketType.DATA
+        outcomes.append(port.send(Packet(0, kind, i, 0, 1, payload_bytes=payload)))
+    sim.run()
+    return outcomes, queue.stats
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_a_packet_larger_than_an_empty_queue_does_not_pass(discipline):
+    outcomes, stats = _outcomes(discipline, 1_000, [(960, False), (64, False)])
+    if discipline == "trimming":
+        assert outcomes == [EnqueueOutcome.TRIMMED, EnqueueOutcome.ENQUEUED]
+        assert (stats.trimmed, stats.dropped, stats.enqueued) == (1, 0, 2)
+    else:
+        assert outcomes == [EnqueueOutcome.DROPPED, EnqueueOutcome.ENQUEUED]
+        assert (stats.dropped, stats.dropped_bytes, stats.enqueued) == (1, 1_024, 1)
+    assert stats.max_occupied_bytes == 128
+
+
+def test_a_control_packet_over_the_control_cap_is_dropped_on_an_idle_port():
+    # 512 B fits the data lane's 4 000 B but not the 400 B control lane.
+    outcomes, stats = _outcomes("trimming", 4_000, [(448, True), (192, True)])
+    assert outcomes == [EnqueueOutcome.DROPPED, EnqueueOutcome.ENQUEUED]
+    assert (stats.dropped, stats.enqueued, stats.max_occupied_bytes) == (1, 1, 256)
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_an_idle_port_reads_the_capacity_at_the_offer(discipline):
+    # A fault shrinks the queue after the port was built.
+    outcomes, stats = _outcomes(discipline, 4_000, [(960, False), (192, False)],
+                                shrink_to=500)
+    first = EnqueueOutcome.TRIMMED if discipline == "trimming" else EnqueueOutcome.DROPPED
+    assert outcomes == [first, EnqueueOutcome.ENQUEUED]
+    assert stats.max_occupied_bytes == 256

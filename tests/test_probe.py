@@ -7,7 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.experiments.runner as runner_module
 import repro.sim.simulator as simulator_module
+from repro.analysis.races import result_digest
+from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.control.config import ControlConfig
 from repro.experiments.runner import IncastScenario, RunOptions, run_incast
@@ -23,8 +26,10 @@ from repro.faults import (
     blackhole_plan,
     proxy_crash_plan,
 )
+from repro.schemes import SCHEME_REGISTRY
 from repro.sim.probe import Probe
-from repro.units import kilobytes, microseconds, milliseconds, seconds
+from repro.topology.interdc import build_interdc
+from repro.units import kilobytes, megabytes, microseconds, milliseconds, seconds
 
 #: Every build-time, per-event and data-path hook a probe can override.
 HOOKS = sorted(name for name in vars(Probe) if name.startswith("on_"))
@@ -158,13 +163,71 @@ def test_trims_and_drops_are_both_exercised(probes):
     assert sum(probe.drops for probe in probes.values()) > 0
 
 
-def test_a_probe_does_not_move_the_run():
+def _run_counting_queues(monkeypatch, scenario, options=None):
+    """One run, plus every port's queue counters at its end."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_interdc(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "build_interdc", build)
+    result = run_incast(scenario, options)
+    (topo,) = built
+    stats = {
+        port.name: port.queue.stats.as_dict()
+        for node in topo.net.nodes.values()
+        for port in node.ports.values()
+    }
+    return result, stats
+
+
+def test_a_probe_does_not_move_the_run(monkeypatch):
     scenario = SCENARIOS["faults"]
-    plain = run_incast(scenario)
-    probed = run_incast(scenario, options=RunOptions(probe=CountingProbe()))
+    plain, plain_queues = _run_counting_queues(monkeypatch, scenario)
+    probed, probed_queues = _run_counting_queues(
+        monkeypatch, scenario, RunOptions(probe=CountingProbe())
+    )
     assert (probed.ict_ps, probed.retransmissions, probed.failed_flows) == (
         plain.ict_ps, plain.retransmissions, plain.failed_flows
     )
+    assert result_digest(probed) == result_digest(plain)
+    assert probed_queues == plain_queues
+
+
+#: The golden-digest cell: it marks, trims, drops and times out.
+_GOLDEN_CELL = IncastScenario(
+    degree=6,
+    total_bytes=megabytes(8),
+    interdc=small_interdc_config(),
+    transport=TransportConfig(payload_bytes=4096),
+    seed=0,
+)
+
+
+#: Every scheme registered once the competitors are installed.
+_ALL_SCHEMES = sorted(set(SCHEME_REGISTRY.names()) | set(COMPETITOR_SCHEMES))
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_a_probe_moves_no_digest_and_no_queue_counter(monkeypatch, scheme):
+    # A probed run offers every packet to its queue; an unprobed idle port
+    # starts a packet its empty queue would admit unchanged without the
+    # queue.  Both paths must leave the same run and the same counters.
+    install()
+    try:
+        scenario = replace(_GOLDEN_CELL, scheme=scheme)
+        plain, plain_queues = _run_counting_queues(monkeypatch, scenario)
+        probed, probed_queues = _run_counting_queues(
+            monkeypatch, scenario, RunOptions(probe=Probe())
+        )
+        registered = set(SCHEME_REGISTRY.names())
+    finally:
+        uninstall()
+    assert registered == set(_ALL_SCHEMES)
+    assert plain.completed
+    assert result_digest(probed) == result_digest(plain)
+    assert probed_queues == plain_queues
 
 
 def test_only_a_probe_that_times_events_reads_the_clock(monkeypatch):
