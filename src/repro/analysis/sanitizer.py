@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SanitizerError
+from repro.net.queues import EcnQueue
 from repro.sim.probe import Probe
 from repro.units import serialization_delay_ps
 
@@ -225,13 +226,20 @@ class Sanitizer(Probe):
     # -- internal -----------------------------------------------------------
 
     def _check_queue_bound(self, queue: Any) -> None:
-        """An accepted enqueue must leave the queue within its capacity."""
-        data_bytes = getattr(queue, "data_bytes", None)
-        if data_bytes is not None:
-            # Trimming queue: per-lane bounds.
-            if data_bytes > queue.capacity_bytes:
+        """An accepted enqueue must leave each lane within its bound."""
+        if not isinstance(queue, EcnQueue):
+            # Shared-buffer queue: the pool is the only hard bound.
+            shared = queue.shared
+            if shared.occupied_bytes > shared.total_bytes:
                 raise SanitizerError(
-                    f"trimming queue data lane over capacity: {data_bytes} > "
+                    f"shared buffer pool over capacity: {shared.occupied_bytes} "
+                    f"> {shared.total_bytes}"
+                )
+        elif queue.trim:
+            # Trimming queue: the lanes are bounded apart.
+            if queue.data_bytes > queue.capacity_bytes:
+                raise SanitizerError(
+                    f"trimming queue data lane over capacity: {queue.data_bytes} > "
                     f"{queue.capacity_bytes}"
                 )
             if queue.control_bytes > queue.control_capacity_bytes:
@@ -239,21 +247,11 @@ class Sanitizer(Probe):
                     f"trimming queue control lane over capacity: "
                     f"{queue.control_bytes} > {queue.control_capacity_bytes}"
                 )
-            return
-        shared = getattr(queue, "shared", None)
-        if shared is not None:
-            # Shared-buffer queue: the pool is the only hard bound.
-            if shared.occupied_bytes > shared.total_bytes:
-                raise SanitizerError(
-                    f"shared buffer pool over capacity: {shared.occupied_bytes} "
-                    f"> {shared.total_bytes}"
-                )
-            return
-        capacity = getattr(queue, "capacity_bytes", None)
-        if capacity is not None and queue.occupied_bytes > capacity:
+        elif queue.occupied_bytes > queue.capacity_bytes:
+            # One FIFO, or a host's two lanes: one shared budget.
             raise SanitizerError(
                 f"queue over capacity after accepted enqueue: "
-                f"{queue.occupied_bytes} > {capacity}"
+                f"{queue.occupied_bytes} > {queue.capacity_bytes}"
             )
 
     # -- end of run ---------------------------------------------------------

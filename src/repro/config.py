@@ -17,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
-from repro.net.queues import DropTailQueue, EcnQueue, HostQueue, TrimmingQueue
+from repro.net.queues import EcnQueue
 from repro.sim.rng import SimRandom
 from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 
@@ -28,17 +28,17 @@ from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 
 @dataclass(frozen=True)
 class QueueSpec:
-    """Recipe for one output-port queue discipline."""
+    """Recipe for one output-port queue: an
+    :class:`~repro.net.queues.EcnQueue` with the switches ``kind`` names."""
 
-    kind: str  # "droptail" | "ecn" | "trimming" | "host"
+    kind: str  # "ecn" | "trimming" | "host"
     capacity_bytes: int
     ecn_low_bytes: int = 0
     ecn_high_bytes: int = 0
     control_capacity_bytes: int = 2_000_000
-    control_priority: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("droptail", "ecn", "trimming", "host"):
+        if self.kind not in ("ecn", "trimming", "host"):
             raise ConfigError(f"unknown queue kind {self.kind!r}")
         if self.capacity_bytes <= 0:
             raise ConfigError(f"queue capacity must be positive, got {self.capacity_bytes}")
@@ -49,29 +49,32 @@ class QueueSpec:
                 "ECN thresholds must satisfy 0 <= low <= high <= capacity, got "
                 f"{self.ecn_low_bytes}/{self.ecn_high_bytes}/{self.capacity_bytes}"
             )
+        if self.kind == "trimming" and self.control_capacity_bytes <= 0:
+            raise ConfigError(
+                f"control lane capacity must be positive, got {self.control_capacity_bytes}"
+            )
 
-    def build(self, rng_source: Callable[[], SimRandom]):
-        """Instantiate the discipline.
+    def build(self, rng_source: Callable[[], SimRandom]) -> EcnQueue:
+        """Instantiate the queue: ``ecn`` is (control lane off, trim off),
+        ``trimming`` (on, on) and ``host`` (on, off), unmarked.
 
-        ``rng_source`` returns the queue's RNG stream when called.  Only the
-        ECN-marking kinds ever call it, once, at their first in-band draw;
-        ``droptail`` and ``host`` queues never draw and ignore it.
+        ``rng_source`` returns the queue's RNG stream when called.  A queue
+        calls it once, at its first in-band draw; a host queue's thresholds
+        sit at its capacity, so it never draws.
         """
-        if self.kind == "droptail":
-            return DropTailQueue(self.capacity_bytes)
-        if self.kind == "ecn":
-            return EcnQueue(
-                self.capacity_bytes, self.ecn_low_bytes, self.ecn_high_bytes, rng_source
-            )
-        if self.kind == "trimming":
-            return TrimmingQueue(
-                self.capacity_bytes,
-                self.ecn_low_bytes,
-                self.ecn_high_bytes,
-                rng_source,
-                control_capacity_bytes=self.control_capacity_bytes,
-            )
-        return HostQueue(self.capacity_bytes, control_priority=self.control_priority)
+        if self.kind == "host":
+            cap = self.capacity_bytes
+            return EcnQueue(cap, cap, cap, rng_source, control_lane=True)
+        trim = self.kind == "trimming"
+        return EcnQueue(
+            self.capacity_bytes,
+            self.ecn_low_bytes,
+            self.ecn_high_bytes,
+            rng_source,
+            control_lane=trim,
+            trim=trim,
+            control_capacity_bytes=self.control_capacity_bytes,
+        )
 
     def with_trimming(self, enabled: bool) -> "QueueSpec":
         """The same spec with trimming switched on or off."""

@@ -33,7 +33,7 @@ from repro.config import InterDcConfig, TransportConfig, paper_interdc_config
 from repro.control.config import ControlConfig
 from repro.control.pool import FailoverConfig
 from repro.detection.lossdetector import DetectorConfig
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import NetworkCounters, collect_network_counters
 from repro.proxy.placement import pick_senders
@@ -96,6 +96,8 @@ class IncastScenario:
                     f"scheme {self.scheme!r} cannot charge proxy_overhead: "
                     "only a StreamlinedProxy charges per-packet processing"
                 )
+        if self.interdc.trimming:
+            raise ConfigError("interdc.trimming is chosen by the scheme; leave it False")
         if self.routing not in ("spray", "ecmp"):
             raise ExperimentError(f"unknown routing {self.routing!r}")
         if self.degree < 1:

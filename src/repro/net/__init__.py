@@ -1,10 +1,10 @@
 """Packet-level network substrate.
 
 This package models the data plane the paper's simulations need:
-packets, serializing links, output ports, queue disciplines (drop-tail,
-RED/ECN-marking, NDP-style trimming), switches with pluggable routing
-(per-packet spraying or flow-hash ECMP), and hosts with a demultiplexing
-NIC.  The control plane — who sends what, when — lives in
+packets, serializing links, output ports, one port queue (RED/ECN
+marking, with a strict-priority control lane and NDP-style trimming as
+switches), switches with pluggable routing (per-packet spraying or
+flow-hash ECMP), and hosts with a demultiplexing NIC.  The control plane — who sends what, when — lives in
 :mod:`repro.transport` and :mod:`repro.proxy`.
 """
 
@@ -15,10 +15,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.net.node": ["Host", "Node", "Switch"],
     "repro.net.packet": ["Packet", "PacketType"],
     "repro.net.port": ["OutputPort"],
-    "repro.net.queues": [
-        "DropTailQueue", "EcnQueue", "EnqueueOutcome", "HostQueue", "QueueStats",
-        "TrimmingQueue",
-    ],
+    "repro.net.queues": ["EcnQueue", "EnqueueOutcome", "QueueStats"],
     "repro.net.routing": [
         "DisjointSprayRouting", "EcmpRouting", "SprayRouting", "build_next_hop_tables",
         "install_disjoint_spray",
@@ -27,12 +24,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "DisjointSprayRouting",
-    "DropTailQueue",
     "EcmpRouting",
     "EcnQueue",
     "EnqueueOutcome",
     "Host",
-    "HostQueue",
     "Network",
     "Node",
     "OutputPort",
@@ -41,7 +36,6 @@ __all__ = [
     "QueueStats",
     "SprayRouting",
     "Switch",
-    "TrimmingQueue",
     "build_next_hop_tables",
     "install_disjoint_spray",
 ]

@@ -75,7 +75,11 @@ from repro.errors import SimulationError
 #:       serialization end is no longer a calendar entry.
 #:  13 — an idle port skips its queue: an ``OutputPort`` pickles
 #:       ``_idle_pass``, and ``QueueStats`` no longer has ``dequeued``.
-CHECKPOINT_SCHEMA_VERSION = 13
+#:  14 — one port queue: every per-port queue is an ``EcnQueue`` that
+#:       pickles its ``control_lane``/``trim`` switches, ``IDLE_PASS``,
+#:       ``data_bytes`` and ``_data``/``_control`` lanes; ``DropTailQueue``,
+#:       ``TrimmingQueue`` and ``HostQueue`` are gone.
+CHECKPOINT_SCHEMA_VERSION = 14
 
 _MAGIC = b"RPCKPT\x00"
 #: magic and schema version; the payload's sha256 follows, then the payload.

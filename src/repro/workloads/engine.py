@@ -168,6 +168,8 @@ class WorkloadEngineConfig:
             raise ConfigError("mix weights must be positive")
         if self.slo_ps <= 0:
             raise ConfigError("slo_ps must be positive")
+        if self.interdc is not None and self.interdc.trimming:
+            raise ConfigError("interdc.trimming is chosen by the scheme; leave it False")
         names = [job.name for job in self.jobs]
         if len(set(names)) != len(names):
             # per-job state is keyed by name: a repeat would collide on a

@@ -23,7 +23,6 @@ from repro.config import (
 )
 from repro.net.network import Network
 from repro.net.node import Host
-from repro.net.queues import HostQueue
 from repro.net.routing import build_next_hop_tables
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc

@@ -54,7 +54,7 @@ class TestMultiDcTopology:
             nodes = [(n.id, n.name, type(n).__name__, n.dc) for n in net.nodes.values()]
             ports = [
                 (n.id, port.name, net.edge_rate_bps(n.id, peer),
-                 net.edge_delay_ps(n.id, peer), type(port.queue).__name__)
+                 net.edge_delay_ps(n.id, peer), port.queue.control_lane, port.queue.trim)
                 for n in net.nodes.values() for peer, port in n.ports.items()
             ]
             return nodes, ports, len(sim.rng)

@@ -296,6 +296,22 @@ class TestCheckpointFormat:
             f"checkpoint schema 12 != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
 
+    def test_refuses_a_real_schema_13_file(self):
+        # Written by the schema-13 code: an ECN, a trimming and a host queue,
+        # each holding queued packets, so the payload names the deleted
+        # ``TrimmingQueue`` and ``HostQueue`` classes and an ``EcnQueue``
+        # with a ``_fifo`` and no switches.  Unpickled, the class lookup
+        # would fail; the version is read first, so the file is refused.
+        path = Path(__file__).parent / "fixtures" / "schema13_queues.ckpt"
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC + struct.pack("<I", 13))
+        assert b"TrimmingQueue" in blob and b"HostQueue" in blob and b"_fifo" in blob
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"checkpoint schema 13 != supported {CHECKPOINT_SCHEMA_VERSION}"
+        )
+
     def test_rejects_corrupt_body(self, tmp_path):
         path = save_checkpoint(tmp_path / "c.ckpt", {"k": "v"})
         blob = bytearray(path.read_bytes())

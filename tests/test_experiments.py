@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import TransportConfig, paper_interdc_config, small_interdc_config
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.report import average_reductions, render_table, sweep_table
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.experiments.grid import run_grid
@@ -43,6 +43,14 @@ class TestScenario:
             IncastScenario(degree=0)
         with pytest.raises(ExperimentError):
             IncastScenario(degree=10, total_bytes=5)
+
+    @pytest.mark.parametrize("scheme", ["baseline", "streamlined"])
+    def test_the_scheme_alone_chooses_trimming(self, scheme):
+        # A run builds the fabric with its scheme's trimming flag, so a
+        # scenario that set its own would run the same cell under a
+        # second cache key.
+        with pytest.raises(ConfigError, match="chosen by the scheme"):
+            IncastScenario(scheme=scheme, interdc=small_interdc_config().with_trimming(True))
 
 
 class TestRunIncast:

@@ -129,7 +129,8 @@ class TestRoutingStrategies:
         tail = net.add_switch("tail")
         from repro.config import QueueSpec
         host = QueueSpec(kind="host", capacity_bytes=10_000_000)
-        sw = QueueSpec(kind="droptail", capacity_bytes=10_000_000)
+        sw = QueueSpec(kind="ecn", capacity_bytes=10_000_000,
+                       ecn_low_bytes=10_000_000, ecn_high_bytes=10_000_000)
         net.connect(a, mid, gbps(10), 0, queue_ab=host.build(None), queue_ba=sw.build(None))
         net.connect(mid, s1, gbps(10), 0, queue_ab=sw.build(None), queue_ba=sw.build(None))
         net.connect(mid, s2, gbps(10), 0, queue_ab=sw.build(None), queue_ba=sw.build(None))

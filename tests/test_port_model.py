@@ -35,15 +35,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import QueueSpec
 from repro.net.packet import HEADER_BYTES, Packet, PacketType
 from repro.net.port import OutputPort
-from repro.net.queues import (
-    DropTailQueue,
-    EcnQueue,
-    EnqueueOutcome,
-    HostQueue,
-    TrimmingQueue,
-)
+from repro.net.queues import EcnQueue, EnqueueOutcome
 from repro.sim.probe import Probe
 from repro.sim.simulator import Simulator
 
@@ -80,7 +75,7 @@ class _Offers(Probe):
     def on_offer(self, port, packet, dropped, size_before):
         queue = port.queue
         self.seen[packet.seq] = (
-            queue.occupied_bytes, getattr(queue, "data_bytes", None),
+            queue.occupied_bytes, queue.data_bytes,
             dropped, packet.size_bytes, packet.ecn_ce,
         )
 
@@ -90,13 +85,13 @@ def _queue(discipline: str, capacity: int, mark_above: int):
         raise AssertionError("a threshold queue with low == high never draws")
 
     if discipline == "droptail":
-        return DropTailQueue(capacity)
-    if discipline == "ecn":
-        return EcnQueue(capacity, mark_above, mark_above, no_draws)
-    if discipline == "trimming":
-        return TrimmingQueue(capacity, mark_above, mark_above, no_draws,
-                             control_capacity_bytes=CONTROL_CAPACITY)
-    return HostQueue(capacity, control_priority=True)
+        # A drop-tail FIFO is the ECN queue with both thresholds at capacity.
+        return EcnQueue(capacity, capacity, capacity, no_draws)
+    if discipline == "host":
+        return QueueSpec(kind="host", capacity_bytes=capacity).build(no_draws)
+    trim = discipline == "trimming"
+    return EcnQueue(capacity, mark_above, mark_above, no_draws, control_lane=trim,
+                    trim=trim, control_capacity_bytes=CONTROL_CAPACITY)
 
 
 def reference(offers, discipline, capacity, mark_above, delay_ps):
@@ -145,7 +140,7 @@ def reference(offers, discipline, capacity, mark_above, delay_ps):
             lanes[lane] += size[i]
         seen[i] = (
             lanes["data"] + lanes["control"],
-            lanes["data"] if discipline == "trimming" else None,
+            lanes["data"],
             dropped, size[i], marked,
         )
         if not dropped and free <= tick:

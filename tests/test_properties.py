@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.config import QueueSpec
 from repro.detection.lossdetector import DetectorConfig, FlowTracker
 from repro.detection.reorder import ReorderingEstimator
 from repro.metrics.cdf import EmpiricalCdf
 from repro.metrics.summary import summarize
 from repro.net.packet import make_data
-from repro.net.queues import DropTailQueue, EcnQueue, EnqueueOutcome, TrimmingQueue
+from repro.net.queues import EcnQueue, EnqueueOutcome
 from repro.sim.scheduler import EventScheduler
 from repro.transport.dctcp import DctcpLike
 from repro.transport.rtt import RttEstimator
@@ -69,7 +70,8 @@ class TestSchedulerProperties:
 class TestQueueProperties:
     @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=200))
     def test_droptail_conservation(self, sizes):
-        q = DropTailQueue(50_000)
+        q = QueueSpec(kind="ecn", capacity_bytes=50_000, ecn_low_bytes=50_000,
+                      ecn_high_bytes=50_000).build(None)
         accepted = 0
         for i, payload in enumerate(sizes):
             if q.offer(make_data(1, i, 0, 1, payload_bytes=payload)) is EnqueueOutcome.ENQUEUED:
@@ -95,8 +97,9 @@ class TestQueueProperties:
 
     @given(st.lists(st.integers(min_value=100, max_value=5000), min_size=1, max_size=200))
     def test_trimming_conserves_packets(self, sizes):
-        q = TrimmingQueue(10_000, 1_000, 5_000, partial(random.Random, 0),
-                          control_capacity_bytes=10**9)
+        q = QueueSpec(kind="trimming", capacity_bytes=10_000, ecn_low_bytes=1_000,
+                      ecn_high_bytes=5_000, control_capacity_bytes=10**9).build(
+            partial(random.Random, 0))
         for i, payload in enumerate(sizes):
             outcome = q.offer(make_data(1, i, 0, 1, payload_bytes=payload))
             assert outcome is not EnqueueOutcome.DROPPED  # control lane is huge

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.competitors import COMPETITOR_SCHEMES, install, uninstall
-from repro.config import TransportConfig, small_interdc_config
+from repro.config import QueueSpec, TransportConfig, small_interdc_config
 from repro.detection.lossdetector import GapLossDetector
 from repro.errors import SanitizerError
 from repro.experiments.runner import (
@@ -15,6 +15,7 @@ from repro.experiments.runner import (
 )
 from repro.faults import blackhole_plan
 from repro.faults.plan import FaultPlan, LinkDown, LinkUp, ProxyCrash, ProxyRestart
+from repro.net.buffers import SharedBuffer, SharedEcnQueue
 from repro.net.packet import make_data
 from repro.proxy.placement import pick_senders
 from repro.proxy.streamlined import StreamlinedProxy
@@ -101,10 +102,6 @@ class TestUnitChecks:
     class _Packet:
         size_bytes = 100
 
-    class _OverfullQueue:
-        capacity_bytes = 100
-        occupied_bytes = 200
-
     class _Port:
         def __init__(self, queue):
             self.queue = queue
@@ -120,11 +117,45 @@ class TestUnitChecks:
         total_packets = 10
         cc = None
 
+    @staticmethod
+    def _overfull(kind, data_bytes, control_bytes):
+        """A real queue of ``kind`` (capacity 1 000 B, control lane 100 B)
+        whose lanes hold the given bytes, as a broken offer would leave it."""
+        queue = QueueSpec(kind=kind, capacity_bytes=1_000,
+                          control_capacity_bytes=100).build(None)
+        queue.data_bytes = data_bytes
+        queue.occupied_bytes = data_bytes + control_bytes
+        return queue
+
     def test_accepted_enqueue_over_capacity_raises(self):
         san = Sanitizer()
-        with pytest.raises(SanitizerError, match="over capacity"):
-            san.on_offer(self._Port(self._OverfullQueue()), self._Packet(),
+        with pytest.raises(SanitizerError, match="queue over capacity"):
+            san.on_offer(self._Port(self._overfull("ecn", 1_100, 0)), self._Packet(),
                          False, 100)
+
+    @pytest.mark.parametrize("kind, data_bytes, control_bytes, error", [
+        ("ecn", 1_001, 0, "queue over capacity after accepted enqueue: 1001 > 1000"),
+        ("host", 1_000, 0, None),
+        ("host", 940, 64, "queue over capacity after accepted enqueue: 1004 > 1000"),
+        ("trimming", 1_000, 100, None),
+        ("trimming", 1_001, 0, "data lane over capacity: 1001 > 1000"),
+        ("trimming", 0, 101, "control lane over capacity: 101 > 100"),
+    ])
+    def test_each_lane_is_held_to_its_bound(self, kind, data_bytes, control_bytes, error):
+        port = self._Port(self._overfull(kind, data_bytes, control_bytes))
+        san = Sanitizer()
+        if error is None:
+            san.on_offer(port, self._Packet(), False, 100)
+            return
+        with pytest.raises(SanitizerError, match=error):
+            san.on_offer(port, self._Packet(), False, 100)
+
+    def test_a_shared_pool_is_held_to_its_bound(self):
+        pool = SharedBuffer(1_000)
+        queue = SharedEcnQueue(pool, 1.0, 0, 0, None)
+        pool.occupied_bytes = 1_001
+        with pytest.raises(SanitizerError, match="pool over capacity: 1001 > 1000"):
+            Sanitizer().on_offer(self._Port(queue), self._Packet(), False, 100)
 
     def test_negative_pipe_raises(self):
         sender = self._BrokenSender()

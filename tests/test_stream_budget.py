@@ -21,7 +21,7 @@ from repro.config import TransportConfig, paper_interdc_config
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.net.buffers import SharedBuffer, SharedEcnQueue
 from repro.net.packet import make_ack, make_data
-from repro.net.queues import EcnQueue, TrimmingQueue
+from repro.net.queues import EcnQueue
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.rng import derive_stream
@@ -147,7 +147,7 @@ def ecn_queue(source):
 
 
 def trimming_queue(source):
-    return TrimmingQueue(100_000, 2_000, 5_000, source)
+    return EcnQueue(100_000, 2_000, 5_000, source, control_lane=True, trim=True)
 
 
 def shared_queue(source):

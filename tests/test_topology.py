@@ -5,7 +5,6 @@ import pytest
 from repro.config import FabricConfig, InterDcConfig, paper_interdc_config, small_interdc_config
 from repro.errors import ConfigError
 from repro.net.network import Network
-from repro.net.queues import EcnQueue, HostQueue, TrimmingQueue
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.topology.leafspine import build_leafspine
@@ -40,8 +39,9 @@ class TestLeafSpine:
         fabric = build_leafspine(net, FabricConfig(spines=1, leaves=1, servers_per_leaf=1))
         host = fabric.hosts[0]
         leaf = fabric.leaves[0]
-        assert isinstance(leaf.ports[host.id].queue, EcnQueue)
-        assert isinstance(host.ports[leaf.id].queue, HostQueue)
+        down, nic = leaf.ports[host.id].queue, host.ports[leaf.id].queue
+        assert (down.control_lane, down.trim) == (False, False)
+        assert (nic.control_lane, nic.trim) == (True, False)
 
     def test_trimming_flag_swaps_queue_type(self, sim):
         net = Network(sim)
@@ -50,7 +50,9 @@ class TestLeafSpine:
         )
         leaf = fabric.leaves[0]
         host = fabric.hosts[0]
-        assert isinstance(leaf.ports[host.id].queue, TrimmingQueue)
+        down, nic = leaf.ports[host.id].queue, host.ports[leaf.id].queue
+        assert (down.control_lane, down.trim) == (True, True)
+        assert (nic.control_lane, nic.trim) == (True, False)
 
 
 class TestInterDc:
@@ -94,7 +96,10 @@ class TestInterDc:
         topo = build_interdc(sim, small_interdc_config().with_trimming(True))
         leaf = topo.fabrics[0].leaves[0]
         host = topo.fabrics[0].hosts[0]
-        assert isinstance(leaf.ports[host.id].queue, TrimmingQueue)
+        queue = leaf.ports[host.id].queue
+        assert (queue.control_lane, queue.trim) == (True, True)
+        router = next(iter(topo.backbone[0].ports.values())).queue
+        assert (router.control_lane, router.trim) == (True, True)
 
     def test_with_backbone_delay_derives_config(self):
         cfg = small_interdc_config().with_backbone_delay(milliseconds(10))

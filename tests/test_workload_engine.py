@@ -232,6 +232,8 @@ class TestEngineConfig:
             WorkloadEngineConfig(mix=(("uniform", -1.0),))
         with pytest.raises(ConfigError):
             WorkloadEngineConfig(slo_ps=0)
+        with pytest.raises(ConfigError, match="chosen by the scheme"):
+            WorkloadEngineConfig(interdc=small_interdc_config().with_trimming(True))
 
     @pytest.mark.parametrize("strategy", ["central", "shared"])
     def test_rejects_duplicate_job_names(self, strategy):
